@@ -58,21 +58,18 @@ def density_tsv_text(estimate: DensityEstimate) -> str:
 
 
 def read_density_tsv(path: str | Path) -> DensityEstimate:
-    rows = _read_tsv_rows(path, n_cols=6)
+    rows = _read_tsv_rows(path, _DENSITY_COLUMNS)
     n = len(rows)
     est = DensityEstimate(k_hat=np.empty(n, dtype=np.int64),
                           log_rho=np.empty(n), err=np.empty(n),
                           r_khat=np.empty(n), slope=np.full(n, np.nan),
                           fallback=np.zeros(n, dtype=bool))
-    for pid, cols in enumerate(rows):
-        if int(cols[0]) != pid:
-            raise DataError(f"{path}: point ids must be dense and ordered, "
+    for pid, (lineno, cols) in enumerate(rows):
+        if cols[0] != pid:
+            raise DataError(f"{path}:{lineno}: point ids must be dense and ordered, "
                             f"saw {cols[0]} at row {pid}")
-        est.k_hat[pid] = int(cols[1])
-        est.log_rho[pid] = float(cols[2])
-        est.err[pid] = float(cols[3])
-        est.r_khat[pid] = float(cols[4])
-        est.fallback[pid] = bool(int(cols[5]))
+        (est.k_hat[pid], est.log_rho[pid], est.err[pid], est.r_khat[pid],
+         est.fallback[pid]) = cols[1:]
     return est
 
 
@@ -90,7 +87,7 @@ def assignment_tsv_text(assignment: PeakAssignment, estimate: DensityEstimate) -
 
 def read_assignment_tsv(path: str | Path) -> tuple[PeakAssignment, DensityEstimate]:
     """Rebuild assignment state (and the density columns it embeds)."""
-    rows = _read_tsv_rows(path, n_cols=10)
+    rows = _read_tsv_rows(path, _ASSIGNMENT_COLUMNS)
     n = len(rows)
     labels = np.empty(n, dtype=np.int64)
     is_center = np.zeros(n, dtype=bool)
@@ -101,18 +98,11 @@ def read_assignment_tsv(path: str | Path) -> tuple[PeakAssignment, DensityEstima
     est = DensityEstimate(k_hat=np.empty(n, dtype=np.int64), log_rho=np.empty(n),
                           err=np.empty(n), r_khat=np.full(n, np.nan),
                           slope=np.full(n, np.nan), fallback=np.zeros(n, dtype=bool))
-    for pid, cols in enumerate(rows):
-        if int(cols[0]) != pid:
-            raise DataError(f"{path}: point ids must be dense and ordered")
-        labels[pid] = int(cols[1])
-        is_center[pid] = bool(int(cols[2]))
-        is_halo[pid] = bool(int(cols[3]))
-        g[pid] = float(cols[4])
-        est.log_rho[pid] = float(cols[5])
-        est.err[pid] = float(cols[6])
-        est.k_hat[pid] = int(cols[7])
-        delta[pid] = float(cols[8])
-        parent[pid] = int(cols[9])
+    for pid, (lineno, cols) in enumerate(rows):
+        if cols[0] != pid:
+            raise DataError(f"{path}:{lineno}: point ids must be dense and ordered")
+        (labels[pid], is_center[pid], is_halo[pid], g[pid], est.log_rho[pid],
+         est.err[pid], est.k_hat[pid], delta[pid], parent[pid]) = cols[1:]
 
     center_ids = np.nonzero(is_center)[0]
     order = np.argsort(labels[center_ids], kind="stable")
@@ -134,31 +124,54 @@ def saddles_tsv_text(saddles: SaddleTable) -> str:
 
 
 def read_saddles_tsv(path: str | Path) -> SaddleTable:
-    rows = _read_tsv_rows(path, n_cols=5, allow_empty=True)
+    rows = _read_tsv_rows(path, _SADDLE_COLUMNS, allow_empty=True)
     entries = {}
-    for cols in rows:
-        a, b = int(cols[0]), int(cols[1])
+    for _, (a, b, log_rho, err, border_point) in rows:
         entries[(min(a, b), max(a, b))] = SaddleInfo(
-            log_rho=float(cols[2]), err=float(cols[3]), border_point=int(cols[4]))
+            log_rho=log_rho, err=err, border_point=border_point)
     return SaddleTable(entries=entries)
 
 
 def read_truth_tsv(path: str | Path, n_points: int) -> np.ndarray:
-    rows = _read_tsv_rows(path, n_cols=2)
+    rows = _read_tsv_rows(path, _TRUTH_COLUMNS)
     truth = np.full(n_points, np.iinfo(np.int64).min, dtype=np.int64)
-    for cols in rows:
-        pid = int(cols[0])
+    for lineno, (pid, label) in rows:
         if not 0 <= pid < n_points:
-            raise DataError(f"{path}: point id {pid} out of range 0..{n_points - 1}")
-        truth[pid] = int(cols[1])
+            raise DataError(f"{path}:{lineno}: point id {pid} out of range "
+                            f"0..{n_points - 1}")
+        truth[pid] = label
     missing = np.nonzero(truth == np.iinfo(np.int64).min)[0]
     if missing.size:
         raise DataError(f"{path}: no label for point {int(missing[0])}")
     return truth
 
 
-def _read_tsv_rows(path: str | Path, n_cols: int,
-                   allow_empty: bool = False) -> list[list[str]]:
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+def _flag(text: str) -> bool:
+    return bool(int(text))
+
+
+# (column name, cast) per stage file; a failing cast is a DataError at file:line
+_DENSITY_COLUMNS = (("point_id", int), ("k_hat", int), ("log_rho", _finite),
+                    ("err", _finite), ("r_khat", _finite), ("fallback", _flag))
+_ASSIGNMENT_COLUMNS = (("point_id", int), ("label", int), ("is_center", _flag),
+                       ("is_halo", _flag), ("g", _finite), ("log_rho", _finite),
+                       ("err", _finite), ("k_hat", int), ("delta", float),
+                       ("parent", int))
+_SADDLE_COLUMNS = (("cluster_a", int), ("cluster_b", int), ("log_rho", _finite),
+                   ("err", _finite), ("border_point", int))
+_TRUTH_COLUMNS = (("point_id", int), ("label", int))
+
+
+def _read_tsv_rows(path: str | Path, columns: tuple,
+                   allow_empty: bool = False) -> list[tuple[int, list]]:
+    """Parse a stage TSV into (line number, cast fields) per data row."""
     path = Path(path)
     rows = []
     try:
@@ -171,10 +184,16 @@ def _read_tsv_rows(path: str | Path, n_cols: int,
             if not line.strip() or line.startswith("#"):
                 continue
             parts = line.split("\t")
-            if len(parts) != n_cols:
-                raise DataError(f"{path}:{lineno}: expected {n_cols} fields, "
+            if len(parts) != len(columns):
+                raise DataError(f"{path}:{lineno}: expected {len(columns)} fields, "
                                 f"got {len(parts)}")
-            rows.append(parts)
+            fields = []
+            for (name, cast), text in zip(columns, parts):
+                try:
+                    fields.append(cast(text))
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: {name}: {exc}") from None
+            rows.append((lineno, fields))
     if not rows and not allow_empty:
         raise DataError(f"{path}: empty input file")
     return rows

@@ -19,7 +19,11 @@ from densitopo.neighbors import NeighborGraph
 # geometry / kNN
 
 def brute_knn(coords: np.ndarray, k_max: int, metric: str = "euclidean"):
-    """All-pairs kNN by full stable sort, ties by ascending id."""
+    """All-pairs kNN by full stable sort, ties by ascending id.
+
+    Coordinate terms are summed one by one in coordinate order (then square
+    rooted for euclidean), the arithmetic the graph's distances promise.
+    """
     n = coords.shape[0]
     ids = np.empty((n, k_max), dtype=np.int64)
     dists = np.empty((n, k_max), dtype=np.float64)
@@ -28,12 +32,12 @@ def brute_knn(coords: np.ndarray, k_max: int, metric: str = "euclidean"):
         for j in range(n):
             if j == i:
                 continue
-            diff = coords[i] - coords[j]
+            d = 0.0
+            for diff in coords[i] - coords[j]:
+                d += diff * diff if metric == "euclidean" else abs(diff)
             if metric == "euclidean":
-                d = math.sqrt(float((diff * diff).sum()))
-            else:
-                d = float(np.abs(diff).sum())
-            row.append((d, j))
+                d = math.sqrt(d)
+            row.append((float(d), j))
         row.sort()
         ids[i] = [j for _, j in row[:k_max]]
         dists[i] = [d for d, _ in row[:k_max]]

@@ -332,6 +332,73 @@ def test_evaluate_exclude_halo_changes_metrics(dataset, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# malformed stage files: exit 3 naming file:line, never a traceback
+
+
+def _replace_field(path, lineno, col, value):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    fields = lines[lineno - 1].split("\t")
+    fields[col] = value
+    lines[lineno - 1] = "\t".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("col,value", [(1, "abc"), (2, "nan"), (3, "inf"),
+                                       (4, "-inf")])
+def test_cluster_bad_density_field_names_line(dataset, tmp_path, capsys, col, value):
+    density = tmp_path / "density.tsv"
+    assert _run(["density", "--input", dataset["points"], "--k-max", "32",
+                 "--d", "2", "--out", density]) == 0
+    _replace_field(density, 5, col, value)
+    code = _run(["cluster", "--input", dataset["points"], "--k-max", "32",
+                 "--density", density, "--out", tmp_path / "a.tsv"])
+    assert code == 3
+    assert f"{density}:5:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("col,value", [(1, "x"), (4, "nan"), (5, "inf"),
+                                       (6, "nan"), (7, "1.5")])
+def test_evaluate_bad_assignment_field_names_line(tmp_path, capsys, col, value):
+    assignment = tmp_path / "assignment.tsv"
+    _write_perfect_assignment(assignment)
+    _replace_field(assignment, 3, col, value)
+    truth = tmp_path / "truth.tsv"
+    truth.write_text("".join(f"{i}\t0\n" for i in range(6)), encoding="utf-8")
+    code = _run(["evaluate", "--assignment", assignment, "--truth", truth,
+                 "--outdir", tmp_path])
+    assert code == 3
+    assert f"{assignment}:3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("col,value", [(0, "a"), (2, "nan"), (3, "inf"),
+                                       (4, "2.5")])
+def test_topography_bad_saddle_field_names_line(tmp_path, capsys, col, value):
+    assignment = tmp_path / "assignment.tsv"
+    _write_perfect_assignment(assignment)
+    saddles = tmp_path / "saddles.tsv"
+    saddles.write_text("# cluster_a\tcluster_b\tlog_rho\terr\tborder_point\n"
+                       "0\t1\t0.5\t0.1\t2\n", encoding="utf-8")
+    _replace_field(saddles, 2, col, value)
+    code = _run(["topography", "--assignment", assignment, "--saddles", saddles,
+                 "--outdir", tmp_path / "topo"])
+    assert code == 3
+    assert f"{saddles}:2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["0\t1\n1\tb\n", "0\t1\nz\t1\n",
+                                  "0\t1\n9\t1\n"])
+def test_evaluate_bad_truth_row_names_line(tmp_path, capsys, text):
+    assignment = tmp_path / "assignment.tsv"
+    _write_perfect_assignment(assignment)
+    truth = tmp_path / "truth.tsv"
+    truth.write_text(text, encoding="utf-8")
+    code = _run(["evaluate", "--assignment", assignment, "--truth", truth,
+                 "--outdir", tmp_path])
+    assert code == 3
+    assert f"{truth}:2:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # synth subcommand
 
 

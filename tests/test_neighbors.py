@@ -9,6 +9,7 @@ from densitopo import (ConfigError, DataError, NeighborGraph, PairwiseDistances,
                        PointSet, build_neighbor_graph, export_knn_file,
                        ingest_distance_matrix, ingest_knn_file, read_points_tsv,
                        write_points_tsv)
+from densitopo.neighbors import _brute_knn, _tree_knn, _use_tree
 from oracles import brute_knn
 
 
@@ -64,6 +65,79 @@ def test_small_instances_equal_brute_force(data):
     ids, dists = brute_knn(coords, k_max, metric)
     np.testing.assert_array_equal(graph.neighbor_ids, ids)
     np.testing.assert_array_equal(graph.neighbor_dists, dists)
+    tree_ids, tree_dists = _tree_knn(coords, k_max, metric)
+    np.testing.assert_array_equal(tree_ids, ids)
+    np.testing.assert_array_equal(tree_dists, dists)
+
+
+# ---------------------------------------------------------------------------
+# both kNN paths against the oracle, called directly: the size rule would
+# send most small inputs down the brute-force path
+
+
+def _lattice(side, dim=2):
+    axes = np.meshgrid(*[np.arange(float(side))] * dim)
+    return np.column_stack([a.ravel() for a in axes])
+
+
+def _random_points():
+    return np.random.default_rng(21).standard_normal((300, 3)), 20
+
+
+def _horizon_ties():
+    # on the square lattice the 10th neighbor of an interior point lies
+    # inside a shell of equal distances, for both metrics
+    return _lattice(12), 10
+
+
+def _duplicates():
+    # each point three times: self need not be the tree's first candidate
+    base = np.random.default_rng(22).random((60, 2))
+    return np.vstack([base, base, base]), 7
+
+
+def _one_dim():
+    rng = np.random.default_rng(23)
+    return np.vstack([rng.standard_normal((150, 1)), _lattice(50, dim=1)]), 12
+
+
+def _all_neighbors():
+    return np.random.default_rng(24).random((40, 2)), 39
+
+
+def _eight_dim():
+    # the tree's own euclidean sums differ from cdist's in the last bit here
+    return np.random.default_rng(25).standard_normal((150, 8)), 15
+
+
+KNN_CASES = {"random": _random_points, "horizon_ties": _horizon_ties,
+             "duplicates": _duplicates, "one_dim": _one_dim,
+             "k_max_n_minus_1": _all_neighbors, "eight_dim": _eight_dim}
+
+
+@pytest.mark.parametrize("knn", [_brute_knn, _tree_knn])
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("case", sorted(KNN_CASES))
+def test_knn_paths_match_oracle(knn, metric, case):
+    coords, k_max = KNN_CASES[case]()
+    ids, dists = brute_knn(coords, k_max, metric)
+    got_ids, got_dists = knn(coords, k_max, metric)
+    np.testing.assert_array_equal(got_ids, ids)
+    assert got_dists.tobytes() == dists.tobytes()
+
+
+def test_horizon_case_has_ties_at_k_max():
+    coords, k_max = _horizon_ties()
+    for metric in ("euclidean", "manhattan"):
+        _, dists = brute_knn(coords, k_max + 1, metric)
+        assert (dists[:, k_max - 1] == dists[:, k_max]).sum() > 50
+
+
+def test_path_rule_follows_size_and_dimension():
+    assert _use_tree(10000, 512, 2)         # large low-dimensional clouds
+    assert not _use_tree(1500, 512, 20)     # high embedding dimension
+    assert not _use_tree(1500, 512, 2)      # k_max a third of n
+    assert _use_tree(800, 24, 2) and _use_tree(286, 16, 2)  # golden inputs
 
 
 def test_rebuild_is_byte_identical():
