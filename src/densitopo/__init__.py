@@ -10,10 +10,8 @@ from .clustering import (ClusterConfig, ClusterResult, PeakAssignment, SaddleInf
                          SaddleTable, assign_points, cluster_points,
                          compute_delta_parent, compute_g, detect_putative_centers,
                          find_borders_saddles, flag_halo, merge_clusters)
-from .density import (DensityConfig, DensityEstimate, adaptive_k,
-                      cumulative_volume, estimate_density, fit_linear_corrected,
-                      knn_mle, log_density_error, lrt_statistic, shell_volumes,
-                      unit_ball_volume)
+from .density import (DensityConfig, DensityEstimate, estimate_density, knn_mle,
+                      log_density_error, unit_ball_volume)
 from .errors import (ConfigError, DataError, DegenerateDataError,
                      InternalInvariantError)
 from .intrinsic_dim import IdEstimate, twonn_estimate
@@ -37,16 +35,16 @@ __all__ = [
     "DataError", "DegenerateDataError", "Dendrogram", "DensityConfig",
     "DensityEstimate", "IdEstimate", "InternalInvariantError",
     "LabeledPartition", "NeighborGraph", "PairwiseDistances", "PeakAssignment",
-    "PointSet", "SaddleInfo", "SaddleTable", "Topography", "adaptive_k",
+    "PointSet", "SaddleInfo", "SaddleTable", "Topography",
     "assign_points", "build_neighbor_graph", "build_topography", "cluster_points",
     "compute_delta_parent", "compute_g", "confusion_matrix",
-    "cumulative_volume", "dendrogram_newick", "detect_putative_centers",
+    "dendrogram_newick", "detect_putative_centers",
     "estimate_density", "export_knn_file", "find_borders_saddles",
-    "fit_linear_corrected", "flag_halo",
+    "flag_halo",
     "ingest_distance_matrix", "ingest_knn_file", "knn_mle",
-    "log_density_error", "lrt_statistic", "majority_labels", "mds_layout",
+    "log_density_error", "majority_labels", "mds_layout",
     "merge_clusters", "network_dot", "network_export", "nmi", "purity",
-    "read_distance_matrix_tsv", "read_points_tsv", "shell_volumes",
+    "read_distance_matrix_tsv", "read_points_tsv",
     "single_linkage", "synth_gmm", "synth_spirals", "synth_uniform",
     "topography_from_json", "topography_to_json", "twonn_estimate",
     "unit_ball_volume", "write_points_tsv",

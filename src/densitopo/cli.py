@@ -135,10 +135,15 @@ def read_saddles_tsv(path: str | Path) -> SaddleTable:
 def read_truth_tsv(path: str | Path, n_points: int) -> np.ndarray:
     rows = _read_tsv_rows(path, _TRUTH_COLUMNS)
     truth = np.full(n_points, np.iinfo(np.int64).min, dtype=np.int64)
+    first_line = {}
     for lineno, (pid, label) in rows:
         if not 0 <= pid < n_points:
             raise DataError(f"{path}:{lineno}: point id {pid} out of range "
                             f"0..{n_points - 1}")
+        if pid in first_line:
+            raise DataError(f"{path}:{lineno}: point id {pid} already labelled "
+                            f"on line {first_line[pid]}")
+        first_line[pid] = lineno
         truth[pid] = label
     missing = np.nonzero(truth == np.iinfo(np.int64).min)[0]
     if missing.size:

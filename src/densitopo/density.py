@@ -24,6 +24,9 @@ DEFAULT_K_MIN = 4
 ANSATZ_CHOICES = ("volume", "radius", "index")
 
 _MAX_STEP_HALVINGS = 30
+# array entries (points x k_hat) per lockstep fit block: bounds the fit's
+# working arrays however many points share one k_hat
+_BLOCK_ENTRIES = 1 << 16
 
 
 def unit_ball_volume(d: float) -> float:
@@ -105,29 +108,6 @@ class DensityEstimate:
         return self.k_hat.shape[0]
 
 
-def shell_volumes(i: int, k: int, config: DensityConfig,
-                  graph: NeighborGraph) -> np.ndarray:
-    """Volumes of the k spherical shells between consecutive neighbors of i.
-
-    Shell l covers the gap between neighbor l-1 and neighbor l (neighbor 0
-    meaning the point itself), so the volumes sum to omega * r_k**d.
-    Duplicate neighbors yield zero-volume shells, which the likelihood
-    tolerates.
-    """
-    if not 1 <= k <= graph.k_max:
-        raise ConfigError(f"k must be in [1, {graph.k_max}], got {k}")
-    radii = graph.neighbor_dists[i, :k]
-    cum = config.omega * np.power(radii, config.d)
-    prev = np.concatenate(([0.0], cum[:-1]))
-    return np.maximum(cum - prev, 0.0)
-
-
-def cumulative_volume(i: int, k: int, config: DensityConfig,
-                      graph: NeighborGraph) -> float:
-    """Volume of the ball through the k-th neighbor of i: omega * r_k**d."""
-    return float(config.omega * graph.neighbor_dists[i, k - 1] ** config.d)
-
-
 def knn_mle(k: int, volume: float) -> float:
     """Log density maximizing the fixed-k shell likelihood: log(k / V)."""
     if k < 1:
@@ -159,16 +139,6 @@ def _lrt_kernel(k, v_i, v_j):
     return stat
 
 
-def lrt_statistic(i: int, k: int, config: DensityConfig, graph: NeighborGraph) -> float:
-    """Same-density test statistic between point i and its k-th neighbor."""
-    if not 1 <= k <= graph.k_max:
-        raise ConfigError(f"k must be in [1, {graph.k_max}], got {k}")
-    j = int(graph.neighbor_ids[i, k - 1])
-    v_i = config.omega * graph.neighbor_dists[i, k - 1] ** config.d
-    v_j = config.omega * graph.neighbor_dists[j, k - 1] ** config.d
-    return float(_lrt_kernel(k, v_i, v_j))
-
-
 def _effective_cap(config: DensityConfig, graph: NeighborGraph) -> int:
     cap = config.k_max_cap
     if cap is None:
@@ -180,118 +150,139 @@ def _effective_cap(config: DensityConfig, graph: NeighborGraph) -> int:
     return cap
 
 
-def adaptive_k(i: int, config: DensityConfig, graph: NeighborGraph) -> int:
-    """Largest k whose same-density test stays below the threshold.
+def _adaptive_k_all(config: DensityConfig, graph: NeighborGraph) -> np.ndarray:
+    """Largest k per point whose same-density test stays below the threshold.
 
-    Scans k = k_min..cap and stops at the first rejection; if even k_min is
-    rejected the answer is still k_min, and with no rejection it is the cap.
+    Scans k = k_min..cap and stops at a point's first rejection; if even
+    k_min is rejected the answer is still k_min, and with no rejection it
+    is the cap.  Each step tests only the points not yet rejected.
     """
     cap = _effective_cap(config, graph)
+    k_hat = np.full(graph.n_points, cap, dtype=np.int64)
+    growing = np.arange(graph.n_points)
     for k in range(config.k_min, cap + 1):
-        if lrt_statistic(i, k, config, graph) > config.lrt_threshold:
-            return max(config.k_min, k - 1)
-    return cap
+        radii = graph.neighbor_dists[:, k - 1]
+        v_i = config.omega * np.power(radii[growing], config.d)
+        v_j = config.omega * np.power(
+            radii[graph.neighbor_ids[growing, k - 1]], config.d)
+        rejected = _lrt_kernel(float(k), v_i, v_j) > config.lrt_threshold
+        k_hat[growing[rejected]] = max(config.k_min, k - 1)
+        growing = growing[~rejected]
+        if not growing.size:
+            break
+    return k_hat
 
 
-def _adaptive_k_all(config: DensityConfig, graph: NeighborGraph) -> np.ndarray:
-    """Vectorized adaptive neighborhood sizes for every point."""
-    cap = _effective_cap(config, graph)
-    n = graph.n_points
-    cum = config.omega * np.power(graph.neighbor_dists[:, :cap], config.d)
-    first_bad = np.full(n, -1, dtype=np.int64)
-    for k in range(config.k_min, cap + 1):
-        v_i = cum[:, k - 1]
-        v_j = cum[graph.neighbor_ids[:, k - 1], k - 1]
-        stat = _lrt_kernel(float(k), v_i, v_j)
-        newly = (first_bad < 0) & (stat > config.lrt_threshold)
-        first_bad[newly] = k
-    k_hat = np.where(first_bad < 0, cap,
-                     np.maximum(config.k_min, first_bad - 1))
-    return k_hat.astype(np.int64)
+def _libm(func, *arrays: np.ndarray) -> np.ndarray:
+    """Apply a scalar `math` function elementwise.
+
+    numpy's SIMD log and hypot kernels can differ from the C library's in
+    the last bit; the fit's start point and stopping test use the C
+    library's, the values the golden outputs were made with.
+    """
+    return np.fromiter(map(func, *(arr.tolist() for arr in arrays)),
+                       dtype=np.float64, count=arrays[0].size)
 
 
-def _regressor(shells_cum: np.ndarray, radii: np.ndarray, ansatz: str) -> np.ndarray:
-    if ansatz == "volume":
-        return shells_cum
-    if ansatz == "radius":
-        return radii
-    return np.arange(1.0, shells_cum.size + 1.0)
+def _objective(b: np.ndarray, a: np.ndarray, x: np.ndarray,
+               v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shell log-likelihood per row at rates exp(b + a * x), and the shell
+    terms v * exp(b + a * x) it subtracts."""
+    t = b[:, None] + a[:, None] * x
+    w = v * np.exp(t)
+    return t.sum(axis=1) - w.sum(axis=1), w
 
 
-def _model_value(b: float, a: float, x: np.ndarray, v: np.ndarray) -> float:
-    with np.errstate(over="ignore"):
-        t = b + a * x
-        val = t.sum() - (v * np.exp(t)).sum()
-    return float(val)
+@np.errstate(over="ignore", invalid="ignore")
+def _fit_block(ids: np.ndarray, k: int, config: DensityConfig,
+               graph: NeighborGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fit log rho with a linear density drift over k shells, for many points.
 
-
-def fit_linear_corrected(i: int, k_hat: int, config: DensityConfig,
-                         graph: NeighborGraph) -> tuple[float, float, float, bool]:
-    """Fit log rho with a linear density drift over the accepted shells.
-
-    Maximizes the shell likelihood of rate exp(b + a * x_l) by Newton
-    iteration from (log(k_hat / V), 0), halving steps that lower the
+    Per point, maximizes the shell likelihood of rate exp(b + a * x_l) by
+    Newton iteration from (log(k / V), 0), halving steps that lower the
     objective.  The intercept b is the bias-corrected log density at the
-    point; a is the drift slope in the chosen regressor.
+    point; a is the drift slope in the chosen regressor.  All points run in
+    lockstep, each halving its own steps and leaving once it is decided.
+    Every row sum reduces an exact-length row, in the order of a 1-D sum
+    over that point's shells, so each point's result is what a fit of that
+    point alone gives.
 
     Returns:
-        (log_rho, slope, err, fallback): fallback is True when the solver
-        did not converge or the curvature degenerated, in which case the
-        plain k/V estimate is returned with zero slope.
+        (log_rho, slope, fallback) per point: fallback is True where the
+        solver did not converge or the curvature degenerated, in which case
+        the plain k/V estimate is returned with zero slope.
     """
-    radii = graph.neighbor_dists[i, :k_hat]
+    radii = np.ascontiguousarray(graph.neighbor_dists[ids, :k])
     cum = config.omega * np.power(radii, config.d)
-    prev = np.concatenate(([0.0], cum[:-1]))
-    v = np.maximum(cum - prev, 0.0)
-    vol = float(cum[-1])
-    err = float(log_density_error(float(k_hat)))
-    if vol <= 0.0:
-        raise DegenerateDataError(
-            f"point {i}: all {k_hat} nearest neighbors coincide with it")
-    b = math.log(k_hat) - math.log(vol)
-    a = 0.0
-    x = _regressor(cum, radii, config.ansatz)
-    x_sum = float(x.sum())
+    vol = cum[:, -1]
+    if (vol <= 0.0).any():
+        i = int(ids[np.argmax(vol <= 0.0)])
+        raise DegenerateDataError(f"point {i}: all {k} nearest neighbors coincide with it")
+    v = np.maximum(np.diff(cum, axis=1, prepend=0.0), 0.0)
+    if config.ansatz == "volume":
+        x = cum
+    elif config.ansatz == "radius":
+        x = radii
+    else:
+        x = np.tile(np.arange(1.0, k + 1.0), (ids.size, 1))
+    x_sum = x.sum(axis=1)
+    log_rho = math.log(k) - _libm(math.log, vol)
+    slope = np.zeros(ids.size)
+    fallback = np.ones(ids.size, dtype=bool)
 
-    current = _model_value(b, a, x, v)
+    # state of the points still iterating; rows maps it to the block
+    rows = np.arange(ids.size)
+    b, a = log_rho.copy(), slope.copy()
+    current, w = _objective(b, a, x, v)
     for _ in range(config.nr_max_iter):
-        with np.errstate(over="ignore"):
-            w = v * np.exp(b + a * x)
-            w_sum = float(w.sum())
-            wx_sum = float((w * x).sum())
-            wxx_sum = float((w * x * x).sum())
-        if not math.isfinite(w_sum + wx_sum + wxx_sum):
-            return math.log(k_hat) - math.log(vol), 0.0, err, True
-        g_b = k_hat - w_sum
+        wx = w * x
+        w_sum, wx_sum, wxx_sum = w.sum(axis=1), wx.sum(axis=1), (wx * x).sum(axis=1)
+        g_b = k - w_sum
         g_a = x_sum - wx_sum
-        if math.hypot(g_b, g_a) <= config.nr_tol:
-            return b, a, err, False
+        finite = np.isfinite(w_sum + wx_sum + wxx_sum)
+        converged = finite & (_libm(math.hypot, g_b, g_a) <= config.nr_tol)
+        done = rows[converged]
+        log_rho[done], slope[done], fallback[done] = b[converged], a[converged], False
         h_bb, h_ba, h_aa = -w_sum, -wx_sum, -wxx_sum
         det = h_bb * h_aa - h_ba * h_ba
-        if not (h_bb < 0.0 and det > 0.0):
-            # curvature not negative definite: no trustworthy Newton step
-            return math.log(k_hat) - math.log(vol), 0.0, err, True
-        step_b = -(h_aa * g_b - h_ba * g_a) / det
-        step_a = -(h_bb * g_a - h_ba * g_b) / det
-        accepted = False
-        for _ in range(_MAX_STEP_HALVINGS):
-            cand = _model_value(b + step_b, a + step_a, x, v)
-            if math.isfinite(cand) and cand >= current - 1e-15 * (1.0 + abs(current)):
-                b, a, current = b + step_b, a + step_a, cand
-                accepted = True
+        # curvature not negative definite: no trustworthy Newton step
+        go = finite & ~converged & (h_bb < 0.0) & (det > 0.0)
+        step_b = -(h_aa * g_b - h_ba * g_a)[go] / det[go]
+        step_a = -(h_bb * g_a - h_ba * g_b)[go] / det[go]
+        if not go.all():
+            rows, b, a, current, w, x, v, x_sum = (
+                arr[go] for arr in (rows, b, a, current, w, x, v, x_sum))
+
+        tb, ta = b + step_b, a + step_a
+        cand, cand_w = _objective(tb, ta, x, v)
+        pending = np.arange(rows.size)
+        for halving in range(_MAX_STEP_HALVINGS):
+            cur = current[pending]
+            ok = np.isfinite(cand) & (cand >= cur - 1e-15 * (1.0 + np.abs(cur)))
+            hit = pending[ok]
+            b[hit], a[hit], current[hit], w[hit] = tb[ok], ta[ok], cand[ok], cand_w[ok]
+            pending = pending[~ok]
+            if not pending.size or halving == _MAX_STEP_HALVINGS - 1:
                 break
-            step_b *= 0.5
-            step_a *= 0.5
-        if not accepted:
+            step_b[pending] *= 0.5
+            step_a[pending] *= 0.5
+            tb, ta = b[pending] + step_b[pending], a[pending] + step_a[pending]
+            cand, cand_w = _objective(tb, ta, x[pending], v[pending])
+        if pending.size:
+            # no step accepted: the point stays where its gradient test just
+            # failed, so the final stationarity test fails too -> fallback
+            keep = np.ones(rows.size, dtype=bool)
+            keep[pending] = False
+            rows, b, a, current, w, x, v, x_sum = (
+                arr[keep] for arr in (rows, b, a, current, w, x, v, x_sum))
+        if not rows.size:
             break
-    # loop exhausted: accept only if already stationary
-    with np.errstate(over="ignore"):
-        w = v * np.exp(b + a * x)
-        g_b = k_hat - float(w.sum())
-        g_a = x_sum - float((w * x).sum())
-    if math.isfinite(g_b) and math.isfinite(g_a) and math.hypot(g_b, g_a) <= config.nr_tol:
-        return b, a, err, False
-    return math.log(k_hat) - math.log(vol), 0.0, err, True
+    # iteration limit reached: accept only points already stationary
+    g_b = k - w.sum(axis=1)
+    g_a = x_sum - (w * x).sum(axis=1)
+    ok = np.isfinite(g_b) & np.isfinite(g_a) & (_libm(math.hypot, g_b, g_a) <= config.nr_tol)
+    log_rho[rows[ok]], slope[rows[ok]], fallback[rows[ok]] = b[ok], a[ok], False
+    return log_rho, slope, fallback
 
 
 def estimate_density(graph: NeighborGraph, config: DensityConfig) -> DensityEstimate:
@@ -299,43 +290,43 @@ def estimate_density(graph: NeighborGraph, config: DensityConfig) -> DensityEsti
 
     Neighborhood sizes come from the same-density scan; each point then
     gets the drift-corrected likelihood fit, falling back to log(k/V)
-    where the fit degenerates.  Points whose selected neighborhood has
-    zero volume are retried at the smallest k with positive volume and
-    flagged; if no such k exists the data is degenerate.
+    where the fit degenerates.  The fits run in blocks of points with the
+    same k_hat.  Points whose selected neighborhood has zero volume are
+    retried at the smallest k with positive volume and flagged; if no such
+    k exists the data is degenerate.
     """
     n = graph.n_points
+    cap = _effective_cap(config, graph)
     k_hat = _adaptive_k_all(config, graph)
     log_rho = np.empty(n, dtype=np.float64)
-    slope = np.empty(n, dtype=np.float64)
-    err = np.empty(n, dtype=np.float64)
-    fallback = np.zeros(n, dtype=bool)
-    cap = _effective_cap(config, graph)
+    slope = np.zeros(n, dtype=np.float64)
+    fallback = np.ones(n, dtype=bool)
 
-    for i in range(n):
-        k = int(k_hat[i])
-        if graph.neighbor_dists[i, k - 1] <= 0.0:
-            # all selected neighbors coincide with the point; widen until
-            # the ball has positive volume
-            grown = None
-            for kk in range(config.k_min, cap + 1):
-                if graph.neighbor_dists[i, kk - 1] > 0.0:
-                    grown = kk
-                    break
-            if grown is None:
-                raise DegenerateDataError(
-                    f"point {i}: more than {cap} exact duplicates; "
-                    "density is unbounded there")
-            k = grown
-            k_hat[i] = k
-            vol = config.omega * graph.neighbor_dists[i, k - 1] ** config.d
-            log_rho[i] = knn_mle(k, float(vol))
-            slope[i] = 0.0
-            err[i] = float(log_density_error(float(k)))
-            fallback[i] = True
-            continue
-        log_rho[i], slope[i], err[i], fallback[i] = fit_linear_corrected(
-            i, k, config, graph)
+    coincident = graph.neighbor_dists[np.arange(n), k_hat - 1] <= 0.0
+    for i in np.nonzero(coincident)[0]:
+        # all selected neighbors coincide with the point; widen until the
+        # ball has positive volume
+        grown = np.nonzero(graph.neighbor_dists[i, config.k_min - 1:cap] > 0.0)[0]
+        if not grown.size:
+            raise DegenerateDataError(
+                f"point {i}: more than {cap} exact duplicates; "
+                "density is unbounded there")
+        k = config.k_min + int(grown[0])
+        k_hat[i] = k
+        vol = config.omega * graph.neighbor_dists[i, k - 1] ** config.d
+        log_rho[i] = knn_mle(k, float(vol))
 
+    fit = np.nonzero(~coincident)[0]
+    fit = fit[np.argsort(k_hat[fit], kind="stable")]
+    ks, starts = np.unique(k_hat[fit], return_index=True)
+    ends = np.append(starts[1:], fit.size)
+    for k, start, end in zip(ks.tolist(), starts.tolist(), ends.tolist()):
+        block = max(1, _BLOCK_ENTRIES // k)
+        for lo in range(start, end, block):
+            ids = fit[lo:min(lo + block, end)]
+            log_rho[ids], slope[ids], fallback[ids] = _fit_block(ids, k, config, graph)
+
+    err = log_density_error(k_hat.astype(np.float64))
     r_khat = graph.neighbor_dists[np.arange(n), k_hat - 1]
     if not np.isfinite(log_rho).all():
         bad = int(np.nonzero(~np.isfinite(log_rho))[0][0])

@@ -12,6 +12,10 @@ import math
 import numpy as np
 from mpmath import mp
 
+from densitopo.density import (_MAX_STEP_HALVINGS, DensityConfig, DensityEstimate,
+                               _effective_cap, _lrt_kernel, knn_mle,
+                               log_density_error)
+from densitopo.errors import ConfigError, DegenerateDataError
 from densitopo.neighbors import NeighborGraph
 
 
@@ -259,6 +263,167 @@ def naive_confusion(pred, truth, majority):
     for t, m in zip(truth, mapped):
         matrix[index[int(t)], index[m]] += 1
     return matrix, np.asarray(labels, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# per-point density estimator: the reference the batched estimator matches
+# bit for bit
+
+def shell_volumes(i: int, k: int, config: DensityConfig,
+                  graph: NeighborGraph) -> np.ndarray:
+    """Volumes of the k spherical shells between consecutive neighbors of i.
+
+    Shell l covers the gap between neighbor l-1 and neighbor l (neighbor 0
+    meaning the point itself), so the volumes sum to omega * r_k**d.
+    Duplicate neighbors yield zero-volume shells, which the likelihood
+    tolerates.
+    """
+    if not 1 <= k <= graph.k_max:
+        raise ConfigError(f"k must be in [1, {graph.k_max}], got {k}")
+    radii = graph.neighbor_dists[i, :k]
+    cum = config.omega * np.power(radii, config.d)
+    prev = np.concatenate(([0.0], cum[:-1]))
+    return np.maximum(cum - prev, 0.0)
+
+
+def cumulative_volume(i: int, k: int, config: DensityConfig,
+                      graph: NeighborGraph) -> float:
+    """Volume of the ball through the k-th neighbor of i: omega * r_k**d."""
+    return float(config.omega * graph.neighbor_dists[i, k - 1] ** config.d)
+
+
+def lrt_statistic(i: int, k: int, config: DensityConfig, graph: NeighborGraph) -> float:
+    """Same-density test statistic between point i and its k-th neighbor."""
+    if not 1 <= k <= graph.k_max:
+        raise ConfigError(f"k must be in [1, {graph.k_max}], got {k}")
+    j = int(graph.neighbor_ids[i, k - 1])
+    v_i = config.omega * graph.neighbor_dists[i, k - 1] ** config.d
+    v_j = config.omega * graph.neighbor_dists[j, k - 1] ** config.d
+    return float(_lrt_kernel(k, v_i, v_j))
+
+
+def adaptive_k(i: int, config: DensityConfig, graph: NeighborGraph) -> int:
+    """Largest k whose same-density test stays below the threshold.
+
+    Scans k = k_min..cap and stops at the first rejection; if even k_min is
+    rejected the answer is still k_min, and with no rejection it is the cap.
+    """
+    cap = _effective_cap(config, graph)
+    for k in range(config.k_min, cap + 1):
+        if lrt_statistic(i, k, config, graph) > config.lrt_threshold:
+            return max(config.k_min, k - 1)
+    return cap
+
+
+def _regressor(shells_cum: np.ndarray, radii: np.ndarray, ansatz: str) -> np.ndarray:
+    if ansatz == "volume":
+        return shells_cum
+    if ansatz == "radius":
+        return radii
+    return np.arange(1.0, shells_cum.size + 1.0)
+
+
+def _model_value(b: float, a: float, x: np.ndarray, v: np.ndarray) -> float:
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = b + a * x
+        val = t.sum() - (v * np.exp(t)).sum()
+    return float(val)
+
+
+def fit_linear_corrected(i: int, k_hat: int, config: DensityConfig,
+                         graph: NeighborGraph) -> tuple[float, float, float, bool]:
+    """Fit log rho with a linear density drift over the accepted shells.
+
+    Maximizes the shell likelihood of rate exp(b + a * x_l) by Newton
+    iteration from (log(k_hat / V), 0), halving steps that lower the
+    objective.  The intercept b is the bias-corrected log density at the
+    point; a is the drift slope in the chosen regressor.
+
+    Returns:
+        (log_rho, slope, err, fallback): fallback is True when the solver
+        did not converge or the curvature degenerated, in which case the
+        plain k/V estimate is returned with zero slope.
+    """
+    radii = graph.neighbor_dists[i, :k_hat]
+    cum = config.omega * np.power(radii, config.d)
+    prev = np.concatenate(([0.0], cum[:-1]))
+    v = np.maximum(cum - prev, 0.0)
+    vol = float(cum[-1])
+    err = float(log_density_error(float(k_hat)))
+    if vol <= 0.0:
+        raise DegenerateDataError(
+            f"point {i}: all {k_hat} nearest neighbors coincide with it")
+    b = math.log(k_hat) - math.log(vol)
+    a = 0.0
+    x = _regressor(cum, radii, config.ansatz)
+    x_sum = float(x.sum())
+
+    current = _model_value(b, a, x, v)
+    for _ in range(config.nr_max_iter):
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = v * np.exp(b + a * x)
+            w_sum = float(w.sum())
+            wx_sum = float((w * x).sum())
+            wxx_sum = float((w * x * x).sum())
+        if not math.isfinite(w_sum + wx_sum + wxx_sum):
+            return math.log(k_hat) - math.log(vol), 0.0, err, True
+        g_b = k_hat - w_sum
+        g_a = x_sum - wx_sum
+        if math.hypot(g_b, g_a) <= config.nr_tol:
+            return b, a, err, False
+        h_bb, h_ba, h_aa = -w_sum, -wx_sum, -wxx_sum
+        det = h_bb * h_aa - h_ba * h_ba
+        if not (h_bb < 0.0 and det > 0.0):
+            # curvature not negative definite: no trustworthy Newton step
+            return math.log(k_hat) - math.log(vol), 0.0, err, True
+        step_b = -(h_aa * g_b - h_ba * g_a) / det
+        step_a = -(h_bb * g_a - h_ba * g_b) / det
+        accepted = False
+        for _ in range(_MAX_STEP_HALVINGS):
+            cand = _model_value(b + step_b, a + step_a, x, v)
+            if math.isfinite(cand) and cand >= current - 1e-15 * (1.0 + abs(current)):
+                b, a, current = b + step_b, a + step_a, cand
+                accepted = True
+                break
+            step_b *= 0.5
+            step_a *= 0.5
+        if not accepted:
+            break
+    # loop exhausted: accept only if already stationary
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = v * np.exp(b + a * x)
+        g_b = k_hat - float(w.sum())
+        g_a = x_sum - float((w * x).sum())
+    if math.isfinite(g_b) and math.isfinite(g_a) and math.hypot(g_b, g_a) <= config.nr_tol:
+        return b, a, err, False
+    return math.log(k_hat) - math.log(vol), 0.0, err, True
+
+
+def per_point_density(graph: NeighborGraph, config: DensityConfig) -> DensityEstimate:
+    """The adaptive estimator one point at a time: scan, fit, duplicate retry."""
+    n = graph.n_points
+    cap = _effective_cap(config, graph)
+    k_hat = np.empty(n, dtype=np.int64)
+    log_rho, slope, err = np.empty(n), np.empty(n), np.empty(n)
+    fallback = np.zeros(n, dtype=bool)
+    for i in range(n):
+        k = adaptive_k(i, config, graph)
+        if graph.neighbor_dists[i, k - 1] <= 0.0:
+            grown = [kk for kk in range(config.k_min, cap + 1)
+                     if graph.neighbor_dists[i, kk - 1] > 0.0]
+            if not grown:
+                raise DegenerateDataError(f"point {i}: more than {cap} exact duplicates")
+            k = grown[0]
+            vol = config.omega * graph.neighbor_dists[i, k - 1] ** config.d
+            log_rho[i], slope[i], fallback[i] = knn_mle(k, float(vol)), 0.0, True
+            err[i] = float(log_density_error(float(k)))
+        else:
+            log_rho[i], slope[i], err[i], fallback[i] = fit_linear_corrected(
+                i, k, config, graph)
+        k_hat[i] = k
+    r_khat = graph.neighbor_dists[np.arange(n), k_hat - 1]
+    return DensityEstimate(k_hat=k_hat, log_rho=log_rho, err=err, r_khat=r_khat,
+                           slope=slope, fallback=fallback)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from densitopo import (
     compute_delta_parent,
     confusion_matrix,
     estimate_density,
-    fit_linear_corrected,
     knn_mle,
     log_density_error,
     majority_labels,
@@ -48,6 +47,7 @@ from densitopo.cli import RunConfig, run_pipeline
 from oracles import (
     chi2_quantile_1dof,
     compass_max2d,
+    fit_linear_corrected,
     mp_nmi,
     naive_confusion,
     naive_delta_parent,

@@ -386,7 +386,7 @@ def test_topography_bad_saddle_field_names_line(tmp_path, capsys, col, value):
 
 
 @pytest.mark.parametrize("text", ["0\t1\n1\tb\n", "0\t1\nz\t1\n",
-                                  "0\t1\n9\t1\n"])
+                                  "0\t1\n9\t1\n", "0\t1\n0\t2\n1\t3\n"])
 def test_evaluate_bad_truth_row_names_line(tmp_path, capsys, text):
     assignment = tmp_path / "assignment.tsv"
     _write_perfect_assignment(assignment)

@@ -1,6 +1,7 @@
 """Tests for the adaptive density estimator and its building blocks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,31 +9,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from densitopo import density as density_module
 from densitopo import (
     ConfigError,
     DegenerateDataError,
     DensityConfig,
     NeighborGraph,
     PointSet,
-    adaptive_k,
     build_neighbor_graph,
-    cumulative_volume,
     estimate_density,
-    fit_linear_corrected,
     knn_mle,
     log_density_error,
-    lrt_statistic,
-    shell_volumes,
+    synth_gmm,
     synth_uniform,
     unit_ball_volume,
 )
 from oracles import (
-    golden_max,
+    adaptive_k,
     compass_max2d,
+    cumulative_volume,
+    fit_linear_corrected,
+    golden_max,
     graph_from_radii,
+    lrt_statistic,
     mp_lrt,
+    per_point_density,
     radii_constant_density,
     radii_two_step,
+    shell_volumes,
 )
 
 # chi2(1) tail quantile at 1e-6, frozen from an erf-bisection computation
@@ -505,6 +509,103 @@ def test_error_bar_between_zero_and_sqrt5(k, vol_scale):
     best = k * knn_mle(k, vol) - (k / vol) * vol
     rho = (k / vol) * vol_scale
     assert best >= k * math.log(rho) - rho * vol
+
+
+# ---------------------------------------------------------------------------
+# batched estimator against the per-point reference, bit for bit
+
+_ESTIMATE_FIELDS = ("k_hat", "log_rho", "err", "r_khat", "slope", "fallback")
+
+
+def _assert_matches_per_point(graph, config):
+    est = estimate_density(graph, config)
+    ref = per_point_density(graph, config)
+    for name in _ESTIMATE_FIELDS:
+        assert np.array_equal(getattr(est, name), getattr(ref, name)), name
+    return est
+
+
+def _mixture_with_duplicates(seed: int = 1) -> np.ndarray:
+    coords = synth_gmm(k=3, n=250, dim=3, separation=6, seed=seed)[0]
+    # 50 doubled points, and six copies of one point: more copies than
+    # k_min, so its selected ball has zero volume and must be widened
+    return np.concatenate([coords, coords[:50], np.repeat(coords[60:61], 5, axis=0)])
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("ansatz", ["volume", "radius", "index"])
+def test_batched_fit_matches_per_point_reference(ansatz, metric):
+    graph = build_neighbor_graph(PointSet(_mixture_with_duplicates()), 48, metric=metric)
+    for d in (1.3, 2.9, 7.5):
+        est = _assert_matches_per_point(graph, DensityConfig(d=d, ansatz=ansatz))
+        assert est.fallback[300:].all() and np.all(est.k_hat[300:] == 6)
+
+
+def test_batched_fit_matches_reference_where_fits_fall_back():
+    coords = synth_gmm(k=5, n=300, dim=20, separation=10, seed=0)[0]
+    graph = build_neighbor_graph(PointSet(coords), 64)
+    est = _assert_matches_per_point(graph, DensityConfig(d=14.0))
+    assert 0 < est.fallback.sum() < est.n_points
+
+
+def test_batched_fit_matches_reference_on_long_shells_and_split_groups(monkeypatch):
+    # k_hat above 128 makes numpy's pairwise row sums recurse; a small block
+    # size splits the k_hat groups over several blocks
+    graph = build_neighbor_graph(PointSet(synth_uniform(n=600, dim=2, seed=0)), 150)
+    config = DensityConfig(d=2.0)
+    est = _assert_matches_per_point(graph, config)
+    assert est.k_hat.max() > 128
+    monkeypatch.setattr(density_module, "_BLOCK_ENTRIES", 16 * 150)
+    assert np.bincount(est.k_hat).max() > 16
+    _assert_matches_per_point(graph, config)
+
+
+def test_batched_fallback_uses_the_c_library_log():
+    # overflowing shells force the plain estimate log(k) - log(V); pick a V
+    # where numpy's SIMD log and the C library's log differ, if they do here
+    config = DensityConfig(d=2.0, k_max_cap=8)
+    scales = 1e80 * np.exp(np.random.default_rng(0).uniform(0.0, 100.0, 20000))
+    vols = config.omega * np.power(scales, config.d)
+    differs = np.log(vols) != np.array([math.log(v) for v in vols])
+    scale = scales[np.argmax(differs)]
+    graph = graph_from_radii(np.tile(np.linspace(0.5, 1.0, 8) * scale, (10, 1)))
+    est = _assert_matches_per_point(graph, config)
+    assert est.fallback.all() and np.all(est.k_hat == 8)
+
+
+def test_batched_fit_raises_no_floating_point_warning():
+    # zero-volume shells of doubled points meet exp overflow in the line
+    # search at d=7.5: 0 * inf must stay silent
+    graph = build_neighbor_graph(PointSet(_mixture_with_duplicates(seed=0)), 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimate_density(graph, DensityConfig(d=7.5, ansatz="radius"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n=st.integers(min_value=20, max_value=60),
+       dim=st.integers(min_value=1, max_value=3),
+       decimals=st.sampled_from([0, 1, 6]),
+       d=st.floats(min_value=0.5, max_value=8.0),
+       ansatz=st.sampled_from(density_module.ANSATZ_CHOICES),
+       nr_max_iter=st.sampled_from([3, 4, 100]))
+def test_batched_fit_matches_reference_on_random_clouds(seed, n, dim, decimals, d,
+                                                        ansatz, nr_max_iter):
+    # rounding the coordinates makes duplicate points common; a low
+    # iteration limit sends most fits through the final stationarity test
+    coords = np.round(np.random.default_rng(seed).normal(size=(n, dim)), decimals)
+    graph = build_neighbor_graph(PointSet(coords), min(n - 1, 24))
+    config = DensityConfig(d=d, ansatz=ansatz, nr_max_iter=nr_max_iter)
+    try:
+        ref = per_point_density(graph, config)
+    except DegenerateDataError:
+        with pytest.raises(DegenerateDataError):
+            estimate_density(graph, config)
+        return
+    est = estimate_density(graph, config)
+    for name in _ESTIMATE_FIELDS:
+        assert np.array_equal(getattr(est, name), getattr(ref, name)), name
 
 
 # ---------------------------------------------------------------------------
