@@ -3,13 +3,19 @@
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal
 invariant violation.  Options may come from a flat ``key = value`` config
 file; explicit flags win over the file, the file wins over defaults.
-Identical inputs and settings produce byte-identical outputs.
+Identical inputs and settings produce byte-identical outputs.  Files are
+published only when every stage succeeds: a failed command leaves the
+outputs of an earlier one untouched.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +30,7 @@ from .errors import (EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, ConfigError
 from .intrinsic_dim import DEFAULT_DISCARD_FRACTION, twonn_estimate
 from .metrics import (LabeledPartition, confusion_matrix, majority_labels, nmi,
                       purity)
-from .neighbors import (DEFAULT_K_MAX, NeighborGraph, PairwiseDistances, PointSet,
+from .neighbors import (DEFAULT_K_MAX, NeighborGraph, PairwiseDistances,
                         build_neighbor_graph, ingest_distance_matrix,
                         ingest_knn_file, read_distance_matrix_tsv, read_points_tsv,
                         write_points_tsv)
@@ -33,12 +39,6 @@ from .topography import (build_topography, dendrogram_newick, mds_layout,
 
 _FORMATS = ("coords", "matrix", "knn")
 _METRIC_CHOICES = ("euclidean", "manhattan")
-
-_CONFIG_CASTS = {
-    "input": str, "outdir": str, "out": str, "format": str, "metric": str,
-    "k_max": int, "z": float, "d": float, "discard_fraction": float,
-    "halo": "bool", "halo_rule": str, "seed": int, "truth": str,
-}
 
 
 def _fmt(x: float) -> str:
@@ -207,12 +207,28 @@ def _read_tsv_rows(path: str | Path, columns: tuple,
 # ---------------------------------------------------------------------------
 # configuration
 
+def _boolean(text: str) -> bool:
+    if text.lower() in ("true", "1", "yes"):
+        return True
+    if text.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+# one entry per RunConfig field: the config file keys and their types
+_CONFIG_CASTS = {
+    "input": str, "outdir": str, "format": str, "metric": str,
+    "k_max": int, "z": float, "d": float, "discard_fraction": float,
+    "halo": _boolean, "halo_rule": str, "truth": str,
+}
+
+
 @dataclass
 class RunConfig:
-    """Everything that determines a fused pipeline run."""
+    """Settings of the fused run and of every pipeline subcommand."""
 
-    input: str
-    outdir: str
+    input: str | None = None
+    outdir: str | None = None
     format: str = "coords"
     metric: str = "euclidean"
     k_max: int | None = None
@@ -221,20 +237,22 @@ class RunConfig:
     discard_fraction: float = DEFAULT_DISCARD_FRACTION
     halo: bool = True
     halo_rule: str = "highest"
-    seed: int = 0
     truth: str | None = None
 
+    def cluster_config(self) -> ClusterConfig:
+        return ClusterConfig(z=self.z, halo_rule=self.halo_rule, compute_halo=self.halo)
+
     def echo_text(self) -> str:
-        pairs = {
-            "input": self.input, "outdir": self.outdir, "format": self.format,
-            "metric": self.metric, "k_max": self.k_max, "z": _fmt(self.z),
-            "d": None if self.d is None else _fmt(self.d),
-            "discard_fraction": _fmt(self.discard_fraction),
-            "halo": str(bool(self.halo)).lower(), "halo_rule": self.halo_rule,
-            "seed": self.seed, "truth": self.truth,
-        }
-        lines = [f"{key} = {value}" for key, value in sorted(pairs.items())
-                 if value is not None]
+        """The set fields as sorted ``key = value`` lines a config file accepts."""
+        lines = []
+        for key, value in sorted(vars(self).items()):
+            if value is None:
+                continue
+            if _CONFIG_CASTS[key] is float:
+                value = _fmt(value)
+            elif _CONFIG_CASTS[key] is _boolean:
+                value = str(bool(value)).lower()
+            lines.append(f"{key} = {value}")
         return "\n".join(lines) + "\n"
 
 
@@ -257,87 +275,130 @@ def read_config_file(path: str | Path) -> dict:
             value = value.strip()
             if key not in _CONFIG_CASTS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            cast = _CONFIG_CASTS[key]
             try:
-                if cast == "bool":
-                    lowered = value.lower()
-                    if lowered in ("true", "1", "yes"):
-                        out[key] = True
-                    elif lowered in ("false", "0", "no"):
-                        out[key] = False
-                    else:
-                        raise ValueError(f"not a boolean: {value!r}")
-                else:
-                    out[key] = cast(value)
+                out[key] = _CONFIG_CASTS[key](value)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
-def _merged(args: argparse.Namespace, key: str, default):
-    value = getattr(args, key, None)
-    if value is None and getattr(args, "config", None):
-        value = _config_cache(args).get(key)
-    return default if value is None else value
-
-
-def _config_cache(args: argparse.Namespace) -> dict:
-    if not hasattr(args, "_config_values"):
-        args._config_values = read_config_file(args.config) if args.config else {}
-    return args._config_values
+def _settings(args: argparse.Namespace) -> RunConfig:
+    """Resolve every setting once: the flag, else the config file, else the default."""
+    values = read_config_file(args.config) if args.config else {}
+    values.update((key, value) for key, value in vars(args).items()
+                  if key in _CONFIG_CASTS and value is not None)
+    return RunConfig(**values)
 
 
 # ---------------------------------------------------------------------------
 # shared stage helpers
 
-def _load_graph(args: argparse.Namespace, need_pairwise: bool):
-    """Ingest per --format and return (graph, pairwise, n, input_path)."""
-    fmt = _merged(args, "format", "coords")
-    if fmt not in _FORMATS:
-        raise ConfigError(f"format must be one of {_FORMATS}, got {fmt!r}")
-    path = _merged(args, "input", None)
-    if path is None:
+def _load_graph(cfg: RunConfig, need_pairwise: bool):
+    """Ingest cfg.input per cfg.format; return (graph, pairwise), pairwise None for knn."""
+    if cfg.format not in _FORMATS:
+        raise ConfigError(f"format must be one of {_FORMATS}, got {cfg.format!r}")
+    if cfg.input is None:
         raise ConfigError("--input is required")
-    metric = _merged(args, "metric", "euclidean")
-    if metric not in _METRIC_CHOICES:
-        raise ConfigError(f"metric must be one of {_METRIC_CHOICES}, got {metric!r}")
+    if cfg.metric not in _METRIC_CHOICES:
+        raise ConfigError(f"metric must be one of {_METRIC_CHOICES}, got {cfg.metric!r}")
 
-    if fmt == "coords":
-        points = read_points_tsv(path)
-        k_max = int(_merged(args, "k_max", min(points.n_points - 1, DEFAULT_K_MAX)))
-        graph = build_neighbor_graph(points, k_max=k_max, metric=metric)
-        pairwise = PairwiseDistances(coords=points.coords, metric=metric)
-    elif fmt == "matrix":
-        matrix = read_distance_matrix_tsv(path)
-        k_max = int(_merged(args, "k_max", min(matrix.shape[0] - 1, DEFAULT_K_MAX)))
+    if cfg.format == "coords":
+        points = read_points_tsv(cfg.input)
+        k_max = cfg.k_max if cfg.k_max is not None else min(points.n_points - 1, DEFAULT_K_MAX)
+        graph = build_neighbor_graph(points, k_max=k_max, metric=cfg.metric)
+        return graph, PairwiseDistances(coords=points.coords, metric=cfg.metric)
+    if cfg.format == "matrix":
+        matrix = read_distance_matrix_tsv(cfg.input)
+        k_max = cfg.k_max if cfg.k_max is not None else min(matrix.shape[0] - 1, DEFAULT_K_MAX)
         graph = ingest_distance_matrix(matrix, k_max=k_max)
-        pairwise = PairwiseDistances(matrix=matrix)
+        return graph, PairwiseDistances(matrix=matrix)
+    if need_pairwise:
+        raise ConfigError(
+            "this stage needs exact distances between arbitrary points; "
+            "a kNN file cannot provide them, pass coordinates or a distance matrix")
+    return ingest_knn_file(cfg.input), None
+
+
+def _dimension(cfg: RunConfig, graph: NeighborGraph) -> float:
+    """cfg.d when set, else the two-NN estimate; DensityConfig validates it."""
+    if cfg.d is not None:
+        return float(cfg.d)
+    return twonn_estimate(graph, discard_fraction=cfg.discard_fraction).d_hat
+
+
+def _cluster(cfg: RunConfig,
+             density_path: str | None) -> tuple[ClusterResult, DensityEstimate]:
+    """Cluster cfg.input, reading the density from density_path when given."""
+    cluster_config = cfg.cluster_config()
+    graph, pairwise = _load_graph(cfg, need_pairwise=True)
+    if density_path is not None:
+        estimate = read_density_tsv(density_path)
+        if estimate.n_points != graph.n_points:
+            raise DataError(
+                f"density file covers {estimate.n_points} points but the input "
+                f"has {graph.n_points}")
     else:
-        if need_pairwise:
-            raise ConfigError(
-                "this stage needs exact distances between arbitrary points; "
-                "a kNN file cannot provide them, pass coordinates or a distance matrix")
-        graph = ingest_knn_file(path)
-        pairwise = None
-    return graph, pairwise, graph.n_points, path
+        estimate = estimate_density(graph, DensityConfig(d=_dimension(cfg, graph)))
+    return cluster_points(graph, estimate, pairwise, cluster_config), estimate
 
 
-def _resolve_dimension(args: argparse.Namespace, graph: NeighborGraph) -> float:
-    d = _merged(args, "d", None)
-    if d is not None:
-        d = float(d)
-        if d <= 0:
-            raise ConfigError(f"intrinsic dimension override must be > 0, got {d}")
-        return d
-    frac = float(_merged(args, "discard_fraction", DEFAULT_DISCARD_FRACTION))
-    return twonn_estimate(graph, discard_fraction=frac).d_hat
+def _write_topography(outdir: Path, assignment: PeakAssignment, saddles: SaddleTable,
+                      estimate: DensityEstimate):
+    """Write topography.json, dendrogram.nwk and network.dot; return the layout."""
+    topo = build_topography(assignment, saddles, estimate)
+    dendro = single_linkage(topo)
+    layout = mds_layout(topo)
+    (outdir / "topography.json").write_text(
+        topography_to_json(topo, dendro, layout) + "\n", encoding="utf-8")
+    (outdir / "dendrogram.nwk").write_text(dendrogram_newick(dendro) + "\n",
+                                           encoding="utf-8")
+    (outdir / "network.dot").write_text(network_dot(topo, layout), encoding="utf-8")
+    return layout
+
+
+def _evaluate(outdir: Path, assignment: PeakAssignment, truth_path: str,
+              exclude_halo: bool) -> float:
+    """Write confusion.tsv and purity.tsv against the truth file; return the NMI."""
+    n = assignment.labels.shape[0]
+    truth = read_truth_tsv(truth_path, n)
+    include = ~assignment.is_halo if exclude_halo else np.ones(n, dtype=bool)
+    if not include.any():
+        raise DataError("every point is halo; nothing to evaluate")
+    part = LabeledPartition(predicted=assignment.labels, truth=truth, include=include)
+    score = nmi(part)
+    (outdir / "confusion.tsv").write_text(_confusion_text(part), encoding="utf-8")
+    (outdir / "purity.tsv").write_text(_purity_text(part), encoding="utf-8")
+    return score
+
+
+@contextlib.contextmanager
+def _staged(outdir: str | Path | None):
+    """Yield a scratch directory whose files are moved into outdir on success.
+
+    The scratch directory sits inside outdir, so each move is an atomic
+    rename.  It is removed either way, so a failure publishes nothing and
+    leaves the files already in outdir as they were.
+    """
+    if outdir is None:
+        raise ConfigError("--outdir is required")
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    scratch = Path(tempfile.mkdtemp(prefix=".partial-", dir=outdir))
+    try:
+        yield scratch
+        for path in sorted(scratch.iterdir()):
+            os.replace(path, outdir / path.name)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
 
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+        return
+    out = Path(out)
+    with _staged(out.parent) as scratch:
+        (scratch / out.name).write_text(text, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -349,100 +410,44 @@ def run_pipeline(config: RunConfig) -> dict:
     Writes density.tsv, assignment.tsv, topography.json, dendrogram.nwk,
     and network.dot (plus run_config.txt and, with a truth file,
     confusion.tsv and purity.tsv) into the output directory, prints a one
-    line summary, and returns the summary values.  On failure partial
-    outputs are removed and the error names the failing stage.
+    line summary, and returns the summary values.  The files appear only
+    when every stage succeeds; on failure the error names the failing
+    stage and the output directory keeps what it held before.
     """
-    if config.format not in ("coords", "matrix"):
-        raise ConfigError(
-            "the fused pipeline needs exact distances between arbitrary points; "
-            "a kNN file cannot provide them, pass coordinates or a distance matrix")
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    created: list[Path] = []
-    stage = "ingest"
-    try:
-        if config.format == "coords":
-            points = read_points_tsv(config.input)
-            n = points.n_points
-            k_max = config.k_max if config.k_max is not None else min(n - 1, DEFAULT_K_MAX)
-            graph = build_neighbor_graph(points, k_max=int(k_max), metric=config.metric)
-            pairwise = PairwiseDistances(coords=points.coords, metric=config.metric)
-        else:
-            matrix = read_distance_matrix_tsv(config.input)
-            n = matrix.shape[0]
-            k_max = config.k_max if config.k_max is not None else min(n - 1, DEFAULT_K_MAX)
-            graph = ingest_distance_matrix(matrix, k_max=int(k_max))
-            pairwise = PairwiseDistances(matrix=matrix)
+    cluster_config = config.cluster_config()
+    with _staged(config.outdir) as out:
+        stage = "ingest"
+        try:
+            graph, pairwise = _load_graph(config, need_pairwise=True)
 
-        stage = "intrinsic-dim"
-        if config.d is not None:
-            d_hat = float(config.d)
-        else:
-            d_hat = twonn_estimate(graph, discard_fraction=config.discard_fraction).d_hat
+            stage = "intrinsic-dim"
+            d_hat = _dimension(config, graph)
 
-        stage = "density"
-        estimate = estimate_density(graph, DensityConfig(d=d_hat))
-        density_path = outdir / "density.tsv"
-        density_path.write_text(density_tsv_text(estimate), encoding="utf-8")
-        created.append(density_path)
+            stage = "density"
+            estimate = estimate_density(graph, DensityConfig(d=d_hat))
+            (out / "density.tsv").write_text(density_tsv_text(estimate), encoding="utf-8")
 
-        stage = "cluster"
-        result = cluster_points(graph, estimate, pairwise,
-                                ClusterConfig(z=config.z, halo_rule=config.halo_rule,
-                                              compute_halo=config.halo))
-        assignment = result.assignment
-        assignment_path = outdir / "assignment.tsv"
-        assignment_path.write_text(assignment_tsv_text(assignment, estimate),
-                                   encoding="utf-8")
-        created.append(assignment_path)
+            stage = "cluster"
+            result = cluster_points(graph, estimate, pairwise, cluster_config)
+            assignment = result.assignment
+            (out / "assignment.tsv").write_text(assignment_tsv_text(assignment, estimate),
+                                                encoding="utf-8")
 
-        stage = "topography"
-        topo = build_topography(assignment, result.saddles, estimate)
-        dendro = single_linkage(topo)
-        layout = mds_layout(topo)
-        topo_path = outdir / "topography.json"
-        topo_path.write_text(topography_to_json(topo, dendro, layout) + "\n",
-                             encoding="utf-8")
-        created.append(topo_path)
-        newick_path = outdir / "dendrogram.nwk"
-        newick_path.write_text(dendrogram_newick(dendro) + "\n", encoding="utf-8")
-        created.append(newick_path)
-        dot_path = outdir / "network.dot"
-        dot_path.write_text(network_dot(topo, layout), encoding="utf-8")
-        created.append(dot_path)
+            stage = "topography"
+            _write_topography(out, assignment, result.saddles, estimate)
 
-        summary = {
-            "n": n, "d_hat": d_hat, "n_clusters": assignment.n_clusters,
-            "n_halo": int(assignment.is_halo.sum()),
-        }
+            summary = {
+                "n": graph.n_points, "d_hat": d_hat, "n_clusters": assignment.n_clusters,
+                "n_halo": int(assignment.is_halo.sum()),
+            }
+            if config.truth is not None:
+                stage = "evaluate"
+                summary["nmi"] = _evaluate(out, assignment, config.truth,
+                                           exclude_halo=True)
 
-        if config.truth is not None:
-            stage = "evaluate"
-            truth = read_truth_tsv(config.truth, n)
-            include = ~assignment.is_halo
-            if not include.any():
-                raise DataError("every point is halo; nothing to evaluate")
-            part = LabeledPartition(predicted=assignment.labels, truth=truth,
-                                    include=include)
-            summary["nmi"] = nmi(part)
-            conf_path = outdir / "confusion.tsv"
-            conf_path.write_text(_confusion_text(part), encoding="utf-8")
-            created.append(conf_path)
-            purity_path = outdir / "purity.tsv"
-            purity_path.write_text(_purity_text(part), encoding="utf-8")
-            created.append(purity_path)
-
-        config_path = outdir / "run_config.txt"
-        config_path.write_text(config.echo_text(), encoding="utf-8")
-        created.append(config_path)
-    except (ConfigError, DataError, InternalInvariantError) as exc:
-        for p in created:
-            p.unlink(missing_ok=True)
-        raise type(exc)(f"stage {stage}: {exc}") from None
-    except BaseException:
-        for p in created:
-            p.unlink(missing_ok=True)
-        raise
+            (out / "run_config.txt").write_text(config.echo_text(), encoding="utf-8")
+        except (ConfigError, DataError, InternalInvariantError) as exc:
+            raise type(exc)(f"stage {stage}: {exc}") from None
 
     line = (f"n={summary['n']} d_hat={_fmt(summary['d_hat'])} "
             f"n_clusters={summary['n_clusters']} n_halo={summary['n_halo']}")
@@ -475,40 +480,23 @@ def _purity_text(part: LabeledPartition) -> str:
 # subcommands
 
 def _cmd_estimate_id(args) -> int:
-    graph, _, _, _ = _load_graph(args, need_pairwise=False)
-    frac = float(_merged(args, "discard_fraction", DEFAULT_DISCARD_FRACTION))
-    est = twonn_estimate(graph, discard_fraction=frac)
+    cfg = _settings(args)
+    graph, _ = _load_graph(cfg, need_pairwise=False)
+    est = twonn_estimate(graph, discard_fraction=cfg.discard_fraction)
     print(f"{_fmt(est.d_hat)}\t{est.n_used}")
     return EXIT_OK
 
 
 def _cmd_density(args) -> int:
-    graph, _, _, _ = _load_graph(args, need_pairwise=False)
-    d = _resolve_dimension(args, graph)
-    estimate = estimate_density(graph, DensityConfig(d=d))
+    cfg = _settings(args)
+    graph, _ = _load_graph(cfg, need_pairwise=False)
+    estimate = estimate_density(graph, DensityConfig(d=_dimension(cfg, graph)))
     _emit(density_tsv_text(estimate), args.out)
     return EXIT_OK
 
 
-def _run_cluster_stage(args) -> tuple[ClusterResult, DensityEstimate]:
-    graph, pairwise, _, _ = _load_graph(args, need_pairwise=True)
-    if args.density is not None:
-        estimate = read_density_tsv(args.density)
-        if estimate.n_points != graph.n_points:
-            raise DataError(
-                f"density file covers {estimate.n_points} points but the input "
-                f"has {graph.n_points}")
-    else:
-        d = _resolve_dimension(args, graph)
-        estimate = estimate_density(graph, DensityConfig(d=d))
-    cfg = ClusterConfig(z=float(_merged(args, "z", 1.0)),
-                        halo_rule=_merged(args, "halo_rule", "highest"),
-                        compute_halo=bool(_merged(args, "halo", True)))
-    return cluster_points(graph, estimate, pairwise, cfg), estimate
-
-
 def _cmd_cluster(args) -> int:
-    result, estimate = _run_cluster_stage(args)
+    result, estimate = _cluster(_settings(args), args.density)
     _emit(assignment_tsv_text(result.assignment, estimate), args.out)
     if args.saddles_out is not None:
         _emit(saddles_tsv_text(result.saddles), args.saddles_out)
@@ -516,26 +504,17 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_topography(args) -> int:
-    staged = args.assignment is not None or args.saddles is not None
-    if staged:
-        if args.assignment is None or args.saddles is None:
-            raise ConfigError("staged topography needs both --assignment and --saddles")
-        assignment, estimate = read_assignment_tsv(args.assignment)
-        saddles = read_saddles_tsv(args.saddles)
-    else:
-        result, estimate = _run_cluster_stage(args)
-        assignment, saddles = result.assignment, result.saddles
-
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    topo = build_topography(assignment, saddles, estimate)
-    dendro = single_linkage(topo)
-    layout = mds_layout(topo)
-    (outdir / "topography.json").write_text(
-        topography_to_json(topo, dendro, layout) + "\n", encoding="utf-8")
-    (outdir / "dendrogram.nwk").write_text(dendrogram_newick(dendro) + "\n",
-                                           encoding="utf-8")
-    (outdir / "network.dot").write_text(network_dot(topo, layout), encoding="utf-8")
+    if (args.assignment is None) != (args.saddles is None):
+        raise ConfigError("staged topography needs both --assignment and --saddles")
+    cfg = _settings(args)
+    with _staged(cfg.outdir) as out:
+        if args.assignment is not None:
+            assignment, estimate = read_assignment_tsv(args.assignment)
+            saddles = read_saddles_tsv(args.saddles)
+        else:
+            result, estimate = _cluster(cfg, args.density)
+            assignment, saddles = result.assignment, result.saddles
+        layout = _write_topography(out, assignment, saddles, estimate)
     if layout is None:
         print("layout skipped: fewer than two clusters")
     return EXIT_OK
@@ -543,65 +522,33 @@ def _cmd_topography(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     assignment, _ = read_assignment_tsv(args.assignment)
-    n = assignment.labels.shape[0]
-    truth = read_truth_tsv(args.truth, n)
-    include = ~assignment.is_halo if args.exclude_halo else np.ones(n, dtype=bool)
-    if not include.any():
-        raise DataError("every point is halo; nothing to evaluate")
-    part = LabeledPartition(predicted=assignment.labels, truth=truth, include=include)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "confusion.tsv").write_text(_confusion_text(part), encoding="utf-8")
-    (outdir / "purity.tsv").write_text(_purity_text(part), encoding="utf-8")
-    print(f"nmi={_fmt(nmi(part))}")
+    with _staged(args.outdir) as out:
+        score = _evaluate(out, assignment, args.truth, args.exclude_halo)
+    print(f"nmi={_fmt(score)}")
     return EXIT_OK
 
 
 def _cmd_synth(args) -> int:
-    kind = args.kind
-    if kind == "gmm":
+    if args.kind == "gmm":
         points, labels = synth.synth_gmm(k=args.k, n=args.n, dim=args.dim,
                                          separation=args.separation, seed=args.seed)
-    elif kind == "spirals":
+    elif args.kind == "spirals":
         points, labels = synth.synth_spirals(n=args.n, noise=args.noise,
                                              seed=args.seed)
+    elif args.truth_out is not None:
+        raise ConfigError("uniform data has no reference labels")
     else:
         points, labels = synth.synth_uniform(n=args.n, dim=args.dim,
                                              seed=args.seed), None
     write_points_tsv(points, args.out)
     if args.truth_out is not None:
-        if labels is None:
-            raise ConfigError("uniform data has no reference labels")
-        with open(args.truth_out, "w", encoding="utf-8") as fh:
-            for pid, label in enumerate(labels):
-                fh.write(f"{pid}\t{int(label)}\n")
+        _emit("".join(f"{pid}\t{int(label)}\n" for pid, label in enumerate(labels)),
+              args.truth_out)
     return EXIT_OK
 
 
 def _cmd_run(args) -> int:
-    outdir = _merged(args, "outdir", None)
-    if outdir is None:
-        raise ConfigError("--outdir is required")
-    path = _merged(args, "input", None)
-    if path is None:
-        raise ConfigError("--input is required")
-    d = _merged(args, "d", None)
-    k_max = _merged(args, "k_max", None)
-    config = RunConfig(
-        input=str(path), outdir=str(outdir),
-        format=_merged(args, "format", "coords"),
-        metric=_merged(args, "metric", "euclidean"),
-        k_max=None if k_max is None else int(k_max),
-        z=float(_merged(args, "z", 1.0)),
-        d=None if d is None else float(d),
-        discard_fraction=float(_merged(args, "discard_fraction",
-                                       DEFAULT_DISCARD_FRACTION)),
-        halo=bool(_merged(args, "halo", True)),
-        halo_rule=_merged(args, "halo_rule", "highest"),
-        seed=int(_merged(args, "seed", 0)),
-        truth=_merged(args, "truth", None),
-    )
-    run_pipeline(config)
+    run_pipeline(_settings(args))
     return EXIT_OK
 
 
@@ -617,6 +564,8 @@ def _add_common(p: argparse.ArgumentParser, formats=_FORMATS) -> None:
                    help="neighbors per point (default min(n-1, 512))")
     p.add_argument("--config", default=None,
                    help="flat key = value config file; flags win over it")
+    p.add_argument("--discard-fraction", dest="discard_fraction", type=float,
+                   default=None, help="tail fraction dropped by the id estimator")
 
 
 def _add_cluster_opts(p: argparse.ArgumentParser) -> None:
@@ -624,8 +573,6 @@ def _add_cluster_opts(p: argparse.ArgumentParser) -> None:
                    help="merge significance threshold (default 1.0)")
     p.add_argument("--d", type=float, default=None,
                    help="intrinsic dimension override (default: estimate)")
-    p.add_argument("--discard-fraction", dest="discard_fraction", type=float,
-                   default=None, help="tail fraction dropped by the id estimator")
     p.add_argument("--halo", dest="halo", action=argparse.BooleanOptionalAction,
                    default=None, help="flag low-density cluster members")
     p.add_argument("--halo-rule", dest="halo_rule",
@@ -641,15 +588,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate-id", help="estimate the intrinsic dimension")
     _add_common(p)
-    p.add_argument("--discard-fraction", dest="discard_fraction", type=float,
-                   default=None)
     p.set_defaults(handler=_cmd_estimate_id)
 
     p = sub.add_parser("density", help="adaptive density estimate per point")
     _add_common(p)
-    p.add_argument("--d", type=float, default=None)
-    p.add_argument("--discard-fraction", dest="discard_fraction", type=float,
-                   default=None)
+    p.add_argument("--d", type=float, default=None,
+                   help="intrinsic dimension override (default: estimate)")
     p.add_argument("--out", default=None, help="density TSV (default stdout)")
     p.set_defaults(handler=_cmd_density)
 
@@ -670,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assignment", default=None,
                    help="precomputed assignment TSV (with --saddles)")
     p.add_argument("--saddles", default=None, help="precomputed saddle TSV")
-    p.add_argument("--outdir", required=True)
+    p.add_argument("--outdir", default=None)
     p.set_defaults(handler=_cmd_topography)
 
     p = sub.add_parser("evaluate", help="compare an assignment against truth labels")
@@ -695,7 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="fused pipeline into an output directory")
     _add_common(p, formats=("coords", "matrix"))
     _add_cluster_opts(p)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--truth", default=None)
     p.add_argument("--outdir", default=None)
     p.set_defaults(handler=_cmd_run)

@@ -62,11 +62,6 @@ class SaddleTable:
     def get(self, a: int, b: int) -> SaddleInfo | None:
         return self.entries.get((min(a, b), max(a, b)))
 
-    def pairs_of(self, c: int):
-        for (a, b), info in self.entries.items():
-            if a == c or b == c:
-                yield (a, b), info
-
 
 @dataclass
 class PeakAssignment:

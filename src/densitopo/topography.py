@@ -85,26 +85,37 @@ def build_topography(assignment: PeakAssignment, saddles: SaddleTable,
             population=int((assignment.labels == label).sum())))
 
     peaks = np.array([c.peak_log_rho for c in clusters])
-    sm = np.full((k, k), np.nan)
-    np.fill_diagonal(sm, peaks)
     dist = np.full((k, k), np.inf)
     np.fill_diagonal(dist, 0.0)
     for (a, b), info in saddles.entries.items():
+        dist[a, b] = dist[b, a] = max(peaks[a], peaks[b]) - info.log_rho
+    return Topography(clusters=clusters, saddle_matrix=_saddle_matrix(peaks, saddles),
+                      cluster_dist=dist, saddles=saddles)
+
+
+def _saddle_matrix(peaks: np.ndarray, saddles: SaddleTable) -> np.ndarray:
+    """Peak log densities on the diagonal, saddle log densities off it."""
+    k = peaks.shape[0]
+    sm = np.full((k, k), np.nan)
+    np.fill_diagonal(sm, peaks)
+    for (a, b), info in saddles.entries.items():
         sm[a, b] = sm[b, a] = info.log_rho
-        d = max(peaks[a], peaks[b]) - info.log_rho
-        dist[a, b] = dist[b, a] = d
-    return Topography(clusters=clusters, saddle_matrix=sm, cluster_dist=dist,
-                      saddles=saddles)
+    return sm
 
 
-def _sentinel_for(dist: np.ndarray) -> float | None:
+def _closed_distances(topography: Topography) -> tuple[np.ndarray, float | None]:
+    """Drop distances with no-contact pairs at the sentinel height, and that sentinel."""
+    dist = topography.cluster_dist.copy()
     off = dist[~np.eye(dist.shape[0], dtype=bool)]
     if off.size == 0 or not np.isinf(off).any():
-        return None
+        return dist, None
     finite = off[np.isfinite(off)]
     if finite.size == 0 or finite.max() <= 0.0:
-        return 1.0
-    return 1.05 * float(finite.max())
+        sentinel = 1.0
+    else:
+        sentinel = 1.05 * float(finite.max())
+    dist[np.isinf(dist)] = sentinel
+    return dist, sentinel
 
 
 def single_linkage(topography: Topography) -> Dendrogram:
@@ -122,10 +133,7 @@ def single_linkage(topography: Topography) -> Dendrogram:
                           leaf_x=[0.5], leaf_width=[1.0],
                           branch_height=heights_of_leaf)
 
-    dist = topography.cluster_dist.copy()
-    sentinel = _sentinel_for(dist)
-    if sentinel is not None:
-        dist[np.isinf(dist)] = sentinel
+    dist, sentinel = _closed_distances(topography)
     z = linkage(squareform(dist, checks=False), method="single")
     children = [(int(a), int(b)) for a, b, _, _ in z]
     merge_heights = [float(h) for _, _, h, _ in z]
@@ -174,22 +182,20 @@ def dendrogram_newick(dendrogram: Dendrogram) -> str:
     recovers every merge height.
     """
     k = dendrogram.n_leaves
-    if k == 1:
-        return "0;"
 
-    def render(node: int, parent_h: float) -> str:
+    def render(node: int, parent_h: float | None) -> str:
+        # the root has no parent and so no edge length
         if node < k:
-            return f"{node}:{parent_h!r}"
-        a, b = dendrogram.children[node - k]
-        h = dendrogram.merge_heights[node - k]
-        first, second = (a, b) if _min_leaf(dendrogram, a) <= _min_leaf(dendrogram, b) else (b, a)
-        return f"({render(first, h)},{render(second, h)}):{parent_h - h!r}"
+            text, h = str(node), 0.0
+        else:
+            a, b = dendrogram.children[node - k]
+            h = dendrogram.merge_heights[node - k]
+            if _min_leaf(dendrogram, b) < _min_leaf(dendrogram, a):
+                a, b = b, a
+            text = f"({render(a, h)},{render(b, h)})"
+        return text if parent_h is None else f"{text}:{parent_h - h!r}"
 
-    root = 2 * k - 2
-    a, b = dendrogram.children[root - k]
-    h = dendrogram.merge_heights[root - k]
-    first, second = (a, b) if _min_leaf(dendrogram, a) <= _min_leaf(dendrogram, b) else (b, a)
-    return f"({render(first, h)},{render(second, h)});"
+    return render(2 * k - 2, None) + ";"
 
 
 def _min_leaf(dendrogram: Dendrogram, node: int) -> int:
@@ -263,11 +269,7 @@ def mds_layout(topography: Topography) -> np.ndarray | None:
     k = topography.n_clusters
     if k < 2:
         return None
-    dist = topography.cluster_dist.copy()
-    sentinel = _sentinel_for(dist)
-    if sentinel is not None:
-        dist[np.isinf(dist)] = sentinel
-
+    dist, _ = _closed_distances(topography)
     d2 = dist ** 2
     centering = np.eye(k) - np.full((k, k), 1.0 / k)
     b = -0.5 * centering @ d2 @ centering
@@ -344,10 +346,7 @@ def topography_from_json(text: str) -> Topography:
     k = len(clusters)
     dist = np.array([[np.inf if v is None else v for v in row]
                      for row in doc["distances"]], dtype=np.float64).reshape(k, k)
+    saddles = SaddleTable(entries=entries)
     peaks = np.array([c.peak_log_rho for c in clusters])
-    sm = np.full((k, k), np.nan)
-    np.fill_diagonal(sm, peaks)
-    for (a, b), info in entries.items():
-        sm[a, b] = sm[b, a] = info.log_rho
-    return Topography(clusters=clusters, saddle_matrix=sm, cluster_dist=dist,
-                      saddles=SaddleTable(entries=entries))
+    return Topography(clusters=clusters, saddle_matrix=_saddle_matrix(peaks, saddles),
+                      cluster_dist=dist, saddles=saddles)

@@ -12,6 +12,7 @@ from densitopo import (
     synth_gmm,
     write_points_tsv,
 )
+from densitopo import cli
 from densitopo.cli import main, read_config_file
 
 PIPELINE_FILES = ("density.tsv", "assignment.tsv", "topography.json",
@@ -87,6 +88,26 @@ def test_run_cleans_partial_outputs_on_failure(dataset, tmp_path, capsys):
     assert list(outdir.iterdir()) == []
 
 
+@pytest.mark.parametrize("failure,code", [("bad_truth", 3), ("negative_z", 2)])
+def test_failed_run_leaves_earlier_outputs_untouched(dataset, tmp_path, failure, code):
+    outdir = tmp_path / "out"
+    assert _run(["run", "--input", dataset["points"], "--outdir", outdir,
+                 "--k-max", "32", "--z", "1.5", "--truth", dataset["truth"]]) == 0
+    before = {p.name: p.read_bytes() for p in outdir.iterdir()}
+    assert "confusion.tsv" in before and "run_config.txt" in before
+
+    if failure == "bad_truth":
+        bad_truth = tmp_path / "bad_truth.tsv"
+        bad_truth.write_text("9999\t0\n", encoding="utf-8")
+        extra = ["--truth", bad_truth]
+    else:
+        extra = ["--z", "-1"]
+    assert _run(["run", "--input", dataset["points"], "--outdir", outdir,
+                 "--k-max", "32"] + extra) == code
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(before)
+    assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
+
+
 def test_run_reports_failing_stage_for_bad_input(tmp_path, capsys):
     missing = tmp_path / "nope.tsv"
     code = _run(["run", "--input", missing, "--outdir", tmp_path / "out"])
@@ -107,9 +128,26 @@ def test_run_k_max_at_point_count_is_config_error(dataset, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_run_negative_z_is_config_error(dataset, tmp_path):
+def test_run_negative_z_is_config_error(dataset, tmp_path, monkeypatch):
+    # cluster settings are checked before any stage runs
+    def no_graph(*args, **kwargs):
+        raise AssertionError("kNN graph built before the settings were checked")
+
+    monkeypatch.setattr(cli, "build_neighbor_graph", no_graph)
     assert _run(["run", "--input", dataset["points"], "--outdir",
                  tmp_path / "out", "--k-max", "32", "--z", "-1"]) == 2
+    cfg = tmp_path / "rule.cfg"
+    cfg.write_text("halo_rule = bogus\n", encoding="utf-8")
+    assert _run(["run", "--config", cfg, "--input", dataset["points"],
+                 "--outdir", tmp_path / "out", "--k-max", "32"]) == 2
+
+
+def test_run_bad_format_in_config_names_format(dataset, tmp_path, capsys):
+    cfg = tmp_path / "fmt.cfg"
+    cfg.write_text("format = bogus\n", encoding="utf-8")
+    assert _run(["run", "--config", cfg, "--input", dataset["points"],
+                 "--outdir", tmp_path / "out"]) == 2
+    assert "format must be one of ('coords', 'matrix', 'knn')" in capsys.readouterr().err
 
 
 def test_run_requires_outdir_and_input(dataset, tmp_path):
@@ -162,6 +200,18 @@ def test_config_unknown_key_rejected(dataset, tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_inert_seed_and_out_settings_rejected(dataset, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run(["run", "--input", dataset["points"], "--outdir", tmp_path / "out",
+              "--seed", "3"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "inert.cfg"
+    for line in ("out = x.tsv", "seed = 3"):
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert _run(["density", "--config", cfg, "--input", dataset["points"]]) == 2
+        assert "unknown config key" in capsys.readouterr().err
+
+
 def test_config_malformed_line_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("just some words\n", encoding="utf-8")
@@ -188,7 +238,7 @@ def test_config_parses_comments_and_types(tmp_path):
 def test_staged_pipeline_matches_fused(dataset, tmp_path):
     fused = tmp_path / "fused"
     assert _run(["run", "--input", dataset["points"], "--outdir", fused,
-                 "--k-max", "32", "--z", "1.5"]) == 0
+                 "--k-max", "32", "--z", "1.5", "--truth", dataset["truth"]]) == 0
 
     staged = tmp_path / "staged"
     staged.mkdir()
@@ -209,6 +259,13 @@ def test_staged_pipeline_matches_fused(dataset, tmp_path):
                  saddles, "--outdir", topo_dir]) == 0
     for name in ("topography.json", "dendrogram.nwk", "network.dot"):
         assert (topo_dir / name).read_bytes() == (fused / name).read_bytes(), name
+
+    # the fused run evaluates without halo points
+    eval_dir = tmp_path / "staged_eval"
+    assert _run(["evaluate", "--assignment", assignment, "--truth",
+                 dataset["truth"], "--exclude-halo", "--outdir", eval_dir]) == 0
+    for name in ("confusion.tsv", "purity.tsv"):
+        assert (eval_dir / name).read_bytes() == (fused / name).read_bytes(), name
 
 
 def test_topography_staged_needs_both_files(dataset, tmp_path):
