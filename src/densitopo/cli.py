@@ -377,17 +377,28 @@ def _staged(outdir: str | Path | None):
 
     The scratch directory sits inside outdir, so each move is an atomic
     rename.  It is removed either way, so a failure publishes nothing and
-    leaves the files already in outdir as they were.
+    leaves the files already in outdir as they were.  A path the operating
+    system refuses (a regular file where a directory must be, no permission)
+    is a ConfigError naming that path.
     """
     if outdir is None:
         raise ConfigError("--outdir is required")
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    scratch = Path(tempfile.mkdtemp(prefix=".partial-", dir=outdir))
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        scratch = Path(tempfile.mkdtemp(prefix=".partial-", dir=outdir))
+    except FileExistsError:
+        raise ConfigError(f"cannot write into {outdir}: not a directory") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot write into {outdir}: {exc.strerror}") from None
     try:
         yield scratch
         for path in sorted(scratch.iterdir()):
-            os.replace(path, outdir / path.name)
+            target = outdir / path.name
+            try:
+                os.replace(path, target)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {target}: {exc.strerror}") from None
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -540,7 +551,9 @@ def _cmd_synth(args) -> int:
     else:
         points, labels = synth.synth_uniform(n=args.n, dim=args.dim,
                                              seed=args.seed), None
-    write_points_tsv(points, args.out)
+    out = Path(args.out)
+    with _staged(out.parent) as scratch:
+        write_points_tsv(points, scratch / out.name)
     if args.truth_out is not None:
         _emit("".join(f"{pid}\t{int(label)}\n" for pid, label in enumerate(labels)),
               args.truth_out)

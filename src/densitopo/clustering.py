@@ -161,9 +161,7 @@ def detect_putative_centers(g: np.ndarray, delta: np.ndarray,
         ids = graph.neighbor_ids[s:e]
         inside = np.arange(ids.shape[1])[None, :] < k_hat[s:e, None]
         dominated = inside & (g[s:e, None] > g[ids])
-        targets = ids[dominated]
-        if targets.size:
-            vetoed[np.unique(targets)] = True
+        vetoed[ids[dominated]] = True
 
     cand = np.nonzero(eligible & ~vetoed)[0]
     if cand.size == 0:
@@ -197,24 +195,6 @@ def assign_points(g: np.ndarray, parent: np.ndarray,
     return labels
 
 
-def _nearest_in_cluster_is(j: int, i: int, cluster: int, labels: np.ndarray,
-                           graph: NeighborGraph,
-                           pairwise: PairwiseDistances | None) -> bool:
-    """True when i is the nearest point of `cluster` to j (ties by id)."""
-    row_labels = labels[graph.neighbor_ids[j]]
-    hits = np.nonzero(row_labels == cluster)[0]
-    if hits.size:
-        return int(graph.neighbor_ids[j, hits[0]]) == i
-    if pairwise is None:
-        # no member of the cluster inside j's stored list and no exact
-        # distances available: i is beyond the horizon, accept it
-        return True
-    members = np.nonzero(labels == cluster)[0]
-    dd = pairwise.row(j)[members]
-    best = int(dd.argmin())
-    return int(members[best]) == i
-
-
 def find_borders_saddles(labels: np.ndarray, graph: NeighborGraph,
                          g: np.ndarray, estimate: DensityEstimate,
                          pairwise: PairwiseDistances | None = None) -> SaddleTable:
@@ -222,39 +202,65 @@ def find_borders_saddles(labels: np.ndarray, graph: NeighborGraph,
 
     Point i of cluster c borders cluster c' when its nearest c'-labeled
     point j lies within i's adaptive radius and i is in turn the nearest
-    c-labeled point to j.  The saddle of (c, c') is the border point with
-    the highest g from either side; its log density and error are stored.
+    c-labeled point to j (ties by id).  The saddle of (c, c') is the border
+    point with the highest g from either side, ties to the smaller id; its
+    log density and error are stored.
+
+    The back-check reads j's neighbor list; only when that list holds no
+    c-labeled point is j's exact distance row scanned, and without exact
+    distances i is accepted as lying beyond the horizon.
     """
     n = graph.n_points
-    best: dict[tuple[int, int], SaddleInfo] = {}
-    best_g: dict[tuple[int, int], tuple[float, int]] = {}
+    n_labels = np.int64(labels.max()) + 1
+    border: list[np.ndarray] = []
+    pair_key: list[np.ndarray] = []
 
     for s in range(0, n, _CHUNK):
         e = min(n, s + _CHUNK)
         ids = graph.neighbor_ids[s:e]
-        dists = graph.neighbor_dists[s:e]
-        within = dists <= estimate.r_khat[s:e, None]
+        within = graph.neighbor_dists[s:e] <= estimate.r_khat[s:e, None]
         foreign = labels[ids] != labels[s:e, None]
-        rows, cols = np.nonzero(within & foreign)
-        seen: set[tuple[int, int]] = set()
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            i = s + r
-            j = int(ids[r, c])
-            other = int(labels[j])
-            if (i, other) in seen:
-                continue  # only the nearest foreign point of each cluster counts
-            seen.add((i, other))
-            mine = int(labels[i])
-            if not _nearest_in_cluster_is(j, i, mine, labels, graph, pairwise):
-                continue
-            key = (min(mine, other), max(mine, other))
-            cand = (float(g[i]), -i)
-            if key not in best_g or cand > best_g[key]:
-                best_g[key] = cand
-                best[key] = SaddleInfo(log_rho=float(estimate.log_rho[i]),
-                                       err=float(estimate.err[i]),
-                                       border_point=i)
-    return SaddleTable(entries=best)
+        rows, cols = np.nonzero(within & foreign)  # (row, column) order
+        # only the nearest foreign point of each cluster counts
+        _, first = np.unique(rows * n_labels + labels[ids[rows, cols]],
+                             return_index=True)
+        i = s + rows[first]
+        j = ids[rows[first], cols[first]]
+        mine = labels[i]
+
+        ok = np.empty(i.size, dtype=bool)
+        for b in range(0, i.size, _CHUNK):
+            jb, mb = j[b:b + _CHUNK], mine[b:b + _CHUNK]
+            hit = labels[graph.neighbor_ids[jb]] == mb[:, None]
+            pos = hit.argmax(axis=1)
+            ok[b:b + _CHUNK] = graph.neighbor_ids[jb, pos] == i[b:b + _CHUNK]
+            for r in np.nonzero(~hit[np.arange(jb.size), pos])[0]:
+                # no member of i's cluster inside j's stored list: without
+                # exact distances, i is beyond the horizon and accepted
+                if pairwise is None:
+                    ok[b + r] = True
+                    continue
+                members = np.nonzero(labels == mb[r])[0]
+                nearest = members[int(pairwise.row(int(jb[r]))[members].argmin())]
+                ok[b + r] = nearest == i[b + r]
+
+        i, mine, other = i[ok], mine[ok], labels[j[ok]]
+        border.append(i)
+        pair_key.append(np.minimum(mine, other) * n_labels + np.maximum(mine, other))
+
+    border_pts = np.concatenate(border)
+    keys = np.concatenate(pair_key)
+    # per cluster pair, the border point of largest g, ties to the smaller id
+    order = np.lexsort((border_pts, -g[border_pts], keys))
+    keys, border_pts = keys[order], border_pts[order]
+    head = np.ones(keys.size, dtype=bool)
+    head[1:] = keys[1:] != keys[:-1]
+    entries = {
+        (int(k // n_labels), int(k % n_labels)): SaddleInfo(
+            log_rho=float(estimate.log_rho[i]), err=float(estimate.err[i]),
+            border_point=int(i))
+        for k, i in zip(keys[head].tolist(), border_pts[head].tolist())}
+    return SaddleTable(entries=entries)
 
 
 def _lower_peak(a: int, b: int, centers: list[int], g: np.ndarray) -> tuple[int, int]:

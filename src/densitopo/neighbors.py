@@ -137,7 +137,8 @@ def _exact_knn_rows(block: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarr
     """
     m, n = block.shape
     kth = min(k_max - 1, n - 1)
-    part = np.argpartition(block, kth, axis=1)[:, :k_max]
+    # a copy, so that the full-width index array is freed at once
+    part = np.argpartition(block, kth, axis=1)[:, :k_max].copy()
     part_d = np.take_along_axis(block, part, axis=1)
     thr = part_d.max(axis=1)
     tied = (block <= thr[:, None]).sum(axis=1) > k_max
@@ -271,7 +272,8 @@ def ingest_distance_matrix(matrix: np.ndarray, k_max: int) -> NeighborGraph:
 
     The matrix must be square, non-negative, zero on the diagonal, and
     symmetric within 1e-9; asymmetry beyond that is rejected naming the
-    worst entry pair.
+    worst entry pair.  Rows are selected by the same (distance, ascending
+    id) rule as :func:`build_neighbor_graph`.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -285,20 +287,21 @@ def ingest_distance_matrix(matrix: np.ndarray, k_max: int) -> NeighborGraph:
         raise DataError("negative entry in distance matrix")
     if np.abs(np.diagonal(m)).max() > 1e-9:
         raise DataError("distance matrix diagonal must be zero")
-    gap = np.abs(m - m.T)
+    gap = m - m.T
+    np.abs(gap, out=gap)
     worst = float(gap.max())
     if worst > 1e-9:
         i, j = np.unravel_index(int(gap.argmax()), gap.shape)
         raise DataError(
             f"distance matrix asymmetric: |d[{i},{j}] - d[{j},{i}]| = {worst:g} > 1e-9")
+    del gap  # n x n: free it before the selection allocates its own
     if not 1 <= k_max <= n - 1:
         raise ConfigError(f"k_max must be in [1, n-1] = [1, {n - 1}], got {k_max}")
 
     work = m.copy()
-    np.fill_diagonal(work, np.inf)
-    order = np.argsort(work, axis=1, kind="stable")[:, :k_max]
-    dists = np.take_along_axis(work, order, axis=1)
-    return NeighborGraph(order, dists, metric_tag="precomputed")
+    np.fill_diagonal(work, np.inf)  # exclude self
+    ids, dists = _exact_knn_rows(work, k_max)
+    return NeighborGraph(ids, dists, metric_tag="precomputed")
 
 
 def ingest_knn_file(path: str | Path) -> NeighborGraph:

@@ -16,7 +16,8 @@ from densitopo.density import (_MAX_STEP_HALVINGS, DensityConfig, DensityEstimat
                                _effective_cap, _lrt_kernel, knn_mle,
                                log_density_error)
 from densitopo.errors import ConfigError, DegenerateDataError
-from densitopo.neighbors import NeighborGraph
+from densitopo.clustering import SaddleInfo, SaddleTable
+from densitopo.neighbors import NeighborGraph, PairwiseDistances
 
 
 # ---------------------------------------------------------------------------
@@ -489,3 +490,93 @@ def naive_saddles(labels: np.ndarray, g: np.ndarray, log_rho: np.ndarray,
             if key not in best or cand[0] > best[key][0]:
                 best[key] = cand
     return {key: (float(log_rho[i]), i) for key, ((_, _), i) in best.items()}
+
+
+def argsort_matrix_knn(matrix: np.ndarray, k_max: int):
+    """kNN of a distance matrix by a full stable sort of every row.
+
+    Self is excluded; ties keep ascending id because the sort is stable.
+    """
+    work = np.asarray(matrix, dtype=np.float64).copy()
+    np.fill_diagonal(work, np.inf)
+    order = np.argsort(work, axis=1, kind="stable")[:, :k_max]
+    return order, np.take_along_axis(work, order, axis=1)
+
+
+def naive_putative_centers(g: np.ndarray, delta: np.ndarray, r_khat: np.ndarray,
+                           k_hat: np.ndarray, neighbor_ids: np.ndarray) -> list[int]:
+    """Density-peak centers by a loop over every point's adaptive neighbors.
+
+    A point is a center when delta exceeds its adaptive radius and no point
+    having it among its first k_hat neighbors has strictly higher g; sorted
+    by decreasing g, ties by id.  May be empty.
+    """
+    n, k_max = neighbor_ids.shape
+    vetoed = [False] * n
+    for i in range(n):
+        for col in range(min(int(k_hat[i]), k_max)):
+            j = int(neighbor_ids[i, col])
+            if g[i] > g[j]:
+                vetoed[j] = True
+    cand = [i for i in range(n) if delta[i] > r_khat[i] and not vetoed[i]]
+    return sorted(cand, key=lambda i: (-float(g[i]), i))
+
+
+# ---------------------------------------------------------------------------
+# border and saddle search: the per-pair loop the vectorised search replaced
+
+_CHUNK = 2048
+
+
+def _nearest_in_cluster_is(j: int, i: int, cluster: int, labels: np.ndarray,
+                           graph: NeighborGraph,
+                           pairwise: PairwiseDistances | None) -> bool:
+    """True when i is the nearest point of `cluster` to j (ties by id)."""
+    row_labels = labels[graph.neighbor_ids[j]]
+    hits = np.nonzero(row_labels == cluster)[0]
+    if hits.size:
+        return int(graph.neighbor_ids[j, hits[0]]) == i
+    if pairwise is None:
+        # no member of the cluster inside j's stored list and no exact
+        # distances available: i is beyond the horizon, accept it
+        return True
+    members = np.nonzero(labels == cluster)[0]
+    dd = pairwise.row(j)[members]
+    best = int(dd.argmin())
+    return int(members[best]) == i
+
+
+def loop_borders_saddles(labels: np.ndarray, graph: NeighborGraph,
+                         g: np.ndarray, estimate: DensityEstimate,
+                         pairwise: PairwiseDistances | None = None) -> SaddleTable:
+    """Border and saddle search, one (point, neighbor column) pair at a time."""
+    n = graph.n_points
+    best: dict[tuple[int, int], SaddleInfo] = {}
+    best_g: dict[tuple[int, int], tuple[float, int]] = {}
+
+    for s in range(0, n, _CHUNK):
+        e = min(n, s + _CHUNK)
+        ids = graph.neighbor_ids[s:e]
+        dists = graph.neighbor_dists[s:e]
+        within = dists <= estimate.r_khat[s:e, None]
+        foreign = labels[ids] != labels[s:e, None]
+        rows, cols = np.nonzero(within & foreign)
+        seen: set[tuple[int, int]] = set()
+        for r, c in zip(rows.tolist(), cols.tolist()):
+            i = s + r
+            j = int(ids[r, c])
+            other = int(labels[j])
+            if (i, other) in seen:
+                continue  # only the nearest foreign point of each cluster counts
+            seen.add((i, other))
+            mine = int(labels[i])
+            if not _nearest_in_cluster_is(j, i, mine, labels, graph, pairwise):
+                continue
+            key = (min(mine, other), max(mine, other))
+            cand = (float(g[i]), -i)
+            if key not in best_g or cand > best_g[key]:
+                best_g[key] = cand
+                best[key] = SaddleInfo(log_rho=float(estimate.log_rho[i]),
+                                       err=float(estimate.err[i]),
+                                       border_point=i)
+    return SaddleTable(entries=best)

@@ -495,3 +495,47 @@ def test_synth_output_reusable_by_run(tmp_path, capsys):
                  "--k-max", "32", "--z", "2"]) == 0
     line = capsys.readouterr().out.strip().splitlines()[-1]
     assert "n=300" in line
+
+
+# ---------------------------------------------------------------------------
+# output paths the operating system refuses
+
+
+def _assert_refused(code, capsys, path):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
+def test_synth_out_under_a_regular_file_is_config_error(tmp_path, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_text("keep\n", encoding="utf-8")
+    code = _run(["synth", "gmm", "--n", "20", "--out", blocker / "x.tsv"])
+    _assert_refused(code, capsys, blocker)
+    assert blocker.read_text(encoding="utf-8") == "keep\n"
+
+
+def test_synth_out_creates_missing_directory(tmp_path):
+    out = tmp_path / "missing_dir" / "x.tsv"
+    assert _run(["synth", "gmm", "--n", "20", "--out", out]) == 0
+    assert np.loadtxt(out).shape == (20, 2)
+    assert sorted(p.name for p in out.parent.iterdir()) == ["x.tsv"]
+
+
+def test_run_outdir_that_is_a_regular_file_is_config_error(dataset, tmp_path, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_text("keep\n", encoding="utf-8")
+    code = _run(["run", "--input", dataset["points"], "--outdir", blocker,
+                 "--k-max", "32"])
+    _assert_refused(code, capsys, blocker)
+    assert blocker.read_text(encoding="utf-8") == "keep\n"
+
+
+def test_density_out_under_a_regular_file_is_config_error(dataset, tmp_path, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_text("keep\n", encoding="utf-8")
+    code = _run(["density", "--input", dataset["points"], "--k-max", "32",
+                 "--out", blocker / "x.tsv"])
+    _assert_refused(code, capsys, blocker)
+    assert blocker.read_text(encoding="utf-8") == "keep\n"

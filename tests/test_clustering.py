@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from densitopo import (
@@ -28,8 +30,10 @@ from densitopo import (
     flag_halo,
     merge_clusters,
     synth_gmm,
+    synth_uniform,
 )
-from oracles import naive_delta_parent, naive_saddles
+from oracles import (loop_borders_saddles, naive_delta_parent, naive_putative_centers,
+                     naive_saddles)
 
 
 def _toy_estimate(log_rho, err=None, r_khat=None, k_hat=None) -> DensityEstimate:
@@ -309,12 +313,16 @@ def test_mirrored_data_same_saddle_density():
     assert out[0] == out[1]
 
 
+def _blobs(seed):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.normal(0.0, 1.0, size=(150, 2)),
+                           rng.normal(4.0, 1.0, size=(150, 2)),
+                           rng.normal((0.0, 4.0), 1.0, size=(150, 2))])
+
+
 @pytest.mark.parametrize("seed", [13, 14])
 def test_saddles_match_naive_oracle(seed):
-    rng = np.random.default_rng(seed)
-    coords = np.concatenate([rng.normal(0.0, 1.0, size=(150, 2)),
-                             rng.normal(4.0, 1.0, size=(150, 2)),
-                             rng.normal((0.0, 4.0), 1.0, size=(150, 2))])
+    coords = _blobs(seed)
     graph, pairwise, est = _full_estimate(coords, 32)
     g = compute_g(est)
     delta, parent = compute_delta_parent(g, graph, pairwise)
@@ -326,6 +334,111 @@ def test_saddles_match_naive_oracle(seed):
     got = {key: (info.log_rho, info.border_point)
            for key, info in table.entries.items()}
     assert got == expected
+
+
+def _assert_matches_loop(labels, graph, g, est, pairwise):
+    """Vectorised border search equals the per-pair loop, with and without
+    exact distances; entries come in sorted key order."""
+    for exact in (pairwise, None):
+        got = find_borders_saddles(labels, graph, g, est, exact)
+        want = loop_borders_saddles(labels, graph, g, est, exact)
+        assert got.entries == want.entries
+        assert list(got.entries) == sorted(want.entries)
+
+
+def _assert_centers_match_naive(g, delta, est, graph):
+    want = naive_putative_centers(g, delta, est.r_khat, est.k_hat,
+                                  graph.neighbor_ids)
+    if not want:
+        with pytest.raises(DegenerateDataError):
+            detect_putative_centers(g, delta, est, graph)
+    else:
+        assert detect_putative_centers(g, delta, est, graph) == want
+
+
+def _uniform_cloud():
+    return _full_estimate(synth_uniform(n=1500, dim=2, seed=3), 64)
+
+
+def _lattice_with_duplicates():
+    # integer lattice under manhattan distance: k_max=16 ties at the horizon,
+    # and the first 30 sites appear twice, so their g values tie exactly
+    xs, ys = np.meshgrid(np.arange(16.0), np.arange(16.0))
+    lattice = np.column_stack([xs.ravel(), ys.ravel()])
+    points = PointSet(np.vstack([lattice, lattice[:30]]))
+    graph = build_neighbor_graph(points, 16, metric="manhattan")
+    pairwise = PairwiseDistances(coords=points.coords, metric="manhattan")
+    return graph, pairwise, estimate_density(graph, DensityConfig(d=2.0))
+
+
+@pytest.mark.parametrize("case,min_centers", [
+    (lambda: _full_estimate(_blobs(13), 32), 2),
+    (lambda: _full_estimate(_blobs(14), 32), 2),
+    (_uniform_cloud, 10), (_lattice_with_duplicates, 2)],
+    ids=["blobs13", "blobs14", "uniform", "lattice"])
+def test_saddles_and_centers_match_loop_oracles(case, min_centers):
+    graph, pairwise, est = case()
+    g = compute_g(est)
+    delta, parent = compute_delta_parent(g, graph, pairwise)
+    _assert_centers_match_naive(g, delta, est, graph)
+    centers = detect_putative_centers(g, delta, est, graph)
+    assert len(centers) >= min_centers
+    labels = assign_points(g, parent, centers)
+    _assert_matches_loop(labels, graph, g, est, pairwise)
+
+
+def test_lattice_saddles_match_loop_on_quadrant_labels():
+    # labels that ignore g: many borders, and the tied duplicate sites
+    # compete for the same saddle
+    graph, pairwise, est = _lattice_with_duplicates()
+    xs = np.concatenate([np.tile(np.arange(16), 16), np.arange(30) % 16])
+    ys = np.concatenate([np.repeat(np.arange(16), 16), np.arange(30) // 16])
+    labels = (xs >= 8).astype(np.int64) + 2 * (ys >= 8)
+    g = compute_g(est)
+    _assert_matches_loop(labels, graph, g, est, pairwise)
+
+
+def test_back_check_beyond_the_neighbor_horizon():
+    # cluster 0 is a tight group whose 4-neighbor lists hold only itself;
+    # cluster 1 is points 6 and 7.  Point 7 (the higher g of the two) reaches
+    # point 1 first, but point 6 is nearer to point 1 than 7 is and lies
+    # beyond point 1's stored list, so only an exact scan can reject 7.
+    coords = np.array([[0.0, 0.0], [0.1, 0.0], [-0.1, 0.0], [0.0, 0.1],
+                       [0.0, -0.1], [0.05, 0.05], [-0.6, 0.0], [1.0, 0.0]])
+    _, graph, pairwise = _setup(coords, 4)
+    labels = np.array([0, 0, 0, 0, 0, 0, 1, 1])
+    est = _toy_estimate(log_rho=[5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 1.0, 2.0],
+                        r_khat=np.full(8, 2.0))
+    g = compute_g(est)
+    exact = find_borders_saddles(labels, graph, g, est, pairwise)
+    assert exact.entries[(0, 1)].border_point == 6
+    listed = find_borders_saddles(labels, graph, g, est, None)
+    assert listed.entries[(0, 1)].border_point == 7
+    _assert_matches_loop(labels, graph, g, est, pairwise)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n=st.integers(min_value=2, max_value=40),
+       n_labels=st.integers(min_value=1, max_value=5),
+       on_grid=st.booleans())
+def test_saddles_and_centers_match_loop_on_arbitrary_labels(seed, n, n_labels, on_grid):
+    rng = np.random.default_rng(seed)
+    if on_grid:  # many tied distances
+        coords = rng.integers(0, 5, size=(n, 2)).astype(np.float64)
+    else:
+        coords = rng.normal(size=(n, 2))
+    k_max = int(rng.integers(1, n))
+    _, graph, pairwise = _setup(coords, k_max)
+    k_hat = rng.integers(1, k_max + 1, size=n)
+    log_rho = rng.integers(0, 4, size=n).astype(np.float64)  # tied heights
+    est = _toy_estimate(log_rho=log_rho, err=rng.integers(0, 2, size=n) * 0.5,
+                        r_khat=graph.neighbor_dists[np.arange(n), k_hat - 1],
+                        k_hat=k_hat)
+    g = compute_g(est)
+    labels = rng.integers(0, n_labels, size=n)
+    _assert_matches_loop(labels, graph, g, est, pairwise)
+    _assert_centers_match_naive(g, rng.uniform(0.0, 3.0, size=n), est, graph)
 
 
 def test_saddle_table_lookup_is_symmetric():

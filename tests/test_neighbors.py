@@ -10,7 +10,7 @@ from densitopo import (ConfigError, DataError, NeighborGraph, PairwiseDistances,
                        ingest_distance_matrix, ingest_knn_file, read_points_tsv,
                        write_points_tsv)
 from densitopo.neighbors import _brute_knn, _tree_knn, _use_tree
-from oracles import brute_knn
+from oracles import argsort_matrix_knn, brute_knn
 
 
 def test_line_points_by_inspection():
@@ -212,6 +212,35 @@ def test_matrix_random_matches_row_sort_oracle():
         order = sorted((m[i, j], j) for j in range(50) if j != i)
         assert graph.neighbor_ids[i].tolist() == [j for _, j in order]
         assert graph.neighbor_dists[i].tolist() == [d for d, _ in order]
+
+
+def _integer_matrix(seed):
+    # small integer distances: most rows tie at the k_max-th neighbor
+    rng = np.random.default_rng(seed)
+    raw = rng.integers(1, 4, size=(60, 60)).astype(np.float64)
+    m = np.triu(raw, 1)
+    return m + m.T
+
+
+def _duplicate_points_matrix(seed):
+    # every point appears three times: zero off-diagonal distances
+    rng = np.random.default_rng(seed)
+    coords = np.repeat(rng.integers(0, 6, size=(20, 2)).astype(np.float64), 3, axis=0)
+    return np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
+
+
+@pytest.mark.parametrize("make,k_max", [
+    (_integer_matrix, 7), (_integer_matrix, 59),
+    (_duplicate_points_matrix, 4), (_duplicate_points_matrix, 59)],
+    ids=["integer", "integer-n-1", "duplicates", "duplicates-n-1"])
+def test_matrix_matches_stable_argsort(make, k_max):
+    m = make(5)
+    before = m.copy()
+    graph = ingest_distance_matrix(m, k_max=k_max)
+    np.testing.assert_array_equal(m, before)  # the caller's matrix is untouched
+    ids, dists = argsort_matrix_knn(m, k_max)
+    np.testing.assert_array_equal(graph.neighbor_ids, ids)
+    np.testing.assert_array_equal(graph.neighbor_dists, dists)
 
 
 def test_matrix_asymmetry_names_worst_pair():
