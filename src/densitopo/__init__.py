@@ -18,7 +18,7 @@ from .intrinsic_dim import IdEstimate, twonn_estimate
 from .metrics import (LabeledPartition, confusion_matrix, majority_labels, nmi,
                       purity)
 from .neighbors import (NeighborGraph, PairwiseDistances, PointSet,
-                        build_neighbor_graph, export_knn_file,
+                        build_neighbor_graph,
                         ingest_distance_matrix, ingest_knn_file,
                         read_distance_matrix_tsv, read_points_tsv,
                         write_points_tsv)
@@ -39,7 +39,7 @@ __all__ = [
     "assign_points", "build_neighbor_graph", "build_topography", "cluster_points",
     "compute_delta_parent", "compute_g", "confusion_matrix",
     "dendrogram_newick", "detect_putative_centers",
-    "estimate_density", "export_knn_file", "find_borders_saddles",
+    "estimate_density", "find_borders_saddles",
     "flag_halo",
     "ingest_distance_matrix", "ingest_knn_file", "knn_mle",
     "log_density_error", "majority_labels", "mds_layout",

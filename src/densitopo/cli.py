@@ -403,13 +403,25 @@ def _staged(outdir: str | Path | None):
         shutil.rmtree(scratch, ignore_errors=True)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+@contextlib.contextmanager
+def _staged_files(*outs: str | None):
+    """Yield, per output file, a scratch path published on success (None: stdout).
+
+    Every file's directory is opened through :func:`_staged` on entry, so a
+    path the operating system refuses fails before the stage in the block
+    runs, and no file appears unless the whole block succeeds.
+    """
+    with contextlib.ExitStack() as stack:
+        yield [None if out is None
+               else stack.enter_context(_staged(Path(out).parent)) / Path(out).name
+               for out in outs]
+
+
+def _emit(text: str, path: Path | None) -> None:
+    if path is None:
         sys.stdout.write(text)
-        return
-    out = Path(out)
-    with _staged(out.parent) as scratch:
-        (scratch / out.name).write_text(text, encoding="utf-8")
+    else:
+        path.write_text(text, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -500,17 +512,20 @@ def _cmd_estimate_id(args) -> int:
 
 def _cmd_density(args) -> int:
     cfg = _settings(args)
-    graph, _ = _load_graph(cfg, need_pairwise=False)
-    estimate = estimate_density(graph, DensityConfig(d=_dimension(cfg, graph)))
-    _emit(density_tsv_text(estimate), args.out)
+    with _staged_files(args.out) as (out,):
+        graph, _ = _load_graph(cfg, need_pairwise=False)
+        estimate = estimate_density(graph, DensityConfig(d=_dimension(cfg, graph)))
+        _emit(density_tsv_text(estimate), out)
     return EXIT_OK
 
 
 def _cmd_cluster(args) -> int:
-    result, estimate = _cluster(_settings(args), args.density)
-    _emit(assignment_tsv_text(result.assignment, estimate), args.out)
-    if args.saddles_out is not None:
-        _emit(saddles_tsv_text(result.saddles), args.saddles_out)
+    cfg = _settings(args)
+    with _staged_files(args.out, args.saddles_out) as (out, saddles_out):
+        result, estimate = _cluster(cfg, args.density)
+        _emit(assignment_tsv_text(result.assignment, estimate), out)
+        if args.saddles_out is not None:
+            _emit(saddles_tsv_text(result.saddles), saddles_out)
     return EXIT_OK
 
 
@@ -551,12 +566,11 @@ def _cmd_synth(args) -> int:
     else:
         points, labels = synth.synth_uniform(n=args.n, dim=args.dim,
                                              seed=args.seed), None
-    out = Path(args.out)
-    with _staged(out.parent) as scratch:
-        write_points_tsv(points, scratch / out.name)
-    if args.truth_out is not None:
-        _emit("".join(f"{pid}\t{int(label)}\n" for pid, label in enumerate(labels)),
-              args.truth_out)
+    with _staged_files(args.out, args.truth_out) as (out, truth_out):
+        write_points_tsv(points, out)
+        if args.truth_out is not None:
+            _emit("".join(f"{pid}\t{int(label)}\n" for pid, label in enumerate(labels)),
+                  truth_out)
     return EXIT_OK
 
 

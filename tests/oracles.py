@@ -49,6 +49,15 @@ def brute_knn(coords: np.ndarray, k_max: int, metric: str = "euclidean"):
     return ids, dists
 
 
+def export_knn_file(graph: NeighborGraph, path) -> None:
+    """Write a NeighborGraph in the kNN TSV format (round-trips exactly)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# metric={graph.metric_tag}\n")
+        for i in range(graph.n_points):
+            for nid, dist in zip(graph.neighbor_ids[i], graph.neighbor_dists[i]):
+                fh.write(f"{i}\t{int(nid)}\t{float(dist)!r}\n")
+
+
 def naive_delta_parent(g: np.ndarray, dmat: np.ndarray):
     """O(n^2) scan: nearest strictly-higher-g point, ties by ascending id.
 

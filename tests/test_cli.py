@@ -8,12 +8,12 @@ import pytest
 from densitopo import (
     PointSet,
     build_neighbor_graph,
-    export_knn_file,
     synth_gmm,
     write_points_tsv,
 )
 from densitopo import cli
 from densitopo.cli import main, read_config_file
+from oracles import export_knn_file
 
 PIPELINE_FILES = ("density.tsv", "assignment.tsv", "topography.json",
                   "dendrogram.nwk", "network.dot")
@@ -532,10 +532,29 @@ def test_run_outdir_that_is_a_regular_file_is_config_error(dataset, tmp_path, ca
     assert blocker.read_text(encoding="utf-8") == "keep\n"
 
 
-def test_density_out_under_a_regular_file_is_config_error(dataset, tmp_path, capsys):
+def _graph_never_built(*args, **kwargs):
+    raise AssertionError("the stage ran before its output path was checked")
+
+
+def test_density_out_under_a_regular_file_is_config_error(dataset, tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.setattr(cli, "build_neighbor_graph", _graph_never_built)
     blocker = tmp_path / "F"
     blocker.write_text("keep\n", encoding="utf-8")
     code = _run(["density", "--input", dataset["points"], "--k-max", "32",
                  "--out", blocker / "x.tsv"])
     _assert_refused(code, capsys, blocker)
     assert blocker.read_text(encoding="utf-8") == "keep\n"
+
+
+def test_cluster_saddles_out_under_a_regular_file_is_config_error(dataset, tmp_path,
+                                                                  capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_neighbor_graph", _graph_never_built)
+    blocker = tmp_path / "F"
+    blocker.write_text("keep\n", encoding="utf-8")
+    code = _run(["cluster", "--input", dataset["points"], "--k-max", "32",
+                 "--out", tmp_path / "assignment.tsv",
+                 "--saddles-out", blocker / "saddles.tsv"])
+    _assert_refused(code, capsys, blocker)
+    assert blocker.read_text(encoding="utf-8") == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]

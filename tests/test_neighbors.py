@@ -1,16 +1,20 @@
 """Graph construction, ingestion formats, and their validation rules."""
 
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densitopo import (ConfigError, DataError, NeighborGraph, PairwiseDistances,
-                       PointSet, build_neighbor_graph, export_knn_file,
-                       ingest_distance_matrix, ingest_knn_file, read_points_tsv,
-                       write_points_tsv)
+                       PointSet, build_neighbor_graph, ingest_distance_matrix,
+                       ingest_knn_file, read_points_tsv, write_points_tsv)
+from densitopo import neighbors
 from densitopo.neighbors import _brute_knn, _tree_knn, _use_tree
-from oracles import argsort_matrix_knn, brute_knn
+from oracles import argsort_matrix_knn, brute_knn, export_knn_file
 
 
 def test_line_points_by_inspection():
@@ -124,6 +128,104 @@ def test_knn_paths_match_oracle(knn, metric, case):
     got_ids, got_dists = knn(coords, k_max, metric)
     np.testing.assert_array_equal(got_ids, ids)
     assert got_dists.tobytes() == dists.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the row-block driver: the bytes out do not depend on the CPU count or on
+# how the rows are cut into blocks
+
+_BLOCK_ROWS = 7  # no case has a multiple of 7 points: the last block is short
+
+
+def _small_blocks(monkeypatch, cpus, coords, k_max):
+    """Pretend to have ``cpus`` CPUs and cut every pass into 7-row blocks."""
+    n = coords.shape[0]
+    monkeypatch.setattr(neighbors, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(neighbors, "_TREE_BUDGET", _BLOCK_ROWS * cpus * min(k_max + 2, n))
+    monkeypatch.setattr(neighbors, "_BRUTE_BUDGET", _BLOCK_ROWS * cpus * n)
+
+
+def _recording_redo(monkeypatch):
+    """Record the rows the tree path hands to brute force."""
+    redone = []
+
+    def brute(coords, k_max, metric, rows=None):
+        redone.append(rows)
+        return _brute_knn(coords, k_max, metric, rows)
+
+    monkeypatch.setattr(neighbors, "_brute_knn", brute)
+    return redone
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 5])
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("case", sorted(KNN_CASES))
+def test_row_blocks_match_oracle(cpus, metric, case, monkeypatch):
+    coords, k_max = KNN_CASES[case]()
+    assert coords.shape[0] % _BLOCK_ROWS
+    _small_blocks(monkeypatch, cpus, coords, k_max)
+    redone = _recording_redo(monkeypatch)
+    ids, dists = brute_knn(coords, k_max, metric)
+    for knn in (_brute_knn, _tree_knn):
+        got_ids, got_dists = knn(coords, k_max, metric)
+        np.testing.assert_array_equal(got_ids, ids)
+        assert got_dists.tobytes() == dists.tobytes()
+    if case in ("horizon_ties", "duplicates"):
+        (rows,) = redone
+        assert np.unique(rows // _BLOCK_ROWS).size > 1
+        assert (np.diff(rows) > 0).all()  # concatenated in block order
+
+
+def test_row_blocks_under_rapid_thread_switching(monkeypatch):
+    coords, k_max = _duplicates()
+    _small_blocks(monkeypatch, 5, coords, k_max)  # more workers than cores
+    ids, dists = brute_knn(coords, k_max, "manhattan")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for knn in (_brute_knn, _tree_knn):
+            got_ids, got_dists = knn(coords, k_max, "manhattan")
+            np.testing.assert_array_equal(got_ids, ids)
+            assert got_dists.tobytes() == dists.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cpus,budget", [(1, 3), (2, 100)], ids=["one_cpu", "one_block"])
+def test_lone_worker_runs_in_the_calling_thread(cpus, budget, monkeypatch):
+    # a worker thread would keep its freed scratch in its own malloc arena
+    monkeypatch.setattr(neighbors, "_usable_cpus", lambda: cpus)
+    ran = neighbors._map_row_blocks(lambda s, e: (s, e, threading.current_thread()),
+                                    10, 1, budget)
+    step = budget // cpus
+    assert ran == [(s, min(10, s + step), threading.current_thread())
+                   for s in range(0, 10, step)]
+
+
+@pytest.mark.parametrize("dim", [2, 8], ids=["tree", "brute"])
+def test_failing_block_propagates_and_stops_the_pool(dim, monkeypatch):
+    coords = np.random.default_rng(26).random((300, dim))
+    assert neighbors._use_tree(300, 5, dim) == (dim == 2)
+    _small_blocks(monkeypatch, 2, coords, 5)
+    calls = itertools.count()
+
+    def failing(block):
+        def wrapped(*args, **kwargs):
+            if next(calls) == 3:
+                raise RuntimeError("block failed")
+            return block(*args, **kwargs)
+        return wrapped
+
+    # the tree path queries once per block, the brute path computes one cdist
+    monkeypatch.setattr(neighbors, "cdist", failing(neighbors.cdist))
+
+    class FailingTree(neighbors.cKDTree):
+        query = failing(neighbors.cKDTree.query)
+
+    monkeypatch.setattr(neighbors, "cKDTree", FailingTree)
+    with pytest.raises(RuntimeError, match="block failed"):
+        build_neighbor_graph(PointSet(coords), k_max=5)
+    assert not [t for t in threading.enumerate() if t.name.startswith("densitopo-knn")]
 
 
 def test_horizon_case_has_ties_at_k_max():
