@@ -23,7 +23,7 @@ import numpy as np
 
 from . import synth
 from .clustering import (ClusterConfig, ClusterResult, HALO_RULES, PeakAssignment,
-                         SaddleInfo, SaddleTable, cluster_points)
+                         SaddleTable, cluster_points)
 from .density import DensityConfig, DensityEstimate, estimate_density
 from .errors import (EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, ConfigError,
                      DataError, InternalInvariantError)
@@ -32,10 +32,12 @@ from .metrics import (LabeledPartition, confusion_matrix, majority_labels, nmi,
                       purity)
 from .neighbors import (DEFAULT_K_MAX, NeighborGraph, PairwiseDistances,
                         build_neighbor_graph, ingest_distance_matrix,
-                        ingest_knn_file, read_distance_matrix_tsv, read_points_tsv,
-                        write_points_tsv)
+                        read_distance_matrix_tsv, read_points_tsv, write_points_tsv)
 from .topography import (build_topography, dendrogram_newick, mds_layout,
                          network_dot, single_linkage, topography_to_json)
+from .tsv import (PURITY, TRUTH, assignment_tsv_text, confusion_spec, density_tsv_text,
+                  ingest_knn_file, read_assignment_tsv, read_density_tsv,
+                  read_saddles_tsv, read_truth_tsv, saddles_tsv_text, table_text)
 
 _FORMATS = ("coords", "matrix", "knn")
 _METRIC_CHOICES = ("euclidean", "manhattan")
@@ -43,165 +45,6 @@ _METRIC_CHOICES = ("euclidean", "manhattan")
 
 def _fmt(x: float) -> str:
     return repr(float(x))
-
-
-# ---------------------------------------------------------------------------
-# stage file formats
-
-def density_tsv_text(estimate: DensityEstimate) -> str:
-    lines = ["# point_id\tk_hat\tlog_rho\terr\tr_khat\tfallback"]
-    for i in range(estimate.n_points):
-        lines.append(f"{i}\t{int(estimate.k_hat[i])}\t{_fmt(estimate.log_rho[i])}\t"
-                     f"{_fmt(estimate.err[i])}\t{_fmt(estimate.r_khat[i])}\t"
-                     f"{int(estimate.fallback[i])}")
-    return "\n".join(lines) + "\n"
-
-
-def read_density_tsv(path: str | Path) -> DensityEstimate:
-    rows = _read_tsv_rows(path, _DENSITY_COLUMNS)
-    n = len(rows)
-    est = DensityEstimate(k_hat=np.empty(n, dtype=np.int64),
-                          log_rho=np.empty(n), err=np.empty(n),
-                          r_khat=np.empty(n), slope=np.full(n, np.nan),
-                          fallback=np.zeros(n, dtype=bool))
-    for pid, (lineno, cols) in enumerate(rows):
-        if cols[0] != pid:
-            raise DataError(f"{path}:{lineno}: point ids must be dense and ordered, "
-                            f"saw {cols[0]} at row {pid}")
-        (est.k_hat[pid], est.log_rho[pid], est.err[pid], est.r_khat[pid],
-         est.fallback[pid]) = cols[1:]
-    return est
-
-
-def assignment_tsv_text(assignment: PeakAssignment, estimate: DensityEstimate) -> str:
-    lines = ["# point_id\tlabel\tis_center\tis_halo\tg\tlog_rho\terr\tk_hat\tdelta\tparent"]
-    for i in range(estimate.n_points):
-        lines.append(
-            f"{i}\t{int(assignment.labels[i])}\t{int(assignment.is_center[i])}\t"
-            f"{int(assignment.is_halo[i])}\t{_fmt(assignment.g[i])}\t"
-            f"{_fmt(estimate.log_rho[i])}\t{_fmt(estimate.err[i])}\t"
-            f"{int(estimate.k_hat[i])}\t{_fmt(assignment.delta[i])}\t"
-            f"{int(assignment.parent[i])}")
-    return "\n".join(lines) + "\n"
-
-
-def read_assignment_tsv(path: str | Path) -> tuple[PeakAssignment, DensityEstimate]:
-    """Rebuild assignment state (and the density columns it embeds)."""
-    rows = _read_tsv_rows(path, _ASSIGNMENT_COLUMNS)
-    n = len(rows)
-    labels = np.empty(n, dtype=np.int64)
-    is_center = np.zeros(n, dtype=bool)
-    is_halo = np.zeros(n, dtype=bool)
-    g = np.empty(n)
-    delta = np.empty(n)
-    parent = np.empty(n, dtype=np.int64)
-    est = DensityEstimate(k_hat=np.empty(n, dtype=np.int64), log_rho=np.empty(n),
-                          err=np.empty(n), r_khat=np.full(n, np.nan),
-                          slope=np.full(n, np.nan), fallback=np.zeros(n, dtype=bool))
-    for pid, (lineno, cols) in enumerate(rows):
-        if cols[0] != pid:
-            raise DataError(f"{path}:{lineno}: point ids must be dense and ordered")
-        (labels[pid], is_center[pid], is_halo[pid], g[pid], est.log_rho[pid],
-         est.err[pid], est.k_hat[pid], delta[pid], parent[pid]) = cols[1:]
-
-    center_ids = np.nonzero(is_center)[0]
-    order = np.argsort(labels[center_ids], kind="stable")
-    centers = [int(c) for c in center_ids[order]]
-    if sorted(labels[centers].tolist()) != list(range(len(centers))):
-        raise DataError(f"{path}: center rows do not cover labels 0..K-1")
-    assignment = PeakAssignment(g=g, delta=delta, parent=parent, labels=labels,
-                                is_center=is_center, is_halo=is_halo,
-                                centers=centers)
-    return assignment, est
-
-
-def saddles_tsv_text(saddles: SaddleTable) -> str:
-    lines = ["# cluster_a\tcluster_b\tlog_rho\terr\tborder_point"]
-    for (a, b), info in sorted(saddles.entries.items()):
-        lines.append(f"{a}\t{b}\t{_fmt(info.log_rho)}\t{_fmt(info.err)}\t"
-                     f"{int(info.border_point)}")
-    return "\n".join(lines) + "\n"
-
-
-def read_saddles_tsv(path: str | Path) -> SaddleTable:
-    rows = _read_tsv_rows(path, _SADDLE_COLUMNS, allow_empty=True)
-    entries = {}
-    for _, (a, b, log_rho, err, border_point) in rows:
-        entries[(min(a, b), max(a, b))] = SaddleInfo(
-            log_rho=log_rho, err=err, border_point=border_point)
-    return SaddleTable(entries=entries)
-
-
-def read_truth_tsv(path: str | Path, n_points: int) -> np.ndarray:
-    rows = _read_tsv_rows(path, _TRUTH_COLUMNS)
-    truth = np.full(n_points, np.iinfo(np.int64).min, dtype=np.int64)
-    first_line = {}
-    for lineno, (pid, label) in rows:
-        if not 0 <= pid < n_points:
-            raise DataError(f"{path}:{lineno}: point id {pid} out of range "
-                            f"0..{n_points - 1}")
-        if pid in first_line:
-            raise DataError(f"{path}:{lineno}: point id {pid} already labelled "
-                            f"on line {first_line[pid]}")
-        first_line[pid] = lineno
-        truth[pid] = label
-    missing = np.nonzero(truth == np.iinfo(np.int64).min)[0]
-    if missing.size:
-        raise DataError(f"{path}: no label for point {int(missing[0])}")
-    return truth
-
-
-def _finite(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value
-
-
-def _flag(text: str) -> bool:
-    return bool(int(text))
-
-
-# (column name, cast) per stage file; a failing cast is a DataError at file:line
-_DENSITY_COLUMNS = (("point_id", int), ("k_hat", int), ("log_rho", _finite),
-                    ("err", _finite), ("r_khat", _finite), ("fallback", _flag))
-_ASSIGNMENT_COLUMNS = (("point_id", int), ("label", int), ("is_center", _flag),
-                       ("is_halo", _flag), ("g", _finite), ("log_rho", _finite),
-                       ("err", _finite), ("k_hat", int), ("delta", float),
-                       ("parent", int))
-_SADDLE_COLUMNS = (("cluster_a", int), ("cluster_b", int), ("log_rho", _finite),
-                   ("err", _finite), ("border_point", int))
-_TRUTH_COLUMNS = (("point_id", int), ("label", int))
-
-
-def _read_tsv_rows(path: str | Path, columns: tuple,
-                   allow_empty: bool = False) -> list[tuple[int, list]]:
-    """Parse a stage TSV into (line number, cast fields) per data row."""
-    path = Path(path)
-    rows = []
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(str(exc)) from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != len(columns):
-                raise DataError(f"{path}:{lineno}: expected {len(columns)} fields, "
-                                f"got {len(parts)}")
-            fields = []
-            for (name, cast), text in zip(columns, parts):
-                try:
-                    fields.append(cast(text))
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: {name}: {exc}") from None
-            rows.append((lineno, fields))
-    if not rows and not allow_empty:
-        raise DataError(f"{path}: empty input file")
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +103,16 @@ def read_config_file(path: str | Path) -> dict:
     """Parse a flat ``key = value`` config file with '#' comments."""
     out = {}
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise ConfigError(str(exc)) from None
     with fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}:{lineno}: byte {exc.start + 1} is not "
+                                  f"UTF-8 text") from None
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
@@ -366,8 +213,14 @@ def _evaluate(outdir: Path, assignment: PeakAssignment, truth_path: str,
         raise DataError("every point is halo; nothing to evaluate")
     part = LabeledPartition(predicted=assignment.labels, truth=truth, include=include)
     score = nmi(part)
-    (outdir / "confusion.tsv").write_text(_confusion_text(part), encoding="utf-8")
-    (outdir / "purity.tsv").write_text(_purity_text(part), encoding="utf-8")
+    matrix, labels = confusion_matrix(part)
+    (outdir / "confusion.tsv").write_text(
+        table_text(confusion_spec(labels), [labels, *matrix.T]), encoding="utf-8")
+    major, pure = majority_labels(part), purity(part)
+    clusters, population = np.unique(part.active()[0], return_counts=True)
+    (outdir / "purity.tsv").write_text(table_text(PURITY, [
+        clusters, [major[c] for c in clusters.tolist()],
+        [pure[c] for c in clusters.tolist()], population]), encoding="utf-8")
     return score
 
 
@@ -480,25 +333,6 @@ def run_pipeline(config: RunConfig) -> dict:
     return summary
 
 
-def _confusion_text(part: LabeledPartition) -> str:
-    matrix, labels = confusion_matrix(part)
-    lines = ["# truth\\pred\t" + "\t".join(str(int(v)) for v in labels)]
-    for row_label, row in zip(labels, matrix):
-        lines.append(str(int(row_label)) + "\t" + "\t".join(str(int(c)) for c in row))
-    return "\n".join(lines) + "\n"
-
-
-def _purity_text(part: LabeledPartition) -> str:
-    major = majority_labels(part)
-    pure = purity(part)
-    pred, _ = part.active()
-    lines = ["# cluster\tmajority_label\tpurity\tpopulation"]
-    for cluster in sorted(pure):
-        pop = int((pred == cluster).sum())
-        lines.append(f"{cluster}\t{major[cluster]}\t{_fmt(pure[cluster])}\t{pop}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -536,7 +370,8 @@ def _cmd_topography(args) -> int:
     with _staged(cfg.outdir) as out:
         if args.assignment is not None:
             assignment, estimate = read_assignment_tsv(args.assignment)
-            saddles = read_saddles_tsv(args.saddles)
+            saddles = read_saddles_tsv(args.saddles, assignment.n_clusters,
+                                       estimate.n_points)
         else:
             result, estimate = _cluster(cfg, args.density)
             assignment, saddles = result.assignment, result.saddles
@@ -569,8 +404,7 @@ def _cmd_synth(args) -> int:
     with _staged_files(args.out, args.truth_out) as (out, truth_out):
         write_points_tsv(points, out)
         if args.truth_out is not None:
-            _emit("".join(f"{pid}\t{int(label)}\n" for pid, label in enumerate(labels)),
-                  truth_out)
+            _emit(table_text(TRUTH, [np.arange(len(labels)), labels]), truth_out)
     return EXIT_OK
 
 

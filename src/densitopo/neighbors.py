@@ -54,10 +54,6 @@ class PointSet:
     def embedding_dim(self) -> int:
         return self.coords.shape[1]
 
-    @property
-    def ids(self) -> np.ndarray:
-        return np.arange(self.n_points, dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class NeighborGraph:
@@ -69,7 +65,6 @@ class NeighborGraph:
 
     neighbor_ids: np.ndarray
     neighbor_dists: np.ndarray
-    metric_tag: str
 
     def __post_init__(self):
         ids = np.asarray(self.neighbor_ids, dtype=np.int64)
@@ -83,7 +78,7 @@ class NeighborGraph:
             raise DataError("non-finite neighbor distance")
         if (dists < 0).any():
             raise DataError("negative neighbor distance")
-        if (np.diff(dists, axis=1) < 0).any():
+        if (dists[:, 1:] < dists[:, :-1]).any():
             raise DataError("neighbor distances must be non-decreasing per point")
         if (ids < 0).any() or (ids >= n).any():
             raise DataError("neighbor id out of range")
@@ -315,7 +310,7 @@ def build_neighbor_graph(points: PointSet, k_max: int = DEFAULT_K_MAX,
 
     knn = _tree_knn if _use_tree(n, k_max, points.embedding_dim) else _brute_knn
     ids, dists = knn(points.coords, k_max, metric)
-    return NeighborGraph(ids, dists, metric_tag=metric)
+    return NeighborGraph(ids, dists)
 
 
 def ingest_distance_matrix(matrix: np.ndarray, k_max: int) -> NeighborGraph:
@@ -352,78 +347,7 @@ def ingest_distance_matrix(matrix: np.ndarray, k_max: int) -> NeighborGraph:
     work = m.copy()
     np.fill_diagonal(work, np.inf)  # exclude self
     ids, dists = _exact_knn_rows(work, k_max)
-    return NeighborGraph(ids, dists, metric_tag="precomputed")
-
-
-def ingest_knn_file(path: str | Path) -> NeighborGraph:
-    """Parse a kNN TSV (point_id, neighbor_id, distance per row).
-
-    Rows must be grouped by point id with distances non-decreasing inside
-    each group; every point needs the same number of neighbors.  Malformed
-    rows are reported with their line number.
-    """
-    path = Path(path)
-    metric_tag = "unknown"
-    rows: list[tuple[int, int, float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                stripped = line[1:].strip()
-                if stripped.startswith("metric="):
-                    metric_tag = stripped.split("=", 1)[1].strip()
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields, "
-                                f"got {len(parts)}")
-            try:
-                pid = int(parts[0])
-                nid = int(parts[1])
-                dist = float(parts[2])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            if not np.isfinite(dist) or dist < 0:
-                raise DataError(f"{path}:{lineno}: invalid distance {parts[2]}")
-            if pid == nid:
-                raise DataError(f"{path}:{lineno}: point {pid} lists itself as neighbor")
-            rows.append((lineno, pid, nid, dist))
-    if not rows:
-        raise DataError(f"{path}: empty kNN file")
-
-    groups: dict[int, list[tuple[int, float]]] = {}
-    seen_order: list[int] = []
-    prev_pid = None
-    for lineno, pid, nid, dist in rows:
-        if pid != prev_pid:
-            if pid in groups:
-                raise DataError(f"{path}:{lineno}: rows for point {pid} "
-                                f"are not contiguous")
-            groups[pid] = []
-            seen_order.append(pid)
-            prev_pid = pid
-        grp = groups[pid]
-        if grp and dist < grp[-1][1]:
-            raise DataError(f"{path}:{lineno}: distances for point {pid} "
-                            f"decrease ({dist!r} after {grp[-1][1]!r})")
-        grp.append((nid, dist))
-
-    n = max(groups) + 1
-    if sorted(groups) != list(range(n)):
-        missing = next(i for i in range(n) if i not in groups)
-        raise DataError(f"{path}: missing neighbor rows for point {missing}")
-    k_max = len(groups[seen_order[0]])
-    if any(len(g) != k_max for g in groups.values()):
-        raise DataError(f"{path}: inconsistent neighbor count across points")
-
-    ids = np.empty((n, k_max), dtype=np.int64)
-    dists = np.empty((n, k_max), dtype=np.float64)
-    for pid in range(n):
-        ids[pid] = [nid for nid, _ in groups[pid]]
-        dists[pid] = [d for _, d in groups[pid]]
-    return NeighborGraph(ids, dists, metric_tag=metric_tag)
+    return NeighborGraph(ids, dists)
 
 
 def _loadtxt(path: str | Path) -> np.ndarray:

@@ -1,0 +1,246 @@
+"""Tab-separated tables: one column spec per file, one writer, one reader.
+
+A spec is a tuple of ``(name, cast, formatter)`` columns.  The writer puts
+the names on a ``#`` header line and formats every column with its
+formatter; the reader skips blank and ``#`` lines, casts every field, and
+returns whole columns.  Floats are written with ``repr``, the shortest text
+that parses back to the same double, so ``read(write(x))`` is bit-equal.
+Every failure to read a table is a :class:`DataError` naming the path and,
+when a row is at fault, ``path:line`` and the column.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+
+from .clustering import PeakAssignment, SaddleInfo, SaddleTable
+from .density import DensityEstimate
+from .errors import DataError
+from .neighbors import NeighborGraph
+
+def _int(text: str) -> int:
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"{text!r} is outside the int64 range")
+    return value
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+def _flag(text: str) -> bool:
+    return bool(int(text))
+
+
+_DTYPES = {_int: np.int64, _flag: np.bool_}  # any other cast gives float64
+_bit = "{:d}".format  # a flag is written as 0 or 1
+
+DENSITY = (("point_id", _int, str), ("k_hat", _int, str), ("log_rho", _finite, repr),
+           ("err", _finite, repr), ("r_khat", _finite, repr), ("fallback", _flag, _bit))
+ASSIGNMENT = (("point_id", _int, str), ("label", _int, str), ("is_center", _flag, _bit),
+              ("is_halo", _flag, _bit), ("g", _finite, repr), ("log_rho", _finite, repr),
+              ("err", _finite, repr), ("k_hat", _int, str), ("delta", float, repr),
+              ("parent", _int, str))
+SADDLES = (("cluster_a", _int, str), ("cluster_b", _int, str), ("log_rho", _finite, repr),
+           ("err", _finite, repr), ("border_point", _int, str))
+TRUTH = (("point_id", _int, str), ("label", _int, str))
+PURITY = (("cluster", _int, str), ("majority_label", _int, str), ("purity", _finite, repr),
+          ("population", _int, str))
+KNN = (("point_id", _int, str), ("neighbor_id", _int, str), ("distance", float, repr))
+
+
+def confusion_spec(labels: np.ndarray) -> tuple:
+    """Spec of a confusion table: the truth label, then one column per label."""
+    return tuple((name, _int, str) for name in ["truth\\pred", *map(str, labels.tolist())])
+
+
+def table_text(spec: tuple, columns) -> str:
+    """The table as text: a ``#`` header of the column names, then one row per entry."""
+    header = "# " + "\t".join(name for name, _, _ in spec)
+    cells = [map(fmt, np.asarray(col).tolist()) for (_, _, fmt), col in zip(spec, columns)]
+    return "\n".join([header] + ["\t".join(row) for row in zip(*cells)]) + "\n"
+
+
+def read_table(path: str | Path, spec: tuple,
+               allow_empty: bool = False) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Return the line number of every data row and one array per column."""
+    lines, rows = [], []
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataError(str(exc)) from None
+    with fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: byte {exc.start + 1} is not "
+                                f"UTF-8 text") from None
+            if not line.strip() or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != len(spec):
+                raise DataError(f"{path}:{lineno}: expected {len(spec)} fields, "
+                                f"got {len(fields)}")
+            row = []
+            for (name, cast, _), text in zip(spec, fields):
+                try:
+                    row.append(cast(text))
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: {name}: {exc}") from None
+            lines.append(lineno)
+            rows.append(row)
+    if not rows and not allow_empty:
+        raise DataError(f"{path}: empty input file")
+    values = list(zip(*rows)) or [()] * len(spec)
+    return np.array(lines, dtype=np.int64), [
+        np.array(col, dtype=_DTYPES.get(cast, np.float64))
+        for (_, cast, _), col in zip(spec, values)]
+
+
+def _reject(path: Path, lines: np.ndarray, bad: np.ndarray, why) -> None:
+    """Raise a DataError at the first row where ``bad`` holds; ``why(row)`` says why."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        row = int(hits[0])
+        raise DataError(f"{path}:{lines[row]}: {why(row)}")
+
+
+def _reject_outside(path, lines, values: np.ndarray, stop: int, what: str) -> None:
+    _reject(path, lines, (values < 0) | (values >= stop),
+            lambda r: f"{what} {values[r]} outside 0..{stop - 1}")
+
+
+def _reject_repeats(path, lines, keys: np.ndarray, why) -> None:
+    """Reject the first row holding an earlier row's key; ``why(row, earlier line)``."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    first = first[inverse]
+    _reject(path, lines, first != np.arange(first.size),
+            lambda r: why(r, lines[first[r]]))
+
+
+# ---------------------------------------------------------------------------
+# stage files
+
+def density_tsv_text(estimate: DensityEstimate) -> str:
+    return table_text(DENSITY, [np.arange(estimate.n_points), estimate.k_hat,
+                                estimate.log_rho, estimate.err, estimate.r_khat,
+                                estimate.fallback])
+
+
+def read_density_tsv(path: str | Path) -> DensityEstimate:
+    lines, (point_id, k_hat, log_rho, err, r_khat, fallback) = read_table(path, DENSITY)
+    _reject(path, lines, point_id != np.arange(point_id.size),
+            lambda r: f"point ids must be dense and ordered, saw {point_id[r]} at row {r}")
+    return DensityEstimate(k_hat=k_hat, log_rho=log_rho, err=err, r_khat=r_khat,
+                           slope=np.full(point_id.size, np.nan), fallback=fallback)
+
+
+def assignment_tsv_text(assignment: PeakAssignment, estimate: DensityEstimate) -> str:
+    return table_text(ASSIGNMENT, [
+        np.arange(estimate.n_points), assignment.labels, assignment.is_center,
+        assignment.is_halo, assignment.g, estimate.log_rho, estimate.err,
+        estimate.k_hat, assignment.delta, assignment.parent])
+
+
+def read_assignment_tsv(path: str | Path) -> tuple[PeakAssignment, DensityEstimate]:
+    """Rebuild assignment state (and the density columns it embeds).
+
+    The centre rows carry the labels 0..K-1 once each; every row one of them.
+    """
+    lines, (point_id, labels, is_center, is_halo, g, log_rho, err, k_hat, delta,
+            parent) = read_table(path, ASSIGNMENT)
+    n = point_id.size
+    _reject(path, lines, point_id != np.arange(n),
+            lambda r: f"point ids must be dense and ordered, saw {point_id[r]} at row {r}")
+    center_ids = np.flatnonzero(is_center)
+    centers = center_ids[np.argsort(labels[center_ids], kind="stable")]
+    if not np.array_equal(labels[centers], np.arange(centers.size)):
+        raise DataError(f"{path}: center rows do not cover labels 0..K-1")
+    _reject_outside(path, lines, labels, centers.size, "label")
+    assignment = PeakAssignment(g=g, delta=delta, parent=parent, labels=labels,
+                                is_center=is_center, is_halo=is_halo,
+                                centers=centers.tolist())
+    return assignment, DensityEstimate(
+        k_hat=k_hat, log_rho=log_rho, err=err, r_khat=np.full(n, np.nan),
+        slope=np.full(n, np.nan), fallback=np.zeros(n, dtype=bool))
+
+
+def saddles_tsv_text(saddles: SaddleTable) -> str:
+    rows = [(a, b, *info) for (a, b), info in sorted(saddles.entries.items())]
+    return table_text(SADDLES, list(zip(*rows)))
+
+
+def read_saddles_tsv(path: str | Path, n_clusters: int, n_points: int) -> SaddleTable:
+    """Read the saddles between clusters 0..n_clusters-1 of points 0..n_points-1.
+
+    Each row pairs two different clusters, and no pair is given twice.
+    """
+    lines, (a, b, log_rho, err, border) = read_table(path, SADDLES, allow_empty=True)
+    _reject_outside(path, lines, a, n_clusters, "cluster")
+    _reject_outside(path, lines, b, n_clusters, "cluster")
+    _reject(path, lines, a == b, lambda r: f"cluster {a[r]} paired with itself")
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    _reject_repeats(path, lines, lo * n_clusters + hi,
+                    lambda r, line: f"clusters {lo[r]} and {hi[r]} already paired "
+                                    f"on line {line}")
+    _reject_outside(path, lines, border, n_points, "border point")
+    return SaddleTable(entries={
+        (x, y): SaddleInfo(log_rho=rho, err=e, border_point=p)
+        for x, y, rho, e, p in zip(lo.tolist(), hi.tolist(), log_rho.tolist(),
+                                   err.tolist(), border.tolist())})
+
+
+def read_truth_tsv(path: str | Path, n_points: int) -> np.ndarray:
+    """Reference labels of points 0..n_points-1, each labelled exactly once."""
+    lines, (point_id, label) = read_table(path, TRUTH)
+    _reject_outside(path, lines, point_id, n_points, "point id")
+    _reject_repeats(path, lines, point_id,
+                    lambda r, line: f"point id {point_id[r]} already labelled on line {line}")
+    if point_id.size < n_points:
+        missing = np.setdiff1d(np.arange(n_points), point_id)[0]
+        raise DataError(f"{path}: no label for point {missing}")
+    truth = np.empty(n_points, dtype=np.int64)
+    truth[point_id] = label
+    return truth
+
+
+def ingest_knn_file(path: str | Path) -> NeighborGraph:
+    """Build a NeighborGraph from a kNN table (point_id, neighbor_id, distance rows).
+
+    Rows are grouped by point id with distances non-decreasing inside each
+    group, and every point 0..n-1 has the same number of neighbors.
+    """
+    lines, (point_id, neighbor_id, dist) = read_table(path, KNN)
+    _reject(path, lines, ~np.isfinite(dist) | (dist < 0),
+            lambda r: f"invalid distance {float(dist[r])!r}")
+    _reject(path, lines, point_id == neighbor_id,
+            lambda r: f"point {point_id[r]} lists itself as neighbor")
+    _reject(path, lines, point_id < 0, lambda r: f"negative point id {point_id[r]}")
+    start = np.flatnonzero(np.r_[True, point_id[1:] != point_id[:-1]])
+    group = point_id[start]
+    _reject_repeats(path, lines[start], group,
+                    lambda j, _: f"rows for point {group[j]} are not contiguous")
+    _reject(path, lines[1:], (point_id[1:] == point_id[:-1]) & (dist[1:] < dist[:-1]),
+            lambda r: f"distances for point {point_id[r + 1]} decrease "
+                      f"({float(dist[r + 1])!r} after {float(dist[r])!r})")
+    order = np.argsort(group)
+    gap = np.flatnonzero(group[order] != np.arange(group.size))
+    if gap.size:
+        raise DataError(f"{path}: missing neighbor rows for point {gap[0]}")
+    counts = np.diff(np.r_[start, point_id.size])
+    if (counts != counts[0]).any():
+        raise DataError(f"{path}: inconsistent neighbor count across points")
+    _reject_outside(path, lines, neighbor_id, group.size, "neighbor id")
+    k_max = int(counts[0])
+    try:
+        return NeighborGraph(neighbor_id.reshape(-1, k_max)[order],
+                             dist.reshape(-1, k_max)[order])
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

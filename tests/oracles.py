@@ -49,10 +49,10 @@ def brute_knn(coords: np.ndarray, k_max: int, metric: str = "euclidean"):
     return ids, dists
 
 
-def export_knn_file(graph: NeighborGraph, path) -> None:
+def export_knn_file(graph: NeighborGraph, path, metric: str = "euclidean") -> None:
     """Write a NeighborGraph in the kNN TSV format (round-trips exactly)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# metric={graph.metric_tag}\n")
+        fh.write(f"# metric={metric}\n")
         for i in range(graph.n_points):
             for nid, dist in zip(graph.neighbor_ids[i], graph.neighbor_dists[i]):
                 fh.write(f"{i}\t{int(nid)}\t{float(dist)!r}\n")
@@ -439,7 +439,7 @@ def per_point_density(graph: NeighborGraph, config: DensityConfig) -> DensityEst
 # ---------------------------------------------------------------------------
 # synthetic neighbor structures
 
-def graph_from_radii(radii: np.ndarray, metric_tag: str = "euclidean") -> NeighborGraph:
+def graph_from_radii(radii: np.ndarray) -> NeighborGraph:
     """Build a NeighborGraph with prescribed per-point neighbor distances.
 
     Neighbor ids are synthetic (cyclic offsets), which downstream density
@@ -450,8 +450,7 @@ def graph_from_radii(radii: np.ndarray, metric_tag: str = "euclidean") -> Neighb
     ids = np.empty((n, k_max), dtype=np.int64)
     for i in range(n):
         ids[i] = [(i + 1 + l) % n for l in range(k_max)]
-    return NeighborGraph(neighbor_ids=ids, neighbor_dists=radii,
-                        metric_tag=metric_tag)
+    return NeighborGraph(neighbor_ids=ids, neighbor_dists=radii)
 
 
 def radii_constant_density(n_points: int, k_max: int, rho: float, d: float,

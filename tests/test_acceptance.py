@@ -28,11 +28,8 @@ from densitopo import (
     build_neighbor_graph,
     build_topography,
     cluster_points,
-    compute_delta_parent,
     confusion_matrix,
     estimate_density,
-    knn_mle,
-    log_density_error,
     majority_labels,
     nmi,
     purity,
@@ -43,6 +40,8 @@ from densitopo import (
     twonn_estimate,
     write_points_tsv,
 )
+from densitopo.clustering import compute_delta_parent
+from densitopo.density import knn_mle, log_density_error
 from densitopo.cli import RunConfig, run_pipeline
 from oracles import (
     chi2_quantile_1dof,

@@ -389,19 +389,28 @@ def test_evaluate_exclude_halo_changes_metrics(dataset, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# malformed stage files: exit 3 naming file:line, never a traceback
+# malformed or unreadable inputs: exit 3 (2 for a config file) naming
+# file:line, never a traceback
+
+
+def _assert_rejected(code, capsys, expected, where):
+    err = capsys.readouterr().err
+    assert code == expected
+    assert str(where) in err
+    assert "Traceback" not in err
 
 
 def _replace_field(path, lineno, col, value):
-    lines = path.read_text(encoding="utf-8").splitlines()
-    fields = lines[lineno - 1].split("\t")
+    lines = path.read_bytes().splitlines()
+    fields = lines[lineno - 1].split(b"\t")
     fields[col] = value
-    lines[lineno - 1] = "\t".join(fields)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines[lineno - 1] = b"\t".join(fields)
+    path.write_bytes(b"\n".join(lines) + b"\n")
 
 
-@pytest.mark.parametrize("col,value", [(1, "abc"), (2, "nan"), (3, "inf"),
-                                       (4, "-inf")])
+@pytest.mark.parametrize("col,value", [(1, b"abc"), (2, b"nan"), (3, b"inf"),
+                                       (4, b"-inf"), (2, b"0.\xe9"),
+                                       (1, b"99999999999999999999")])
 def test_cluster_bad_density_field_names_line(dataset, tmp_path, capsys, col, value):
     density = tmp_path / "density.tsv"
     assert _run(["density", "--input", dataset["points"], "--k-max", "32",
@@ -409,12 +418,12 @@ def test_cluster_bad_density_field_names_line(dataset, tmp_path, capsys, col, va
     _replace_field(density, 5, col, value)
     code = _run(["cluster", "--input", dataset["points"], "--k-max", "32",
                  "--density", density, "--out", tmp_path / "a.tsv"])
-    assert code == 3
-    assert f"{density}:5:" in capsys.readouterr().err
+    _assert_rejected(code, capsys, 3, f"{density}:5:")
 
 
-@pytest.mark.parametrize("col,value", [(1, "x"), (4, "nan"), (5, "inf"),
-                                       (6, "nan"), (7, "1.5")])
+@pytest.mark.parametrize("col,value", [(1, b"x"), (4, b"nan"), (5, b"inf"),
+                                       (6, b"nan"), (7, b"1.5"), (1, b"9"), (1, b"-1"),
+                                       (8, b"\xff")])
 def test_evaluate_bad_assignment_field_names_line(tmp_path, capsys, col, value):
     assignment = tmp_path / "assignment.tsv"
     _write_perfect_assignment(assignment)
@@ -423,12 +432,11 @@ def test_evaluate_bad_assignment_field_names_line(tmp_path, capsys, col, value):
     truth.write_text("".join(f"{i}\t0\n" for i in range(6)), encoding="utf-8")
     code = _run(["evaluate", "--assignment", assignment, "--truth", truth,
                  "--outdir", tmp_path])
-    assert code == 3
-    assert f"{assignment}:3:" in capsys.readouterr().err
+    _assert_rejected(code, capsys, 3, f"{assignment}:3:")
 
 
-@pytest.mark.parametrize("col,value", [(0, "a"), (2, "nan"), (3, "inf"),
-                                       (4, "2.5")])
+@pytest.mark.parametrize("col,value", [(0, b"a"), (2, b"nan"), (3, b"inf"),
+                                       (4, b"2.5"), (1, b"\x80")])
 def test_topography_bad_saddle_field_names_line(tmp_path, capsys, col, value):
     assignment = tmp_path / "assignment.tsv"
     _write_perfect_assignment(assignment)
@@ -438,21 +446,59 @@ def test_topography_bad_saddle_field_names_line(tmp_path, capsys, col, value):
     _replace_field(saddles, 2, col, value)
     code = _run(["topography", "--assignment", assignment, "--saddles", saddles,
                  "--outdir", tmp_path / "topo"])
-    assert code == 3
-    assert f"{saddles}:2:" in capsys.readouterr().err
+    _assert_rejected(code, capsys, 3, f"{saddles}:2:")
 
 
-@pytest.mark.parametrize("text", ["0\t1\n1\tb\n", "0\t1\nz\t1\n",
-                                  "0\t1\n9\t1\n", "0\t1\n0\t2\n1\t3\n"])
+# the assignment has clusters 0 and 1 over points 0..5
+@pytest.mark.parametrize("rows,lineno", [
+    ("7\t1\t0.5\t0.1\t2\n", 2),                      # cluster beyond K-1
+    ("0\t-1\t0.5\t0.1\t2\n", 2),                     # negative cluster
+    ("0\t1\t0.5\t0.1\t2\n1\t1\t0.5\t0.1\t2\n", 3),     # a == b
+    ("0\t1\t0.5\t0.1\t2\n1\t0\t0.4\t0.1\t3\n", 3),     # pair given twice
+    ("0\t1\t0.5\t0.1\t6\n", 2),                      # border point beyond n-1
+    ("0\t1\t0.5\t0.1\t-1\n", 2),                     # negative border point
+])
+def test_topography_inconsistent_saddles_name_line(tmp_path, capsys, rows, lineno):
+    assignment = tmp_path / "assignment.tsv"
+    _write_perfect_assignment(assignment)
+    saddles = tmp_path / "saddles.tsv"
+    saddles.write_text("# cluster_a\tcluster_b\tlog_rho\terr\tborder_point\n" + rows,
+                       encoding="utf-8")
+    code = _run(["topography", "--assignment", assignment, "--saddles", saddles,
+                 "--outdir", tmp_path / "topo"])
+    _assert_rejected(code, capsys, 3, f"{saddles}:{lineno}:")
+    assert not (tmp_path / "topo" / "topography.json").exists()
+
+
+@pytest.mark.parametrize("text", [b"0\t1\n1\tb\n", b"0\t1\nz\t1\n",
+                                  b"0\t1\n9\t1\n", b"0\t1\n0\t2\n1\t3\n",
+                                  b"0\t1\n1\t\xc3\n", b"0\t1\n1\t99999999999999999999\n"])
 def test_evaluate_bad_truth_row_names_line(tmp_path, capsys, text):
     assignment = tmp_path / "assignment.tsv"
     _write_perfect_assignment(assignment)
     truth = tmp_path / "truth.tsv"
-    truth.write_text(text, encoding="utf-8")
+    truth.write_bytes(text)
     code = _run(["evaluate", "--assignment", assignment, "--truth", truth,
                  "--outdir", tmp_path])
-    assert code == 3
-    assert f"{truth}:2:" in capsys.readouterr().err
+    _assert_rejected(code, capsys, 3, f"{truth}:2:")
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "negative_id"])
+def test_unreadable_knn_file_is_data_error(tmp_path, capsys, kind):
+    path = tmp_path if kind == "directory" else tmp_path / "g.knn"
+    where = path
+    if kind == "negative_id":
+        path.write_text("0\t1\t1.0\n1\t0\t1.0\n-1\t0\t2.0\n", encoding="utf-8")
+        where = f"{path}:3:"
+    code = _run(["estimate-id", "--format", "knn", "--input", path])
+    _assert_rejected(code, capsys, 3, where)
+
+
+def test_config_file_not_utf8_is_config_error(dataset, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"k_max = 8\nmetric = \xe9uclidean\n")
+    code = _run(["estimate-id", "--config", cfg, "--input", dataset["points"]])
+    _assert_rejected(code, capsys, 2, f"{cfg}:2:")
 
 
 # ---------------------------------------------------------------------------
@@ -501,18 +547,11 @@ def test_synth_output_reusable_by_run(tmp_path, capsys):
 # output paths the operating system refuses
 
 
-def _assert_refused(code, capsys, path):
-    err = capsys.readouterr().err
-    assert code == 2
-    assert str(path) in err
-    assert "Traceback" not in err
-
-
 def test_synth_out_under_a_regular_file_is_config_error(tmp_path, capsys):
     blocker = tmp_path / "F"
     blocker.write_text("keep\n", encoding="utf-8")
     code = _run(["synth", "gmm", "--n", "20", "--out", blocker / "x.tsv"])
-    _assert_refused(code, capsys, blocker)
+    _assert_rejected(code, capsys, 2, blocker)
     assert blocker.read_text(encoding="utf-8") == "keep\n"
 
 
@@ -528,7 +567,7 @@ def test_run_outdir_that_is_a_regular_file_is_config_error(dataset, tmp_path, ca
     blocker.write_text("keep\n", encoding="utf-8")
     code = _run(["run", "--input", dataset["points"], "--outdir", blocker,
                  "--k-max", "32"])
-    _assert_refused(code, capsys, blocker)
+    _assert_rejected(code, capsys, 2, blocker)
     assert blocker.read_text(encoding="utf-8") == "keep\n"
 
 
@@ -543,7 +582,7 @@ def test_density_out_under_a_regular_file_is_config_error(dataset, tmp_path, cap
     blocker.write_text("keep\n", encoding="utf-8")
     code = _run(["density", "--input", dataset["points"], "--k-max", "32",
                  "--out", blocker / "x.tsv"])
-    _assert_refused(code, capsys, blocker)
+    _assert_rejected(code, capsys, 2, blocker)
     assert blocker.read_text(encoding="utf-8") == "keep\n"
 
 
@@ -555,6 +594,6 @@ def test_cluster_saddles_out_under_a_regular_file_is_config_error(dataset, tmp_p
     code = _run(["cluster", "--input", dataset["points"], "--k-max", "32",
                  "--out", tmp_path / "assignment.tsv",
                  "--saddles-out", blocker / "saddles.tsv"])
-    _assert_refused(code, capsys, blocker)
+    _assert_rejected(code, capsys, 2, blocker)
     assert blocker.read_text(encoding="utf-8") == "keep\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]

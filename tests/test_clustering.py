@@ -19,19 +19,15 @@ from densitopo import (
     PointSet,
     SaddleInfo,
     SaddleTable,
-    assign_points,
     build_neighbor_graph,
     cluster_points,
-    compute_delta_parent,
-    compute_g,
-    detect_putative_centers,
     estimate_density,
-    find_borders_saddles,
-    flag_halo,
-    merge_clusters,
     synth_gmm,
     synth_uniform,
 )
+from densitopo.clustering import (assign_points, compute_delta_parent, compute_g,
+                                  detect_putative_centers, find_borders_saddles,
+                                  flag_halo, merge_clusters)
 from oracles import (loop_borders_saddles, naive_delta_parent, naive_putative_centers,
                      naive_saddles)
 

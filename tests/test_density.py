@@ -18,12 +18,10 @@ from densitopo import (
     PointSet,
     build_neighbor_graph,
     estimate_density,
-    knn_mle,
-    log_density_error,
     synth_gmm,
     synth_uniform,
-    unit_ball_volume,
 )
+from densitopo.density import knn_mle, log_density_error, unit_ball_volume
 from oracles import (
     adaptive_k,
     compass_max2d,

@@ -276,14 +276,14 @@ def test_graph_rejects_decreasing_distances():
     ids = np.array([[1, 2], [0, 2], [0, 1]])
     dists = np.array([[2.0, 1.0], [1.0, 2.0], [1.0, 2.0]])
     with pytest.raises(DataError):
-        NeighborGraph(ids, dists, metric_tag="euclidean")
+        NeighborGraph(ids, dists)
 
 
 def test_graph_rejects_self_loops():
     ids = np.array([[0, 2], [0, 2], [0, 1]])
     dists = np.ones((3, 2))
     with pytest.raises(DataError):
-        NeighborGraph(ids, dists, metric_tag="euclidean")
+        NeighborGraph(ids, dists)
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +371,10 @@ def test_knn_file_round_trip(tmp_path):
     coords = rng.random((20, 2))
     graph = build_neighbor_graph(PointSet(coords), k_max=5, metric="manhattan")
     path = tmp_path / "g.knn"
-    export_knn_file(graph, path)
+    export_knn_file(graph, path, metric="manhattan")
     back = ingest_knn_file(path)
     np.testing.assert_array_equal(back.neighbor_ids, graph.neighbor_ids)
     np.testing.assert_array_equal(back.neighbor_dists, graph.neighbor_dists)
-    assert back.metric_tag == graph.metric_tag == "manhattan"
 
 
 def test_knn_file_decreasing_distance_names_line(tmp_path):

@@ -24,12 +24,11 @@ from densitopo import (
     estimate_density,
     mds_layout,
     network_dot,
-    network_export,
     single_linkage,
     synth_gmm,
-    topography_from_json,
     topography_to_json,
 )
+from densitopo.topography import network_export, topography_from_json
 from oracles import naive_single_linkage
 
 
