@@ -10,10 +10,9 @@ Example:
 import argparse
 import time
 
-from densitopo import (ClusterConfig, DensityConfig, LabeledPartition,
-                       PairwiseDistances, PointSet, build_neighbor_graph,
-                       cluster_points, estimate_density, nmi, synth_gmm,
-                       twonn_estimate)
+from densitopo import (ClusterConfig, LabeledPartition, PairwiseDistances,
+                       PointSet, build_neighbor_graph, cluster_points,
+                       estimate_density, nmi, synth_gmm, twonn_estimate)
 
 
 def main() -> None:
@@ -32,7 +31,7 @@ def main() -> None:
                               separation=args.separation, seed=args.seed)
     graph = build_neighbor_graph(PointSet(points), k_max=min(args.n - 1, 512))
     d_hat = twonn_estimate(graph).d_hat
-    estimate = estimate_density(graph, DensityConfig(d=d_hat))
+    estimate = estimate_density(graph, d_hat)
     pairwise = PairwiseDistances(coords=points)
     print(f"n={args.n} k={args.k} d_hat={d_hat:.3f} "
           f"setup={time.perf_counter() - t0:.1f}s")

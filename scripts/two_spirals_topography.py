@@ -8,12 +8,11 @@ import argparse
 import time
 from pathlib import Path
 
-from densitopo import (ClusterConfig, DensityConfig, LabeledPartition,
-                       PairwiseDistances, PointSet, build_neighbor_graph,
-                       build_topography, cluster_points, dendrogram_newick,
-                       estimate_density, mds_layout, network_dot, nmi, purity,
-                       single_linkage, synth_spirals, topography_to_json,
-                       twonn_estimate)
+from densitopo import (ClusterConfig, LabeledPartition, PairwiseDistances,
+                       PointSet, build_neighbor_graph, build_topography,
+                       cluster_points, dendrogram_newick, estimate_density,
+                       mds_layout, network_dot, nmi, purity, single_linkage,
+                       synth_spirals, topography_to_json, twonn_estimate)
 
 
 def main() -> None:
@@ -29,7 +28,7 @@ def main() -> None:
     points, truth = synth_spirals(n=args.n, noise=args.noise, seed=args.seed)
     graph = build_neighbor_graph(PointSet(points), k_max=min(args.n - 1, 512))
     d_hat = twonn_estimate(graph).d_hat
-    estimate = estimate_density(graph, DensityConfig(d=d_hat))
+    estimate = estimate_density(graph, d_hat)
     result = cluster_points(graph, estimate, PairwiseDistances(coords=points),
                             ClusterConfig(z=args.z))
     elapsed = time.perf_counter() - t0

@@ -8,7 +8,7 @@ single-linkage dendrogram, cluster network, planar layout).
 
 from .clustering import (ClusterConfig, ClusterResult, PeakAssignment, SaddleInfo,
                          SaddleTable, cluster_points)
-from .density import DensityConfig, DensityEstimate, estimate_density
+from .density import DensityEstimate, estimate_density
 from .errors import (ConfigError, DataError, DegenerateDataError,
                      InternalInvariantError)
 from .intrinsic_dim import IdEstimate, twonn_estimate
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClusterConfig", "ClusterResult", "ClusterSummary", "ConfigError",
-    "DataError", "DegenerateDataError", "Dendrogram", "DensityConfig",
+    "DataError", "DegenerateDataError", "Dendrogram",
     "DensityEstimate", "IdEstimate", "InternalInvariantError",
     "LabeledPartition", "NeighborGraph", "PairwiseDistances", "PeakAssignment",
     "PointSet", "SaddleInfo", "SaddleTable", "Topography",

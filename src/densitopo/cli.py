@@ -24,7 +24,7 @@ import numpy as np
 from . import synth
 from .clustering import (ClusterConfig, ClusterResult, HALO_RULES, PeakAssignment,
                          SaddleTable, cluster_points)
-from .density import DensityConfig, DensityEstimate, estimate_density
+from .density import DensityEstimate, estimate_density
 from .errors import (EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, ConfigError,
                      DataError, InternalInvariantError)
 from .intrinsic_dim import DEFAULT_DISCARD_FRACTION, twonn_estimate
@@ -141,7 +141,11 @@ def _settings(args: argparse.Namespace) -> RunConfig:
 # shared stage helpers
 
 def _load_graph(cfg: RunConfig, need_pairwise: bool):
-    """Ingest cfg.input per cfg.format; return (graph, pairwise), pairwise None for knn."""
+    """Ingest cfg.input per cfg.format; return (graph, pairwise), pairwise None for knn.
+
+    A kNN file holds its own neighbor count; cfg.k_max, when set, keeps that
+    many of its columns and may not exceed it.
+    """
     if cfg.format not in _FORMATS:
         raise ConfigError(f"format must be one of {_FORMATS}, got {cfg.format!r}")
     if cfg.input is None:
@@ -163,11 +167,18 @@ def _load_graph(cfg: RunConfig, need_pairwise: bool):
         raise ConfigError(
             "this stage needs exact distances between arbitrary points; "
             "a kNN file cannot provide them, pass coordinates or a distance matrix")
-    return ingest_knn_file(cfg.input), None
+    graph = ingest_knn_file(cfg.input)
+    if cfg.k_max is None:
+        return graph, None
+    if not 1 <= cfg.k_max <= graph.k_max:
+        raise ConfigError(f"k_max must be in [1, {graph.k_max}]: {cfg.input} holds "
+                          f"{graph.k_max} neighbors per point, got {cfg.k_max}")
+    return NeighborGraph(graph.neighbor_ids[:, :cfg.k_max],
+                         graph.neighbor_dists[:, :cfg.k_max]), None
 
 
 def _dimension(cfg: RunConfig, graph: NeighborGraph) -> float:
-    """cfg.d when set, else the two-NN estimate; DensityConfig validates it."""
+    """cfg.d when set, else the two-NN estimate; estimate_density validates it."""
     if cfg.d is not None:
         return float(cfg.d)
     return twonn_estimate(graph, discard_fraction=cfg.discard_fraction).d_hat
@@ -185,7 +196,7 @@ def _cluster(cfg: RunConfig,
                 f"density file covers {estimate.n_points} points but the input "
                 f"has {graph.n_points}")
     else:
-        estimate = estimate_density(graph, DensityConfig(d=_dimension(cfg, graph)))
+        estimate = estimate_density(graph, _dimension(cfg, graph))
     return cluster_points(graph, estimate, pairwise, cluster_config), estimate
 
 
@@ -300,7 +311,7 @@ def run_pipeline(config: RunConfig) -> dict:
             d_hat = _dimension(config, graph)
 
             stage = "density"
-            estimate = estimate_density(graph, DensityConfig(d=d_hat))
+            estimate = estimate_density(graph, d_hat)
             (out / "density.tsv").write_text(density_tsv_text(estimate), encoding="utf-8")
 
             stage = "cluster"
@@ -348,7 +359,7 @@ def _cmd_density(args) -> int:
     cfg = _settings(args)
     with _staged_files(args.out) as (out,):
         graph, _ = _load_graph(cfg, need_pairwise=False)
-        estimate = estimate_density(graph, DensityConfig(d=_dimension(cfg, graph)))
+        estimate = estimate_density(graph, _dimension(cfg, graph))
         _emit(density_tsv_text(estimate), out)
     return EXIT_OK
 

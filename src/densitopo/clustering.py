@@ -197,7 +197,7 @@ def assign_points(g: np.ndarray, parent: np.ndarray,
 
 def find_borders_saddles(labels: np.ndarray, graph: NeighborGraph,
                          g: np.ndarray, estimate: DensityEstimate,
-                         pairwise: PairwiseDistances | None = None) -> SaddleTable:
+                         pairwise: PairwiseDistances) -> SaddleTable:
     """Locate the border point of maximal g between every contacting pair.
 
     Point i of cluster c borders cluster c' when its nearest c'-labeled
@@ -207,8 +207,7 @@ def find_borders_saddles(labels: np.ndarray, graph: NeighborGraph,
     log density and error are stored.
 
     The back-check reads j's neighbor list; only when that list holds no
-    c-labeled point is j's exact distance row scanned, and without exact
-    distances i is accepted as lying beyond the horizon.
+    c-labeled point is j's exact distance row scanned.
     """
     n = graph.n_points
     n_labels = np.int64(labels.max()) + 1
@@ -235,11 +234,7 @@ def find_borders_saddles(labels: np.ndarray, graph: NeighborGraph,
             pos = hit.argmax(axis=1)
             ok[b:b + _CHUNK] = graph.neighbor_ids[jb, pos] == i[b:b + _CHUNK]
             for r in np.nonzero(~hit[np.arange(jb.size), pos])[0]:
-                # no member of i's cluster inside j's stored list: without
-                # exact distances, i is beyond the horizon and accepted
-                if pairwise is None:
-                    ok[b + r] = True
-                    continue
+                # no member of i's cluster inside j's stored list
                 members = np.nonzero(labels == mb[r])[0]
                 nearest = members[int(pairwise.row(int(jb[r]))[members].argmin())]
                 ok[b + r] = nearest == i[b + r]

@@ -14,15 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateDataError
+from .errors import ConfigError, DegenerateDataError
 from .neighbors import NeighborGraph
 
 # chi-square(1) quantile at p = 1e-6: neighborhood growth stops once the
 # same-density hypothesis is rejected at that level
 LRT_THRESHOLD = 23.928
+# smallest neighborhood the scan ever selects
 DEFAULT_K_MIN = 4
 ANSATZ_CHOICES = ("volume", "radius", "index")
 
+# Newton fit: gradient norm that counts as converged, and the iteration
+# limit before falling back to k/V
+_NR_TOL = 1e-8
+_NR_MAX_ITER = 100
 _MAX_STEP_HALVINGS = 30
 # array entries (points x k_hat) per lockstep fit block: bounds the fit's
 # working arrays however many points share one k_hat
@@ -44,52 +49,6 @@ def log_density_error(k) -> np.ndarray | float:
     arr = np.asarray(k, dtype=np.float64)
     out = np.sqrt((4.0 * arr + 2.0) / ((arr - 1.0) * arr))
     return float(out) if np.isscalar(k) else out
-
-
-@dataclass
-class DensityConfig:
-    """Settings of the adaptive density estimator.
-
-    Attributes:
-        d: intrinsic dimension used for shell volumes (> 0, may be fractional).
-        omega: unit-ball volume; derived from d when omitted.
-        lrt_threshold: stop growing the neighborhood once the likelihood-ratio
-            statistic against the current k-th neighbor exceeds this.
-        k_min: smallest neighborhood ever used (>= 3).
-        k_max_cap: optional hard cap on the adaptive neighborhood size;
-            defaults to min(graph k_max, n // 4).
-        nr_tol: gradient norm below which the Newton fit is converged.
-        nr_max_iter: Newton iteration limit before falling back to k/V.
-        ansatz: regressor of the log-linear density model, one of
-            "volume" (cumulative shell volume), "radius", or "index".
-    """
-
-    d: float
-    omega: float | None = None
-    lrt_threshold: float = LRT_THRESHOLD
-    k_min: int = DEFAULT_K_MIN
-    k_max_cap: int | None = None
-    nr_tol: float = 1e-8
-    nr_max_iter: int = 100
-    ansatz: str = "volume"
-
-    def __post_init__(self):
-        if not (self.d > 0 and math.isfinite(self.d)):
-            raise ConfigError(f"intrinsic dimension must be positive, got {self.d}")
-        if self.omega is None:
-            self.omega = unit_ball_volume(self.d)
-        elif self.omega <= 0:
-            raise ConfigError(f"omega must be positive, got {self.omega}")
-        if self.k_min < 3:
-            raise ConfigError(f"k_min must be >= 3, got {self.k_min}")
-        if self.k_max_cap is not None and self.k_max_cap < self.k_min:
-            raise ConfigError("k_max_cap must be >= k_min")
-        if self.lrt_threshold <= 0:
-            raise ConfigError("lrt_threshold must be positive")
-        if self.nr_tol <= 0 or self.nr_max_iter < 1:
-            raise ConfigError("invalid Newton solver settings")
-        if self.ansatz not in ANSATZ_CHOICES:
-            raise ConfigError(f"ansatz must be one of {ANSATZ_CHOICES}, got {self.ansatz!r}")
 
 
 @dataclass
@@ -139,34 +98,32 @@ def _lrt_kernel(k, v_i, v_j):
     return stat
 
 
-def _effective_cap(config: DensityConfig, graph: NeighborGraph) -> int:
-    cap = config.k_max_cap
-    if cap is None:
-        cap = max(config.k_min, graph.n_points // 4)
-    cap = min(cap, graph.k_max)
-    if cap < config.k_min:
+def _effective_cap(graph: NeighborGraph) -> int:
+    """Largest neighborhood the scan may select: min(max(k_min, n // 4), k_max)."""
+    cap = min(max(DEFAULT_K_MIN, graph.n_points // 4), graph.k_max)
+    if cap < DEFAULT_K_MIN:
         raise ConfigError(
-            f"graph provides only {graph.k_max} neighbors but k_min is {config.k_min}")
+            f"graph provides only {graph.k_max} neighbors but k_min is {DEFAULT_K_MIN}")
     return cap
 
 
-def _adaptive_k_all(config: DensityConfig, graph: NeighborGraph) -> np.ndarray:
+def _adaptive_k_all(d: float, graph: NeighborGraph) -> np.ndarray:
     """Largest k per point whose same-density test stays below the threshold.
 
     Scans k = k_min..cap and stops at a point's first rejection; if even
     k_min is rejected the answer is still k_min, and with no rejection it
     is the cap.  Each step tests only the points not yet rejected.
     """
-    cap = _effective_cap(config, graph)
+    omega = unit_ball_volume(d)
+    cap = _effective_cap(graph)
     k_hat = np.full(graph.n_points, cap, dtype=np.int64)
     growing = np.arange(graph.n_points)
-    for k in range(config.k_min, cap + 1):
+    for k in range(DEFAULT_K_MIN, cap + 1):
         radii = graph.neighbor_dists[:, k - 1]
-        v_i = config.omega * np.power(radii[growing], config.d)
-        v_j = config.omega * np.power(
-            radii[graph.neighbor_ids[growing, k - 1]], config.d)
-        rejected = _lrt_kernel(float(k), v_i, v_j) > config.lrt_threshold
-        k_hat[growing[rejected]] = max(config.k_min, k - 1)
+        v_i = omega * np.power(radii[growing], d)
+        v_j = omega * np.power(radii[graph.neighbor_ids[growing, k - 1]], d)
+        rejected = _lrt_kernel(float(k), v_i, v_j) > LRT_THRESHOLD
+        k_hat[growing[rejected]] = max(DEFAULT_K_MIN, k - 1)
         growing = growing[~rejected]
         if not growing.size:
             break
@@ -194,7 +151,7 @@ def _objective(b: np.ndarray, a: np.ndarray, x: np.ndarray,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _fit_block(ids: np.ndarray, k: int, config: DensityConfig,
+def _fit_block(ids: np.ndarray, k: int, d: float, ansatz: str,
                graph: NeighborGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fit log rho with a linear density drift over k shells, for many points.
 
@@ -213,15 +170,15 @@ def _fit_block(ids: np.ndarray, k: int, config: DensityConfig,
         the plain k/V estimate is returned with zero slope.
     """
     radii = np.ascontiguousarray(graph.neighbor_dists[ids, :k])
-    cum = config.omega * np.power(radii, config.d)
+    cum = unit_ball_volume(d) * np.power(radii, d)
     vol = cum[:, -1]
     if (vol <= 0.0).any():
         i = int(ids[np.argmax(vol <= 0.0)])
         raise DegenerateDataError(f"point {i}: all {k} nearest neighbors coincide with it")
     v = np.maximum(np.diff(cum, axis=1, prepend=0.0), 0.0)
-    if config.ansatz == "volume":
+    if ansatz == "volume":
         x = cum
-    elif config.ansatz == "radius":
+    elif ansatz == "radius":
         x = radii
     else:
         x = np.tile(np.arange(1.0, k + 1.0), (ids.size, 1))
@@ -234,13 +191,13 @@ def _fit_block(ids: np.ndarray, k: int, config: DensityConfig,
     rows = np.arange(ids.size)
     b, a = log_rho.copy(), slope.copy()
     current, w = _objective(b, a, x, v)
-    for _ in range(config.nr_max_iter):
+    for _ in range(_NR_MAX_ITER):
         wx = w * x
         w_sum, wx_sum, wxx_sum = w.sum(axis=1), wx.sum(axis=1), (wx * x).sum(axis=1)
         g_b = k - w_sum
         g_a = x_sum - wx_sum
         finite = np.isfinite(w_sum + wx_sum + wxx_sum)
-        converged = finite & (_libm(math.hypot, g_b, g_a) <= config.nr_tol)
+        converged = finite & (_libm(math.hypot, g_b, g_a) <= _NR_TOL)
         done = rows[converged]
         log_rho[done], slope[done], fallback[done] = b[converged], a[converged], False
         h_bb, h_ba, h_aa = -w_sum, -wx_sum, -wxx_sum
@@ -280,12 +237,13 @@ def _fit_block(ids: np.ndarray, k: int, config: DensityConfig,
     # iteration limit reached: accept only points already stationary
     g_b = k - w.sum(axis=1)
     g_a = x_sum - (w * x).sum(axis=1)
-    ok = np.isfinite(g_b) & np.isfinite(g_a) & (_libm(math.hypot, g_b, g_a) <= config.nr_tol)
+    ok = np.isfinite(g_b) & np.isfinite(g_a) & (_libm(math.hypot, g_b, g_a) <= _NR_TOL)
     log_rho[rows[ok]], slope[rows[ok]], fallback[rows[ok]] = b[ok], a[ok], False
     return log_rho, slope, fallback
 
 
-def estimate_density(graph: NeighborGraph, config: DensityConfig) -> DensityEstimate:
+def estimate_density(graph: NeighborGraph, d: float,
+                     ansatz: str = "volume") -> DensityEstimate:
     """Adaptive density estimate for every point of the graph.
 
     Neighborhood sizes come from the same-density scan; each point then
@@ -294,10 +252,19 @@ def estimate_density(graph: NeighborGraph, config: DensityConfig) -> DensityEsti
     same k_hat.  Points whose selected neighborhood has zero volume are
     retried at the smallest k with positive volume and flagged; if no such
     k exists the data is degenerate.
+
+    Args:
+        d: intrinsic dimension used for shell volumes (> 0, may be fractional).
+        ansatz: regressor of the log-linear density model, one of
+            "volume" (cumulative shell volume), "radius", or "index".
     """
+    if not (d > 0 and math.isfinite(d)):
+        raise ConfigError(f"intrinsic dimension must be positive, got {d}")
+    if ansatz not in ANSATZ_CHOICES:
+        raise ConfigError(f"ansatz must be one of {ANSATZ_CHOICES}, got {ansatz!r}")
     n = graph.n_points
-    cap = _effective_cap(config, graph)
-    k_hat = _adaptive_k_all(config, graph)
+    cap = _effective_cap(graph)
+    k_hat = _adaptive_k_all(d, graph)
     log_rho = np.empty(n, dtype=np.float64)
     slope = np.zeros(n, dtype=np.float64)
     fallback = np.ones(n, dtype=bool)
@@ -306,14 +273,14 @@ def estimate_density(graph: NeighborGraph, config: DensityConfig) -> DensityEsti
     for i in np.nonzero(coincident)[0]:
         # all selected neighbors coincide with the point; widen until the
         # ball has positive volume
-        grown = np.nonzero(graph.neighbor_dists[i, config.k_min - 1:cap] > 0.0)[0]
+        grown = np.nonzero(graph.neighbor_dists[i, DEFAULT_K_MIN - 1:cap] > 0.0)[0]
         if not grown.size:
             raise DegenerateDataError(
                 f"point {i}: more than {cap} exact duplicates; "
                 "density is unbounded there")
-        k = config.k_min + int(grown[0])
+        k = DEFAULT_K_MIN + int(grown[0])
         k_hat[i] = k
-        vol = config.omega * graph.neighbor_dists[i, k - 1] ** config.d
+        vol = unit_ball_volume(d) * graph.neighbor_dists[i, k - 1] ** d
         log_rho[i] = knn_mle(k, float(vol))
 
     fit = np.nonzero(~coincident)[0]
@@ -324,7 +291,7 @@ def estimate_density(graph: NeighborGraph, config: DensityConfig) -> DensityEsti
         block = max(1, _BLOCK_ENTRIES // k)
         for lo in range(start, end, block):
             ids = fit[lo:min(lo + block, end)]
-            log_rho[ids], slope[ids], fallback[ids] = _fit_block(ids, k, config, graph)
+            log_rho[ids], slope[ids], fallback[ids] = _fit_block(ids, k, d, ansatz, graph)
 
     err = log_density_error(k_hat.astype(np.float64))
     r_khat = graph.neighbor_dists[np.arange(n), k_hat - 1]

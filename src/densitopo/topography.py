@@ -17,9 +17,8 @@ import numpy as np
 from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import squareform
 
-from .clustering import PeakAssignment, SaddleInfo, SaddleTable
+from .clustering import PeakAssignment, SaddleTable
 from .density import DensityEstimate
-from .errors import DataError
 
 _PENWIDTH_LO, _PENWIDTH_HI = 0.5, 5.0
 
@@ -85,22 +84,15 @@ def build_topography(assignment: PeakAssignment, saddles: SaddleTable,
             population=int((assignment.labels == label).sum())))
 
     peaks = np.array([c.peak_log_rho for c in clusters])
+    sm = np.full((k, k), np.nan)
+    np.fill_diagonal(sm, peaks)
     dist = np.full((k, k), np.inf)
     np.fill_diagonal(dist, 0.0)
     for (a, b), info in saddles.entries.items():
-        dist[a, b] = dist[b, a] = max(peaks[a], peaks[b]) - info.log_rho
-    return Topography(clusters=clusters, saddle_matrix=_saddle_matrix(peaks, saddles),
-                      cluster_dist=dist, saddles=saddles)
-
-
-def _saddle_matrix(peaks: np.ndarray, saddles: SaddleTable) -> np.ndarray:
-    """Peak log densities on the diagonal, saddle log densities off it."""
-    k = peaks.shape[0]
-    sm = np.full((k, k), np.nan)
-    np.fill_diagonal(sm, peaks)
-    for (a, b), info in saddles.entries.items():
         sm[a, b] = sm[b, a] = info.log_rho
-    return sm
+        dist[a, b] = dist[b, a] = max(peaks[a], peaks[b]) - info.log_rho
+    return Topography(clusters=clusters, saddle_matrix=sm, cluster_dist=dist,
+                      saddles=saddles)
 
 
 def _closed_distances(topography: Topography) -> tuple[np.ndarray, float | None]:
@@ -327,26 +319,3 @@ def topography_to_json(topography: Topography,
     if layout is not None:
         doc["mds"] = [[float(x), float(y)] for x, y in layout]
     return json.dumps(doc, indent=2)
-
-
-def topography_from_json(text: str) -> Topography:
-    """Rebuild a Topography from its JSON serialization."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid topography JSON: {exc}") from None
-    clusters = [ClusterSummary(label=c["id"], center=c["center"],
-                               peak_log_rho=c["peak_log_rho"],
-                               peak_err=c["peak_err"],
-                               population=c["population"])
-                for c in doc["clusters"]]
-    entries = {(s["a"], s["b"]): SaddleInfo(log_rho=s["log_rho"], err=s["err"],
-                                            border_point=s["border_point"])
-               for s in doc["saddles"]}
-    k = len(clusters)
-    dist = np.array([[np.inf if v is None else v for v in row]
-                     for row in doc["distances"]], dtype=np.float64).reshape(k, k)
-    saddles = SaddleTable(entries=entries)
-    peaks = np.array([c.peak_log_rho for c in clusters])
-    return Topography(clusters=clusters, saddle_matrix=_saddle_matrix(peaks, saddles),
-                      cluster_dist=dist, saddles=saddles)

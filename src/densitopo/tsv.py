@@ -117,6 +117,12 @@ def _reject_outside(path, lines, values: np.ndarray, stop: int, what: str) -> No
             lambda r: f"{what} {values[r]} outside 0..{stop - 1}")
 
 
+def _reject_estimates(path, lines, k_hat: np.ndarray, err: np.ndarray) -> None:
+    """Reject a neighborhood size below 1 or an error bar that is not positive."""
+    _reject(path, lines, k_hat < 1, lambda r: f"k_hat: {k_hat[r]} is below 1")
+    _reject(path, lines, err <= 0, lambda r: f"err: {float(err[r])!r} is not positive")
+
+
 def _reject_repeats(path, lines, keys: np.ndarray, why) -> None:
     """Reject the first row holding an earlier row's key; ``why(row, earlier line)``."""
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
@@ -138,6 +144,8 @@ def read_density_tsv(path: str | Path) -> DensityEstimate:
     lines, (point_id, k_hat, log_rho, err, r_khat, fallback) = read_table(path, DENSITY)
     _reject(path, lines, point_id != np.arange(point_id.size),
             lambda r: f"point ids must be dense and ordered, saw {point_id[r]} at row {r}")
+    _reject_estimates(path, lines, k_hat, err)
+    _reject(path, lines, r_khat < 0, lambda r: f"r_khat: {float(r_khat[r])!r} is negative")
     return DensityEstimate(k_hat=k_hat, log_rho=log_rho, err=err, r_khat=r_khat,
                            slope=np.full(point_id.size, np.nan), fallback=fallback)
 
@@ -159,6 +167,7 @@ def read_assignment_tsv(path: str | Path) -> tuple[PeakAssignment, DensityEstima
     n = point_id.size
     _reject(path, lines, point_id != np.arange(n),
             lambda r: f"point ids must be dense and ordered, saw {point_id[r]} at row {r}")
+    _reject_estimates(path, lines, k_hat, err)
     center_ids = np.flatnonzero(is_center)
     centers = center_ids[np.argsort(labels[center_ids], kind="stable")]
     if not np.array_equal(labels[centers], np.arange(centers.size)):

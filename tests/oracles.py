@@ -7,16 +7,19 @@ arbitrary-precision arithmetic instead of vectorized or closed-form routines.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 from mpmath import mp
 
-from densitopo.density import (_MAX_STEP_HALVINGS, DensityConfig, DensityEstimate,
-                               _effective_cap, _lrt_kernel, knn_mle,
-                               log_density_error)
-from densitopo.errors import ConfigError, DegenerateDataError
+from densitopo import density
+from densitopo.density import (_MAX_STEP_HALVINGS, DensityEstimate, _effective_cap,
+                               _lrt_kernel, knn_mle, log_density_error,
+                               unit_ball_volume)
+from densitopo.errors import ConfigError, DataError, DegenerateDataError
 from densitopo.clustering import SaddleInfo, SaddleTable
+from densitopo.topography import ClusterSummary, Topography
 from densitopo.neighbors import NeighborGraph, PairwiseDistances
 
 
@@ -277,10 +280,10 @@ def naive_confusion(pred, truth, majority):
 
 # ---------------------------------------------------------------------------
 # per-point density estimator: the reference the batched estimator matches
-# bit for bit
+# bit for bit.  The estimator's constants are read from the density module at
+# call time, so a test that patches one changes both sides alike.
 
-def shell_volumes(i: int, k: int, config: DensityConfig,
-                  graph: NeighborGraph) -> np.ndarray:
+def shell_volumes(i: int, k: int, d: float, graph: NeighborGraph) -> np.ndarray:
     """Volumes of the k spherical shells between consecutive neighbors of i.
 
     Shell l covers the gap between neighbor l-1 and neighbor l (neighbor 0
@@ -291,37 +294,37 @@ def shell_volumes(i: int, k: int, config: DensityConfig,
     if not 1 <= k <= graph.k_max:
         raise ConfigError(f"k must be in [1, {graph.k_max}], got {k}")
     radii = graph.neighbor_dists[i, :k]
-    cum = config.omega * np.power(radii, config.d)
+    cum = unit_ball_volume(d) * np.power(radii, d)
     prev = np.concatenate(([0.0], cum[:-1]))
     return np.maximum(cum - prev, 0.0)
 
 
-def cumulative_volume(i: int, k: int, config: DensityConfig,
-                      graph: NeighborGraph) -> float:
+def cumulative_volume(i: int, k: int, d: float, graph: NeighborGraph) -> float:
     """Volume of the ball through the k-th neighbor of i: omega * r_k**d."""
-    return float(config.omega * graph.neighbor_dists[i, k - 1] ** config.d)
+    return float(unit_ball_volume(d) * graph.neighbor_dists[i, k - 1] ** d)
 
 
-def lrt_statistic(i: int, k: int, config: DensityConfig, graph: NeighborGraph) -> float:
+def lrt_statistic(i: int, k: int, d: float, graph: NeighborGraph) -> float:
     """Same-density test statistic between point i and its k-th neighbor."""
     if not 1 <= k <= graph.k_max:
         raise ConfigError(f"k must be in [1, {graph.k_max}], got {k}")
     j = int(graph.neighbor_ids[i, k - 1])
-    v_i = config.omega * graph.neighbor_dists[i, k - 1] ** config.d
-    v_j = config.omega * graph.neighbor_dists[j, k - 1] ** config.d
+    v_i = cumulative_volume(i, k, d, graph)
+    v_j = cumulative_volume(j, k, d, graph)
     return float(_lrt_kernel(k, v_i, v_j))
 
 
-def adaptive_k(i: int, config: DensityConfig, graph: NeighborGraph) -> int:
+def adaptive_k(i: int, d: float, graph: NeighborGraph) -> int:
     """Largest k whose same-density test stays below the threshold.
 
     Scans k = k_min..cap and stops at the first rejection; if even k_min is
     rejected the answer is still k_min, and with no rejection it is the cap.
     """
-    cap = _effective_cap(config, graph)
-    for k in range(config.k_min, cap + 1):
-        if lrt_statistic(i, k, config, graph) > config.lrt_threshold:
-            return max(config.k_min, k - 1)
+    k_min = density.DEFAULT_K_MIN
+    cap = _effective_cap(graph)
+    for k in range(k_min, cap + 1):
+        if lrt_statistic(i, k, d, graph) > density.LRT_THRESHOLD:
+            return max(k_min, k - 1)
     return cap
 
 
@@ -340,8 +343,8 @@ def _model_value(b: float, a: float, x: np.ndarray, v: np.ndarray) -> float:
     return float(val)
 
 
-def fit_linear_corrected(i: int, k_hat: int, config: DensityConfig,
-                         graph: NeighborGraph) -> tuple[float, float, float, bool]:
+def fit_linear_corrected(i: int, k_hat: int, d: float, graph: NeighborGraph,
+                         ansatz: str = "volume") -> tuple[float, float, float, bool]:
     """Fit log rho with a linear density drift over the accepted shells.
 
     Maximizes the shell likelihood of rate exp(b + a * x_l) by Newton
@@ -355,7 +358,7 @@ def fit_linear_corrected(i: int, k_hat: int, config: DensityConfig,
         plain k/V estimate is returned with zero slope.
     """
     radii = graph.neighbor_dists[i, :k_hat]
-    cum = config.omega * np.power(radii, config.d)
+    cum = unit_ball_volume(d) * np.power(radii, d)
     prev = np.concatenate(([0.0], cum[:-1]))
     v = np.maximum(cum - prev, 0.0)
     vol = float(cum[-1])
@@ -365,11 +368,12 @@ def fit_linear_corrected(i: int, k_hat: int, config: DensityConfig,
             f"point {i}: all {k_hat} nearest neighbors coincide with it")
     b = math.log(k_hat) - math.log(vol)
     a = 0.0
-    x = _regressor(cum, radii, config.ansatz)
+    x = _regressor(cum, radii, ansatz)
     x_sum = float(x.sum())
+    tol = density._NR_TOL
 
     current = _model_value(b, a, x, v)
-    for _ in range(config.nr_max_iter):
+    for _ in range(density._NR_MAX_ITER):
         with np.errstate(over="ignore", invalid="ignore"):
             w = v * np.exp(b + a * x)
             w_sum = float(w.sum())
@@ -379,7 +383,7 @@ def fit_linear_corrected(i: int, k_hat: int, config: DensityConfig,
             return math.log(k_hat) - math.log(vol), 0.0, err, True
         g_b = k_hat - w_sum
         g_a = x_sum - wx_sum
-        if math.hypot(g_b, g_a) <= config.nr_tol:
+        if math.hypot(g_b, g_a) <= tol:
             return b, a, err, False
         h_bb, h_ba, h_aa = -w_sum, -wx_sum, -wxx_sum
         det = h_bb * h_aa - h_ba * h_ba
@@ -404,32 +408,33 @@ def fit_linear_corrected(i: int, k_hat: int, config: DensityConfig,
         w = v * np.exp(b + a * x)
         g_b = k_hat - float(w.sum())
         g_a = x_sum - float((w * x).sum())
-    if math.isfinite(g_b) and math.isfinite(g_a) and math.hypot(g_b, g_a) <= config.nr_tol:
+    if math.isfinite(g_b) and math.isfinite(g_a) and math.hypot(g_b, g_a) <= tol:
         return b, a, err, False
     return math.log(k_hat) - math.log(vol), 0.0, err, True
 
 
-def per_point_density(graph: NeighborGraph, config: DensityConfig) -> DensityEstimate:
+def per_point_density(graph: NeighborGraph, d: float,
+                      ansatz: str = "volume") -> DensityEstimate:
     """The adaptive estimator one point at a time: scan, fit, duplicate retry."""
     n = graph.n_points
-    cap = _effective_cap(config, graph)
+    cap = _effective_cap(graph)
     k_hat = np.empty(n, dtype=np.int64)
     log_rho, slope, err = np.empty(n), np.empty(n), np.empty(n)
     fallback = np.zeros(n, dtype=bool)
     for i in range(n):
-        k = adaptive_k(i, config, graph)
+        k = adaptive_k(i, d, graph)
         if graph.neighbor_dists[i, k - 1] <= 0.0:
-            grown = [kk for kk in range(config.k_min, cap + 1)
+            grown = [kk for kk in range(density.DEFAULT_K_MIN, cap + 1)
                      if graph.neighbor_dists[i, kk - 1] > 0.0]
             if not grown:
                 raise DegenerateDataError(f"point {i}: more than {cap} exact duplicates")
             k = grown[0]
-            vol = config.omega * graph.neighbor_dists[i, k - 1] ** config.d
-            log_rho[i], slope[i], fallback[i] = knn_mle(k, float(vol)), 0.0, True
+            vol = cumulative_volume(i, k, d, graph)
+            log_rho[i], slope[i], fallback[i] = knn_mle(k, vol), 0.0, True
             err[i] = float(log_density_error(float(k)))
         else:
             log_rho[i], slope[i], err[i], fallback[i] = fit_linear_corrected(
-                i, k, config, graph)
+                i, k, d, graph, ansatz)
         k_hat[i] = k
     r_khat = graph.neighbor_dists[np.arange(n), k_hat - 1]
     return DensityEstimate(k_hat=k_hat, log_rho=log_rho, err=err, r_khat=r_khat,
@@ -537,17 +542,12 @@ _CHUNK = 2048
 
 
 def _nearest_in_cluster_is(j: int, i: int, cluster: int, labels: np.ndarray,
-                           graph: NeighborGraph,
-                           pairwise: PairwiseDistances | None) -> bool:
+                           graph: NeighborGraph, pairwise: PairwiseDistances) -> bool:
     """True when i is the nearest point of `cluster` to j (ties by id)."""
     row_labels = labels[graph.neighbor_ids[j]]
     hits = np.nonzero(row_labels == cluster)[0]
     if hits.size:
         return int(graph.neighbor_ids[j, hits[0]]) == i
-    if pairwise is None:
-        # no member of the cluster inside j's stored list and no exact
-        # distances available: i is beyond the horizon, accept it
-        return True
     members = np.nonzero(labels == cluster)[0]
     dd = pairwise.row(j)[members]
     best = int(dd.argmin())
@@ -556,7 +556,7 @@ def _nearest_in_cluster_is(j: int, i: int, cluster: int, labels: np.ndarray,
 
 def loop_borders_saddles(labels: np.ndarray, graph: NeighborGraph,
                          g: np.ndarray, estimate: DensityEstimate,
-                         pairwise: PairwiseDistances | None = None) -> SaddleTable:
+                         pairwise: PairwiseDistances) -> SaddleTable:
     """Border and saddle search, one (point, neighbor column) pair at a time."""
     n = graph.n_points
     best: dict[tuple[int, int], SaddleInfo] = {}
@@ -588,3 +588,37 @@ def loop_borders_saddles(labels: np.ndarray, graph: NeighborGraph,
                                        err=float(estimate.err[i]),
                                        border_point=i)
     return SaddleTable(entries=best)
+
+
+# ---------------------------------------------------------------------------
+# topography: reading back what topography_to_json wrote
+
+def topography_from_json(text: str) -> Topography:
+    """Rebuild a Topography from its JSON serialization.
+
+    The saddle matrix is not stored in the file; it is rebuilt entry by
+    entry from the peaks and the saddle list.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"invalid topography JSON: {exc}") from None
+    clusters = [ClusterSummary(label=c["id"], center=c["center"],
+                               peak_log_rho=c["peak_log_rho"],
+                               peak_err=c["peak_err"],
+                               population=c["population"])
+                for c in doc["clusters"]]
+    entries = {(s["a"], s["b"]): SaddleInfo(log_rho=s["log_rho"], err=s["err"],
+                                            border_point=s["border_point"])
+               for s in doc["saddles"]}
+    k = len(clusters)
+    dist = np.array([[np.inf if v is None else v for v in row]
+                     for row in doc["distances"]], dtype=np.float64).reshape(k, k)
+    sm = np.full((k, k), np.nan)
+    for a in range(k):
+        sm[a, a] = clusters[a].peak_log_rho
+    for (a, b), info in entries.items():
+        sm[a, b] = info.log_rho
+        sm[b, a] = info.log_rho
+    return Topography(clusters=clusters, saddle_matrix=sm, cluster_dist=dist,
+                      saddles=SaddleTable(entries=entries))

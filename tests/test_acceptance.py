@@ -17,7 +17,6 @@ from scipy.spatial.distance import cdist
 
 from densitopo import (
     ClusterConfig,
-    DensityConfig,
     DensityEstimate,
     LabeledPartition,
     PairwiseDistances,
@@ -41,7 +40,7 @@ from densitopo import (
     write_points_tsv,
 )
 from densitopo.clustering import compute_delta_parent
-from densitopo.density import knn_mle, log_density_error
+from densitopo.density import LRT_THRESHOLD, knn_mle, log_density_error
 from densitopo.cli import RunConfig, run_pipeline
 from oracles import (
     chi2_quantile_1dof,
@@ -78,7 +77,7 @@ def _full_pipeline(points, k_max, z_values):
     graph = build_neighbor_graph(ps, k_max)
     pairwise = PairwiseDistances(coords=ps.coords)
     d_hat = twonn_estimate(graph).d_hat
-    estimate = estimate_density(graph, DensityConfig(d=d_hat))
+    estimate = estimate_density(graph, d_hat)
     results = {z: cluster_points(graph, estimate, pairwise, ClusterConfig(z=z))
                for z in z_values}
     elapsed = time.monotonic() - t0
@@ -158,7 +157,7 @@ def test_criterion_04_uniform_density_sanity():
     n = 10000
     points = synth_uniform(n=n, dim=2, seed=0)
     graph = build_neighbor_graph(PointSet(points), 64)
-    estimate = estimate_density(graph, DensityConfig(d=2.0))
+    estimate = estimate_density(graph, 2.0)
     r = estimate.r_khat
     interior = ((points[:, 0] >= r) & (points[:, 0] <= 1.0 - r) &
                 (points[:, 1] >= r) & (points[:, 1] <= 1.0 - r))
@@ -196,11 +195,10 @@ def test_criterion_06_mle_and_fit():
     for _ in range(200):
         k = int(rng.integers(5, 61))
         d = float(rng.choice([1.0, 2.0, 3.0]))
-        config = DensityConfig(d=d)
-        graph = _random_profile_graph(rng, k, d, config.omega)
-        log_rho, slope, _, fallback = fit_linear_corrected(0, k, config, graph)
+        graph = _random_profile_graph(rng, k, d)
+        log_rho, slope, _, fallback = fit_linear_corrected(0, k, d, graph)
         assert not fallback
-        f, v, x = _fit_objective(0, k, config, graph)
+        f, v, x = _fit_objective(0, k, d, graph)
         b0 = math.log(k) - math.log(float(x[-1]))
         b_star, a_star, f_star = compass_max2d(f, b0, 0.0)
         assert abs(log_rho - b_star) <= 1e-6
@@ -213,8 +211,8 @@ def test_criterion_06_mle_and_fit():
 @_criterion(7, "likelihood-ratio threshold matches the chi-square quantile")
 def test_criterion_07_lrt_threshold():
     oracle = chi2_quantile_1dof(1e-6)
-    assert abs(DensityConfig(d=2.0).lrt_threshold - oracle) <= 1e-2
-    assert DensityConfig(d=2.0).lrt_threshold == 23.928
+    assert abs(LRT_THRESHOLD - oracle) <= 1e-2
+    assert LRT_THRESHOLD == 23.928
 
 
 @_criterion(8, "two-NN dimension within 10% on uniform cubes; scale invariant")

@@ -304,6 +304,28 @@ def test_estimate_id_accepts_knn_format(dataset, tmp_path, capsys):
     assert capsys.readouterr().out.split()[0] == d_from_knn
 
 
+def test_density_knn_file_honours_k_max(dataset, tmp_path, capsys):
+    graph = build_neighbor_graph(PointSet(dataset["coords"]), 10)
+    knn_path = tmp_path / "graph.knn"
+    export_knn_file(graph, knn_path)
+    assert _run(["density", "--format", "knn", "--input", knn_path,
+                 "--k-max", "6", "--d", "2"]) == 0
+    from_knn = capsys.readouterr().out
+    assert _run(["density", "--input", dataset["points"], "--k-max", "6",
+                 "--d", "2"]) == 0
+    assert capsys.readouterr().out == from_knn
+
+
+@pytest.mark.parametrize("k_max", ["11", "0"])
+def test_density_knn_file_rejects_k_max_it_cannot_give(dataset, tmp_path, capsys, k_max):
+    graph = build_neighbor_graph(PointSet(dataset["coords"]), 10)
+    knn_path = tmp_path / "graph.knn"
+    export_knn_file(graph, knn_path)
+    code = _run(["density", "--format", "knn", "--input", knn_path,
+                 "--k-max", k_max, "--d", "2"])
+    _assert_rejected(code, capsys, 2, f"{knn_path} holds 10 neighbors per point")
+
+
 def test_cluster_rejects_knn_format_via_config(dataset, tmp_path, capsys):
     graph = build_neighbor_graph(PointSet(dataset["coords"]), 8)
     knn_path = tmp_path / "graph.knn"
@@ -410,7 +432,8 @@ def _replace_field(path, lineno, col, value):
 
 @pytest.mark.parametrize("col,value", [(1, b"abc"), (2, b"nan"), (3, b"inf"),
                                        (4, b"-inf"), (2, b"0.\xe9"),
-                                       (1, b"99999999999999999999")])
+                                       (1, b"99999999999999999999"), (1, b"0"),
+                                       (3, b"-5.0"), (3, b"0.0"), (4, b"-1.0")])
 def test_cluster_bad_density_field_names_line(dataset, tmp_path, capsys, col, value):
     density = tmp_path / "density.tsv"
     assert _run(["density", "--input", dataset["points"], "--k-max", "32",
@@ -423,7 +446,7 @@ def test_cluster_bad_density_field_names_line(dataset, tmp_path, capsys, col, va
 
 @pytest.mark.parametrize("col,value", [(1, b"x"), (4, b"nan"), (5, b"inf"),
                                        (6, b"nan"), (7, b"1.5"), (1, b"9"), (1, b"-1"),
-                                       (8, b"\xff")])
+                                       (8, b"\xff"), (7, b"0"), (6, b"-0.1"), (6, b"0.0")])
 def test_evaluate_bad_assignment_field_names_line(tmp_path, capsys, col, value):
     assignment = tmp_path / "assignment.tsv"
     _write_perfect_assignment(assignment)

@@ -12,7 +12,6 @@ from densitopo import (
     ClusterConfig,
     ConfigError,
     DegenerateDataError,
-    DensityConfig,
     DensityEstimate,
     InternalInvariantError,
     PairwiseDistances,
@@ -51,7 +50,7 @@ def _setup(coords, k_max):
 
 def _full_estimate(coords, k_max, d=2.0):
     _, graph, pairwise = _setup(coords, k_max)
-    return graph, pairwise, estimate_density(graph, DensityConfig(d=d))
+    return graph, pairwise, estimate_density(graph, d)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +180,7 @@ def test_single_blob_merges_to_one_cluster_any_seed():
         rng = np.random.default_rng(seed)
         coords = rng.normal(size=(3000, 2))
         _, graph, pairwise = _setup(coords, 750)
-        est = estimate_density(graph, DensityConfig(d=2.0))
+        est = estimate_density(graph, 2.0)
         result = cluster_points(graph, est, pairwise, ClusterConfig(z=1.5))
         assert result.assignment.n_clusters == 1
 
@@ -250,7 +249,7 @@ def test_assign_unlabeled_parent_is_internal_error():
 def test_two_blob_assignment_matches_components():
     coords, truth = synth_gmm(k=2, n=5000, dim=2, separation=10.0, seed=3)
     _, graph, pairwise = _setup(coords, 64)
-    est = estimate_density(graph, DensityConfig(d=2.0))
+    est = estimate_density(graph, 2.0)
     result = cluster_points(graph, est, pairwise, ClusterConfig(z=1.5))
     labels = result.assignment.labels
     assert result.assignment.n_clusters == 2
@@ -284,7 +283,7 @@ def test_1d_valley_saddle_sits_mid_valley():
     coords = np.concatenate([rng.normal(-3.0, 1.0, size=(2000, 1)),
                              rng.normal(3.0, 1.0, size=(2000, 1))])
     _, graph, pairwise = _setup(coords, 64)
-    est = estimate_density(graph, DensityConfig(d=1.0))
+    est = estimate_density(graph, 1.0)
     result = cluster_points(graph, est, pairwise, ClusterConfig(z=3.0))
     assert result.assignment.n_clusters == 2
     info = result.saddles.get(0, 1)
@@ -333,13 +332,12 @@ def test_saddles_match_naive_oracle(seed):
 
 
 def _assert_matches_loop(labels, graph, g, est, pairwise):
-    """Vectorised border search equals the per-pair loop, with and without
-    exact distances; entries come in sorted key order."""
-    for exact in (pairwise, None):
-        got = find_borders_saddles(labels, graph, g, est, exact)
-        want = loop_borders_saddles(labels, graph, g, est, exact)
-        assert got.entries == want.entries
-        assert list(got.entries) == sorted(want.entries)
+    """Vectorised border search equals the per-pair loop; entries come in
+    sorted key order."""
+    got = find_borders_saddles(labels, graph, g, est, pairwise)
+    want = loop_borders_saddles(labels, graph, g, est, pairwise)
+    assert got.entries == want.entries
+    assert list(got.entries) == sorted(want.entries)
 
 
 def _assert_centers_match_naive(g, delta, est, graph):
@@ -364,7 +362,7 @@ def _lattice_with_duplicates():
     points = PointSet(np.vstack([lattice, lattice[:30]]))
     graph = build_neighbor_graph(points, 16, metric="manhattan")
     pairwise = PairwiseDistances(coords=points.coords, metric="manhattan")
-    return graph, pairwise, estimate_density(graph, DensityConfig(d=2.0))
+    return graph, pairwise, estimate_density(graph, 2.0)
 
 
 @pytest.mark.parametrize("case,min_centers", [
@@ -398,7 +396,7 @@ def test_back_check_beyond_the_neighbor_horizon():
     # cluster 0 is a tight group whose 4-neighbor lists hold only itself;
     # cluster 1 is points 6 and 7.  Point 7 (the higher g of the two) reaches
     # point 1 first, but point 6 is nearer to point 1 than 7 is and lies
-    # beyond point 1's stored list, so only an exact scan can reject 7.
+    # beyond point 1's stored list, so only the exact scan rejects 7.
     coords = np.array([[0.0, 0.0], [0.1, 0.0], [-0.1, 0.0], [0.0, 0.1],
                        [0.0, -0.1], [0.05, 0.05], [-0.6, 0.0], [1.0, 0.0]])
     _, graph, pairwise = _setup(coords, 4)
@@ -408,8 +406,6 @@ def test_back_check_beyond_the_neighbor_horizon():
     g = compute_g(est)
     exact = find_borders_saddles(labels, graph, g, est, pairwise)
     assert exact.entries[(0, 1)].border_point == 6
-    listed = find_borders_saddles(labels, graph, g, est, None)
-    assert listed.entries[(0, 1)].border_point == 7
     _assert_matches_loop(labels, graph, g, est, pairwise)
 
 
@@ -619,7 +615,7 @@ def gmm_state():
     points = PointSet(coords)
     graph = build_neighbor_graph(points, 64)
     pairwise = PairwiseDistances(coords=points.coords)
-    est = estimate_density(graph, DensityConfig(d=2.0))
+    est = estimate_density(graph, 2.0)
     return coords, truth, graph, pairwise, est
 
 

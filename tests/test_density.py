@@ -13,7 +13,6 @@ from densitopo import density as density_module
 from densitopo import (
     ConfigError,
     DegenerateDataError,
-    DensityConfig,
     NeighborGraph,
     PointSet,
     build_neighbor_graph,
@@ -21,7 +20,8 @@ from densitopo import (
     synth_gmm,
     synth_uniform,
 )
-from densitopo.density import knn_mle, log_density_error, unit_ball_volume
+from densitopo.density import (DEFAULT_K_MIN, LRT_THRESHOLD, knn_mle, log_density_error,
+                               unit_ball_volume)
 from oracles import (
     adaptive_k,
     compass_max2d,
@@ -42,19 +42,17 @@ CHI2_1E6 = 23.928126976772596
 # likelihood-ratio statistic at k=10, V_i=1, V_j=2, frozen from a 60-digit
 # computation that is independent of how the shells are split
 LRT_10_1_2 = 2.3556607131276692
+# unit-ball volume at d = 1: radii are volume / OMEGA_1 in the d = 1 tests
+OMEGA_1 = unit_ball_volume(1.0)
 
 
 def _volume_graph(pairs: dict[int, float], k_max: int, n: int) -> NeighborGraph:
-    """Graph (d=1, omega=1) whose row i ends at radius = prescribed volume."""
-    base = np.linspace(1.0 / k_max, 1.0, k_max)
+    """Graph (d=1) whose row i ends at a ball of the prescribed volume."""
+    base = np.linspace(1.0 / k_max, 1.0, k_max) / OMEGA_1
     radii = np.tile(base, (n, 1))
     for i, vol in pairs.items():
         radii[i] = base * vol
     return graph_from_radii(radii)
-
-
-def _d1_config(**kw) -> DensityConfig:
-    return DensityConfig(d=1.0, omega=1.0, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -83,35 +81,33 @@ def test_unit_ball_volume_rejects_nonpositive():
 
 def test_shell_volumes_planar_example():
     graph = graph_from_radii(np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]]))
-    config = DensityConfig(d=2.0)
-    v = shell_volumes(0, 2, config, graph)
+    v = shell_volumes(0, 2, 2.0, graph)
     np.testing.assert_allclose(v, [math.pi, 3.0 * math.pi], rtol=1e-15)
-    assert v.sum() == pytest.approx(cumulative_volume(0, 2, config, graph), rel=1e-15)
+    assert v.sum() == pytest.approx(cumulative_volume(0, 2, 2.0, graph), rel=1e-15)
 
 
 def test_shell_volumes_duplicate_neighbor_gives_zero_shell():
     graph = graph_from_radii(np.array([[1.5, 1.5]] * 3))
-    v = shell_volumes(0, 2, DensityConfig(d=2.0), graph)
+    v = shell_volumes(0, 2, 2.0, graph)
     assert v[0] == pytest.approx(math.pi * 2.25, rel=1e-15)
     assert v[1] == 0.0
 
 
 def test_shell_volumes_3d_sum_to_ball_volume():
     graph = graph_from_radii(np.array([[1.0, 2.0, 3.0]] * 4))
-    config = DensityConfig(d=3.0)
-    v = shell_volumes(0, 3, config, graph)
+    v = shell_volumes(0, 3, 3.0, graph)
     assert v.shape == (3,)
     assert v.sum() == pytest.approx(36.0 * math.pi, rel=1e-14)
-    assert cumulative_volume(0, 3, config, graph) == pytest.approx(
+    assert cumulative_volume(0, 3, 3.0, graph) == pytest.approx(
         36.0 * math.pi, rel=1e-14)
 
 
 def test_shell_volumes_rejects_bad_k():
     graph = graph_from_radii(np.array([[1.0, 2.0]] * 3))
     with pytest.raises(ConfigError):
-        shell_volumes(0, 3, DensityConfig(d=2.0), graph)
+        shell_volumes(0, 3, 2.0, graph)
     with pytest.raises(ConfigError):
-        shell_volumes(0, 0, DensityConfig(d=2.0), graph)
+        shell_volumes(0, 0, 2.0, graph)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +161,7 @@ def test_knn_mle_rejects_degenerate_volume():
 
 def test_lrt_matches_high_precision_oracle():
     graph = _volume_graph({0: 1.0, 10: 2.0}, k_max=10, n=12)
-    stat = lrt_statistic(0, 10, _d1_config(), graph)
+    stat = lrt_statistic(0, 10, 1.0, graph)
     assert mp_lrt(10, 1.0, 2.0) == LRT_10_1_2
     assert stat == pytest.approx(LRT_10_1_2, abs=1e-12)
 
@@ -177,13 +173,13 @@ def test_lrt_zero_exactly_for_equal_volumes():
     radii = np.tile(base, (7, 1))
     radii[5] = np.array([0.5, 0.6, 0.7, 0.8, 1.0])
     graph = graph_from_radii(radii)
-    assert lrt_statistic(0, 5, _d1_config(), graph) == 0.0
+    assert lrt_statistic(0, 5, 1.0, graph) == 0.0
 
 
 def test_lrt_symmetric_under_volume_swap():
     g1 = _volume_graph({0: 1.3, 6: 4.1}, k_max=6, n=8)
     g2 = _volume_graph({0: 4.1, 6: 1.3}, k_max=6, n=8)
-    assert lrt_statistic(0, 6, _d1_config(), g1) == lrt_statistic(0, 6, _d1_config(), g2)
+    assert lrt_statistic(0, 6, 1.0, g1) == lrt_statistic(0, 6, 1.0, g2)
 
 
 def test_lrt_nonnegative_and_matches_oracle_on_random_pairs():
@@ -193,7 +189,7 @@ def test_lrt_nonnegative_and_matches_oracle_on_random_pairs():
         vi = float(rng.uniform(0.01, 50.0))
         vj = float(rng.uniform(0.01, 50.0))
         graph = _volume_graph({0: vi, k: vj}, k_max=k, n=k + 2)
-        stat = lrt_statistic(0, k, _d1_config(), graph)
+        stat = lrt_statistic(0, k, 1.0, graph)
         assert stat >= 0.0
         assert stat == pytest.approx(mp_lrt(k, vi, vj), abs=1e-8)
 
@@ -202,13 +198,13 @@ def test_lrt_zero_volume_is_infinite():
     radii = np.tile(np.linspace(0.25, 1.0, 4), (6, 1))
     radii[0] = 0.0
     graph = graph_from_radii(radii)
-    assert math.isinf(lrt_statistic(0, 4, _d1_config(), graph))
+    assert math.isinf(lrt_statistic(0, 4, 1.0, graph))
 
 
 def test_lrt_rejects_out_of_range_k():
     graph = _volume_graph({}, k_max=5, n=7)
     with pytest.raises(ConfigError):
-        lrt_statistic(0, 6, _d1_config(), graph)
+        lrt_statistic(0, 6, 1.0, graph)
 
 
 # ---------------------------------------------------------------------------
@@ -218,52 +214,49 @@ def test_lrt_rejects_out_of_range_k():
 def test_adaptive_k_reaches_cap_under_constant_density():
     radii = radii_constant_density(200, 40, rho=3.7, d=2.0, omega=math.pi)
     graph = graph_from_radii(radii)
-    config = DensityConfig(d=2.0)
-    # default cap = min(n // 4, graph k_max) = 40
+    # cap = min(n // 4, graph k_max) = 40
     for i in (0, 57, 199):
-        assert adaptive_k(i, config, graph) == 40
+        assert adaptive_k(i, 2.0, graph) == 40
 
 
 def test_adaptive_k_stops_near_density_step():
     # point 0 sits in a dense region of ~20 points embedded in a background
     # 100x sparser; its first 20 neighbors are dense points, later ones are
-    # background points
+    # background points.  4 * k_max rows make the cap n // 4 = k_max.
     k_max, k_break = 60, 20
-    radii = np.empty((k_max + 1, k_max))
+    radii = np.empty((4 * k_max, k_max))
     radii[0] = radii_two_step(k_max, rho_in=100.0, rho_out=1.0,
-                              k_break=k_break, d=1.0, omega=1.0)
-    dense = radii_constant_density(1, k_max, rho=100.0, d=1.0, omega=1.0)[0]
-    sparse = radii_constant_density(1, k_max, rho=1.0, d=1.0, omega=1.0)[0]
+                              k_break=k_break, d=1.0, omega=OMEGA_1)
+    dense = radii_constant_density(1, k_max, rho=100.0, d=1.0, omega=OMEGA_1)[0]
+    sparse = radii_constant_density(1, k_max, rho=1.0, d=1.0, omega=OMEGA_1)[0]
     radii[1:k_break + 1] = dense
     radii[k_break + 1:] = sparse
     graph = graph_from_radii(radii)
-    config = _d1_config(k_max_cap=k_max)
 
-    k_hat = adaptive_k(0, config, graph)
+    k_hat = adaptive_k(0, 1.0, graph)
     assert k_hat <= 25
 
     # independent scan with the high-precision statistic and the frozen
     # chi-square threshold lands on the same neighborhood
     first_bad = None
-    for k in range(config.k_min, k_max + 1):
-        vi = cumulative_volume(0, k, config, graph)
-        vj = cumulative_volume(int(graph.neighbor_ids[0, k - 1]), k, config, graph)
+    for k in range(DEFAULT_K_MIN, k_max + 1):
+        vi = cumulative_volume(0, k, 1.0, graph)
+        vj = cumulative_volume(int(graph.neighbor_ids[0, k - 1]), k, 1.0, graph)
         if mp_lrt(k, vi, vj) > CHI2_1E6:
             first_bad = k
             break
     assert first_bad is not None
-    assert k_hat == max(config.k_min, first_bad - 1)
+    assert k_hat == max(DEFAULT_K_MIN, first_bad - 1)
 
 
 def test_adaptive_k_floor_when_first_test_rejects():
     k_max = 12
-    radii = np.empty((k_max + 1, k_max))
-    radii[0] = radii_constant_density(1, k_max, rho=1000.0, d=1.0, omega=1.0)[0]
-    radii[1:] = radii_constant_density(1, k_max, rho=1.0, d=1.0, omega=1.0)[0]
+    radii = np.empty((4 * k_max, k_max))
+    radii[0] = radii_constant_density(1, k_max, rho=1000.0, d=1.0, omega=OMEGA_1)[0]
+    radii[1:] = radii_constant_density(1, k_max, rho=1.0, d=1.0, omega=OMEGA_1)[0]
     graph = graph_from_radii(radii)
-    config = _d1_config(k_max_cap=k_max)
-    assert lrt_statistic(0, config.k_min, config, graph) > config.lrt_threshold
-    assert adaptive_k(0, config, graph) == config.k_min
+    assert lrt_statistic(0, DEFAULT_K_MIN, 1.0, graph) > LRT_THRESHOLD
+    assert adaptive_k(0, 1.0, graph) == DEFAULT_K_MIN
 
 
 def test_adaptive_k_varies_on_heterogeneous_sample():
@@ -275,24 +268,26 @@ def test_adaptive_k_varies_on_heterogeneous_sample():
         rng.uniform(-20.0, 20.0, size=(100, 2)),
     ])
     graph = build_neighbor_graph(PointSet(coords), k_max=64)
-    config = DensityConfig(d=2.0)
-    est = estimate_density(graph, config)
+    est = estimate_density(graph, 2.0)
     assert np.unique(est.k_hat).size > 1
-    assert est.k_hat.min() >= config.k_min
+    assert est.k_hat.min() >= DEFAULT_K_MIN
     assert est.k_hat.max() <= 64
 
 
-def test_adaptive_k_honours_explicit_cap():
-    radii = radii_constant_density(100, 30, rho=1.0, d=1.0, omega=1.0)
+def test_adaptive_k_caps_at_a_quarter_of_the_points():
+    # constant density never rejects: the scan ends at the cap, n // 4 = 17
+    # of the 30 neighbors the graph holds
+    radii = radii_constant_density(68, 30, rho=1.0, d=1.0, omega=OMEGA_1)
     graph = graph_from_radii(radii)
-    assert adaptive_k(0, _d1_config(k_max_cap=17), graph) == 17
+    assert adaptive_k(0, 1.0, graph) == 17
+    assert estimate_density(graph, 1.0).k_hat.tolist() == [17] * 68
 
 
 def test_adaptive_k_rejects_graph_smaller_than_k_min():
-    radii = radii_constant_density(50, 3, rho=1.0, d=1.0, omega=1.0)
+    radii = radii_constant_density(50, 3, rho=1.0, d=1.0, omega=OMEGA_1)
     graph = graph_from_radii(radii)
     with pytest.raises(ConfigError):
-        adaptive_k(0, _d1_config(), graph)
+        adaptive_k(0, 1.0, graph)
 
 
 # ---------------------------------------------------------------------------
@@ -302,24 +297,24 @@ def test_adaptive_k_rejects_graph_smaller_than_k_min():
 def test_fit_constant_shells_gives_zero_slope():
     radii = radii_constant_density(40, 25, rho=2.5, d=2.0, omega=math.pi)
     graph = graph_from_radii(radii)
-    config = DensityConfig(d=2.0)
-    log_rho, slope, err, fallback = fit_linear_corrected(0, 25, config, graph)
-    vol = cumulative_volume(0, 25, config, graph)
+    log_rho, slope, err, fallback = fit_linear_corrected(0, 25, 2.0, graph)
+    vol = cumulative_volume(0, 25, 2.0, graph)
+    tol = density_module._NR_TOL
     assert not fallback
-    assert abs(slope) <= config.nr_tol
-    assert log_rho == pytest.approx(math.log(25.0 / vol), abs=config.nr_tol)
+    assert abs(slope) <= tol
+    assert log_rho == pytest.approx(math.log(25.0 / vol), abs=tol)
     assert err == log_density_error(25.0)
 
 
-def _random_profile_graph(rng, k, d, omega):
+def _random_profile_graph(rng, k, d):
     shells = rng.uniform(0.05, 1.0, size=k)
     cum = np.cumsum(shells)
-    radii = (cum / omega) ** (1.0 / d)
+    radii = (cum / unit_ball_volume(d)) ** (1.0 / d)
     return graph_from_radii(np.tile(radii, (k + 2, 1)))
 
 
-def _fit_objective(i, k, config, graph):
-    v = shell_volumes(i, k, config, graph)
+def _fit_objective(i, k, d, graph):
+    v = shell_volumes(i, k, d, graph)
     x = np.cumsum(v)
 
     def f(b, a):
@@ -336,11 +331,10 @@ def test_fit_reaches_stationarity_on_random_profiles():
     for _ in range(40):
         k = int(rng.integers(5, 61))
         d = float(rng.choice([1.0, 2.0, 3.0]))
-        config = DensityConfig(d=d)
-        graph = _random_profile_graph(rng, k, d, config.omega)
-        log_rho, slope, _, fallback = fit_linear_corrected(0, k, config, graph)
+        graph = _random_profile_graph(rng, k, d)
+        log_rho, slope, _, fallback = fit_linear_corrected(0, k, d, graph)
         assert not fallback
-        _, v, x = _fit_objective(0, k, config, graph)
+        _, v, x = _fit_objective(0, k, d, graph)
         w = v * np.exp(log_rho + slope * x)
         grad = math.hypot(k - w.sum(), x.sum() - (w * x).sum())
         assert grad <= 1e-8
@@ -350,11 +344,10 @@ def test_fit_matches_direct_search_oracle():
     rng = np.random.default_rng(23)
     for _ in range(25):
         k = int(rng.integers(5, 41))
-        config = DensityConfig(d=2.0)
-        graph = _random_profile_graph(rng, k, 2.0, config.omega)
-        log_rho, slope, _, fallback = fit_linear_corrected(0, k, config, graph)
+        graph = _random_profile_graph(rng, k, 2.0)
+        log_rho, slope, _, fallback = fit_linear_corrected(0, k, 2.0, graph)
         assert not fallback
-        f, _, x = _fit_objective(0, k, config, graph)
+        f, _, x = _fit_objective(0, k, 2.0, graph)
         b0 = math.log(k) - math.log(float(x[-1]))
         b_star, a_star, f_star = compass_max2d(f, b0, 0.0)
         assert log_rho == pytest.approx(b_star, abs=1e-6)
@@ -367,9 +360,8 @@ def test_fit_falls_back_to_plain_estimate_on_overflow():
     # defeat and return the plain k/V estimate, flagged
     radii = np.tile(np.linspace(0.5, 1.0, 8) * 1e150, (10, 1))
     graph = graph_from_radii(radii)
-    config = DensityConfig(d=2.0)
-    log_rho, slope, err, fallback = fit_linear_corrected(0, 8, config, graph)
-    vol = cumulative_volume(0, 8, config, graph)
+    log_rho, slope, err, fallback = fit_linear_corrected(0, 8, 2.0, graph)
+    vol = cumulative_volume(0, 8, 2.0, graph)
     assert fallback
     assert slope == 0.0
     assert log_rho == math.log(8.0) - math.log(vol)
@@ -381,7 +373,7 @@ def test_fit_rejects_zero_total_volume():
     radii[0] = 0.0
     graph = graph_from_radii(radii)
     with pytest.raises(DegenerateDataError):
-        fit_linear_corrected(0, 6, DensityConfig(d=2.0), graph)
+        fit_linear_corrected(0, 6, 2.0, graph)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +405,7 @@ def test_estimate_density_constant_profile_recovers_rate():
     rho = 4.2
     radii = radii_constant_density(120, 28, rho=rho, d=2.0, omega=math.pi)
     graph = graph_from_radii(radii)
-    est = estimate_density(graph, DensityConfig(d=2.0))
+    est = estimate_density(graph, 2.0)
     assert est.n_points == 120
     # constant shells: adaptive k hits the cap and the fit is exact
     assert np.all(est.k_hat == 28)
@@ -427,9 +419,8 @@ def test_estimate_density_permutation_equivariant():
     rng = np.random.default_rng(29)
     coords = rng.uniform(0.0, 1.0, size=(300, 2))
     perm = rng.permutation(300)
-    config = DensityConfig(d=2.0)
-    est = estimate_density(build_neighbor_graph(PointSet(coords), 32), config)
-    est_p = estimate_density(build_neighbor_graph(PointSet(coords[perm]), 32), config)
+    est = estimate_density(build_neighbor_graph(PointSet(coords), 32), 2.0)
+    est_p = estimate_density(build_neighbor_graph(PointSet(coords[perm]), 32), 2.0)
     np.testing.assert_array_equal(est_p.log_rho, est.log_rho[perm])
     np.testing.assert_array_equal(est_p.k_hat, est.k_hat[perm])
     np.testing.assert_array_equal(est_p.err, est.err[perm])
@@ -440,11 +431,10 @@ def test_estimate_density_permutation_equivariant():
 def test_estimate_density_scale_shifts_log_density():
     rng = np.random.default_rng(31)
     coords = rng.uniform(0.0, 1.0, size=(250, 2))
-    config = DensityConfig(d=2.0)
-    est = estimate_density(build_neighbor_graph(PointSet(coords), 32), config)
+    est = estimate_density(build_neighbor_graph(PointSet(coords), 32), 2.0)
     for c in (2.0, 0.25):
         est_c = estimate_density(
-            build_neighbor_graph(PointSet(coords * c), 32), config)
+            build_neighbor_graph(PointSet(coords * c), 32), 2.0)
         np.testing.assert_array_equal(est_c.k_hat, est.k_hat)
         np.testing.assert_array_equal(est_c.err, est.err)
         np.testing.assert_allclose(
@@ -454,8 +444,7 @@ def test_estimate_density_scale_shifts_log_density():
 
 def test_estimate_density_uniform_interior_coverage():
     coords = synth_uniform(n=1500, dim=2, seed=2)
-    est = estimate_density(build_neighbor_graph(PointSet(coords), 64),
-                           DensityConfig(d=2.0))
+    est = estimate_density(build_neighbor_graph(PointSet(coords), 64), 2.0)
     interior = np.all((coords > 0.15) & (coords < 0.85), axis=1)
     true_log_rho = math.log(1500.0)
     within = np.abs(est.log_rho[interior] - true_log_rho) <= 3.0 * est.err[interior]
@@ -467,7 +456,7 @@ def test_estimate_density_duplicates_widen_and_flag():
     coords = np.concatenate([np.zeros((6, 2)),
                              rng.uniform(1.0, 2.0, size=(60, 2))])
     graph = build_neighbor_graph(PointSet(coords), 12)
-    est = estimate_density(graph, DensityConfig(d=2.0))
+    est = estimate_density(graph, 2.0)
     # each copy of the origin sees 5 zero-distance neighbors; the ball is
     # widened to the first positive radius and the plain estimate is used
     assert est.fallback[:6].all()
@@ -480,16 +469,16 @@ def test_estimate_density_all_coincident_is_degenerate():
     coords = np.zeros((30, 2))
     graph = build_neighbor_graph(PointSet(coords), 10)
     with pytest.raises(DegenerateDataError):
-        estimate_density(graph, DensityConfig(d=2.0))
+        estimate_density(graph, 2.0)
 
 
 def test_estimate_density_alternative_ansatz_choices():
     rng = np.random.default_rng(41)
     coords = rng.normal(size=(200, 2))
     graph = build_neighbor_graph(PointSet(coords), 32)
-    ref = estimate_density(graph, DensityConfig(d=2.0, ansatz="volume"))
+    ref = estimate_density(graph, 2.0, ansatz="volume")
     for ansatz in ("radius", "index"):
-        est = estimate_density(graph, DensityConfig(d=2.0, ansatz=ansatz))
+        est = estimate_density(graph, 2.0, ansatz=ansatz)
         assert np.isfinite(est.log_rho).all()
         # neighborhood selection does not depend on the drift regressor
         np.testing.assert_array_equal(est.k_hat, ref.k_hat)
@@ -515,9 +504,9 @@ def test_error_bar_between_zero_and_sqrt5(k, vol_scale):
 _ESTIMATE_FIELDS = ("k_hat", "log_rho", "err", "r_khat", "slope", "fallback")
 
 
-def _assert_matches_per_point(graph, config):
-    est = estimate_density(graph, config)
-    ref = per_point_density(graph, config)
+def _assert_matches_per_point(graph, d, ansatz="volume"):
+    est = estimate_density(graph, d, ansatz)
+    ref = per_point_density(graph, d, ansatz)
     for name in _ESTIMATE_FIELDS:
         assert np.array_equal(getattr(est, name), getattr(ref, name)), name
     return est
@@ -535,14 +524,14 @@ def _mixture_with_duplicates(seed: int = 1) -> np.ndarray:
 def test_batched_fit_matches_per_point_reference(ansatz, metric):
     graph = build_neighbor_graph(PointSet(_mixture_with_duplicates()), 48, metric=metric)
     for d in (1.3, 2.9, 7.5):
-        est = _assert_matches_per_point(graph, DensityConfig(d=d, ansatz=ansatz))
+        est = _assert_matches_per_point(graph, d, ansatz)
         assert est.fallback[300:].all() and np.all(est.k_hat[300:] == 6)
 
 
 def test_batched_fit_matches_reference_where_fits_fall_back():
     coords = synth_gmm(k=5, n=300, dim=20, separation=10, seed=0)[0]
     graph = build_neighbor_graph(PointSet(coords), 64)
-    est = _assert_matches_per_point(graph, DensityConfig(d=14.0))
+    est = _assert_matches_per_point(graph, 14.0)
     assert 0 < est.fallback.sum() < est.n_points
 
 
@@ -550,24 +539,23 @@ def test_batched_fit_matches_reference_on_long_shells_and_split_groups(monkeypat
     # k_hat above 128 makes numpy's pairwise row sums recurse; a small block
     # size splits the k_hat groups over several blocks
     graph = build_neighbor_graph(PointSet(synth_uniform(n=600, dim=2, seed=0)), 150)
-    config = DensityConfig(d=2.0)
-    est = _assert_matches_per_point(graph, config)
+    est = _assert_matches_per_point(graph, 2.0)
     assert est.k_hat.max() > 128
     monkeypatch.setattr(density_module, "_BLOCK_ENTRIES", 16 * 150)
     assert np.bincount(est.k_hat).max() > 16
-    _assert_matches_per_point(graph, config)
+    _assert_matches_per_point(graph, 2.0)
 
 
 def test_batched_fallback_uses_the_c_library_log():
     # overflowing shells force the plain estimate log(k) - log(V); pick a V
-    # where numpy's SIMD log and the C library's log differ, if they do here
-    config = DensityConfig(d=2.0, k_max_cap=8)
+    # where numpy's SIMD log and the C library's log differ, if they do here;
+    # 32 rows of 8 neighbors make the cap n // 4 = 8
     scales = 1e80 * np.exp(np.random.default_rng(0).uniform(0.0, 100.0, 20000))
-    vols = config.omega * np.power(scales, config.d)
+    vols = unit_ball_volume(2.0) * np.power(scales, 2.0)
     differs = np.log(vols) != np.array([math.log(v) for v in vols])
     scale = scales[np.argmax(differs)]
-    graph = graph_from_radii(np.tile(np.linspace(0.5, 1.0, 8) * scale, (10, 1)))
-    est = _assert_matches_per_point(graph, config)
+    graph = graph_from_radii(np.tile(np.linspace(0.5, 1.0, 8) * scale, (32, 1)))
+    est = _assert_matches_per_point(graph, 2.0)
     assert est.fallback.all() and np.all(est.k_hat == 8)
 
 
@@ -577,7 +565,7 @@ def test_batched_fit_raises_no_floating_point_warning():
     graph = build_neighbor_graph(PointSet(_mixture_with_duplicates(seed=0)), 64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        estimate_density(graph, DensityConfig(d=7.5, ansatz="radius"))
+        estimate_density(graph, 7.5, ansatz="radius")
 
 
 @settings(max_examples=25, deadline=None)
@@ -594,34 +582,28 @@ def test_batched_fit_matches_reference_on_random_clouds(seed, n, dim, decimals, 
     # iteration limit sends most fits through the final stationarity test
     coords = np.round(np.random.default_rng(seed).normal(size=(n, dim)), decimals)
     graph = build_neighbor_graph(PointSet(coords), min(n - 1, 24))
-    config = DensityConfig(d=d, ansatz=ansatz, nr_max_iter=nr_max_iter)
-    try:
-        ref = per_point_density(graph, config)
-    except DegenerateDataError:
-        with pytest.raises(DegenerateDataError):
-            estimate_density(graph, config)
-        return
-    est = estimate_density(graph, config)
+    with pytest.MonkeyPatch.context() as mp_patch:
+        mp_patch.setattr(density_module, "_NR_MAX_ITER", nr_max_iter)
+        try:
+            ref = per_point_density(graph, d, ansatz)
+        except DegenerateDataError:
+            with pytest.raises(DegenerateDataError):
+                estimate_density(graph, d, ansatz)
+            return
+        est = estimate_density(graph, d, ansatz)
     for name in _ESTIMATE_FIELDS:
         assert np.array_equal(getattr(est, name), getattr(ref, name)), name
 
 
 # ---------------------------------------------------------------------------
-# configuration validation
+# argument validation
 
 
-def test_density_config_defaults_and_validation():
-    config = DensityConfig(d=2.0)
-    assert config.omega == unit_ball_volume(2.0)
-    with pytest.raises(ConfigError):
-        DensityConfig(d=0.0)
-    with pytest.raises(ConfigError):
-        DensityConfig(d=2.0, omega=-1.0)
-    with pytest.raises(ConfigError):
-        DensityConfig(d=2.0, k_min=2)
-    with pytest.raises(ConfigError):
-        DensityConfig(d=2.0, k_max_cap=3)
-    with pytest.raises(ConfigError):
-        DensityConfig(d=2.0, ansatz="cubic")
-    with pytest.raises(ConfigError):
-        DensityConfig(d=2.0, nr_tol=0.0)
+def test_estimate_density_validates_d_and_ansatz():
+    graph = graph_from_radii(radii_constant_density(40, 10, rho=1.0, d=2.0,
+                                                    omega=math.pi))
+    for d in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="intrinsic dimension must be positive"):
+            estimate_density(graph, d)
+    with pytest.raises(ConfigError, match="ansatz must be one of"):
+        estimate_density(graph, 2.0, ansatz="cubic")

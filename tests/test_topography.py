@@ -10,7 +10,6 @@ from scipy.spatial.distance import cdist
 from densitopo import (
     ClusterConfig,
     DataError,
-    DensityConfig,
     DensityEstimate,
     PairwiseDistances,
     PeakAssignment,
@@ -28,8 +27,8 @@ from densitopo import (
     synth_gmm,
     topography_to_json,
 )
-from densitopo.topography import network_export, topography_from_json
-from oracles import naive_single_linkage
+from densitopo.topography import network_export
+from oracles import naive_single_linkage, topography_from_json
 
 
 def _make_topography(peaks, pops, saddles):
@@ -381,7 +380,7 @@ def clustered_topo():
     points = PointSet(coords)
     graph = build_neighbor_graph(points, 64)
     pairwise = PairwiseDistances(coords=points.coords)
-    est = estimate_density(graph, DensityConfig(d=2.0))
+    est = estimate_density(graph, 2.0)
     result = cluster_points(graph, est, pairwise, ClusterConfig(z=1.5))
     return build_topography(result.assignment, result.saddles, est), result
 
