@@ -29,7 +29,7 @@ def main() -> None:
     t0 = time.perf_counter()
     points, truth = synth_gmm(k=args.k, n=args.n, dim=args.dim,
                               separation=args.separation, seed=args.seed)
-    graph = build_neighbor_graph(PointSet(points), k_max=min(args.n - 1, 512))
+    graph = build_neighbor_graph(PointSet(points))
     d_hat = twonn_estimate(graph).d_hat
     estimate = estimate_density(graph, d_hat)
     pairwise = PairwiseDistances(coords=points)

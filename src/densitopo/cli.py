@@ -30,9 +30,9 @@ from .errors import (EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, ConfigError
 from .intrinsic_dim import DEFAULT_DISCARD_FRACTION, twonn_estimate
 from .metrics import (LabeledPartition, confusion_matrix, majority_labels, nmi,
                       purity)
-from .neighbors import (DEFAULT_K_MAX, NeighborGraph, PairwiseDistances,
-                        build_neighbor_graph, ingest_distance_matrix,
-                        read_distance_matrix_tsv, read_points_tsv, write_points_tsv)
+from .neighbors import (NeighborGraph, PairwiseDistances, build_neighbor_graph,
+                        ingest_distance_matrix, read_distance_matrix_tsv,
+                        read_points_tsv, write_points_tsv)
 from .topography import (build_topography, dendrogram_newick, mds_layout,
                          network_dot, single_linkage, topography_to_json)
 from .tsv import (PURITY, TRUTH, assignment_tsv_text, confusion_spec, density_tsv_text,
@@ -155,13 +155,11 @@ def _load_graph(cfg: RunConfig, need_pairwise: bool):
 
     if cfg.format == "coords":
         points = read_points_tsv(cfg.input)
-        k_max = cfg.k_max if cfg.k_max is not None else min(points.n_points - 1, DEFAULT_K_MAX)
-        graph = build_neighbor_graph(points, k_max=k_max, metric=cfg.metric)
+        graph = build_neighbor_graph(points, k_max=cfg.k_max, metric=cfg.metric)
         return graph, PairwiseDistances(coords=points.coords, metric=cfg.metric)
     if cfg.format == "matrix":
         matrix = read_distance_matrix_tsv(cfg.input)
-        k_max = cfg.k_max if cfg.k_max is not None else min(matrix.shape[0] - 1, DEFAULT_K_MAX)
-        graph = ingest_distance_matrix(matrix, k_max=k_max)
+        graph = ingest_distance_matrix(matrix, k_max=cfg.k_max)
         return graph, PairwiseDistances(matrix=matrix)
     if need_pairwise:
         raise ConfigError(
@@ -190,7 +188,7 @@ def _cluster(cfg: RunConfig,
     cluster_config = cfg.cluster_config()
     graph, pairwise = _load_graph(cfg, need_pairwise=True)
     if density_path is not None:
-        estimate = read_density_tsv(density_path)
+        estimate = read_density_tsv(density_path, graph.k_max)
         if estimate.n_points != graph.n_points:
             raise DataError(
                 f"density file covers {estimate.n_points} points but the input "

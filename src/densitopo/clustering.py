@@ -258,83 +258,65 @@ def find_borders_saddles(labels: np.ndarray, graph: NeighborGraph,
     return SaddleTable(entries=entries)
 
 
-def _lower_peak(a: int, b: int, centers: list[int], g: np.ndarray) -> tuple[int, int]:
-    """Order the pair as (lower-peak cluster, higher-peak cluster)."""
-    ga, gb = g[centers[a]], g[centers[b]]
-    if (ga, -centers[a]) < (gb, -centers[b]):
-        return a, b
-    return b, a
-
-
 def merge_clusters(labels: np.ndarray, centers: list[int], saddles: SaddleTable,
-                   estimate: DensityEstimate, g: np.ndarray,
-                   config: ClusterConfig) -> tuple[np.ndarray, list[int], SaddleTable,
-                                                   list[dict], dict[int, int]]:
+                   estimate: DensityEstimate, z: float
+                   ) -> tuple[np.ndarray, list[int], SaddleTable, list[dict], np.ndarray]:
     """Merge statistically indistinguishable peaks into their neighbors.
 
-    Contacting pairs are visited by decreasing saddle density; the cluster
-    with the lower peak g is absorbed when its peak does not rise above the
-    saddle by more than z times the combined error bars.  After a merge the
-    absorbed cluster's saddles transfer to the survivor, keeping the denser
-    saddle on conflict, and the scan restarts until no pair merges.
+    Labels are peak ranks: ``centers`` runs by decreasing peak g, as
+    :func:`detect_putative_centers` returns it, so for a saddle key (a, b)
+    with a < b, b is the lower peak and the one under test.  Contacting
+    pairs are visited by decreasing saddle density; b is absorbed into a
+    when its peak does not rise above the saddle by more than z times the
+    combined error bars.  After a merge the absorbed cluster's saddles
+    transfer to the survivor, keeping the denser saddle on conflict, and
+    the scan restarts until no pair merges.
 
     Returns:
-        (labels, centers, saddles, merge_log, old_to_new) with labels
-        renumbered 0..K-1 by decreasing surviving peak g.
+        (labels, centers, saddles, merge_log, final): labels renumbered
+        0..K-1 in peak order, and final[c] the new label of putative
+        cluster c.
     """
-    k0 = len(centers)
-    merged_into = {}
+    into = np.arange(len(centers))
     sad = dict(saddles.entries)
     merge_log: list[dict] = []
 
-    def resolve(c: int) -> int:
-        while c in merged_into:
-            c = merged_into[c]
-        return c
-
     while True:
         order = sorted(sad.items(), key=lambda kv: (-kv[1].log_rho, kv[0]))
-        fired = False
-        for (a, b), info in order:
-            low, high = _lower_peak(a, b, centers, g)
-            peak = estimate.log_rho[centers[low]]
-            peak_err = estimate.err[centers[low]]
-            if (peak - info.log_rho) < config.z * (peak_err + info.err):
-                merge_log.append({
-                    "removed_center": int(centers[low]),
-                    "surviving_center": int(centers[high]),
-                    "saddle_log_rho": float(info.log_rho),
-                    "saddle_err": float(info.err),
-                    "border_point": int(info.border_point),
-                })
-                del sad[(a, b)]
-                for key in [k for k in sad if low in k]:
-                    moved = sad.pop(key)
-                    third = key[0] if key[1] == low else key[1]
-                    nk = (min(high, third), max(high, third))
-                    kept = sad.get(nk)
-                    if kept is None or (moved.log_rho, -moved.border_point) > \
-                            (kept.log_rho, -kept.border_point):
-                        sad[nk] = moved
-                merged_into[low] = high
-                fired = True
+        for (high, low), info in order:
+            peak, peak_err = estimate.log_rho[centers[low]], estimate.err[centers[low]]
+            if (peak - info.log_rho) < z * (peak_err + info.err):
                 break
-        if not fired:
+        else:
             break
+        merge_log.append({
+            "removed_center": int(centers[low]),
+            "surviving_center": int(centers[high]),
+            "saddle_log_rho": float(info.log_rho),
+            "saddle_err": float(info.err),
+            "border_point": int(info.border_point),
+        })
+        del sad[(high, low)]
+        for key in [k for k in sad if low in k]:
+            moved = sad.pop(key)
+            third = key[0] if key[1] == low else key[1]
+            nk = (min(high, third), max(high, third))
+            kept = sad.get(nk)
+            if kept is None or (moved.log_rho, -moved.border_point) > \
+                    (kept.log_rho, -kept.border_point):
+                sad[nk] = moved
+        into[low] = high
 
-    alive = [c for c in range(k0) if c not in merged_into]
-    alive.sort(key=lambda c: (-g[centers[c]], centers[c]))
-    new_label = {c: r for r, c in enumerate(alive)}
-    remap = np.empty(k0, dtype=np.int64)
-    for c in range(k0):
-        remap[c] = new_label[resolve(c)]
-    labels_out = remap[labels]
-    centers_out = [centers[c] for c in alive]
-    sad_out = SaddleTable(entries={
-        (min(new_label[a], new_label[b]), max(new_label[a], new_label[b])): info
-        for (a, b), info in sad.items()})
-    old_to_new = {centers[c]: centers[resolve(c)] for c in merged_into}
-    return labels_out, centers_out, sad_out, merge_log, old_to_new
+    # a cluster is only absorbed into a smaller label: one pass resolves chains
+    for c in range(into.size):
+        into[c] = into[into[c]]
+    alive = into == np.arange(into.size)
+    new = np.cumsum(alive) - 1
+    final = new[into]
+    sad_out = SaddleTable(entries={(int(new[a]), int(new[b])): info
+                                   for (a, b), info in sad.items()})
+    return (final[labels], [centers[c] for c in np.flatnonzero(alive)], sad_out,
+            merge_log, final)
 
 
 def flag_halo(labels: np.ndarray, saddles: SaddleTable,
@@ -375,14 +357,10 @@ def cluster_points(graph: NeighborGraph, estimate: DensityEstimate,
     putative = detect_putative_centers(g, delta, estimate, graph)
     labels = assign_points(g, parent, putative)
     saddles = find_borders_saddles(labels, graph, g, estimate, pairwise)
-    labels, centers, saddles, merge_log, rewired = merge_clusters(
-        labels, putative, saddles, estimate, g, config)
-
-    parent = parent.copy()
-    for removed, survivor in rewired.items():
-        parent[removed] = survivor
-    for c in centers:
-        parent[c] = -1
+    labels, centers, saddles, merge_log, final = merge_clusters(
+        labels, putative, saddles, estimate, config.z)
+    parent[putative] = np.asarray(centers)[final]
+    parent[centers] = -1
 
     is_center = np.zeros(graph.n_points, dtype=bool)
     is_center[centers] = True

@@ -50,21 +50,14 @@ def _contingency(pred: np.ndarray, truth: np.ndarray):
 
 def majority_labels(partition: LabeledPartition) -> dict[int, int]:
     """Most frequent reference label per cluster, ties to the smaller label."""
-    pred, truth = partition.active()
-    table, truth_vals, pred_vals = _contingency(pred, truth)
-    out: dict[int, int] = {}
-    for col, cluster in enumerate(pred_vals):
-        counts = table[:, col]
-        out[int(cluster)] = int(truth_vals[int(counts.argmax())])
-    return out
+    table, truth_vals, pred_vals = _contingency(*partition.active())
+    return dict(zip(pred_vals.tolist(), truth_vals[table.argmax(axis=0)].tolist()))
 
 
 def purity(partition: LabeledPartition) -> dict[int, float]:
     """Fraction of each cluster carrying its majority label."""
-    pred, truth = partition.active()
-    table, _, pred_vals = _contingency(pred, truth)
-    return {int(cluster): float(table[:, col].max() / table[:, col].sum())
-            for col, cluster in enumerate(pred_vals)}
+    table, _, pred_vals = _contingency(*partition.active())
+    return dict(zip(pred_vals.tolist(), (table.max(axis=0) / table.sum(axis=0)).tolist()))
 
 
 def confusion_matrix(partition: LabeledPartition):
@@ -72,17 +65,13 @@ def confusion_matrix(partition: LabeledPartition):
 
     Returns (matrix, label_values): matrix[t, p] counts points of
     reference label t whose cluster's majority label is p; both axes use
-    the reference label vocabulary.
+    the reference label vocabulary, which holds every majority label.
     """
-    pred, truth = partition.active()
-    majority = majority_labels(partition)
-    mapped = np.array([majority[int(c)] for c in pred], dtype=np.int64)
-    labels = np.unique(np.concatenate([truth, mapped]))
-    index = {int(v): i for i, v in enumerate(labels)}
-    matrix = np.zeros((labels.size, labels.size), dtype=np.int64)
-    for t, p in zip(truth, mapped):
-        matrix[index[int(t)], index[int(p)]] += 1
-    return matrix, labels
+    table, truth_vals, _ = _contingency(*partition.active())
+    matrix = np.zeros((truth_vals.size, truth_vals.size), dtype=np.int64)
+    # each cluster's column of counts lands in its majority label's column
+    np.add.at(matrix.T, table.argmax(axis=0), table.T)
+    return matrix, truth_vals
 
 
 def nmi(partition: LabeledPartition) -> float:

@@ -132,26 +132,19 @@ def _exact_knn_rows(block: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarr
     not respect the tie rule at the selection boundary, so rows where the
     boundary distance is shared re-select from the full tied candidate set.
     """
-    m, n = block.shape
-    kth = min(k_max - 1, n - 1)
+    kth = min(k_max - 1, block.shape[1] - 1)
     # a copy, so that the full-width index array is freed at once
     part = np.argpartition(block, kth, axis=1)[:, :k_max].copy()
+    part.sort(axis=1)  # ascending ids: the stable sort below breaks ties by id
     part_d = np.take_along_axis(block, part, axis=1)
     thr = part_d.max(axis=1)
-    tied = (block <= thr[:, None]).sum(axis=1) > k_max
-
-    ids = np.empty((m, k_max), dtype=np.int64)
-    dists = np.empty((m, k_max), dtype=np.float64)
-    for r in range(m):
-        if tied[r]:
-            cand = np.nonzero(block[r] <= thr[r])[0]
-        else:
-            cand = np.sort(part[r])
-        order = np.argsort(block[r, cand], kind="stable")[:k_max]
-        pick = cand[order]
-        ids[r] = pick
-        dists[r] = block[r, pick]
-    return ids, dists
+    for r in np.flatnonzero((block <= thr[:, None]).sum(axis=1) > k_max):
+        cand = np.flatnonzero(block[r] <= thr[r])
+        part[r] = cand[np.argsort(block[r, cand], kind="stable")[:k_max]]
+        part_d[r] = block[r, part[r]]
+    ids = np.take_along_axis(part, np.argsort(part_d, axis=1, kind="stable"), axis=1)
+    del part, part_d
+    return ids, np.take_along_axis(block, ids, axis=1)
 
 
 def _usable_cpus() -> int:
@@ -285,7 +278,16 @@ def _use_tree(n: int, k_max: int, dim: int) -> bool:
     return dim <= 4 and n >= 4 * dim * (k_max + 2)
 
 
-def build_neighbor_graph(points: PointSet, k_max: int = DEFAULT_K_MAX,
+def _checked_k_max(k_max: int | None, n: int) -> int:
+    """k_max, by default min(n - 1, DEFAULT_K_MAX); it must lie in [1, n - 1]."""
+    if k_max is None:
+        return min(n - 1, DEFAULT_K_MAX)
+    if not 1 <= k_max <= n - 1:
+        raise ConfigError(f"k_max must be in [1, n-1] = [1, {n - 1}], got {k_max}")
+    return k_max
+
+
+def build_neighbor_graph(points: PointSet, k_max: int | None = None,
                          metric: str = "euclidean") -> NeighborGraph:
     """Compute the exact kNN graph of a point set.
 
@@ -296,7 +298,7 @@ def build_neighbor_graph(points: PointSet, k_max: int = DEFAULT_K_MAX,
 
     Args:
         points: input point cloud.
-        k_max: neighbors kept per point; must satisfy 1 <= k_max < n.
+        k_max: neighbors per point, in [1, n - 1]; default min(n - 1, DEFAULT_K_MAX).
         metric: "euclidean" or "manhattan".
 
     Returns:
@@ -305,21 +307,19 @@ def build_neighbor_graph(points: PointSet, k_max: int = DEFAULT_K_MAX,
     if metric not in _METRICS:
         raise ConfigError(f"unknown metric {metric!r}; choose euclidean or manhattan")
     n = points.n_points
-    if not 1 <= k_max <= n - 1:
-        raise ConfigError(f"k_max must be in [1, n-1] = [1, {n - 1}], got {k_max}")
-
+    k_max = _checked_k_max(k_max, n)
     knn = _tree_knn if _use_tree(n, k_max, points.embedding_dim) else _brute_knn
     ids, dists = knn(points.coords, k_max, metric)
     return NeighborGraph(ids, dists)
 
 
-def ingest_distance_matrix(matrix: np.ndarray, k_max: int) -> NeighborGraph:
+def ingest_distance_matrix(matrix: np.ndarray, k_max: int | None = None) -> NeighborGraph:
     """Build a NeighborGraph from a full pairwise distance matrix.
 
     The matrix must be square, non-negative, zero on the diagonal, and
     symmetric within 1e-9; asymmetry beyond that is rejected naming the
     worst entry pair.  Rows are selected by the same (distance, ascending
-    id) rule as :func:`build_neighbor_graph`.
+    id) rule as :func:`build_neighbor_graph`, with the same k_max default.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -341,8 +341,7 @@ def ingest_distance_matrix(matrix: np.ndarray, k_max: int) -> NeighborGraph:
         raise DataError(
             f"distance matrix asymmetric: |d[{i},{j}] - d[{j},{i}]| = {worst:g} > 1e-9")
     del gap  # n x n: free it before the selection allocates its own
-    if not 1 <= k_max <= n - 1:
-        raise ConfigError(f"k_max must be in [1, n-1] = [1, {n - 1}], got {k_max}")
+    k_max = _checked_k_max(k_max, n)
 
     work = m.copy()
     np.fill_diagonal(work, np.inf)  # exclude self

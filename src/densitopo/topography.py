@@ -131,11 +131,7 @@ def single_linkage(topography: Topography) -> Dendrogram:
     merge_heights = [float(h) for _, _, h, _ in z]
     is_sentinel = [sentinel is not None and h == sentinel for h in merge_heights]
 
-    # depth-first leaf order, visiting the child with the smaller minimum
-    # leaf first so the drawing is deterministic
-    min_leaf: dict[int, int] = {i: i for i in range(k)}
-    for t, (a, b) in enumerate(children):
-        min_leaf[k + t] = min(min_leaf[a], min_leaf[b])
+    ordered = _ordered_children(k, children)
     leaf_order: list[int] = []
     stack = [2 * k - 2]
     while stack:
@@ -143,8 +139,7 @@ def single_linkage(topography: Topography) -> Dendrogram:
         if node < k:
             leaf_order.append(node)
             continue
-        a, b = children[node - k]
-        first, second = (a, b) if min_leaf[a] <= min_leaf[b] else (b, a)
+        first, second = ordered[node - k]
         stack.append(second)
         stack.append(first)
 
@@ -166,6 +161,22 @@ def single_linkage(topography: Topography) -> Dendrogram:
                       branch_height=heights_of_leaf)
 
 
+def _ordered_children(k: int, children: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Each merge's two children, the one holding the smaller leaf first.
+
+    Both the drawing's depth-first leaf order and the Newick text visit
+    children in this order, so each is deterministic and they agree.
+    """
+    min_leaf = list(range(k))
+    ordered = []
+    for a, b in children:
+        if min_leaf[b] < min_leaf[a]:
+            a, b = b, a
+        ordered.append((a, b))
+        min_leaf.append(min_leaf[a])
+    return ordered
+
+
 def dendrogram_newick(dendrogram: Dendrogram) -> str:
     """Newick text of the merge tree.
 
@@ -174,27 +185,19 @@ def dendrogram_newick(dendrogram: Dendrogram) -> str:
     recovers every merge height.
     """
     k = dendrogram.n_leaves
+    ordered = _ordered_children(k, dendrogram.children)
 
     def render(node: int, parent_h: float | None) -> str:
         # the root has no parent and so no edge length
         if node < k:
             text, h = str(node), 0.0
         else:
-            a, b = dendrogram.children[node - k]
+            a, b = ordered[node - k]
             h = dendrogram.merge_heights[node - k]
-            if _min_leaf(dendrogram, b) < _min_leaf(dendrogram, a):
-                a, b = b, a
             text = f"({render(a, h)},{render(b, h)})"
         return text if parent_h is None else f"{text}:{parent_h - h!r}"
 
     return render(2 * k - 2, None) + ";"
-
-
-def _min_leaf(dendrogram: Dendrogram, node: int) -> int:
-    while node >= dendrogram.n_leaves:
-        a, b = dendrogram.children[node - dendrogram.n_leaves]
-        node = min(_min_leaf(dendrogram, a), _min_leaf(dendrogram, b))
-    return node
 
 
 def network_export(topography: Topography) -> dict:

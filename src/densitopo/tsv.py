@@ -140,11 +140,13 @@ def density_tsv_text(estimate: DensityEstimate) -> str:
                                 estimate.fallback])
 
 
-def read_density_tsv(path: str | Path) -> DensityEstimate:
+def read_density_tsv(path: str | Path, k_max: int) -> DensityEstimate:
     lines, (point_id, k_hat, log_rho, err, r_khat, fallback) = read_table(path, DENSITY)
     _reject(path, lines, point_id != np.arange(point_id.size),
             lambda r: f"point ids must be dense and ordered, saw {point_id[r]} at row {r}")
     _reject_estimates(path, lines, k_hat, err)
+    _reject(path, lines, k_hat > k_max,
+            lambda r: f"k_hat: {k_hat[r]} is above the graph's k_max {k_max}")
     _reject(path, lines, r_khat < 0, lambda r: f"r_khat: {float(r_khat[r])!r} is negative")
     return DensityEstimate(k_hat=k_hat, log_rho=log_rho, err=err, r_khat=r_khat,
                            slope=np.full(point_id.size, np.nan), fallback=fallback)

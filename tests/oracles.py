@@ -590,6 +590,67 @@ def loop_borders_saddles(labels: np.ndarray, graph: NeighborGraph,
     return SaddleTable(entries=best)
 
 
+def sorting_merge_clusters(labels: np.ndarray, centers: list[int], saddles: SaddleTable,
+                           estimate: DensityEstimate, g: np.ndarray, z: float):
+    """Peak-vs-saddle merging for centres in any order, comparing peaks by g.
+
+    Each pair is ordered (lower peak, higher peak) by (g, -centre id); the
+    survivors are sorted by decreasing peak g and every absorbed cluster is
+    followed to its survivor through a dict.  Returns (labels, centers,
+    saddles, merge_log, old_to_new) with old_to_new mapping each removed
+    centre to its surviving centre.
+    """
+    merged_into = {}
+    sad = dict(saddles.entries)
+    merge_log: list[dict] = []
+
+    def lower_peak(a: int, b: int) -> tuple[int, int]:
+        ga, gb = g[centers[a]], g[centers[b]]
+        return (a, b) if (ga, -centers[a]) < (gb, -centers[b]) else (b, a)
+
+    def resolve(c: int) -> int:
+        while c in merged_into:
+            c = merged_into[c]
+        return c
+
+    fired = True
+    while fired:
+        fired = False
+        for (a, b), info in sorted(sad.items(), key=lambda kv: (-kv[1].log_rho, kv[0])):
+            low, high = lower_peak(a, b)
+            peak, peak_err = estimate.log_rho[centers[low]], estimate.err[centers[low]]
+            if (peak - info.log_rho) < z * (peak_err + info.err):
+                merge_log.append({
+                    "removed_center": int(centers[low]),
+                    "surviving_center": int(centers[high]),
+                    "saddle_log_rho": float(info.log_rho),
+                    "saddle_err": float(info.err),
+                    "border_point": int(info.border_point),
+                })
+                del sad[(a, b)]
+                for key in [k for k in sad if low in k]:
+                    moved = sad.pop(key)
+                    third = key[0] if key[1] == low else key[1]
+                    nk = (min(high, third), max(high, third))
+                    kept = sad.get(nk)
+                    if kept is None or (moved.log_rho, -moved.border_point) > \
+                            (kept.log_rho, -kept.border_point):
+                        sad[nk] = moved
+                merged_into[low] = high
+                fired = True
+                break
+
+    alive = [c for c in range(len(centers)) if c not in merged_into]
+    alive.sort(key=lambda c: (-g[centers[c]], centers[c]))
+    new_label = {c: r for r, c in enumerate(alive)}
+    remap = np.array([new_label[resolve(c)] for c in range(len(centers))], dtype=np.int64)
+    sad_out = SaddleTable(entries={
+        (min(new_label[a], new_label[b]), max(new_label[a], new_label[b])): info
+        for (a, b), info in sad.items()})
+    old_to_new = {centers[c]: centers[resolve(c)] for c in merged_into}
+    return remap[labels], [centers[c] for c in alive], sad_out, merge_log, old_to_new
+
+
 # ---------------------------------------------------------------------------
 # topography: reading back what topography_to_json wrote
 

@@ -257,8 +257,13 @@ def test_staged_pipeline_matches_fused(dataset, tmp_path):
     topo_dir = tmp_path / "staged_topo"
     assert _run(["topography", "--assignment", assignment, "--saddles",
                  saddles, "--outdir", topo_dir]) == 0
+    # topography also reruns every stage from the input itself
+    recompute = tmp_path / "recompute"
+    assert _run(["topography", "--input", dataset["points"], "--k-max", "32",
+                 "--z", "1.5", "--outdir", recompute]) == 0
     for name in ("topography.json", "dendrogram.nwk", "network.dot"):
         assert (topo_dir / name).read_bytes() == (fused / name).read_bytes(), name
+        assert (recompute / name).read_bytes() == (fused / name).read_bytes(), name
 
     # the fused run evaluates without halo points
     eval_dir = tmp_path / "staged_eval"
@@ -433,7 +438,8 @@ def _replace_field(path, lineno, col, value):
 @pytest.mark.parametrize("col,value", [(1, b"abc"), (2, b"nan"), (3, b"inf"),
                                        (4, b"-inf"), (2, b"0.\xe9"),
                                        (1, b"99999999999999999999"), (1, b"0"),
-                                       (3, b"-5.0"), (3, b"0.0"), (4, b"-1.0")])
+                                       (3, b"-5.0"), (3, b"0.0"), (4, b"-1.0"),
+                                       (1, b"33"), (1, b"9999")])
 def test_cluster_bad_density_field_names_line(dataset, tmp_path, capsys, col, value):
     density = tmp_path / "density.tsv"
     assert _run(["density", "--input", dataset["points"], "--k-max", "32",

@@ -28,7 +28,7 @@ from densitopo.clustering import (assign_points, compute_delta_parent, compute_g
                                   detect_putative_centers, find_borders_saddles,
                                   flag_halo, merge_clusters)
 from oracles import (loop_borders_saddles, naive_delta_parent, naive_putative_centers,
-                     naive_saddles)
+                     naive_saddles, sorting_merge_clusters)
 
 
 def _toy_estimate(log_rho, err=None, r_khat=None, k_hat=None) -> DensityEstimate:
@@ -461,12 +461,13 @@ def _two_cluster_state(peak_rho=(5.0, 4.0), peak_err=(0.2, 0.2),
 def test_merge_zero_z_keeps_separated_peaks():
     # all saddles strictly below both peaks: at z = 0 nothing merges
     labels, centers, saddles, est, g = _two_cluster_state()
-    out_labels, out_centers, out_sad, log, rewired = merge_clusters(
-        labels, centers, saddles, est, g, ClusterConfig(z=0.0))
+    out_labels, out_centers, out_sad, log, final = merge_clusters(
+        labels, centers, saddles, est, 0.0)
     np.testing.assert_array_equal(out_labels, labels)
     assert out_centers == centers
     assert (0, 1) in out_sad.entries
-    assert log == [] and rewired == {}
+    assert log == []
+    np.testing.assert_array_equal(final, [0, 1])
 
 
 def test_merge_fires_on_insignificant_peak():
@@ -474,26 +475,51 @@ def test_merge_fires_on_insignificant_peak():
     # z = 1.5 but not at z = 1
     labels, centers, saddles, est, g = _two_cluster_state(
         peak_rho=(5.0, 3.5), saddle_rho=3.0)
-    keep = merge_clusters(labels, centers, saddles, est, g, ClusterConfig(z=1.0))
+    keep = merge_clusters(labels, centers, saddles, est, 1.0)
     assert keep[1] == centers
-    out_labels, out_centers, out_sad, log, rewired = merge_clusters(
-        labels, centers, saddles, est, g, ClusterConfig(z=1.5))
+    out_labels, out_centers, out_sad, log, final = merge_clusters(
+        labels, centers, saddles, est, 1.5)
     np.testing.assert_array_equal(out_labels, np.zeros(6))
     assert out_centers == [0]
     assert out_sad.entries == {}
-    assert rewired == {3: 0}
+    np.testing.assert_array_equal(final, [0, 0])
     assert len(log) == 1
     assert log[0]["removed_center"] == 3
     assert log[0]["surviving_center"] == 0
     assert log[0]["border_point"] == 2
 
 
+def _peak_ranked(labels, centers, saddles, g):
+    """The same partition relabeled by peak rank, as detect_putative_centers orders it."""
+    order = sorted(range(len(centers)), key=lambda c: (-g[centers[c]], centers[c]))
+    rank = np.argsort(order)  # rank[c]: the peak rank of cluster c
+    entries = {tuple(sorted(rank[[a, b]].tolist())): info
+               for (a, b), info in saddles.entries.items()}
+    return rank[labels], [centers[c] for c in order], SaddleTable(entries=entries)
+
+
+def _assert_merge_matches_oracle(labels, centers, saddles, est, g, z):
+    """merge_clusters on the peak-ranked labels equals the any-order oracle."""
+    want = sorting_merge_clusters(labels, centers, saddles, est, g, z)
+    ranked_labels, ranked_centers, ranked_saddles = _peak_ranked(labels, centers, saddles, g)
+    got = merge_clusters(ranked_labels, ranked_centers, ranked_saddles, est, z)
+    np.testing.assert_array_equal(got[0], want[0])
+    assert got[1] == want[1]
+    assert got[2].entries == want[2].entries
+    assert got[3] == want[3]
+    # each removed putative centre is rewired to the centre it ends up under
+    survivor = np.asarray(got[1])[got[4]]
+    assert {c: int(t) for c, t in zip(ranked_centers, survivor) if c != t} == want[4]
+    return want
+
+
 def test_merge_absorbs_lower_peak_into_higher():
-    # cluster 0 has the lower peak here, so it must be the one absorbed
+    # cluster 0 has the lower peak here, so it must be the one absorbed; the
+    # oracle takes this order, merge_clusters the peak-ranked relabeling
     labels, centers, saddles, est, g = _two_cluster_state(
         peak_rho=(3.4, 5.0), saddle_rho=3.0)
-    out_labels, out_centers, _, log, _ = merge_clusters(
-        labels, centers, saddles, est, g, ClusterConfig(z=2.0))
+    out_labels, out_centers, _, log, _ = _assert_merge_matches_oracle(
+        labels, centers, saddles, est, g, 2.0)
     assert out_centers == [3]
     assert log[0]["removed_center"] == 0
     np.testing.assert_array_equal(out_labels, np.zeros(6))
@@ -503,18 +529,17 @@ def test_merge_transfers_densest_saddle_to_survivor():
     # clusters 0,1,2; 1 merges into 0; the old (1,2) saddle is denser than
     # the existing (0,2) saddle and must replace it
     labels = np.array([0, 0, 1, 1, 2, 2])
-    log_rho = np.array([8.0, 2.0, 5.1, 2.0, 7.0, 2.0])
+    log_rho = np.array([8.0, 2.0, 5.1, 2.0, 5.0, 2.0])
     err = np.full(6, 0.25)
     est = _toy_estimate(log_rho, err=err)
-    g = compute_g(est)
-    centers = [0, 2, 4]
+    centers = [0, 2, 4]  # peak order: g 8.25, 5.35, 5.25
     saddles = SaddleTable(entries={
         (0, 1): SaddleInfo(log_rho=5.0, err=0.25, border_point=1),
         (1, 2): SaddleInfo(log_rho=4.0, err=0.25, border_point=3),
         (0, 2): SaddleInfo(log_rho=1.0, err=0.25, border_point=5),
     })
     out_labels, out_centers, out_sad, log, _ = merge_clusters(
-        labels, centers, saddles, est, g, ClusterConfig(z=1.0))
+        labels, centers, saddles, est, 1.0)
     assert out_centers == [0, 4]
     assert len(log) == 1 and log[0]["removed_center"] == 2
     np.testing.assert_array_equal(out_labels, [0, 0, 0, 0, 1, 1])
@@ -527,17 +552,17 @@ def test_merge_infinite_z_yields_contact_components():
     labels = np.arange(8) // 2
     log_rho = np.array([9.0, 1.0, 8.0, 1.0, 7.0, 1.0, 6.0, 1.0])
     est = _toy_estimate(log_rho, err=np.full(8, 0.1))
-    g = compute_g(est)
     centers = [0, 2, 4, 6]
     saddles = SaddleTable(entries={
         (0, 1): SaddleInfo(log_rho=0.5, err=0.1, border_point=1),
         (1, 2): SaddleInfo(log_rho=0.4, err=0.1, border_point=3),
     })
-    out_labels, out_centers, out_sad, _, _ = merge_clusters(
-        labels, centers, saddles, est, g, ClusterConfig(z=math.inf))
+    out_labels, out_centers, out_sad, _, final = merge_clusters(
+        labels, centers, saddles, est, math.inf)
     # clusters 0,1,2 form one contact component; cluster 3 is isolated
     assert out_centers == [0, 6]
     np.testing.assert_array_equal(out_labels, [0, 0, 0, 0, 0, 0, 1, 1])
+    np.testing.assert_array_equal(final, [0, 0, 0, 1])
     assert out_sad.entries == {}
 
 
@@ -547,11 +572,34 @@ def test_merge_renumbers_by_surviving_peak_height():
     est = _toy_estimate(log_rho, err=np.full(4, 0.1))
     g = compute_g(est)
     saddles = SaddleTable(entries={})
-    out_labels, out_centers, _, _, _ = merge_clusters(
-        labels, [0, 2], saddles, est, g, ClusterConfig(z=5.0))
-    # no contact, so no merge; labels reordered by peak g
+    out_labels, out_centers, _, _, _ = _assert_merge_matches_oracle(
+        labels, [0, 2], saddles, est, g, 5.0)
+    # no contact, so no merge; the oracle reorders labels by peak g
     assert out_centers == [2, 0]
     np.testing.assert_array_equal(out_labels, [1, 1, 0, 0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       k0=st.integers(min_value=1, max_value=7),
+       z=st.sampled_from([0.0, 0.5, 1.0, 2.0, 5.0, math.inf]))
+def test_merge_matches_the_any_order_oracle(seed, k0, z):
+    # random peak-ordered saddle tables; heights and saddle densities come
+    # from a few values so that peaks, saddles and border points tie
+    rng = np.random.default_rng(seed)
+    n = k0 + 12
+    est = _toy_estimate(rng.integers(0, 6, size=n).astype(np.float64),
+                        err=rng.integers(1, 3, size=n) * 0.5)
+    g = compute_g(est)
+    cand = rng.choice(n, size=k0, replace=False)
+    centers = cand[np.lexsort((cand, -g[cand]))].tolist()
+    labels = rng.integers(0, k0, size=n)
+    labels[centers] = np.arange(k0)
+    entries = {(a, b): SaddleInfo(log_rho=float(rng.integers(-2, 5)),
+                                  err=float(rng.integers(1, 3)) * 0.5,
+                                  border_point=int(rng.integers(n)))
+               for a in range(k0) for b in range(a + 1, k0) if rng.random() < 0.6}
+    _assert_merge_matches_oracle(labels, centers, SaddleTable(entries=entries), est, g, z)
 
 
 # ---------------------------------------------------------------------------

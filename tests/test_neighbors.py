@@ -259,6 +259,15 @@ def test_k_max_at_least_n_rejected():
         build_neighbor_graph(points, k_max=0)
 
 
+@pytest.mark.parametrize("n,expected", [(30, 29), (600, neighbors.DEFAULT_K_MAX)])
+def test_k_max_defaults_to_n_minus_one_up_to_the_cap(n, expected):
+    coords = np.random.default_rng(n).random((n, 2))
+    assert build_neighbor_graph(PointSet(coords)).k_max == expected
+    matrix = PairwiseDistances(coords=coords)
+    full = np.array([matrix.row(i) for i in range(n)])
+    assert ingest_distance_matrix((full + full.T) / 2).k_max == expected
+
+
 def test_non_finite_coordinate_names_row():
     coords = np.ones((4, 2))
     coords[2, 1] = np.nan
