@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import shutil
 import sys
@@ -22,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import synth
-from .clustering import (ClusterConfig, ClusterResult, HALO_RULES, PeakAssignment,
-                         SaddleTable, cluster_points)
+from .clustering import (ClusterConfig, HALO_RULES, PeakAssignment, SaddleTable,
+                         cluster_points)
 from .density import DensityEstimate, estimate_density
 from .errors import (EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, ConfigError,
                      DataError, InternalInvariantError)
@@ -31,13 +32,13 @@ from .intrinsic_dim import DEFAULT_DISCARD_FRACTION, twonn_estimate
 from .metrics import (LabeledPartition, confusion_matrix, majority_labels, nmi,
                       purity)
 from .neighbors import (NeighborGraph, PairwiseDistances, build_neighbor_graph,
-                        ingest_distance_matrix, read_distance_matrix_tsv,
-                        read_points_tsv, write_points_tsv)
+                        ingest_distance_matrix, write_points_tsv)
 from .topography import (build_topography, dendrogram_newick, mds_layout,
                          network_dot, single_linkage, topography_to_json)
 from .tsv import (PURITY, TRUTH, assignment_tsv_text, confusion_spec, density_tsv_text,
                   ingest_knn_file, read_assignment_tsv, read_density_tsv,
-                  read_saddles_tsv, read_truth_tsv, saddles_tsv_text, table_text)
+                  read_distance_matrix_tsv, read_points_tsv, read_saddles_tsv,
+                  read_truth_tsv, saddles_tsv_text, table_text)
 
 _FORMATS = ("coords", "matrix", "knn")
 _METRIC_CHOICES = ("euclidean", "manhattan")
@@ -180,22 +181,6 @@ def _dimension(cfg: RunConfig, graph: NeighborGraph) -> float:
     if cfg.d is not None:
         return float(cfg.d)
     return twonn_estimate(graph, discard_fraction=cfg.discard_fraction).d_hat
-
-
-def _cluster(cfg: RunConfig,
-             density_path: str | None) -> tuple[ClusterResult, DensityEstimate]:
-    """Cluster cfg.input, reading the density from density_path when given."""
-    cluster_config = cfg.cluster_config()
-    graph, pairwise = _load_graph(cfg, need_pairwise=True)
-    if density_path is not None:
-        estimate = read_density_tsv(density_path, graph.k_max)
-        if estimate.n_points != graph.n_points:
-            raise DataError(
-                f"density file covers {estimate.n_points} points but the input "
-                f"has {graph.n_points}")
-    else:
-        estimate = estimate_density(graph, _dimension(cfg, graph))
-    return cluster_points(graph, estimate, pairwise, cluster_config), estimate
 
 
 def _write_topography(outdir: Path, assignment: PeakAssignment, saddles: SaddleTable,
@@ -365,7 +350,12 @@ def _cmd_density(args) -> int:
 def _cmd_cluster(args) -> int:
     cfg = _settings(args)
     with _staged_files(args.out, args.saddles_out) as (out, saddles_out):
-        result, estimate = _cluster(cfg, args.density)
+        graph, pairwise = _load_graph(cfg, need_pairwise=True)
+        estimate = read_density_tsv(args.density, graph.k_max)
+        if estimate.n_points != graph.n_points:
+            raise DataError(f"{args.density}: density file covers {estimate.n_points} "
+                            f"points but the input has {graph.n_points}")
+        result = cluster_points(graph, estimate, pairwise, cfg.cluster_config())
         _emit(assignment_tsv_text(result.assignment, estimate), out)
         if args.saddles_out is not None:
             _emit(saddles_tsv_text(result.saddles), saddles_out)
@@ -373,17 +363,9 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_topography(args) -> int:
-    if (args.assignment is None) != (args.saddles is None):
-        raise ConfigError("staged topography needs both --assignment and --saddles")
-    cfg = _settings(args)
-    with _staged(cfg.outdir) as out:
-        if args.assignment is not None:
-            assignment, estimate = read_assignment_tsv(args.assignment)
-            saddles = read_saddles_tsv(args.saddles, assignment.n_clusters,
-                                       estimate.n_points)
-        else:
-            result, estimate = _cluster(cfg, args.density)
-            assignment, saddles = result.assignment, result.saddles
+    with _staged(args.outdir) as out:
+        assignment, estimate = read_assignment_tsv(args.assignment)
+        saddles = read_saddles_tsv(args.saddles, assignment.n_clusters, estimate.n_points)
         layout = _write_topography(out, assignment, saddles, estimate)
     if layout is None:
         print("layout skipped: fewer than two clusters")
@@ -434,15 +416,19 @@ def _add_common(p: argparse.ArgumentParser, formats=_FORMATS) -> None:
                    help="neighbors per point (default min(n-1, 512))")
     p.add_argument("--config", default=None,
                    help="flat key = value config file; flags win over it")
+
+
+def _add_dimension_opts(p: argparse.ArgumentParser, override: bool = True) -> None:
     p.add_argument("--discard-fraction", dest="discard_fraction", type=float,
                    default=None, help="tail fraction dropped by the id estimator")
+    if override:
+        p.add_argument("--d", type=float, default=None,
+                       help="intrinsic dimension override (default: estimate)")
 
 
 def _add_cluster_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--z", type=float, default=None,
                    help="merge significance threshold (default 1.0)")
-    p.add_argument("--d", type=float, default=None,
-                   help="intrinsic dimension override (default: estimate)")
     p.add_argument("--halo", dest="halo", action=argparse.BooleanOptionalAction,
                    default=None, help="flag low-density cluster members")
     p.add_argument("--halo-rule", dest="halo_rule",
@@ -454,37 +440,35 @@ def build_parser() -> argparse.ArgumentParser:
         prog="densitopo",
         description="Density topography of point clouds: adaptive density "
                     "estimates, density-peak clustering, saddle analysis.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviated flags: cluster --d would pass as --density
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("estimate-id", help="estimate the intrinsic dimension")
     _add_common(p)
+    _add_dimension_opts(p, override=False)
     p.set_defaults(handler=_cmd_estimate_id)
 
     p = sub.add_parser("density", help="adaptive density estimate per point")
     _add_common(p)
-    p.add_argument("--d", type=float, default=None,
-                   help="intrinsic dimension override (default: estimate)")
+    _add_dimension_opts(p)
     p.add_argument("--out", default=None, help="density TSV (default stdout)")
     p.set_defaults(handler=_cmd_density)
 
-    p = sub.add_parser("cluster", help="density-peak clustering")
+    p = sub.add_parser("cluster", help="density-peak clustering of a density TSV")
     _add_common(p, formats=("coords", "matrix"))
     _add_cluster_opts(p)
-    p.add_argument("--density", default=None,
-                   help="precomputed density TSV (skips the density stage)")
+    p.add_argument("--density", required=True, help="density TSV written by density")
     p.add_argument("--out", default=None, help="assignment TSV (default stdout)")
     p.add_argument("--saddles-out", dest="saddles_out", default=None,
                    help="also write the saddle table TSV")
     p.set_defaults(handler=_cmd_cluster)
 
     p = sub.add_parser("topography", help="saddle matrix, dendrogram, network")
-    _add_common(p, formats=("coords", "matrix"))
-    _add_cluster_opts(p)
-    p.add_argument("--density", default=None)
-    p.add_argument("--assignment", default=None,
-                   help="precomputed assignment TSV (with --saddles)")
-    p.add_argument("--saddles", default=None, help="precomputed saddle TSV")
-    p.add_argument("--outdir", default=None)
+    p.add_argument("--assignment", required=True, help="assignment TSV written by cluster")
+    p.add_argument("--saddles", required=True, help="saddle TSV written by cluster")
+    p.add_argument("--outdir", required=True)
     p.set_defaults(handler=_cmd_topography)
 
     p = sub.add_parser("evaluate", help="compare an assignment against truth labels")
@@ -508,6 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="fused pipeline into an output directory")
     _add_common(p, formats=("coords", "matrix"))
+    _add_dimension_opts(p)
     _add_cluster_opts(p)
     p.add_argument("--truth", default=None)
     p.add_argument("--outdir", default=None)

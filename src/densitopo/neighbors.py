@@ -9,7 +9,6 @@ graph from identical input bytes yields identical output bytes.
 from __future__ import annotations
 
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -347,31 +346,6 @@ def ingest_distance_matrix(matrix: np.ndarray, k_max: int | None = None) -> Neig
     np.fill_diagonal(work, np.inf)  # exclude self
     ids, dists = _exact_knn_rows(work, k_max)
     return NeighborGraph(ids, dists)
-
-
-def _loadtxt(path: str | Path) -> np.ndarray:
-    try:
-        with warnings.catch_warnings():
-            # an empty file is reported as a DataError, not a numpy warning
-            warnings.simplefilter("ignore", UserWarning)
-            arr = np.loadtxt(path, comments="#", ndmin=2, dtype=np.float64)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    except OSError as exc:
-        raise DataError(str(exc)) from None
-    if arr.size == 0:
-        raise DataError(f"{path}: empty input file")
-    return arr
-
-
-def read_points_tsv(path: str | Path) -> PointSet:
-    """Read a coordinate TSV (one point per row, '#' lines ignored)."""
-    return PointSet(_loadtxt(path))
-
-
-def read_distance_matrix_tsv(path: str | Path) -> np.ndarray:
-    """Read a full pairwise distance matrix from TSV."""
-    return _loadtxt(path)
 
 
 def write_points_tsv(points: np.ndarray, path: str | Path) -> None:

@@ -99,7 +99,7 @@ def _closed_distances(topography: Topography) -> tuple[np.ndarray, float | None]
     """Drop distances with no-contact pairs at the sentinel height, and that sentinel."""
     dist = topography.cluster_dist.copy()
     off = dist[~np.eye(dist.shape[0], dtype=bool)]
-    if off.size == 0 or not np.isinf(off).any():
+    if not np.isinf(off).any():
         return dist, None
     finite = off[np.isfinite(off)]
     if finite.size == 0 or finite.max() <= 0.0:
@@ -200,55 +200,30 @@ def dendrogram_newick(dendrogram: Dendrogram) -> str:
     return render(2 * k - 2, None) + ";"
 
 
-def network_export(topography: Topography) -> dict:
-    """Cluster network document: nodes sized by population, edges by saddle."""
-    max_pop = max(c.population for c in topography.clusters)
-    nodes = [{
-        "id": c.label,
-        "population": c.population,
-        "peak_log_rho": c.peak_log_rho,
-        "suggested_area": c.population / max_pop,
-    } for c in topography.clusters]
-
-    entries = sorted(topography.saddles.entries.items())
-    if entries:
-        weights = [info.log_rho for _, info in entries]
-        lo, hi = min(weights), max(weights)
-        span = hi - lo
-    edges = []
-    for (a, b), info in entries:
-        if span > 0.0:
-            width = _PENWIDTH_LO + (_PENWIDTH_HI - _PENWIDTH_LO) * \
-                (info.log_rho - lo) / span
-        else:
-            width = _PENWIDTH_HI
-        edges.append({"a": a, "b": b, "weight": info.log_rho,
-                      "suggested_width": width})
-    return {"nodes": nodes, "edges": edges}
-
-
 def network_dot(topography: Topography, layout: np.ndarray | None = None) -> str:
     """Graphviz DOT rendering of the cluster network.
 
     Node width scales with the square root of population; edge penwidth
     scales linearly from 0.5 to 5.0 over the saddle density range.
     """
-    doc = network_export(topography)
+    max_pop = max(c.population for c in topography.clusters)
     lines = ["graph topography {", "  node [shape=circle style=filled fillcolor=lightgray];"]
-    for node in doc["nodes"]:
-        width = 2.0 * math.sqrt(node["suggested_area"])
+    for c in topography.clusters:
+        width = 2.0 * math.sqrt(c.population / max_pop)
         attrs = [f"width={round(width, 4)!r}", "fixedsize=true",
-                 f"population={node['population']}",
-                 f"peak_log_rho=\"{node['peak_log_rho']!r}\""]
+                 f"population={c.population}", f"peak_log_rho=\"{c.peak_log_rho!r}\""]
         if layout is not None:
-            x, y = layout[node["id"]]
+            x, y = layout[c.label]
             attrs.append(f"pos=\"{float(x)!r},{float(y)!r}!\"")
-        lines.append(f"  {node['id']} [{' '.join(attrs)}];")
-    for edge in doc["edges"]:
-        lines.append(
-            f"  {edge['a']} -- {edge['b']} "
-            f"[penwidth={round(edge['suggested_width'], 4)!r} "
-            f"saddle_log_rho=\"{edge['weight']!r}\"];")
+        lines.append(f"  {c.label} [{' '.join(attrs)}];")
+    entries = sorted(topography.saddles.entries.items())
+    weights = [info.log_rho for _, info in entries]
+    lo, span = (min(weights), max(weights) - min(weights)) if weights else (0.0, 0.0)
+    for (a, b), info in entries:
+        width = (_PENWIDTH_LO + (_PENWIDTH_HI - _PENWIDTH_LO) * (info.log_rho - lo) / span
+                 if span > 0.0 else _PENWIDTH_HI)
+        lines.append(f"  {a} -- {b} [penwidth={round(width, 4)!r} "
+                     f"saddle_log_rho=\"{info.log_rho!r}\"];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -272,12 +247,12 @@ def mds_layout(topography: Topography) -> np.ndarray | None:
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     coords = np.zeros((k, 2))
-    for axis in range(min(2, k)):
+    for axis in range(2):
         if vals[axis] > 0.0:
             coords[:, axis] = vecs[:, axis] * math.sqrt(vals[axis])
     if coords[0, 0] < 0.0:
         coords[:, 0] = -coords[:, 0]
-    if k > 1 and coords[1, 1] < 0.0:
+    if coords[1, 1] < 0.0:
         coords[:, 1] = -coords[:, 1]
     return coords
 

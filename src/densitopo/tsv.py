@@ -11,6 +11,7 @@ when a row is at fault, ``path:line`` and the column.
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,8 @@ import numpy as np
 from .clustering import PeakAssignment, SaddleInfo, SaddleTable
 from .density import DensityEstimate
 from .errors import DataError
-from .neighbors import NeighborGraph
+from .neighbors import NeighborGraph, PointSet
+
 
 def _int(text: str) -> int:
     value = int(text)
@@ -129,6 +131,46 @@ def _reject_repeats(path, lines, keys: np.ndarray, why) -> None:
     first = first[inverse]
     _reject(path, lines, first != np.arange(first.size),
             lambda r: why(r, lines[first[r]]))
+
+
+# ---------------------------------------------------------------------------
+# point and distance-matrix files
+
+def _float_rows(path: str | Path) -> np.ndarray:
+    """Every field of a TSV as a finite float, one row per data line.
+
+    A file numpy cannot read, or one holding a non-finite value, is read
+    again as a table of finite columns as wide as its first data row, so
+    the error names ``path:line`` and the column.
+    """
+    try:
+        try:
+            with warnings.catch_warnings():
+                # an empty file is reported by the re-read, not as a numpy warning
+                warnings.simplefilter("ignore", UserWarning)
+                arr = np.loadtxt(path, comments="#", ndmin=2, dtype=np.float64)
+            if arr.size and np.isfinite(arr).all():
+                return arr
+            fault = "non-finite value"
+        except ValueError as exc:
+            fault = exc
+        with open(path, "rb") as fh:
+            first = next((raw for raw in fh if raw.strip() and not raw.startswith(b"#")), b"")
+    except OSError as exc:
+        raise DataError(str(exc)) from None
+    read_table(path, tuple((f"column {j + 1}", _finite, repr)
+                           for j in range(first.count(b"\t") + 1)))
+    raise DataError(f"{path}: {fault}")
+
+
+def read_points_tsv(path: str | Path) -> PointSet:
+    """Read a coordinate TSV (one point per row, '#' lines ignored)."""
+    return PointSet(_float_rows(path))
+
+
+def read_distance_matrix_tsv(path: str | Path) -> np.ndarray:
+    """Read a full pairwise distance matrix from TSV."""
+    return _float_rows(path)
 
 
 # ---------------------------------------------------------------------------

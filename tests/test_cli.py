@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from densitopo import (
     PointSet,
@@ -235,35 +236,34 @@ def test_config_parses_comments_and_types(tmp_path):
 # staged stages equal the fused run
 
 
-def test_staged_pipeline_matches_fused(dataset, tmp_path):
+@pytest.mark.parametrize("fmt", ["coords", "matrix"])
+def test_staged_pipeline_matches_fused(dataset, tmp_path, fmt):
+    data = dataset["points"]
+    if fmt == "matrix":
+        data = tmp_path / "matrix.tsv"
+        write_points_tsv(cdist(dataset["coords"], dataset["coords"]), data)
+    source = ["--input", data, "--format", fmt, "--k-max", "32"]
     fused = tmp_path / "fused"
-    assert _run(["run", "--input", dataset["points"], "--outdir", fused,
-                 "--k-max", "32", "--z", "1.5", "--truth", dataset["truth"]]) == 0
+    assert _run(["run", *source, "--outdir", fused, "--z", "1.5",
+                 "--truth", dataset["truth"]]) == 0
 
     staged = tmp_path / "staged"
     staged.mkdir()
     density = staged / "density.tsv"
-    assert _run(["density", "--input", dataset["points"], "--k-max", "32",
-                 "--out", density]) == 0
+    assert _run(["density", *source, "--out", density]) == 0
     assert density.read_bytes() == (fused / "density.tsv").read_bytes()
 
     assignment = staged / "assignment.tsv"
     saddles = staged / "saddles.tsv"
-    assert _run(["cluster", "--input", dataset["points"], "--k-max", "32",
-                 "--z", "1.5", "--density", density, "--out", assignment,
-                 "--saddles-out", saddles]) == 0
+    assert _run(["cluster", *source, "--z", "1.5", "--density", density,
+                 "--out", assignment, "--saddles-out", saddles]) == 0
     assert assignment.read_bytes() == (fused / "assignment.tsv").read_bytes()
 
     topo_dir = tmp_path / "staged_topo"
     assert _run(["topography", "--assignment", assignment, "--saddles",
                  saddles, "--outdir", topo_dir]) == 0
-    # topography also reruns every stage from the input itself
-    recompute = tmp_path / "recompute"
-    assert _run(["topography", "--input", dataset["points"], "--k-max", "32",
-                 "--z", "1.5", "--outdir", recompute]) == 0
     for name in ("topography.json", "dendrogram.nwk", "network.dot"):
         assert (topo_dir / name).read_bytes() == (fused / name).read_bytes(), name
-        assert (recompute / name).read_bytes() == (fused / name).read_bytes(), name
 
     # the fused run evaluates without halo points
     eval_dir = tmp_path / "staged_eval"
@@ -274,8 +274,28 @@ def test_staged_pipeline_matches_fused(dataset, tmp_path):
 
 
 def test_topography_staged_needs_both_files(dataset, tmp_path):
-    assert _run(["topography", "--assignment", tmp_path / "a.tsv",
-                 "--outdir", tmp_path / "t"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        _run(["topography", "--assignment", tmp_path / "a.tsv",
+              "--outdir", tmp_path / "t"])
+    assert exc.value.code == 2
+
+
+# each staged command runs its own stage only: the flags of other stages are usage errors
+@pytest.mark.parametrize("argv", [
+    ["topography", "--input", "p.tsv", "--outdir", "t"],
+    ["topography", "--assignment", "a.tsv", "--saddles", "s.tsv", "--outdir", "t",
+     "--z", "9"],
+    ["cluster", "--input", "p.tsv", "--k-max", "32", "--out", "a.tsv"],
+    ["cluster", "--input", "p.tsv", "--density", "d.tsv", "--d", "9"],
+    ["cluster", "--input", "p.tsv", "--density", "d.tsv", "--discard-fraction", "0.5"],
+], ids=["topography-input", "topography-z", "cluster-no-density", "cluster-d",
+        "cluster-discard-fraction"])
+def test_staged_command_rejects_other_stages_flags(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        _run(argv)
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +357,7 @@ def test_cluster_rejects_knn_format_via_config(dataset, tmp_path, capsys):
     export_knn_file(graph, knn_path)
     cfg = tmp_path / "knn.cfg"
     cfg.write_text(f"format = knn\ninput = {knn_path}\n", encoding="utf-8")
-    code = _run(["cluster", "--config", cfg])
+    code = _run(["cluster", "--config", cfg, "--density", tmp_path / "density.tsv"])
     assert code == 2
     assert "cannot provide" in capsys.readouterr().err
 
@@ -448,6 +468,27 @@ def test_cluster_bad_density_field_names_line(dataset, tmp_path, capsys, col, va
     code = _run(["cluster", "--input", dataset["points"], "--k-max", "32",
                  "--density", density, "--out", tmp_path / "a.tsv"])
     _assert_rejected(code, capsys, 3, f"{density}:5:")
+
+
+@pytest.mark.parametrize("value", [b"x", b"1.0\t2.0", b"nan", b"inf", b"0.\xe9"],
+                         ids=["bad-field", "ragged-row", "nan", "inf", "not-utf8"])
+@pytest.mark.parametrize("fmt", ["coords", "matrix"])
+def test_bad_point_or_matrix_field_names_line(dataset, tmp_path, capsys, fmt, value):
+    coords = dataset["coords"][:30]
+    path = tmp_path / f"{fmt}.tsv"
+    write_points_tsv(coords if fmt == "coords" else cdist(coords, coords), path)
+    path.write_bytes(b"# a comment line counts\n" + path.read_bytes())
+    _replace_field(path, 5, 1, value)
+    code = _run(["estimate-id", "--format", fmt, "--input", path])
+    _assert_rejected(code, capsys, 3, f"{path}:5:")
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("fmt", ["coords", "matrix"])
+def test_unreadable_point_or_matrix_file_is_data_error(tmp_path, capsys, fmt, kind):
+    path = tmp_path if kind == "directory" else tmp_path / "p.tsv"
+    code = _run(["estimate-id", "--format", fmt, "--input", path])
+    _assert_rejected(code, capsys, 3, path)
 
 
 @pytest.mark.parametrize("col,value", [(1, b"x"), (4, b"nan"), (5, b"inf"),
@@ -621,7 +662,7 @@ def test_cluster_saddles_out_under_a_regular_file_is_config_error(dataset, tmp_p
     blocker = tmp_path / "F"
     blocker.write_text("keep\n", encoding="utf-8")
     code = _run(["cluster", "--input", dataset["points"], "--k-max", "32",
-                 "--out", tmp_path / "assignment.tsv",
+                 "--density", tmp_path / "density.tsv", "--out", tmp_path / "assignment.tsv",
                  "--saddles-out", blocker / "saddles.tsv"])
     _assert_rejected(code, capsys, 2, blocker)
     assert blocker.read_text(encoding="utf-8") == "keep\n"

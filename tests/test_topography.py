@@ -27,7 +27,6 @@ from densitopo import (
     synth_gmm,
     topography_to_json,
 )
-from densitopo.topography import network_export
 from oracles import naive_single_linkage, topography_from_json
 
 
@@ -214,34 +213,46 @@ def test_leaf_layout_proportional_to_population():
 # network export
 
 
+def _dot_graph(dot):
+    """Attributes of each node id and each (a, b) edge of a network.dot text."""
+    nodes, edges = {}, {}
+    for line in dot.splitlines()[2:-1]:
+        head, _, attrs = line.strip().rstrip("];").partition(" [")
+        values = dict(item.split("=", 1) for item in attrs.split(" "))
+        if " -- " in head:
+            edges[tuple(map(int, head.split(" -- ")))] = values
+        else:
+            nodes[int(head)] = values
+    return nodes, edges
+
+
 def test_two_contacting_clusters_network():
     topo = _make_topography([5.0, 4.0], [6, 3], {(0, 1): 2.0})
-    doc = network_export(topo)
-    assert [n["id"] for n in doc["nodes"]] == [0, 1]
-    assert [n["suggested_area"] for n in doc["nodes"]] == [1.0, 0.5]
-    assert len(doc["edges"]) == 1
-    edge = doc["edges"][0]
-    assert (edge["a"], edge["b"]) == (0, 1)
-    assert edge["weight"] == 2.0
+    nodes, edges = _dot_graph(network_dot(topo))
+    assert list(nodes) == [0, 1]
+    # node width is 2 * sqrt(population / largest population)
+    assert [nodes[i]["width"] for i in (0, 1)] == [
+        "2.0", repr(round(2.0 * math.sqrt(0.5), 4))]
+    assert list(edges) == [(0, 1)]
+    assert edges[(0, 1)]["saddle_log_rho"] == '"2.0"'
     # a single edge has a degenerate saddle range: use the maximum width
-    assert edge["suggested_width"] == 5.0
+    assert edges[(0, 1)]["penwidth"] == "5.0"
 
 
 def test_isolated_cluster_has_degree_zero():
     topo = _make_topography([5.0, 4.0, 3.0], [2, 2, 2], {(0, 1): 2.0})
-    doc = network_export(topo)
-    touched = {e["a"] for e in doc["edges"]} | {e["b"] for e in doc["edges"]}
-    assert 2 not in touched
-    assert {n["id"] for n in doc["nodes"]} == {0, 1, 2}
+    nodes, edges = _dot_graph(network_dot(topo))
+    assert 2 not in {c for edge in edges for c in edge}
+    assert set(nodes) == {0, 1, 2}
 
 
 def test_edge_set_equals_saddle_pairs():
     saddles = {(0, 1): 3.0, (1, 2): 2.0, (0, 3): 1.0}
     topo = _make_topography([9.0, 8.0, 7.0, 6.0], [2, 2, 2, 2], saddles)
-    doc = network_export(topo)
-    assert {(e["a"], e["b"]) for e in doc["edges"]} == set(saddles)
+    _, edges = _dot_graph(network_dot(topo))
+    assert set(edges) == set(saddles)
     # widths scale linearly from 0.5 (sparsest) to 5.0 (densest saddle)
-    widths = {(e["a"], e["b"]): e["suggested_width"] for e in doc["edges"]}
+    widths = {pair: float(attrs["penwidth"]) for pair, attrs in edges.items()}
     assert widths[(0, 3)] == 0.5
     assert widths[(0, 1)] == 5.0
     assert widths[(1, 2)] == pytest.approx(0.5 + 4.5 * 0.5)
@@ -414,8 +425,8 @@ def test_production_dendrogram_and_outputs(clustered_topo):
     newick = dendrogram_newick(den)
     assert newick.endswith(";")
     assert newick.count(",") == topo.n_clusters - 1
-    doc = network_export(topo)
-    assert {(e["a"], e["b"]) for e in doc["edges"]} == set(topo.saddles.entries)
+    _, edges = _dot_graph(network_dot(topo))
+    assert set(edges) == set(topo.saddles.entries)
     coords = mds_layout(topo)
     assert coords.shape == (topo.n_clusters, 2)
     text = topography_to_json(topo, dendrogram=den, layout=coords)
