@@ -9,10 +9,10 @@ import time
 from pathlib import Path
 
 from densitopo import (ClusterConfig, LabeledPartition, PairwiseDistances,
-                       PointSet, build_neighbor_graph, build_topography,
-                       cluster_points, dendrogram_newick, estimate_density,
-                       mds_layout, network_dot, nmi, purity, single_linkage,
-                       synth_spirals, topography_to_json, twonn_estimate)
+                       PointSet, build_neighbor_graph, cluster_points,
+                       estimate_density, nmi, purity, synth_spirals,
+                       twonn_estimate)
+from densitopo.cli import write_topography
 
 
 def main() -> None:
@@ -44,15 +44,7 @@ def main() -> None:
     if args.outdir is not None:
         outdir = Path(args.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        topo = build_topography(assignment, result.saddles, estimate)
-        dendro = single_linkage(topo)
-        layout = mds_layout(topo)
-        (outdir / "topography.json").write_text(
-            topography_to_json(topo, dendro, layout) + "\n", encoding="utf-8")
-        (outdir / "dendrogram.nwk").write_text(dendrogram_newick(dendro) + "\n",
-                                               encoding="utf-8")
-        (outdir / "network.dot").write_text(network_dot(topo, layout),
-                                            encoding="utf-8")
+        write_topography(outdir, assignment, result.saddles, estimate)
         print(f"wrote topography files to {outdir}")
 
 

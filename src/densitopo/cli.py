@@ -23,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import synth
-from .clustering import (ClusterConfig, HALO_RULES, PeakAssignment, SaddleTable,
-                         cluster_points)
+from .clustering import ClusterConfig, PeakAssignment, SaddleTable, cluster_points
 from .density import DensityEstimate, estimate_density
 from .errors import (EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, ConfigError,
                      DataError, InternalInvariantError)
@@ -63,7 +62,7 @@ def _boolean(text: str) -> bool:
 _CONFIG_CASTS = {
     "input": str, "outdir": str, "format": str, "metric": str,
     "k_max": int, "z": float, "d": float, "discard_fraction": float,
-    "halo": _boolean, "halo_rule": str, "truth": str,
+    "halo": _boolean, "truth": str,
 }
 
 
@@ -80,11 +79,10 @@ class RunConfig:
     d: float | None = None
     discard_fraction: float = DEFAULT_DISCARD_FRACTION
     halo: bool = True
-    halo_rule: str = "highest"
     truth: str | None = None
 
     def cluster_config(self) -> ClusterConfig:
-        return ClusterConfig(z=self.z, halo_rule=self.halo_rule, compute_halo=self.halo)
+        return ClusterConfig(z=self.z, compute_halo=self.halo)
 
     def echo_text(self) -> str:
         """The set fields as sorted ``key = value`` lines a config file accepts."""
@@ -160,7 +158,10 @@ def _load_graph(cfg: RunConfig, need_pairwise: bool):
         return graph, PairwiseDistances(coords=points.coords, metric=cfg.metric)
     if cfg.format == "matrix":
         matrix = read_distance_matrix_tsv(cfg.input)
-        graph = ingest_distance_matrix(matrix, k_max=cfg.k_max)
+        try:
+            graph = ingest_distance_matrix(matrix, k_max=cfg.k_max)
+        except DataError as exc:
+            raise DataError(f"{cfg.input}: {exc}") from None
         return graph, PairwiseDistances(matrix=matrix)
     if need_pairwise:
         raise ConfigError(
@@ -183,8 +184,8 @@ def _dimension(cfg: RunConfig, graph: NeighborGraph) -> float:
     return twonn_estimate(graph, discard_fraction=cfg.discard_fraction).d_hat
 
 
-def _write_topography(outdir: Path, assignment: PeakAssignment, saddles: SaddleTable,
-                      estimate: DensityEstimate):
+def write_topography(outdir: Path, assignment: PeakAssignment, saddles: SaddleTable,
+                     estimate: DensityEstimate):
     """Write topography.json, dendrogram.nwk and network.dot; return the layout."""
     topo = build_topography(assignment, saddles, estimate)
     dendro = single_linkage(topo)
@@ -304,7 +305,7 @@ def run_pipeline(config: RunConfig) -> dict:
                                                 encoding="utf-8")
 
             stage = "topography"
-            _write_topography(out, assignment, result.saddles, estimate)
+            write_topography(out, assignment, result.saddles, estimate)
 
             summary = {
                 "n": graph.n_points, "d_hat": d_hat, "n_clusters": assignment.n_clusters,
@@ -366,7 +367,7 @@ def _cmd_topography(args) -> int:
     with _staged(args.outdir) as out:
         assignment, estimate = read_assignment_tsv(args.assignment)
         saddles = read_saddles_tsv(args.saddles, assignment.n_clusters, estimate.n_points)
-        layout = _write_topography(out, assignment, saddles, estimate)
+        layout = write_topography(out, assignment, saddles, estimate)
     if layout is None:
         print("layout skipped: fewer than two clusters")
     return EXIT_OK
@@ -431,8 +432,6 @@ def _add_cluster_opts(p: argparse.ArgumentParser) -> None:
                    help="merge significance threshold (default 1.0)")
     p.add_argument("--halo", dest="halo", action=argparse.BooleanOptionalAction,
                    default=None, help="flag low-density cluster members")
-    p.add_argument("--halo-rule", dest="halo_rule",
-                   choices=list(HALO_RULES), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

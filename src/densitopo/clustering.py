@@ -4,8 +4,8 @@ Peaks are local maxima of the error-adjusted log density g; every other
 point follows its nearest higher-g parent, which partitions the sample
 into one tree per peak.  Contacting clusters are then merged whenever the
 density gap between a peak and the connecting saddle is not significant
-against the combined error bars, and low-density members below the saddle
-level can be flagged as halo.
+against the combined error bars, and members below their cluster's
+highest saddle density can be flagged as halo.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import numpy as np
 from .density import DensityEstimate
 from .errors import ConfigError, DegenerateDataError, InternalInvariantError
 from .neighbors import NeighborGraph, PairwiseDistances
-
-HALO_RULES = ("highest", "lowest", "global-lowest")
 
 _CHUNK = 2048
 
@@ -34,14 +32,11 @@ class ClusterConfig:
     """
 
     z: float = 1.0
-    halo_rule: str = "highest"
     compute_halo: bool = True
 
     def __post_init__(self):
         if not (self.z >= 0.0):
             raise ConfigError(f"z must be >= 0, got {self.z}")
-        if self.halo_rule not in HALO_RULES:
-            raise ConfigError(f"halo_rule must be one of {HALO_RULES}, got {self.halo_rule!r}")
 
 
 class SaddleInfo(NamedTuple):
@@ -58,9 +53,6 @@ class SaddleTable:
     """
 
     entries: dict[tuple[int, int], SaddleInfo] = field(default_factory=dict)
-
-    def get(self, a: int, b: int) -> SaddleInfo | None:
-        return self.entries.get((min(a, b), max(a, b)))
 
 
 @dataclass
@@ -320,30 +312,16 @@ def merge_clusters(labels: np.ndarray, centers: list[int], saddles: SaddleTable,
 
 
 def flag_halo(labels: np.ndarray, saddles: SaddleTable,
-              estimate: DensityEstimate, rule: str = "highest") -> np.ndarray:
-    """Mark members whose density falls below their cluster's saddle level.
+              estimate: DensityEstimate) -> np.ndarray:
+    """Mark members strictly below their cluster's highest saddle density.
 
-    The threshold per cluster is its highest saddle density by default;
-    "lowest" uses its lowest saddle, "global-lowest" the lowest saddle of
-    the whole topography.  Clusters without any saddle keep no halo.
+    Clusters without any saddle keep no halo.
     """
-    if rule not in HALO_RULES:
-        raise ConfigError(f"halo_rule must be one of {HALO_RULES}, got {rule!r}")
     n_clusters = int(labels.max()) + 1 if labels.size else 0
     thresholds = np.full(n_clusters, -np.inf)
-    if saddles.entries:
-        global_low = min(info.log_rho for info in saddles.entries.values())
-        for (a, b), info in saddles.entries.items():
-            for c in (a, b):
-                if rule == "highest":
-                    thresholds[c] = max(thresholds[c], info.log_rho)
-                elif rule == "lowest":
-                    if thresholds[c] == -np.inf:
-                        thresholds[c] = info.log_rho
-                    else:
-                        thresholds[c] = min(thresholds[c], info.log_rho)
-                else:
-                    thresholds[c] = global_low
+    for (a, b), info in saddles.entries.items():
+        for c in (a, b):
+            thresholds[c] = max(thresholds[c], info.log_rho)
     return estimate.log_rho < thresholds[labels]
 
 
@@ -365,7 +343,7 @@ def cluster_points(graph: NeighborGraph, estimate: DensityEstimate,
     is_center = np.zeros(graph.n_points, dtype=bool)
     is_center[centers] = True
     if config.compute_halo:
-        is_halo = flag_halo(labels, saddles, estimate, config.halo_rule)
+        is_halo = flag_halo(labels, saddles, estimate)
     else:
         is_halo = np.zeros(graph.n_points, dtype=bool)
 

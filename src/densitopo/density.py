@@ -22,7 +22,7 @@ from .neighbors import NeighborGraph
 LRT_THRESHOLD = 23.928
 # smallest neighborhood the scan ever selects
 DEFAULT_K_MIN = 4
-ANSATZ_CHOICES = ("volume", "radius", "index")
+ANSATZ_CHOICES = ("volume", "index")
 
 # Newton fit: gradient norm that counts as converged, and the iteration
 # limit before falling back to k/V
@@ -169,8 +169,7 @@ def _fit_block(ids: np.ndarray, k: int, d: float, ansatz: str,
         solver did not converge or the curvature degenerated, in which case
         the plain k/V estimate is returned with zero slope.
     """
-    radii = np.ascontiguousarray(graph.neighbor_dists[ids, :k])
-    cum = unit_ball_volume(d) * np.power(radii, d)
+    cum = unit_ball_volume(d) * np.power(graph.neighbor_dists[ids, :k], d)
     vol = cum[:, -1]
     if (vol <= 0.0).any():
         i = int(ids[np.argmax(vol <= 0.0)])
@@ -178,8 +177,6 @@ def _fit_block(ids: np.ndarray, k: int, d: float, ansatz: str,
     v = np.maximum(np.diff(cum, axis=1, prepend=0.0), 0.0)
     if ansatz == "volume":
         x = cum
-    elif ansatz == "radius":
-        x = radii
     else:
         x = np.tile(np.arange(1.0, k + 1.0), (ids.size, 1))
     x_sum = x.sum(axis=1)
@@ -256,7 +253,7 @@ def estimate_density(graph: NeighborGraph, d: float,
     Args:
         d: intrinsic dimension used for shell volumes (> 0, may be fractional).
         ansatz: regressor of the log-linear density model, one of
-            "volume" (cumulative shell volume), "radius", or "index".
+            "volume" (cumulative shell volume) or "index" (shell number).
     """
     if not (d > 0 and math.isfinite(d)):
         raise ConfigError(f"intrinsic dimension must be positive, got {d}")

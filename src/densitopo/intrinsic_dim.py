@@ -23,7 +23,6 @@ DEFAULT_DISCARD_FRACTION = 0.1
 class IdEstimate:
     d_hat: float
     n_used: int
-    discard_fraction: float
 
 
 def twonn_estimate(graph: NeighborGraph,
@@ -63,5 +62,4 @@ def twonn_estimate(graph: NeighborGraph,
     if total <= 0.0:
         raise DegenerateDataError(
             "sum of log neighbor ratios is zero; distances carry no dimension signal")
-    return IdEstimate(d_hat=n_used / total, n_used=n_used,
-                      discard_fraction=discard_fraction)
+    return IdEstimate(d_hat=n_used / total, n_used=n_used)

@@ -165,7 +165,11 @@ def _float_rows(path: str | Path) -> np.ndarray:
 
 def read_points_tsv(path: str | Path) -> PointSet:
     """Read a coordinate TSV (one point per row, '#' lines ignored)."""
-    return PointSet(_float_rows(path))
+    rows = _float_rows(path)
+    try:
+        return PointSet(rows)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def read_distance_matrix_tsv(path: str | Path) -> np.ndarray:

@@ -328,11 +328,9 @@ def adaptive_k(i: int, d: float, graph: NeighborGraph) -> int:
     return cap
 
 
-def _regressor(shells_cum: np.ndarray, radii: np.ndarray, ansatz: str) -> np.ndarray:
+def _regressor(shells_cum: np.ndarray, ansatz: str) -> np.ndarray:
     if ansatz == "volume":
         return shells_cum
-    if ansatz == "radius":
-        return radii
     return np.arange(1.0, shells_cum.size + 1.0)
 
 
@@ -368,7 +366,7 @@ def fit_linear_corrected(i: int, k_hat: int, d: float, graph: NeighborGraph,
             f"point {i}: all {k_hat} nearest neighbors coincide with it")
     b = math.log(k_hat) - math.log(vol)
     a = 0.0
-    x = _regressor(cum, radii, ansatz)
+    x = _regressor(cum, ansatz)
     x_sum = float(x.sum())
     tol = density._NR_TOL
 

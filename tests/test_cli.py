@@ -137,8 +137,8 @@ def test_run_negative_z_is_config_error(dataset, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_neighbor_graph", no_graph)
     assert _run(["run", "--input", dataset["points"], "--outdir",
                  tmp_path / "out", "--k-max", "32", "--z", "-1"]) == 2
-    cfg = tmp_path / "rule.cfg"
-    cfg.write_text("halo_rule = bogus\n", encoding="utf-8")
+    cfg = tmp_path / "z.cfg"
+    cfg.write_text("z = -1\n", encoding="utf-8")
     assert _run(["run", "--config", cfg, "--input", dataset["points"],
                  "--outdir", tmp_path / "out", "--k-max", "32"]) == 2
 
@@ -177,6 +177,23 @@ def test_config_file_supplies_options(dataset, tmp_path):
     assert "z = 1.5\n" in echo
     assert "halo = false\n" in echo
     assert "k_max = 32\n" in echo
+
+
+def test_run_config_echo_reproduces_the_run(dataset, tmp_path):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert _run(["run", "--input", dataset["points"], "--outdir", first,
+                 "--k-max", "32", "--z", "1.5", "--no-halo",
+                 "--truth", dataset["truth"]]) == 0
+    assert _run(["run", "--config", first / "run_config.txt",
+                 "--outdir", again]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in again.iterdir())
+    for name in names:
+        if name != "run_config.txt":
+            assert (first / name).read_bytes() == (again / name).read_bytes(), name
+    echo = (again / "run_config.txt").read_text(encoding="utf-8")
+    assert echo == (first / "run_config.txt").read_text(encoding="utf-8").replace(
+        f"outdir = {first}\n", f"outdir = {again}\n")
 
 
 def test_flags_override_config_file(dataset, tmp_path):
@@ -481,6 +498,18 @@ def test_bad_point_or_matrix_field_names_line(dataset, tmp_path, capsys, fmt, va
     _replace_field(path, 5, 1, value)
     code = _run(["estimate-id", "--format", fmt, "--input", path])
     _assert_rejected(code, capsys, 3, f"{path}:5:")
+
+
+@pytest.mark.parametrize("fmt,rows", [
+    ("coords", [[0.0, 1.0]]),
+    ("matrix", [[0.0, 1.0, 2.0], [1.0, 0.0, 3.0]]),
+    ("matrix", [[0.0, 1.0], [2.0, 0.0]]),
+], ids=["one-point", "not-square", "asymmetric"])
+def test_point_or_matrix_content_fault_names_file(tmp_path, capsys, fmt, rows):
+    path = tmp_path / f"{fmt}.tsv"
+    write_points_tsv(np.array(rows), path)
+    code = _run(["estimate-id", "--format", fmt, "--input", path])
+    _assert_rejected(code, capsys, 3, f"data error: {path}: ")
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])

@@ -286,8 +286,7 @@ def test_1d_valley_saddle_sits_mid_valley():
     est = estimate_density(graph, 1.0)
     result = cluster_points(graph, est, pairwise, ClusterConfig(z=3.0))
     assert result.assignment.n_clusters == 2
-    info = result.saddles.get(0, 1)
-    assert info is not None
+    info = result.saddles.entries[(0, 1)]
     # peaks at -3 and +3: the saddle must fall in the middle third
     assert -1.0 < coords[info.border_point, 0] < 1.0
 
@@ -301,9 +300,7 @@ def test_mirrored_data_same_saddle_density():
         graph, pairwise, est = _full_estimate(c, 64)
         result = cluster_points(graph, est, pairwise, ClusterConfig(z=1.5))
         assert result.assignment.n_clusters == 2
-        info = result.saddles.get(0, 1)
-        assert info is not None
-        out.append(info.log_rho)
+        out.append(result.saddles.entries[(0, 1)].log_rho)
     # mirroring is an isometry: identical distances, identical saddle
     assert out[0] == out[1]
 
@@ -433,13 +430,6 @@ def test_saddles_and_centers_match_loop_on_arbitrary_labels(seed, n, n_labels, o
     _assert_centers_match_naive(g, rng.uniform(0.0, 3.0, size=n), est, graph)
 
 
-def test_saddle_table_lookup_is_symmetric():
-    info = SaddleInfo(log_rho=1.0, err=0.1, border_point=5)
-    table = SaddleTable(entries={(0, 2): info})
-    assert table.get(2, 0) == info
-    assert table.get(0, 1) is None
-
-
 # ---------------------------------------------------------------------------
 # merging
 
@@ -543,8 +533,7 @@ def test_merge_transfers_densest_saddle_to_survivor():
     assert out_centers == [0, 4]
     assert len(log) == 1 and log[0]["removed_center"] == 2
     np.testing.assert_array_equal(out_labels, [0, 0, 0, 0, 1, 1])
-    info = out_sad.get(0, 1)
-    assert info is not None
+    info = out_sad.entries[(0, 1)]
     assert info.log_rho == 4.0 and info.border_point == 3
 
 
@@ -611,7 +600,7 @@ def test_halo_threshold_is_highest_saddle_strict():
     est = _toy_estimate([2.0, 0.5, 1.5, 3.0, 0.2, 1.0])
     saddles = SaddleTable(entries={
         (0, 1): SaddleInfo(log_rho=1.0, err=0.1, border_point=2)})
-    halo = flag_halo(labels, saddles, est, rule="highest")
+    halo = flag_halo(labels, saddles, est)
     # membership at exactly the saddle density is not halo (strict <)
     np.testing.assert_array_equal(halo, [False, True, False, False, True, False])
 
@@ -626,22 +615,19 @@ def test_halo_isolated_cluster_has_none():
     assert not halo[[4, 5]].any()
 
 
-def test_halo_rules_differ_on_two_saddles():
-    labels = np.array([0, 0, 1, 1, 2, 2])
-    est = _toy_estimate([9.0, 1.5, 8.0, 1.5, 7.0, 0.5])
+def test_halo_uses_highest_of_two_saddles():
+    labels = np.array([0, 0, 0, 1, 1, 2, 2])
+    est = _toy_estimate([9.0, 1.5, 0.5, 8.0, 1.5, 7.0, 0.5])
+    # listed lower saddle first: the threshold must not depend on entry order
     saddles = SaddleTable(entries={
-        (0, 1): SaddleInfo(log_rho=2.0, err=0.1, border_point=1),
-        (0, 2): SaddleInfo(log_rho=1.0, err=0.1, border_point=5),
+        (0, 2): SaddleInfo(log_rho=1.0, err=0.1, border_point=6),
+        (0, 1): SaddleInfo(log_rho=2.0, err=0.1, border_point=4),
     })
-    highest = flag_halo(labels, saddles, est, rule="highest")
-    lowest = flag_halo(labels, saddles, est, rule="lowest")
-    global_lowest = flag_halo(labels, saddles, est, rule="global-lowest")
-    # cluster 0: threshold 2.0 vs 1.0 vs 1.0
-    assert highest[1] and not lowest[1] and not global_lowest[1]
-    # cluster 1 only saddles at 2.0; global-lowest drops it to 1.0
-    assert highest[3] and lowest[3] and not global_lowest[3]
-    with pytest.raises(ConfigError):
-        flag_halo(labels, saddles, est, rule="median")
+    halo = flag_halo(labels, saddles, est)
+    # cluster 0 touches both saddles: 1.5 is above the lower one (1.0) but
+    # below the higher one (2.0), so it is halo; clusters 1 and 2 each
+    # have one saddle, at 2.0 and 1.0
+    np.testing.assert_array_equal(halo, [False, True, True, False, True, False, True])
 
 
 def test_cluster_config_validation():
@@ -649,8 +635,6 @@ def test_cluster_config_validation():
         ClusterConfig(z=-0.5)
     with pytest.raises(ConfigError):
         ClusterConfig(z=math.nan)
-    with pytest.raises(ConfigError):
-        ClusterConfig(halo_rule="none")
 
 
 # ---------------------------------------------------------------------------

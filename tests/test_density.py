@@ -477,11 +477,10 @@ def test_estimate_density_alternative_ansatz_choices():
     coords = rng.normal(size=(200, 2))
     graph = build_neighbor_graph(PointSet(coords), 32)
     ref = estimate_density(graph, 2.0, ansatz="volume")
-    for ansatz in ("radius", "index"):
-        est = estimate_density(graph, 2.0, ansatz=ansatz)
-        assert np.isfinite(est.log_rho).all()
-        # neighborhood selection does not depend on the drift regressor
-        np.testing.assert_array_equal(est.k_hat, ref.k_hat)
+    est = estimate_density(graph, 2.0, ansatz="index")
+    assert np.isfinite(est.log_rho).all()
+    # neighborhood selection does not depend on the drift regressor
+    np.testing.assert_array_equal(est.k_hat, ref.k_hat)
 
 
 @settings(max_examples=40, deadline=None)
@@ -520,7 +519,7 @@ def _mixture_with_duplicates(seed: int = 1) -> np.ndarray:
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
-@pytest.mark.parametrize("ansatz", ["volume", "radius", "index"])
+@pytest.mark.parametrize("ansatz", ["volume", "index"])
 def test_batched_fit_matches_per_point_reference(ansatz, metric):
     graph = build_neighbor_graph(PointSet(_mixture_with_duplicates()), 48, metric=metric)
     for d in (1.3, 2.9, 7.5):
@@ -565,7 +564,7 @@ def test_batched_fit_raises_no_floating_point_warning():
     graph = build_neighbor_graph(PointSet(_mixture_with_duplicates(seed=0)), 64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        estimate_density(graph, 7.5, ansatz="radius")
+        estimate_density(graph, 7.5)
 
 
 @settings(max_examples=25, deadline=None)

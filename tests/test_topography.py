@@ -407,7 +407,7 @@ def test_production_matrix_invariants(clustered_topo):
         for b in range(k):
             if a == b:
                 continue
-            contact = topo.saddles.get(a, b) is not None
+            contact = (min(a, b), max(a, b)) in topo.saddles.entries
             assert math.isnan(sm[a, b]) == (not contact)
             assert math.isinf(dist[a, b]) == (not contact)
             if contact:
