@@ -24,6 +24,7 @@ from densitopo import (
     synth_gmm,
     synth_uniform,
 )
+from densitopo import clustering
 from densitopo.clustering import (assign_points, compute_delta_parent, compute_g,
                                   detect_putative_centers, find_borders_saddles,
                                   flag_halo, merge_clusters)
@@ -362,13 +363,14 @@ def _lattice_with_duplicates():
     return graph, pairwise, estimate_density(graph, 2.0)
 
 
-@pytest.mark.parametrize("case,min_centers", [
+_LOOP_ORACLE_CASES = pytest.mark.parametrize("case,min_centers", [
     (lambda: _full_estimate(_blobs(13), 32), 2),
     (lambda: _full_estimate(_blobs(14), 32), 2),
     (_uniform_cloud, 10), (_lattice_with_duplicates, 2)],
     ids=["blobs13", "blobs14", "uniform", "lattice"])
-def test_saddles_and_centers_match_loop_oracles(case, min_centers):
-    graph, pairwise, est = case()
+
+
+def _assert_stages_match_loop_oracles(graph, pairwise, est, min_centers):
     g = compute_g(est)
     delta, parent = compute_delta_parent(g, graph, pairwise)
     _assert_centers_match_naive(g, delta, est, graph)
@@ -376,6 +378,20 @@ def test_saddles_and_centers_match_loop_oracles(case, min_centers):
     assert len(centers) >= min_centers
     labels = assign_points(g, parent, centers)
     _assert_matches_loop(labels, graph, g, est, pairwise)
+
+
+@_LOOP_ORACLE_CASES
+def test_saddles_and_centers_match_loop_oracles(case, min_centers):
+    _assert_stages_match_loop_oracles(*case(), min_centers)
+
+
+@_LOOP_ORACLE_CASES
+def test_saddles_and_centers_match_loop_oracles_in_7_row_blocks(case, min_centers,
+                                                                monkeypatch):
+    graph, pairwise, est = case()
+    assert graph.n_points % 7  # the last block is short
+    monkeypatch.setattr(clustering, "_BLOCK_ENTRIES", 7 * graph.k_max)
+    _assert_stages_match_loop_oracles(graph, pairwise, est, min_centers)
 
 
 def test_lattice_saddles_match_loop_on_quadrant_labels():

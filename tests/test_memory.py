@@ -1,0 +1,54 @@
+"""Peak memory of the passes over a whole neighbor table or distance matrix.
+
+numpy reports its array buffers to tracemalloc, so a traced peak counts every
+temporary a stage allocates, in any thread.  Each test shrinks the block
+budget, so a pass whose scratch follows the size of the table rather than of
+its block shows as a peak far above the bound.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from scipy.spatial.distance import cdist
+
+from densitopo import (PairwiseDistances, PointSet, build_neighbor_graph, cluster_points,
+                       estimate_density, ingest_distance_matrix, synth_gmm)
+from densitopo import clustering, neighbors
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """Return (peak traced bytes above those held at the call, fn's result)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - start, result
+
+
+@pytest.mark.parametrize("k_max", [None, 1499], ids=["partition", "full_sort"])
+def test_matrix_ingest_peaks_below_a_quarter_matrix_above_the_graph(k_max, monkeypatch):
+    n = 1500
+    coords = np.random.default_rng(0).random((n, 2))
+    matrix = cdist(coords, coords)
+    monkeypatch.setattr(neighbors, "_SCAN_BUDGET", 8 * n)
+    monkeypatch.setattr(neighbors, "_BRUTE_BUDGET", 8 * n)
+    peak, graph = _traced_peak(ingest_distance_matrix, matrix, k_max=k_max)
+    graph_bytes = graph.neighbor_ids.nbytes + graph.neighbor_dists.nbytes
+    assert peak - graph_bytes < matrix.nbytes / 4
+
+
+def test_clustering_peak_follows_its_blocks_not_the_table(monkeypatch):
+    coords, _ = synth_gmm(k=3, n=5000, dim=2, separation=8, seed=1)
+    points = PointSet(coords)
+    graph = build_neighbor_graph(points, k_max=400)
+    estimate = estimate_density(graph, 2.0)
+    pairwise = PairwiseDistances(coords=points.coords)
+    monkeypatch.setattr(clustering, "_BLOCK_ENTRIES", 4 * graph.k_max)
+    peak, result = _traced_peak(cluster_points, graph, estimate, pairwise)
+    assert result.assignment.n_clusters >= 1
+    # below one byte per entry of the n x k_max table
+    assert peak < graph.n_points * graph.k_max

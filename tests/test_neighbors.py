@@ -126,6 +126,7 @@ def test_knn_paths_match_oracle(knn, metric, case):
     coords, k_max = KNN_CASES[case]()
     ids, dists = brute_knn(coords, k_max, metric)
     got_ids, got_dists = knn(coords, k_max, metric)
+    assert got_ids.dtype == np.int32
     np.testing.assert_array_equal(got_ids, ids)
     assert got_dists.tobytes() == dists.tobytes()
 
@@ -295,6 +296,53 @@ def test_graph_rejects_self_loops():
         NeighborGraph(ids, dists)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_graph_checks_ids_before_narrowing_them(dtype):
+    # 2**32 + 1 is 1 once cast to int32: a valid id, were it checked after the cast
+    ids = np.array([[1, 2], [2**32 + 1, 2], [0, 1]], dtype=dtype)
+    with pytest.raises(DataError, match="out of range"):
+        NeighborGraph(ids, np.ones((3, 2)))
+
+
+def test_graph_stores_int32_ids():
+    graph = NeighborGraph(np.array([[1, 2], [0, 2], [0, 1]]), np.ones((3, 2)))
+    assert graph.neighbor_ids.dtype == np.int32
+    np.testing.assert_array_equal(graph.neighbor_ids, [[1, 2], [0, 2], [0, 1]])
+
+
+def _nan(ids, dists):
+    dists[6, 1] = np.nan
+
+
+def _negative(ids, dists):
+    dists[6, 0] = -1.0
+
+
+def _decreasing(ids, dists):
+    dists[6, 0] = 3.0
+
+
+def _too_large(ids, dists):
+    ids[6, 1] = 7
+
+
+def _self(ids, dists):
+    ids[6, 0] = 6
+
+
+@pytest.mark.parametrize("fault,message", [
+    (_nan, "non-finite"), (_negative, "negative"), (_decreasing, "non-decreasing"),
+    (_too_large, "out of range"), (_self, "itself")])
+def test_graph_checks_reach_the_last_row_block(fault, message, monkeypatch):
+    monkeypatch.setattr(neighbors, "_SCAN_BUDGET", 4)  # two-row blocks; row 6 is alone
+    ids = (np.arange(7)[:, None] + np.arange(1, 3)) % 7
+    dists = np.tile([1.0, 2.0], (7, 1))
+    NeighborGraph(ids, dists)
+    fault(ids, dists)
+    with pytest.raises(DataError, match=message):
+        NeighborGraph(ids, dists)
+
+
 # ---------------------------------------------------------------------------
 # distance-matrix ingestion
 
@@ -340,23 +388,59 @@ def _duplicate_points_matrix(seed):
     return np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
 
 
-@pytest.mark.parametrize("make,k_max", [
-    (_integer_matrix, 7), (_integer_matrix, 59),
-    (_duplicate_points_matrix, 4), (_duplicate_points_matrix, 59)],
-    ids=["integer", "integer-n-1", "duplicates", "duplicates-n-1"])
-def test_matrix_matches_stable_argsort(make, k_max):
-    m = make(5)
+# 60-point matrices: k_max 39 selects by argpartition, 40 (two thirds of the
+# 60-wide rows) by one full stable sort
+_MATRIX_CASES = pytest.mark.parametrize("make,k_max", [
+    (_integer_matrix, 7), (_integer_matrix, 39), (_integer_matrix, 40),
+    (_integer_matrix, 59), (_duplicate_points_matrix, 4),
+    (_duplicate_points_matrix, 39), (_duplicate_points_matrix, 40),
+    (_duplicate_points_matrix, 59)],
+    ids=["integer", "integer-partition-edge", "integer-sort-edge", "integer-n-1",
+         "duplicates", "duplicates-partition-edge", "duplicates-sort-edge",
+         "duplicates-n-1"])
+
+
+def _assert_matrix_matches_stable_argsort(m, k_max):
     before = m.copy()
     graph = ingest_distance_matrix(m, k_max=k_max)
     np.testing.assert_array_equal(m, before)  # the caller's matrix is untouched
     ids, dists = argsort_matrix_knn(m, k_max)
+    if k_max < 59:  # some row ties across its selection boundary
+        wider = argsort_matrix_knn(m, k_max + 1)[1]
+        assert (wider[:, k_max - 1] == wider[:, k_max]).any()
+    assert graph.neighbor_ids.dtype == np.int32
     np.testing.assert_array_equal(graph.neighbor_ids, ids)
     np.testing.assert_array_equal(graph.neighbor_dists, dists)
+
+
+@_MATRIX_CASES
+def test_matrix_matches_stable_argsort(make, k_max):
+    _assert_matrix_matches_stable_argsort(make(5), k_max)
+
+
+@_MATRIX_CASES
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_matrix_row_blocks_match_stable_argsort(make, k_max, cpus, monkeypatch):
+    m = make(5)
+    _small_blocks(monkeypatch, cpus, m, k_max)
+    monkeypatch.setattr(neighbors, "_SCAN_BUDGET", _BLOCK_ROWS * m.shape[0])
+    _assert_matrix_matches_stable_argsort(m, k_max)
 
 
 def test_matrix_asymmetry_names_worst_pair():
     m = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 5.0], [2.0, 5.5, 0.0]])
     with pytest.raises(DataError, match=r"d\[1,2\]"):
+        ingest_distance_matrix(m, k_max=2)
+
+
+@pytest.mark.parametrize("budget", [1, 7 * 9, 10**6], ids=["row", "7_rows", "whole"])
+def test_matrix_asymmetry_names_first_worst_pair_across_blocks(budget, monkeypatch):
+    monkeypatch.setattr(neighbors, "_SCAN_BUDGET", budget)
+    m = np.ones((9, 9))
+    np.fill_diagonal(m, 0.0)
+    m[1, 3] = m[8, 5] = 1.5  # a smaller gap in an early row
+    m[7, 2] = m[4, 6] = m[8, 7] = 3.0  # equal largest gaps: the first in row order
+    with pytest.raises(DataError, match=r"d\[2,7\] - d\[7,2\]\| = 2 "):
         ingest_distance_matrix(m, k_max=2)
 
 
@@ -382,8 +466,18 @@ def test_knn_file_round_trip(tmp_path):
     path = tmp_path / "g.knn"
     export_knn_file(graph, path, metric="manhattan")
     back = ingest_knn_file(path)
+    assert back.neighbor_ids.dtype == np.int32
     np.testing.assert_array_equal(back.neighbor_ids, graph.neighbor_ids)
     np.testing.assert_array_equal(back.neighbor_dists, graph.neighbor_dists)
+    again = tmp_path / "again.knn"
+    export_knn_file(back, again, metric="manhattan")
+    assert again.read_bytes() == path.read_bytes()
+    # the int32 ids write the text the oracle's int64 ids give
+    ids, dists = brute_knn(coords, 5, "manhattan")
+    assert ids.dtype == np.int64
+    assert path.read_text(encoding="utf-8") == "# metric=manhattan\n" + "".join(
+        f"{i}\t{j}\t{d!r}\n" for i in range(20)
+        for j, d in zip(ids[i].tolist(), dists[i].tolist()))
 
 
 def test_knn_file_decreasing_distance_names_line(tmp_path):
