@@ -10,9 +10,9 @@ Example:
 import argparse
 import time
 
-from densitopo import (ClusterConfig, LabeledPartition, PairwiseDistances,
-                       PointSet, build_neighbor_graph, cluster_points,
-                       estimate_density, nmi, synth_gmm, twonn_estimate)
+from densitopo import (LabeledPartition, PairwiseDistances, PointSet,
+                       build_neighbor_graph, cluster_points, estimate_density, nmi,
+                       synth_gmm, twonn_estimate)
 
 
 def main() -> None:
@@ -37,7 +37,7 @@ def main() -> None:
           f"setup={time.perf_counter() - t0:.1f}s")
 
     for z in args.z_grid:
-        result = cluster_points(graph, estimate, pairwise, ClusterConfig(z=z))
+        result = cluster_points(graph, estimate, pairwise, z=z)
         assignment = result.assignment
         part = LabeledPartition(predicted=assignment.labels, truth=truth)
         print(f"z={z:<4} putative={len(result.putative_centers):<3} "

@@ -8,10 +8,9 @@ import argparse
 import time
 from pathlib import Path
 
-from densitopo import (ClusterConfig, LabeledPartition, PairwiseDistances,
-                       PointSet, build_neighbor_graph, cluster_points,
-                       estimate_density, nmi, purity, synth_spirals,
-                       twonn_estimate)
+from densitopo import (LabeledPartition, PairwiseDistances, PointSet,
+                       build_neighbor_graph, cluster_points, estimate_density, nmi,
+                       purity, synth_spirals, twonn_estimate)
 from densitopo.cli import write_topography
 
 
@@ -29,8 +28,7 @@ def main() -> None:
     graph = build_neighbor_graph(PointSet(points))
     d_hat = twonn_estimate(graph).d_hat
     estimate = estimate_density(graph, d_hat)
-    result = cluster_points(graph, estimate, PairwiseDistances(coords=points),
-                            ClusterConfig(z=args.z))
+    result = cluster_points(graph, estimate, PairwiseDistances(coords=points), z=args.z)
     elapsed = time.perf_counter() - t0
 
     assignment = result.assignment

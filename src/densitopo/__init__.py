@@ -6,8 +6,8 @@ merging of non-significant peaks, and topography outputs (saddle matrix,
 single-linkage dendrogram, cluster network, planar layout).
 """
 
-from .clustering import (ClusterConfig, ClusterResult, PeakAssignment, SaddleInfo,
-                         SaddleTable, cluster_points)
+from .clustering import (ClusterResult, PeakAssignment, SaddleInfo, SaddleTable,
+                         cluster_points)
 from .density import DensityEstimate, estimate_density
 from .errors import (ConfigError, DataError, DegenerateDataError,
                      InternalInvariantError)
@@ -26,7 +26,7 @@ from .tsv import ingest_knn_file, read_distance_matrix_tsv, read_points_tsv
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClusterConfig", "ClusterResult", "ClusterSummary", "ConfigError",
+    "ClusterResult", "ClusterSummary", "ConfigError",
     "DataError", "DegenerateDataError", "Dendrogram",
     "DensityEstimate", "IdEstimate", "InternalInvariantError",
     "LabeledPartition", "NeighborGraph", "PairwiseDistances", "PeakAssignment",

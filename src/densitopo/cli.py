@@ -23,11 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from . import synth
-from .clustering import ClusterConfig, PeakAssignment, SaddleTable, cluster_points
+from .clustering import PeakAssignment, SaddleTable, _check_z, cluster_points
 from .density import DensityEstimate, estimate_density
 from .errors import (EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, ConfigError,
                      DataError, InternalInvariantError)
-from .intrinsic_dim import DEFAULT_DISCARD_FRACTION, twonn_estimate
+from .intrinsic_dim import twonn_estimate
 from .metrics import (LabeledPartition, confusion_matrix, majority_labels, nmi,
                       purity)
 from .neighbors import (NeighborGraph, PairwiseDistances, build_neighbor_graph,
@@ -50,19 +50,10 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 # configuration
 
-def _boolean(text: str) -> bool:
-    if text.lower() in ("true", "1", "yes"):
-        return True
-    if text.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 # one entry per RunConfig field: the config file keys and their types
 _CONFIG_CASTS = {
     "input": str, "outdir": str, "format": str, "metric": str,
-    "k_max": int, "z": float, "d": float, "discard_fraction": float,
-    "halo": _boolean, "truth": str,
+    "k_max": int, "z": float, "d": float, "truth": str,
 }
 
 
@@ -77,12 +68,7 @@ class RunConfig:
     k_max: int | None = None
     z: float = 1.0
     d: float | None = None
-    discard_fraction: float = DEFAULT_DISCARD_FRACTION
-    halo: bool = True
     truth: str | None = None
-
-    def cluster_config(self) -> ClusterConfig:
-        return ClusterConfig(z=self.z, compute_halo=self.halo)
 
     def echo_text(self) -> str:
         """The set fields as sorted ``key = value`` lines a config file accepts."""
@@ -92,8 +78,6 @@ class RunConfig:
                 continue
             if _CONFIG_CASTS[key] is float:
                 value = _fmt(value)
-            elif _CONFIG_CASTS[key] is _boolean:
-                value = str(bool(value)).lower()
             lines.append(f"{key} = {value}")
         return "\n".join(lines) + "\n"
 
@@ -181,7 +165,7 @@ def _dimension(cfg: RunConfig, graph: NeighborGraph) -> float:
     """cfg.d when set, else the two-NN estimate; estimate_density validates it."""
     if cfg.d is not None:
         return float(cfg.d)
-    return twonn_estimate(graph, discard_fraction=cfg.discard_fraction).d_hat
+    return twonn_estimate(graph).d_hat
 
 
 def write_topography(outdir: Path, assignment: PeakAssignment, saddles: SaddleTable,
@@ -285,7 +269,7 @@ def run_pipeline(config: RunConfig) -> dict:
     when every stage succeeds; on failure the error names the failing
     stage and the output directory keeps what it held before.
     """
-    cluster_config = config.cluster_config()
+    _check_z(config.z)
     with _staged(config.outdir) as out:
         stage = "ingest"
         try:
@@ -299,7 +283,7 @@ def run_pipeline(config: RunConfig) -> dict:
             (out / "density.tsv").write_text(density_tsv_text(estimate), encoding="utf-8")
 
             stage = "cluster"
-            result = cluster_points(graph, estimate, pairwise, cluster_config)
+            result = cluster_points(graph, estimate, pairwise, config.z)
             assignment = result.assignment
             (out / "assignment.tsv").write_text(assignment_tsv_text(assignment, estimate),
                                                 encoding="utf-8")
@@ -334,7 +318,7 @@ def run_pipeline(config: RunConfig) -> dict:
 def _cmd_estimate_id(args) -> int:
     cfg = _settings(args)
     graph, _ = _load_graph(cfg, need_pairwise=False)
-    est = twonn_estimate(graph, discard_fraction=cfg.discard_fraction)
+    est = twonn_estimate(graph)
     print(f"{_fmt(est.d_hat)}\t{est.n_used}")
     return EXIT_OK
 
@@ -356,7 +340,7 @@ def _cmd_cluster(args) -> int:
         if estimate.n_points != graph.n_points:
             raise DataError(f"{args.density}: density file covers {estimate.n_points} "
                             f"points but the input has {graph.n_points}")
-        result = cluster_points(graph, estimate, pairwise, cfg.cluster_config())
+        result = cluster_points(graph, estimate, pairwise, cfg.z)
         _emit(assignment_tsv_text(result.assignment, estimate), out)
         if args.saddles_out is not None:
             _emit(saddles_tsv_text(result.saddles), saddles_out)
@@ -419,19 +403,14 @@ def _add_common(p: argparse.ArgumentParser, formats=_FORMATS) -> None:
                    help="flat key = value config file; flags win over it")
 
 
-def _add_dimension_opts(p: argparse.ArgumentParser, override: bool = True) -> None:
-    p.add_argument("--discard-fraction", dest="discard_fraction", type=float,
-                   default=None, help="tail fraction dropped by the id estimator")
-    if override:
-        p.add_argument("--d", type=float, default=None,
-                       help="intrinsic dimension override (default: estimate)")
+def _add_dimension_opt(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d", type=float, default=None,
+                   help="intrinsic dimension override (default: estimate)")
 
 
-def _add_cluster_opts(p: argparse.ArgumentParser) -> None:
+def _add_cluster_opt(p: argparse.ArgumentParser) -> None:
     p.add_argument("--z", type=float, default=None,
                    help="merge significance threshold (default 1.0)")
-    p.add_argument("--halo", dest="halo", action=argparse.BooleanOptionalAction,
-                   default=None, help="flag low-density cluster members")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,18 +425,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate-id", help="estimate the intrinsic dimension")
     _add_common(p)
-    _add_dimension_opts(p, override=False)
     p.set_defaults(handler=_cmd_estimate_id)
 
     p = sub.add_parser("density", help="adaptive density estimate per point")
     _add_common(p)
-    _add_dimension_opts(p)
+    _add_dimension_opt(p)
     p.add_argument("--out", default=None, help="density TSV (default stdout)")
     p.set_defaults(handler=_cmd_density)
 
     p = sub.add_parser("cluster", help="density-peak clustering of a density TSV")
     _add_common(p, formats=("coords", "matrix"))
-    _add_cluster_opts(p)
+    _add_cluster_opt(p)
     p.add_argument("--density", required=True, help="density TSV written by density")
     p.add_argument("--out", default=None, help="assignment TSV (default stdout)")
     p.add_argument("--saddles-out", dest="saddles_out", default=None,
@@ -491,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="fused pipeline into an output directory")
     _add_common(p, formats=("coords", "matrix"))
-    _add_dimension_opts(p)
-    _add_cluster_opts(p)
+    _add_dimension_opt(p)
+    _add_cluster_opt(p)
     p.add_argument("--truth", default=None)
     p.add_argument("--outdir", default=None)
     p.set_defaults(handler=_cmd_run)

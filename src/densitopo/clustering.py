@@ -5,7 +5,7 @@ point follows its nearest higher-g parent, which partitions the sample
 into one tree per peak.  Contacting clusters are then merged whenever the
 density gap between a peak and the connecting saddle is not significant
 against the combined error bars, and members below their cluster's
-highest saddle density can be flagged as halo.
+highest saddle density are flagged as halo.
 """
 
 from __future__ import annotations
@@ -24,21 +24,10 @@ from .neighbors import NeighborGraph, PairwiseDistances, _row_blocks
 _BLOCK_ENTRIES = 1 << 16
 
 
-@dataclass
-class ClusterConfig:
-    """Merging and halo settings.
-
-    z is the significance threshold of the peak-vs-saddle test: larger z
-    merges more aggressively, z = 0 keeps every density peak that stands
-    above its saddles at all.
-    """
-
-    z: float = 1.0
-    compute_halo: bool = True
-
-    def __post_init__(self):
-        if not (self.z >= 0.0):
-            raise ConfigError(f"z must be >= 0, got {self.z}")
+def _check_z(z: float) -> None:
+    """Reject a merge threshold z that is negative or NaN."""
+    if not (z >= 0.0):
+        raise ConfigError(f"z must be >= 0, got {z}")
 
 
 class SaddleInfo(NamedTuple):
@@ -334,29 +323,29 @@ def flag_halo(labels: np.ndarray, saddles: SaddleTable,
 
 
 def cluster_points(graph: NeighborGraph, estimate: DensityEstimate,
-                   pairwise: PairwiseDistances,
-                   config: ClusterConfig | None = None) -> ClusterResult:
-    """Full clustering chain from a density estimate to merged clusters."""
-    config = config or ClusterConfig()
+                   pairwise: PairwiseDistances, z: float = 1.0) -> ClusterResult:
+    """Full clustering chain from a density estimate to merged, halo-flagged clusters.
+
+    z is the significance threshold of the peak-vs-saddle test: larger z
+    merges more aggressively, z = 0 keeps every density peak that stands
+    above its saddles at all.
+    """
+    _check_z(z)
     g = compute_g(estimate)
     delta, parent = compute_delta_parent(g, graph, pairwise)
     putative = detect_putative_centers(g, delta, estimate, graph)
     labels = assign_points(g, parent, putative)
     saddles = find_borders_saddles(labels, graph, g, estimate, pairwise)
     labels, centers, saddles, merge_log, final = merge_clusters(
-        labels, putative, saddles, estimate, config.z)
+        labels, putative, saddles, estimate, z)
     parent[putative] = np.asarray(centers)[final]
     parent[centers] = -1
 
     is_center = np.zeros(graph.n_points, dtype=bool)
     is_center[centers] = True
-    if config.compute_halo:
-        is_halo = flag_halo(labels, saddles, estimate)
-    else:
-        is_halo = np.zeros(graph.n_points, dtype=bool)
-
     assignment = PeakAssignment(g=g, delta=delta, parent=parent, labels=labels,
-                                is_center=is_center, is_halo=is_halo,
+                                is_center=is_center,
+                                is_halo=flag_halo(labels, saddles, estimate),
                                 centers=centers)
     return ClusterResult(assignment=assignment, saddles=saddles,
                          merge_log=merge_log, putative_centers=putative)

@@ -257,6 +257,11 @@ def estimate_density(graph: NeighborGraph, d: float,
     """
     if not (d > 0 and math.isfinite(d)):
         raise ConfigError(f"intrinsic dimension must be positive, got {d}")
+    try:
+        unit_ball_volume(d)
+    except OverflowError:
+        raise ConfigError(f"intrinsic dimension {d} is too large: its unit-ball "
+                          "volume is beyond floating point") from None
     if ansatz not in ANSATZ_CHOICES:
         raise ConfigError(f"ansatz must be one of {ANSATZ_CHOICES}, got {ansatz!r}")
     n = graph.n_points

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateDataError
+from .errors import DataError, DegenerateDataError
 from .neighbors import NeighborGraph
 
-DEFAULT_DISCARD_FRACTION = 0.1
+DISCARD_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -25,12 +25,11 @@ class IdEstimate:
     n_used: int
 
 
-def twonn_estimate(graph: NeighborGraph,
-                   discard_fraction: float = DEFAULT_DISCARD_FRACTION) -> IdEstimate:
+def twonn_estimate(graph: NeighborGraph) -> IdEstimate:
     """Estimate the intrinsic dimension from first/second neighbor distances.
 
     Points whose first neighbor distance is zero (duplicates) are skipped.
-    The largest ``discard_fraction`` of the log-ratios is discarded to damp
+    The largest ``DISCARD_FRACTION`` of the log-ratios is discarded to damp
     tail noise; the estimate is the censored-sample maximum-likelihood rate
     of the remaining exponential log-ratios, which stays consistent under
     the discard (the plain mean over a truncated sample would not be).
@@ -38,8 +37,6 @@ def twonn_estimate(graph: NeighborGraph,
     Returns:
         IdEstimate with d_hat > 0 and the number of retained points.
     """
-    if not 0.0 <= discard_fraction < 1.0:
-        raise ConfigError(f"discard_fraction must be in [0, 1), got {discard_fraction}")
     if graph.k_max < 2:
         raise DataError("two-NN estimation needs k_max >= 2 neighbors per point")
 
@@ -51,10 +48,8 @@ def twonn_estimate(graph: NeighborGraph,
 
     log_mu = np.sort(np.log(r2[usable] / r1[usable]))
     n_kept = log_mu.size
-    n_drop = int(math.floor(discard_fraction * n_kept))
+    n_drop = int(math.floor(DISCARD_FRACTION * n_kept))
     n_used = n_kept - n_drop
-    if n_used < 1:
-        raise DegenerateDataError("no usable points left after discarding the tail")
 
     # censored-sample MLE: discarded values enter only through the cutoff
     cutoff = log_mu[n_used - 1]

@@ -12,6 +12,7 @@ when a row is at fault, ``path:line`` and the column.
 from __future__ import annotations
 
 import warnings
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,7 @@ def _flag(text: str) -> bool:
 
 
 _DTYPES = {_int: np.int64, _flag: np.bool_}  # any other cast gives float64
+_TYPECODES = {_int: "q", _flag: "b"}  # read buffers; any other cast reads into "d"
 _bit = "{:d}".format  # a flag is written as 0 or 1
 
 DENSITY = (("point_id", _int, str), ("k_hat", _int, str), ("log_rho", _finite, repr),
@@ -71,8 +73,13 @@ def table_text(spec: tuple, columns) -> str:
 
 def read_table(path: str | Path, spec: tuple,
                allow_empty: bool = False) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Return the line number of every data row and one array per column."""
-    lines, rows = [], []
+    """Return the line number of every data row and one array per column.
+
+    Rows are cast field by field into one typed buffer per column, so a
+    row costs the bytes of its values, not a list of Python objects.
+    """
+    lines = array("q")
+    columns = [array(_TYPECODES.get(cast, "d")) for _, cast, _ in spec]
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -90,20 +97,17 @@ def read_table(path: str | Path, spec: tuple,
             if len(fields) != len(spec):
                 raise DataError(f"{path}:{lineno}: expected {len(spec)} fields, "
                                 f"got {len(fields)}")
-            row = []
-            for (name, cast, _), text in zip(spec, fields):
+            for (name, cast, _), text, column in zip(spec, fields, columns):
                 try:
-                    row.append(cast(text))
+                    column.append(cast(text))
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: {name}: {exc}") from None
             lines.append(lineno)
-            rows.append(row)
-    if not rows and not allow_empty:
+    if not lines and not allow_empty:
         raise DataError(f"{path}: empty input file")
-    values = list(zip(*rows)) or [()] * len(spec)
     return np.array(lines, dtype=np.int64), [
-        np.array(col, dtype=_DTYPES.get(cast, np.float64))
-        for (_, cast, _), col in zip(spec, values)]
+        np.array(column, dtype=_DTYPES.get(cast, np.float64))
+        for (_, cast, _), column in zip(spec, columns)]
 
 
 def _reject(path: Path, lines: np.ndarray, bad: np.ndarray, why) -> None:

@@ -16,7 +16,6 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from densitopo import (
-    ClusterConfig,
     DensityEstimate,
     LabeledPartition,
     PairwiseDistances,
@@ -78,7 +77,7 @@ def _full_pipeline(points, k_max, z_values):
     pairwise = PairwiseDistances(coords=ps.coords)
     d_hat = twonn_estimate(graph).d_hat
     estimate = estimate_density(graph, d_hat)
-    results = {z: cluster_points(graph, estimate, pairwise, ClusterConfig(z=z))
+    results = {z: cluster_points(graph, estimate, pairwise, z=z)
                for z in z_values}
     elapsed = time.monotonic() - t0
     return {"graph": graph, "pairwise": pairwise, "estimate": estimate,
@@ -308,7 +307,7 @@ def test_criterion_11_determinism(tmp_path, spirals_state):
     # in-memory repetition of one spirals clustering is bitwise stable too
     graph, pairwise = spirals_state["graph"], spirals_state["pairwise"]
     estimate = spirals_state["estimate"]
-    rerun = cluster_points(graph, estimate, pairwise, ClusterConfig(z=3.0))
+    rerun = cluster_points(graph, estimate, pairwise, z=3.0)
     first = spirals_state["results"][3.0]
     assert np.array_equal(rerun.assignment.labels, first.assignment.labels)
     assert rerun.assignment.g.tobytes() == first.assignment.g.tobytes()

@@ -169,21 +169,18 @@ def test_config_file_supplies_options(dataset, tmp_path):
         f"outdir = {outdir}\n"
         "k_max = 32\n"
         "z = 1.5\n"
-        "halo = false\n"
         "\n",
         encoding="utf-8")
     assert _run(["run", "--config", cfg]) == 0
     echo = (outdir / "run_config.txt").read_text(encoding="utf-8")
     assert "z = 1.5\n" in echo
-    assert "halo = false\n" in echo
     assert "k_max = 32\n" in echo
 
 
 def test_run_config_echo_reproduces_the_run(dataset, tmp_path):
     first, again = tmp_path / "first", tmp_path / "again"
     assert _run(["run", "--input", dataset["points"], "--outdir", first,
-                 "--k-max", "32", "--z", "1.5", "--no-halo",
-                 "--truth", dataset["truth"]]) == 0
+                 "--k-max", "32", "--z", "1.5", "--truth", dataset["truth"]]) == 0
     assert _run(["run", "--config", first / "run_config.txt",
                  "--outdir", again]) == 0
     names = sorted(p.name for p in first.iterdir())
@@ -224,7 +221,7 @@ def test_inert_seed_and_out_settings_rejected(dataset, tmp_path, capsys):
               "--seed", "3"])
     assert exc.value.code == 2
     cfg = tmp_path / "inert.cfg"
-    for line in ("out = x.tsv", "seed = 3"):
+    for line in ("out = x.tsv", "seed = 3", "halo = false", "discard_fraction = 0.2"):
         cfg.write_text(line + "\n", encoding="utf-8")
         assert _run(["density", "--config", cfg, "--input", dataset["points"]]) == 2
         assert "unknown config key" in capsys.readouterr().err
@@ -242,11 +239,10 @@ def test_config_malformed_line_rejected(tmp_path):
 
 def test_config_parses_comments_and_types(tmp_path):
     cfg = tmp_path / "ok.cfg"
-    cfg.write_text("# comment\n\nk_max = 16\nz = 0.5\nhalo = yes\n"
+    cfg.write_text("# comment\n\nk_max = 16\nz = 0.5\n"
                    "metric = manhattan\n", encoding="utf-8")
     values = read_config_file(cfg)
-    assert values == {"k_max": 16, "z": 0.5, "halo": True,
-                      "metric": "manhattan"}
+    assert values == {"k_max": 16, "z": 0.5, "metric": "manhattan"}
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +293,7 @@ def test_topography_staged_needs_both_files(dataset, tmp_path):
     assert exc.value.code == 2
 
 
-# each staged command runs its own stage only: the flags of other stages are usage errors
+# a command takes only the flags of the stages it runs; any other flag is a usage error
 @pytest.mark.parametrize("argv", [
     ["topography", "--input", "p.tsv", "--outdir", "t"],
     ["topography", "--assignment", "a.tsv", "--saddles", "s.tsv", "--outdir", "t",
@@ -305,8 +301,15 @@ def test_topography_staged_needs_both_files(dataset, tmp_path):
     ["cluster", "--input", "p.tsv", "--k-max", "32", "--out", "a.tsv"],
     ["cluster", "--input", "p.tsv", "--density", "d.tsv", "--d", "9"],
     ["cluster", "--input", "p.tsv", "--density", "d.tsv", "--discard-fraction", "0.5"],
+    ["run", "--input", "p.tsv", "--outdir", "o", "--no-halo"],
+    ["cluster", "--input", "p.tsv", "--density", "d.tsv", "--halo"],
+    ["estimate-id", "--input", "p.tsv", "--discard-fraction", "0.2"],
+    ["density", "--input", "p.tsv", "--discard-fraction", "0.2"],
+    ["run", "--input", "p.tsv", "--outdir", "o", "--discard-fraction", "0.2"],
 ], ids=["topography-input", "topography-z", "cluster-no-density", "cluster-d",
-        "cluster-discard-fraction"])
+        "cluster-discard-fraction", "run-no-halo", "cluster-halo",
+        "estimate-id-discard-fraction", "density-discard-fraction",
+        "run-discard-fraction"])
 def test_staged_command_rejects_other_stages_flags(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -366,6 +369,12 @@ def test_density_knn_file_rejects_k_max_it_cannot_give(dataset, tmp_path, capsys
     code = _run(["density", "--format", "knn", "--input", knn_path,
                  "--k-max", k_max, "--d", "2"])
     _assert_rejected(code, capsys, 2, f"{knn_path} holds 10 neighbors per point")
+
+
+@pytest.mark.parametrize("d", ["400", "1e308"])
+def test_density_dimension_beyond_floating_point_is_config_error(dataset, capsys, d):
+    code = _run(["density", "--input", dataset["points"], "--k-max", "32", "--d", d])
+    _assert_rejected(code, capsys, 2, f"intrinsic dimension {float(d)} is too large")
 
 
 def test_cluster_rejects_knn_format_via_config(dataset, tmp_path, capsys):

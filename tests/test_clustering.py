@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from densitopo import (
-    ClusterConfig,
     ConfigError,
     DegenerateDataError,
     DensityEstimate,
@@ -182,7 +181,7 @@ def test_single_blob_merges_to_one_cluster_any_seed():
         coords = rng.normal(size=(3000, 2))
         _, graph, pairwise = _setup(coords, 750)
         est = estimate_density(graph, 2.0)
-        result = cluster_points(graph, est, pairwise, ClusterConfig(z=1.5))
+        result = cluster_points(graph, est, pairwise, z=1.5)
         assert result.assignment.n_clusters == 1
 
 
@@ -251,7 +250,7 @@ def test_two_blob_assignment_matches_components():
     coords, truth = synth_gmm(k=2, n=5000, dim=2, separation=10.0, seed=3)
     _, graph, pairwise = _setup(coords, 64)
     est = estimate_density(graph, 2.0)
-    result = cluster_points(graph, est, pairwise, ClusterConfig(z=1.5))
+    result = cluster_points(graph, est, pairwise, z=1.5)
     labels = result.assignment.labels
     assert result.assignment.n_clusters == 2
     keep = ~result.assignment.is_halo
@@ -285,7 +284,7 @@ def test_1d_valley_saddle_sits_mid_valley():
                              rng.normal(3.0, 1.0, size=(2000, 1))])
     _, graph, pairwise = _setup(coords, 64)
     est = estimate_density(graph, 1.0)
-    result = cluster_points(graph, est, pairwise, ClusterConfig(z=3.0))
+    result = cluster_points(graph, est, pairwise, z=3.0)
     assert result.assignment.n_clusters == 2
     info = result.saddles.entries[(0, 1)]
     # peaks at -3 and +3: the saddle must fall in the middle third
@@ -299,7 +298,7 @@ def test_mirrored_data_same_saddle_density():
     out = []
     for c in (coords, -coords):
         graph, pairwise, est = _full_estimate(c, 64)
-        result = cluster_points(graph, est, pairwise, ClusterConfig(z=1.5))
+        result = cluster_points(graph, est, pairwise, z=1.5)
         assert result.assignment.n_clusters == 2
         out.append(result.saddles.entries[(0, 1)].log_rho)
     # mirroring is an isometry: identical distances, identical saddle
@@ -646,11 +645,11 @@ def test_halo_uses_highest_of_two_saddles():
     np.testing.assert_array_equal(halo, [False, True, True, False, True, False, True])
 
 
-def test_cluster_config_validation():
-    with pytest.raises(ConfigError):
-        ClusterConfig(z=-0.5)
-    with pytest.raises(ConfigError):
-        ClusterConfig(z=math.nan)
+def test_cluster_config_validation(gmm_state):
+    _, _, graph, pairwise, est = gmm_state
+    for z in (-0.5, math.nan):
+        with pytest.raises(ConfigError, match="z must be >= 0"):
+            cluster_points(graph, est, pairwise, z=z)
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +670,7 @@ def test_cluster_count_non_increasing_in_z(gmm_state):
     _, _, graph, pairwise, est = gmm_state
     counts = []
     for z in np.arange(0.0, 5.5, 0.5):
-        result = cluster_points(graph, est, pairwise, ClusterConfig(z=float(z)))
+        result = cluster_points(graph, est, pairwise, z=float(z))
         counts.append(result.assignment.n_clusters)
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
@@ -679,7 +678,7 @@ def test_cluster_count_non_increasing_in_z(gmm_state):
 def test_survivors_violate_the_merge_test(gmm_state):
     _, _, graph, pairwise, est = gmm_state
     z = 1.5
-    result = cluster_points(graph, est, pairwise, ClusterConfig(z=z))
+    result = cluster_points(graph, est, pairwise, z=z)
     centers = result.assignment.centers
     g = result.assignment.g
     for (a, b), info in result.saddles.entries.items():
@@ -691,9 +690,9 @@ def test_survivors_violate_the_merge_test(gmm_state):
 
 def test_zero_z_keeps_all_putative_centers_that_stand_out(gmm_state):
     _, _, graph, pairwise, est = gmm_state
-    result = cluster_points(graph, est, pairwise, ClusterConfig(z=0.0))
+    result = cluster_points(graph, est, pairwise, z=0.0)
     for z in (0.0, 1.0, 3.0):
-        r = cluster_points(graph, est, pairwise, ClusterConfig(z=z))
+        r = cluster_points(graph, est, pairwise, z=z)
         # merging never invents centers
         assert set(r.assignment.centers) <= set(r.putative_centers)
         assert r.putative_centers == result.putative_centers
@@ -704,8 +703,8 @@ def test_adding_constant_to_log_rho_changes_nothing(gmm_state):
     shifted = DensityEstimate(k_hat=est.k_hat, log_rho=est.log_rho + 7.0,
                               err=est.err, r_khat=est.r_khat, slope=est.slope,
                               fallback=est.fallback)
-    a = cluster_points(graph, est, pairwise, ClusterConfig(z=1.5)).assignment
-    b = cluster_points(graph, shifted, pairwise, ClusterConfig(z=1.5)).assignment
+    a = cluster_points(graph, est, pairwise, z=1.5).assignment
+    b = cluster_points(graph, shifted, pairwise, z=1.5).assignment
     np.testing.assert_array_equal(a.labels, b.labels)
     assert a.centers == b.centers
     np.testing.assert_array_equal(a.is_halo, b.is_halo)
@@ -713,7 +712,7 @@ def test_adding_constant_to_log_rho_changes_nothing(gmm_state):
 
 def test_parent_forest_reaches_the_cluster_center(gmm_state):
     _, _, graph, pairwise, est = gmm_state
-    result = cluster_points(graph, est, pairwise, ClusterConfig(z=1.5))
+    result = cluster_points(graph, est, pairwise, z=1.5)
     asg = result.assignment
     n = graph.n_points
     for i in range(0, n, 7):
@@ -731,7 +730,7 @@ def test_parent_forest_reaches_the_cluster_center(gmm_state):
 def test_centers_are_never_halo(gmm_state):
     _, _, graph, pairwise, est = gmm_state
     for z in (0.0, 1.5, 3.0):
-        asg = cluster_points(graph, est, pairwise, ClusterConfig(z=z)).assignment
+        asg = cluster_points(graph, est, pairwise, z=z).assignment
         assert not asg.is_halo[asg.centers].any()
         assert asg.is_center[asg.centers].all()
         assert asg.is_center.sum() == asg.n_clusters
@@ -739,14 +738,14 @@ def test_centers_are_never_halo(gmm_state):
 
 def test_halo_points_have_lower_density(gmm_state):
     _, _, graph, pairwise, est = gmm_state
-    asg = cluster_points(graph, est, pairwise, ClusterConfig(z=1.5)).assignment
+    asg = cluster_points(graph, est, pairwise, z=1.5).assignment
     assert asg.is_halo.any()
     assert est.log_rho[asg.is_halo].mean() < est.log_rho[~asg.is_halo].mean()
 
 
 def test_labels_are_dense_and_complete(gmm_state):
     _, _, graph, pairwise, est = gmm_state
-    asg = cluster_points(graph, est, pairwise, ClusterConfig(z=1.5)).assignment
+    asg = cluster_points(graph, est, pairwise, z=1.5).assignment
     assert asg.labels.min() == 0
     assert asg.labels.max() == asg.n_clusters - 1
     assert np.unique(asg.labels).size == asg.n_clusters

@@ -1,6 +1,7 @@
 """Tests for the adaptive density estimator and its building blocks."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -603,6 +604,9 @@ def test_estimate_density_validates_d_and_ansatz():
                                                     omega=math.pi))
     for d in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ConfigError, match="intrinsic dimension must be positive"):
+            estimate_density(graph, d)
+    for d in (400.0, 1e308):
+        with pytest.raises(ConfigError, match=re.escape(f"intrinsic dimension {d} is too large")):
             estimate_density(graph, d)
     with pytest.raises(ConfigError, match="ansatz must be one of"):
         estimate_density(graph, 2.0, ansatz="cubic")

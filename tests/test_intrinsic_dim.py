@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from densitopo import (ConfigError, DataError, DegenerateDataError, PointSet,
-                       build_neighbor_graph, twonn_estimate)
+from densitopo import (DataError, DegenerateDataError, PointSet, build_neighbor_graph,
+                       twonn_estimate)
+from densitopo import intrinsic_dim as intrinsic_dim_module
 from densitopo.synth import synth_uniform
 from oracles import graph_from_radii
 
@@ -15,16 +16,23 @@ def _graph_with_mu(mu_values):
     return graph_from_radii(radii)
 
 
+def _twonn_keeping_tail(graph):
+    """The estimate with no log-ratio discarded."""
+    with pytest.MonkeyPatch.context() as mp_patch:
+        mp_patch.setattr(intrinsic_dim_module, "DISCARD_FRACTION", 0.0)
+        return twonn_estimate(graph)
+
+
 def test_all_ratios_e_gives_dimension_one():
     graph = _graph_with_mu([np.e] * 4)
-    est = twonn_estimate(graph, discard_fraction=0.0)
+    est = _twonn_keeping_tail(graph)
     assert est.d_hat == pytest.approx(1.0, abs=1e-15)
     assert est.n_used == 4
 
 
 def test_all_ratios_sqrt_e_gives_dimension_two():
     graph = _graph_with_mu([np.exp(0.5)] * 6)
-    est = twonn_estimate(graph, discard_fraction=0.0)
+    est = _twonn_keeping_tail(graph)
     assert est.d_hat == pytest.approx(2.0, rel=1e-12)
 
 
@@ -32,7 +40,7 @@ def test_reduces_to_plain_mle_without_discard():
     rng = np.random.default_rng(0)
     mu = np.exp(rng.exponential(0.5, size=50))
     graph = _graph_with_mu(mu)
-    est = twonn_estimate(graph, discard_fraction=0.0)
+    est = _twonn_keeping_tail(graph)
     assert est.d_hat == pytest.approx(50 / np.log(mu).sum(), rel=1e-12)
 
 
@@ -83,13 +91,6 @@ def test_all_duplicates_degenerate():
         twonn_estimate(graph)
 
 
-def test_bad_discard_fraction_rejected():
-    graph = _graph_with_mu([np.e] * 4)
-    for bad in (-0.1, 1.0, 1.5):
-        with pytest.raises(ConfigError):
-            twonn_estimate(graph, discard_fraction=bad)
-
-
 def test_single_neighbor_graph_rejected():
     radii = np.ones((5, 1))
     graph = graph_from_radii(radii)
@@ -101,4 +102,4 @@ def test_unit_ratios_degenerate():
     # r1 == r2 everywhere: log ratios sum to zero, no dimension signal
     graph = _graph_with_mu([1.0] * 8)
     with pytest.raises(DegenerateDataError):
-        twonn_estimate(graph, discard_fraction=0.0)
+        _twonn_keeping_tail(graph)

@@ -1,7 +1,8 @@
-"""Peak memory of the passes over a whole neighbor table or distance matrix.
+"""Peak memory of the passes over a whole neighbor table or distance matrix,
+and of reading a kNN file.
 
 numpy reports its array buffers to tracemalloc, so a traced peak counts every
-temporary a stage allocates, in any thread.  Each test shrinks the block
+temporary a stage allocates, in any thread.  Each pass test shrinks the block
 budget, so a pass whose scratch follows the size of the table rather than of
 its block shows as a peak far above the bound.
 """
@@ -13,8 +14,10 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from densitopo import (PairwiseDistances, PointSet, build_neighbor_graph, cluster_points,
-                       estimate_density, ingest_distance_matrix, synth_gmm)
+                       estimate_density, ingest_distance_matrix, ingest_knn_file,
+                       synth_gmm)
 from densitopo import clustering, neighbors
+from oracles import export_knn_file
 
 
 def _traced_peak(fn, *args, **kwargs):
@@ -52,3 +55,15 @@ def test_clustering_peak_follows_its_blocks_not_the_table(monkeypatch):
     assert result.assignment.n_clusters >= 1
     # below one byte per entry of the n x k_max table
     assert peak < graph.n_points * graph.k_max
+
+
+def test_knn_file_reader_peak_follows_the_row_values(tmp_path):
+    coords, _ = synth_gmm(k=3, n=2000, dim=2, separation=8, seed=1)
+    graph = build_neighbor_graph(PointSet(coords), k_max=50)
+    path = tmp_path / "graph.knn"
+    export_knn_file(graph, path)
+    peak, read = _traced_peak(ingest_knn_file, path)
+    np.testing.assert_array_equal(read.neighbor_ids, graph.neighbor_ids)
+    np.testing.assert_array_equal(read.neighbor_dists, graph.neighbor_dists)
+    # a row holds 24 bytes of values; a Python list per row costs near 300
+    assert peak < 100 * graph.n_points * graph.k_max

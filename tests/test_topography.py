@@ -8,7 +8,6 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from densitopo import (
-    ClusterConfig,
     DataError,
     DensityEstimate,
     PairwiseDistances,
@@ -392,7 +391,7 @@ def clustered_topo():
     graph = build_neighbor_graph(points, 64)
     pairwise = PairwiseDistances(coords=points.coords)
     est = estimate_density(graph, 2.0)
-    result = cluster_points(graph, est, pairwise, ClusterConfig(z=1.5))
+    result = cluster_points(graph, est, pairwise, z=1.5)
     return build_topography(result.assignment, result.saddles, est), result
 
 
