@@ -15,13 +15,13 @@ from .intrinsic_dim import IdEstimate, twonn_estimate
 from .metrics import (LabeledPartition, confusion_matrix, majority_labels, nmi,
                       purity)
 from .neighbors import (NeighborGraph, PairwiseDistances, PointSet,
-                        build_neighbor_graph, ingest_distance_matrix,
-                        write_points_tsv)
+                        build_neighbor_graph, ingest_distance_matrix)
 from .synth import synth_gmm, synth_spirals, synth_uniform
 from .topography import (ClusterSummary, Dendrogram, Topography, build_topography,
                          dendrogram_newick, mds_layout, network_dot,
                          single_linkage, topography_to_json)
-from .tsv import ingest_knn_file, read_distance_matrix_tsv, read_points_tsv
+from .tsv import (ingest_knn_file, read_distance_matrix_tsv, read_points_tsv,
+                  write_points_tsv)
 
 __version__ = "0.1.0"
 

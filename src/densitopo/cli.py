@@ -30,17 +30,17 @@ from .errors import (EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, ConfigError
 from .intrinsic_dim import twonn_estimate
 from .metrics import (LabeledPartition, confusion_matrix, majority_labels, nmi,
                       purity)
-from .neighbors import (NeighborGraph, PairwiseDistances, build_neighbor_graph,
-                        ingest_distance_matrix, write_points_tsv)
+from .neighbors import (_METRICS, NeighborGraph, PairwiseDistances, build_neighbor_graph,
+                        ingest_distance_matrix)
 from .topography import (build_topography, dendrogram_newick, mds_layout,
                          network_dot, single_linkage, topography_to_json)
 from .tsv import (PURITY, TRUTH, assignment_tsv_text, confusion_spec, density_tsv_text,
                   ingest_knn_file, read_assignment_tsv, read_density_tsv,
                   read_distance_matrix_tsv, read_points_tsv, read_saddles_tsv,
-                  read_truth_tsv, saddles_tsv_text, table_text)
+                  read_truth_tsv, saddles_tsv_text, table_text, write_points_tsv)
 
 _FORMATS = ("coords", "matrix", "knn")
-_METRIC_CHOICES = ("euclidean", "manhattan")
+_METRIC_CHOICES = tuple(_METRICS)
 
 
 def _fmt(x: float) -> str:

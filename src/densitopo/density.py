@@ -35,10 +35,18 @@ _BLOCK_ENTRIES = 1 << 16
 
 
 def unit_ball_volume(d: float) -> float:
-    """Volume of the unit ball in (possibly fractional) dimension d."""
-    if d <= 0:
-        raise ConfigError(f"dimension must be positive, got {d}")
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+    """Volume of the unit ball in (possibly fractional) dimension d.
+
+    The one check of an intrinsic dimension: positive, finite, and small
+    enough that this volume is a float.
+    """
+    if not (d > 0 and math.isfinite(d)):
+        raise ConfigError(f"intrinsic dimension must be positive, got {d}")
+    try:
+        return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+    except OverflowError:
+        raise ConfigError(f"intrinsic dimension {d} is too large: its unit-ball "
+                          "volume is beyond floating point") from None
 
 
 def log_density_error(k) -> np.ndarray | float:
@@ -59,22 +67,11 @@ class DensityEstimate:
     log_rho: np.ndarray
     err: np.ndarray
     r_khat: np.ndarray
-    slope: np.ndarray
     fallback: np.ndarray
 
     @property
     def n_points(self) -> int:
         return self.k_hat.shape[0]
-
-
-def knn_mle(k: int, volume: float) -> float:
-    """Log density maximizing the fixed-k shell likelihood: log(k / V)."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    if volume <= 0.0:
-        raise DegenerateDataError(
-            f"cumulative volume is {volume}; all {k} neighbors coincide with the point")
-    return math.log(k) - math.log(volume)
 
 
 def _lrt_kernel(k, v_i, v_j):
@@ -107,15 +104,16 @@ def _effective_cap(graph: NeighborGraph) -> int:
     return cap
 
 
-def _adaptive_k_all(d: float, graph: NeighborGraph) -> np.ndarray:
+@np.errstate(over="ignore")
+def _adaptive_k_all(graph: NeighborGraph, d: float, omega: float,
+                    cap: int) -> np.ndarray:
     """Largest k per point whose same-density test stays below the threshold.
 
     Scans k = k_min..cap and stops at a point's first rejection; if even
     k_min is rejected the answer is still k_min, and with no rejection it
-    is the cap.  Each step tests only the points not yet rejected.
+    is the cap.  Each step tests only the points not yet rejected.  A
+    volume that overflows is rejected later, by the plain estimate's check.
     """
-    omega = unit_ball_volume(d)
-    cap = _effective_cap(graph)
     k_hat = np.full(graph.n_points, cap, dtype=np.int64)
     growing = np.arange(graph.n_points)
     for k in range(DEFAULT_K_MIN, cap + 1):
@@ -133,12 +131,29 @@ def _adaptive_k_all(d: float, graph: NeighborGraph) -> np.ndarray:
 def _libm(func, *arrays: np.ndarray) -> np.ndarray:
     """Apply a scalar `math` function elementwise.
 
-    numpy's SIMD log and hypot kernels can differ from the C library's in
-    the last bit; the fit's start point and stopping test use the C
-    library's, the values the golden outputs were made with.
+    numpy's SIMD log, hypot and power kernels can differ from the C
+    library's in the last bit; the plain estimate, the retry's volumes and
+    the fit's stopping test use the C library's, the values the golden
+    outputs were made with.
     """
     return np.fromiter(map(func, *(arr.tolist() for arr in arrays)),
                        dtype=np.float64, count=arrays[0].size)
+
+
+def _plain_log_rho(ids: np.ndarray, k: int | np.ndarray, vol: np.ndarray,
+                   d: float) -> np.ndarray:
+    """The plain estimate log(k / V) of points whose k-th neighbor is not
+    at distance 0.
+
+    Their balls have a positive radius, so a volume of 0 or inf is
+    omega * r**d leaving floating point: d is too large for the data.
+    """
+    bad = (vol == 0.0) | np.isinf(vol)
+    if bad.any():
+        at = int(np.argmax(bad))
+        raise ConfigError(f"intrinsic dimension {d} is too large for point {ids[at]}: "
+                          f"its ball of positive radius has volume {vol[at]}")
+    return _libm(math.log, np.atleast_1d(k)) - _libm(math.log, vol)
 
 
 def _objective(b: np.ndarray, a: np.ndarray, x: np.ndarray,
@@ -151,44 +166,39 @@ def _objective(b: np.ndarray, a: np.ndarray, x: np.ndarray,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _fit_block(ids: np.ndarray, k: int, d: float, ansatz: str,
-               graph: NeighborGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fit_block(ids: np.ndarray, k: int, d: float, omega: float, ansatz: str,
+               graph: NeighborGraph) -> tuple[np.ndarray, np.ndarray]:
     """Fit log rho with a linear density drift over k shells, for many points.
 
     Per point, maximizes the shell likelihood of rate exp(b + a * x_l) by
     Newton iteration from (log(k / V), 0), halving steps that lower the
     objective.  The intercept b is the bias-corrected log density at the
-    point; a is the drift slope in the chosen regressor.  All points run in
-    lockstep, each halving its own steps and leaving once it is decided.
-    Every row sum reduces an exact-length row, in the order of a 1-D sum
-    over that point's shells, so each point's result is what a fit of that
-    point alone gives.
+    point.  All points run in lockstep, each halving its own steps and
+    leaving once it is decided.  Every row sum reduces an exact-length row,
+    in the order of a 1-D sum over that point's shells, so each point's
+    result is what a fit of that point alone gives.
 
     Returns:
-        (log_rho, slope, fallback) per point: fallback is True where the
-        solver did not converge or the curvature degenerated, in which case
-        the plain k/V estimate is returned with zero slope.
+        (log_rho, fallback) per point: fallback is True where the solver
+        did not converge or the curvature degenerated, in which case the
+        plain k/V estimate is returned.
     """
-    cum = unit_ball_volume(d) * np.power(graph.neighbor_dists[ids, :k], d)
-    vol = cum[:, -1]
-    if (vol <= 0.0).any():
-        i = int(ids[np.argmax(vol <= 0.0)])
-        raise DegenerateDataError(f"point {i}: all {k} nearest neighbors coincide with it")
+    cum = omega * np.power(graph.neighbor_dists[ids, :k], d)
+    log_rho = _plain_log_rho(ids, k, cum[:, -1], d)
     v = np.maximum(np.diff(cum, axis=1, prepend=0.0), 0.0)
     if ansatz == "volume":
         x = cum
     else:
         x = np.tile(np.arange(1.0, k + 1.0), (ids.size, 1))
     x_sum = x.sum(axis=1)
-    log_rho = math.log(k) - _libm(math.log, vol)
-    slope = np.zeros(ids.size)
     fallback = np.ones(ids.size, dtype=bool)
 
     # state of the points still iterating; rows maps it to the block
     rows = np.arange(ids.size)
-    b, a = log_rho.copy(), slope.copy()
+    b, a = log_rho.copy(), np.zeros(ids.size)
     current, w = _objective(b, a, x, v)
-    for _ in range(_NR_MAX_ITER):
+    pending = []  # rows whose last step found no ascent
+    for it in range(_NR_MAX_ITER + 1):
         wx = w * x
         w_sum, wx_sum, wxx_sum = w.sum(axis=1), wx.sum(axis=1), (wx * x).sum(axis=1)
         g_b = k - w_sum
@@ -196,14 +206,20 @@ def _fit_block(ids: np.ndarray, k: int, d: float, ansatz: str,
         finite = np.isfinite(w_sum + wx_sum + wxx_sum)
         converged = finite & (_libm(math.hypot, g_b, g_a) <= _NR_TOL)
         done = rows[converged]
-        log_rho[done], slope[done], fallback[done] = b[converged], a[converged], False
+        log_rho[done], fallback[done] = b[converged], False
         h_bb, h_ba, h_aa = -w_sum, -wx_sum, -wxx_sum
         det = h_bb * h_aa - h_ba * h_ba
-        # curvature not negative definite: no trustworthy Newton step
+        # the rest leave when the iteration limit is reached, when their
+        # last step found no ascent, or when the curvature is not negative
+        # definite: no trustworthy Newton step
         go = finite & ~converged & (h_bb < 0.0) & (det > 0.0)
+        go[pending] = False
+        n_go = np.count_nonzero(go)
+        if it == _NR_MAX_ITER or not n_go:
+            break
         step_b = -(h_aa * g_b - h_ba * g_a)[go] / det[go]
         step_a = -(h_bb * g_a - h_ba * g_b)[go] / det[go]
-        if not go.all():
+        if n_go < rows.size:
             rows, b, a, current, w, x, v, x_sum = (
                 arr[go] for arr in (rows, b, a, current, w, x, v, x_sum))
 
@@ -222,21 +238,7 @@ def _fit_block(ids: np.ndarray, k: int, d: float, ansatz: str,
             step_a[pending] *= 0.5
             tb, ta = b[pending] + step_b[pending], a[pending] + step_a[pending]
             cand, cand_w = _objective(tb, ta, x[pending], v[pending])
-        if pending.size:
-            # no step accepted: the point stays where its gradient test just
-            # failed, so the final stationarity test fails too -> fallback
-            keep = np.ones(rows.size, dtype=bool)
-            keep[pending] = False
-            rows, b, a, current, w, x, v, x_sum = (
-                arr[keep] for arr in (rows, b, a, current, w, x, v, x_sum))
-        if not rows.size:
-            break
-    # iteration limit reached: accept only points already stationary
-    g_b = k - w.sum(axis=1)
-    g_a = x_sum - (w * x).sum(axis=1)
-    ok = np.isfinite(g_b) & np.isfinite(g_a) & (_libm(math.hypot, g_b, g_a) <= _NR_TOL)
-    log_rho[rows[ok]], slope[rows[ok]], fallback[rows[ok]] = b[ok], a[ok], False
-    return log_rho, slope, fallback
+    return log_rho, fallback
 
 
 def estimate_density(graph: NeighborGraph, d: float,
@@ -247,45 +249,44 @@ def estimate_density(graph: NeighborGraph, d: float,
     gets the drift-corrected likelihood fit, falling back to log(k/V)
     where the fit degenerates.  The fits run in blocks of points with the
     same k_hat.  Points whose selected neighborhood has zero volume are
-    retried at the smallest k with positive volume and flagged; if no such
-    k exists the data is degenerate.
+    retried at the smallest k with positive volume, given log(k/V) and
+    flagged; if no such k exists the data is degenerate.
 
     Args:
         d: intrinsic dimension used for shell volumes (> 0, may be fractional).
         ansatz: regressor of the log-linear density model, one of
             "volume" (cumulative shell volume) or "index" (shell number).
     """
-    if not (d > 0 and math.isfinite(d)):
-        raise ConfigError(f"intrinsic dimension must be positive, got {d}")
-    try:
-        unit_ball_volume(d)
-    except OverflowError:
-        raise ConfigError(f"intrinsic dimension {d} is too large: its unit-ball "
-                          "volume is beyond floating point") from None
+    omega = unit_ball_volume(d)
     if ansatz not in ANSATZ_CHOICES:
         raise ConfigError(f"ansatz must be one of {ANSATZ_CHOICES}, got {ansatz!r}")
     n = graph.n_points
     cap = _effective_cap(graph)
-    k_hat = _adaptive_k_all(d, graph)
+    k_hat = _adaptive_k_all(graph, d, omega, cap)
     log_rho = np.empty(n, dtype=np.float64)
-    slope = np.zeros(n, dtype=np.float64)
     fallback = np.ones(n, dtype=bool)
 
-    coincident = graph.neighbor_dists[np.arange(n), k_hat - 1] <= 0.0
-    for i in np.nonzero(coincident)[0]:
+    r_khat = graph.neighbor_dists[np.arange(n), k_hat - 1]
+    coincident = r_khat <= 0.0
+    retry = np.flatnonzero(coincident)
+    block = max(1, _BLOCK_ENTRIES // cap)
+    for lo in range(0, retry.size, block):
         # all selected neighbors coincide with the point; widen until the
         # ball has positive volume
-        grown = np.nonzero(graph.neighbor_dists[i, DEFAULT_K_MIN - 1:cap] > 0.0)[0]
-        if not grown.size:
+        ids = retry[lo:lo + block]
+        positive = graph.neighbor_dists[ids, DEFAULT_K_MIN - 1:cap] > 0.0
+        grown = positive.argmax(axis=1)
+        unbounded = ~positive[np.arange(ids.size), grown]
+        if unbounded.any():
             raise DegenerateDataError(
-                f"point {i}: more than {cap} exact duplicates; "
+                f"point {ids[np.argmax(unbounded)]}: more than {cap} exact duplicates; "
                 "density is unbounded there")
-        k = DEFAULT_K_MIN + int(grown[0])
-        k_hat[i] = k
-        vol = unit_ball_volume(d) * graph.neighbor_dists[i, k - 1] ** d
-        log_rho[i] = knn_mle(k, float(vol))
+        k = DEFAULT_K_MIN + grown
+        r_khat[ids] = graph.neighbor_dists[ids, k - 1]
+        vol = omega * _libm(math.pow, r_khat[ids], np.broadcast_to(d, ids.shape))
+        k_hat[ids], log_rho[ids] = k, _plain_log_rho(ids, k, vol, d)
 
-    fit = np.nonzero(~coincident)[0]
+    fit = np.flatnonzero(~coincident)
     fit = fit[np.argsort(k_hat[fit], kind="stable")]
     ks, starts = np.unique(k_hat[fit], return_index=True)
     ends = np.append(starts[1:], fit.size)
@@ -293,13 +294,11 @@ def estimate_density(graph: NeighborGraph, d: float,
         block = max(1, _BLOCK_ENTRIES // k)
         for lo in range(start, end, block):
             ids = fit[lo:min(lo + block, end)]
-            log_rho[ids], slope[ids], fallback[ids] = _fit_block(ids, k, d, ansatz, graph)
+            log_rho[ids], fallback[ids] = _fit_block(ids, k, d, omega, ansatz, graph)
 
     err = log_density_error(k_hat.astype(np.float64))
-    r_khat = graph.neighbor_dists[np.arange(n), k_hat - 1]
     if not np.isfinite(log_rho).all():
         bad = int(np.nonzero(~np.isfinite(log_rho))[0][0])
         raise DegenerateDataError(f"non-finite log density at point {bad}")
-    return DensityEstimate(k_hat=k_hat, log_rho=log_rho, err=err,
-                           r_khat=r_khat.astype(np.float64), slope=slope,
+    return DensityEstimate(k_hat=k_hat, log_rho=log_rho, err=err, r_khat=r_khat,
                            fallback=fallback)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -136,11 +135,6 @@ class PairwiseDistances:
         self._coords = None if coords is None else np.asarray(coords, dtype=np.float64)
         self._matrix = None if matrix is None else np.asarray(matrix, dtype=np.float64)
         self._metric = _METRICS.get(metric, metric)
-
-    @property
-    def n_points(self) -> int:
-        src = self._coords if self._coords is not None else self._matrix
-        return src.shape[0]
 
     def row(self, i: int) -> np.ndarray:
         """Distances from point i to every point (self included, = 0)."""
@@ -403,10 +397,3 @@ def ingest_distance_matrix(matrix: np.ndarray, k_max: int | None = None) -> Neig
 
     return NeighborGraph(*_select_knn(distance_rows, n, n, k_max))
 
-
-def write_points_tsv(points: np.ndarray, path: str | Path) -> None:
-    """Write coordinates as TSV with shortest round-trip float formatting."""
-    arr = np.asarray(points, dtype=np.float64)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in arr:
-            fh.write("\t".join(repr(float(x)) for x in row) + "\n")

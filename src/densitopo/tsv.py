@@ -176,6 +176,14 @@ def read_points_tsv(path: str | Path) -> PointSet:
         raise DataError(f"{path}: {exc}") from None
 
 
+def write_points_tsv(points: np.ndarray, path: str | Path) -> None:
+    """Write coordinates as TSV with shortest round-trip float formatting."""
+    arr = np.asarray(points, dtype=np.float64)
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in arr:
+            fh.write("\t".join(repr(float(x)) for x in row) + "\n")
+
+
 def read_distance_matrix_tsv(path: str | Path) -> np.ndarray:
     """Read a full pairwise distance matrix from TSV."""
     return _float_rows(path)
@@ -199,7 +207,7 @@ def read_density_tsv(path: str | Path, k_max: int) -> DensityEstimate:
             lambda r: f"k_hat: {k_hat[r]} is above the graph's k_max {k_max}")
     _reject(path, lines, r_khat < 0, lambda r: f"r_khat: {float(r_khat[r])!r} is negative")
     return DensityEstimate(k_hat=k_hat, log_rho=log_rho, err=err, r_khat=r_khat,
-                           slope=np.full(point_id.size, np.nan), fallback=fallback)
+                           fallback=fallback)
 
 
 def assignment_tsv_text(assignment: PeakAssignment, estimate: DensityEstimate) -> str:
@@ -230,7 +238,7 @@ def read_assignment_tsv(path: str | Path) -> tuple[PeakAssignment, DensityEstima
                                 centers=centers.tolist())
     return assignment, DensityEstimate(
         k_hat=k_hat, log_rho=log_rho, err=err, r_khat=np.full(n, np.nan),
-        slope=np.full(n, np.nan), fallback=np.zeros(n, dtype=bool))
+        fallback=np.zeros(n, dtype=bool))
 
 
 def saddles_tsv_text(saddles: SaddleTable) -> str:

@@ -15,8 +15,7 @@ from mpmath import mp
 
 from densitopo import density
 from densitopo.density import (_MAX_STEP_HALVINGS, DensityEstimate, _effective_cap,
-                               _lrt_kernel, knn_mle, log_density_error,
-                               unit_ball_volume)
+                               _lrt_kernel, log_density_error, unit_ball_volume)
 from densitopo.errors import ConfigError, DataError, DegenerateDataError
 from densitopo.clustering import SaddleInfo, SaddleTable
 from densitopo.topography import ClusterSummary, Topography
@@ -299,6 +298,16 @@ def shell_volumes(i: int, k: int, d: float, graph: NeighborGraph) -> np.ndarray:
     return np.maximum(cum - prev, 0.0)
 
 
+def knn_mle(k: int, volume: float) -> float:
+    """Log density maximizing the fixed-k shell likelihood: log(k / V)."""
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    if volume <= 0.0:
+        raise DegenerateDataError(
+            f"cumulative volume is {volume}; all {k} neighbors coincide with the point")
+    return math.log(k) - math.log(volume)
+
+
 def cumulative_volume(i: int, k: int, d: float, graph: NeighborGraph) -> float:
     """Volume of the ball through the k-th neighbor of i: omega * r_k**d."""
     return float(unit_ball_volume(d) * graph.neighbor_dists[i, k - 1] ** d)
@@ -417,7 +426,7 @@ def per_point_density(graph: NeighborGraph, d: float,
     n = graph.n_points
     cap = _effective_cap(graph)
     k_hat = np.empty(n, dtype=np.int64)
-    log_rho, slope, err = np.empty(n), np.empty(n), np.empty(n)
+    log_rho, err = np.empty(n), np.empty(n)
     fallback = np.zeros(n, dtype=bool)
     for i in range(n):
         k = adaptive_k(i, d, graph)
@@ -428,15 +437,15 @@ def per_point_density(graph: NeighborGraph, d: float,
                 raise DegenerateDataError(f"point {i}: more than {cap} exact duplicates")
             k = grown[0]
             vol = cumulative_volume(i, k, d, graph)
-            log_rho[i], slope[i], fallback[i] = knn_mle(k, vol), 0.0, True
+            log_rho[i], fallback[i] = knn_mle(k, vol), True
             err[i] = float(log_density_error(float(k)))
         else:
-            log_rho[i], slope[i], err[i], fallback[i] = fit_linear_corrected(
+            log_rho[i], _, err[i], fallback[i] = fit_linear_corrected(
                 i, k, d, graph, ansatz)
         k_hat[i] = k
     r_khat = graph.neighbor_dists[np.arange(n), k_hat - 1]
     return DensityEstimate(k_hat=k_hat, log_rho=log_rho, err=err, r_khat=r_khat,
-                           slope=slope, fallback=fallback)
+                           fallback=fallback)
 
 
 # ---------------------------------------------------------------------------

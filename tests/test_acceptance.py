@@ -39,12 +39,13 @@ from densitopo import (
     write_points_tsv,
 )
 from densitopo.clustering import compute_delta_parent
-from densitopo.density import LRT_THRESHOLD, knn_mle, log_density_error
+from densitopo.density import LRT_THRESHOLD, log_density_error
 from densitopo.cli import RunConfig, run_pipeline
 from oracles import (
     chi2_quantile_1dof,
     compass_max2d,
     fit_linear_corrected,
+    knn_mle,
     mp_nmi,
     naive_confusion,
     naive_delta_parent,
@@ -249,7 +250,7 @@ def _toy_topography(peaks, saddles):
     log_rho = np.array(peaks, dtype=np.float64)
     est = DensityEstimate(k_hat=np.full(k, 4), log_rho=log_rho,
                           err=np.full(k, 0.1), r_khat=np.ones(k),
-                          slope=np.zeros(k), fallback=np.zeros(k, dtype=bool))
+                          fallback=np.zeros(k, dtype=bool))
     assignment = PeakAssignment(
         g=log_rho + 0.1, delta=np.ones(k), parent=np.full(k, -1, dtype=np.int64),
         labels=np.arange(k), is_center=np.ones(k, dtype=bool),

@@ -371,7 +371,8 @@ def test_density_knn_file_rejects_k_max_it_cannot_give(dataset, tmp_path, capsys
     _assert_rejected(code, capsys, 2, f"{knn_path} holds 10 neighbors per point")
 
 
-@pytest.mark.parametrize("d", ["400", "1e308"])
+# at 300 and 341 the unit ball is a float, but the data's balls underflow to 0
+@pytest.mark.parametrize("d", ["300", "341", "400", "1e308"])
 def test_density_dimension_beyond_floating_point_is_config_error(dataset, capsys, d):
     code = _run(["density", "--input", dataset["points"], "--k-max", "32", "--d", d])
     _assert_rejected(code, capsys, 2, f"intrinsic dimension {float(d)} is too large")

@@ -38,7 +38,7 @@ def _toy_estimate(log_rho, err=None, r_khat=None, k_hat=None) -> DensityEstimate
     r_khat = np.ones(n) if r_khat is None else np.asarray(r_khat, dtype=np.float64)
     k_hat = np.full(n, 4) if k_hat is None else np.asarray(k_hat, dtype=np.int64)
     return DensityEstimate(k_hat=k_hat, log_rho=log_rho, err=err, r_khat=r_khat,
-                           slope=np.zeros(n), fallback=np.zeros(n, dtype=bool))
+                           fallback=np.zeros(n, dtype=bool))
 
 
 def _setup(coords, k_max):
@@ -701,8 +701,7 @@ def test_zero_z_keeps_all_putative_centers_that_stand_out(gmm_state):
 def test_adding_constant_to_log_rho_changes_nothing(gmm_state):
     _, _, graph, pairwise, est = gmm_state
     shifted = DensityEstimate(k_hat=est.k_hat, log_rho=est.log_rho + 7.0,
-                              err=est.err, r_khat=est.r_khat, slope=est.slope,
-                              fallback=est.fallback)
+                              err=est.err, r_khat=est.r_khat, fallback=est.fallback)
     a = cluster_points(graph, est, pairwise, z=1.5).assignment
     b = cluster_points(graph, shifted, pairwise, z=1.5).assignment
     np.testing.assert_array_equal(a.labels, b.labels)

@@ -21,8 +21,7 @@ from densitopo import (
     synth_gmm,
     synth_uniform,
 )
-from densitopo.density import (DEFAULT_K_MIN, LRT_THRESHOLD, knn_mle, log_density_error,
-                               unit_ball_volume)
+from densitopo.density import DEFAULT_K_MIN, LRT_THRESHOLD, log_density_error, unit_ball_volume
 from oracles import (
     adaptive_k,
     compass_max2d,
@@ -30,6 +29,7 @@ from oracles import (
     fit_linear_corrected,
     golden_max,
     graph_from_radii,
+    knn_mle,
     lrt_statistic,
     mp_lrt,
     per_point_density,
@@ -425,7 +425,6 @@ def test_estimate_density_permutation_equivariant():
     np.testing.assert_array_equal(est_p.log_rho, est.log_rho[perm])
     np.testing.assert_array_equal(est_p.k_hat, est.k_hat[perm])
     np.testing.assert_array_equal(est_p.err, est.err[perm])
-    np.testing.assert_array_equal(est_p.slope, est.slope[perm])
     np.testing.assert_array_equal(est_p.fallback, est.fallback[perm])
 
 
@@ -469,7 +468,7 @@ def test_estimate_density_duplicates_widen_and_flag():
 def test_estimate_density_all_coincident_is_degenerate():
     coords = np.zeros((30, 2))
     graph = build_neighbor_graph(PointSet(coords), 10)
-    with pytest.raises(DegenerateDataError):
+    with pytest.raises(DegenerateDataError, match="^point 0: more than 7 exact duplicates"):
         estimate_density(graph, 2.0)
 
 
@@ -501,7 +500,7 @@ def test_error_bar_between_zero_and_sqrt5(k, vol_scale):
 # ---------------------------------------------------------------------------
 # batched estimator against the per-point reference, bit for bit
 
-_ESTIMATE_FIELDS = ("k_hat", "log_rho", "err", "r_khat", "slope", "fallback")
+_ESTIMATE_FIELDS = ("k_hat", "log_rho", "err", "r_khat", "fallback")
 
 
 def _assert_matches_per_point(graph, d, ansatz="volume"):
@@ -559,6 +558,22 @@ def test_batched_fallback_uses_the_c_library_log():
     assert est.fallback.all() and np.all(est.k_hat == 8)
 
 
+def test_batched_retry_uses_the_c_library_pow():
+    # two coincident rows, led by 5 and by 7 zero radii, widen to k = 6 and
+    # k = 8 in one call; their first positive radius is one where numpy's
+    # array power and the C library's pow differ, if they do here; 40 rows
+    # of 12 neighbors make the cap n // 4 = 10
+    d = 2.7
+    candidates = np.random.default_rng(0).uniform(0.01, 0.1, 20000)
+    differs = np.power(candidates, d) != np.array([r ** d for r in candidates.tolist()])
+    r6, r8 = candidates[np.argsort(~differs, kind="stable")[:2]]
+    radii = radii_constant_density(40, 12, rho=1.0, d=d, omega=unit_ball_volume(d))
+    radii[0] = np.concatenate([np.zeros(5), r6 * np.linspace(1.0, 2.0, 7)])
+    radii[1] = np.concatenate([np.zeros(7), r8 * np.linspace(1.0, 2.0, 5)])
+    est = _assert_matches_per_point(graph_from_radii(radii), d)
+    assert est.k_hat[:2].tolist() == [6, 8] and est.fallback[:2].all()
+
+
 def test_batched_fit_raises_no_floating_point_warning():
     # zero-volume shells of doubled points meet exp overflow in the line
     # search at d=7.5: 0 * inf must stay silent
@@ -610,3 +625,15 @@ def test_estimate_density_validates_d_and_ansatz():
             estimate_density(graph, d)
     with pytest.raises(ConfigError, match="ansatz must be one of"):
         estimate_density(graph, 2.0, ansatz="cubic")
+    # every radius is positive, but omega * r**d leaves floating point: it
+    # underflows at d = 300 for radii near 0.1 and overflows at d = 20 for
+    # radii near 1e20, in fitted rows and in a widened coincident row alike
+    radii = graph.neighbor_dists.copy()
+    for d, scale in ((300.0, 0.1), (20.0, 1e20)):
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"intrinsic dimension {d} is too large for point 0")):
+            estimate_density(graph_from_radii(radii * scale), d)
+    radii[7] = [0.0] * 5 + [0.01] * 5
+    with pytest.raises(ConfigError,
+                       match=re.escape("intrinsic dimension 300.0 is too large for point 7")):
+        estimate_density(graph_from_radii(radii), 300.0)

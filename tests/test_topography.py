@@ -40,8 +40,7 @@ def _make_topography(peaks, pops, saddles):
         log_rho[c] = p
     err = np.full(n, 0.1)
     est = DensityEstimate(k_hat=np.full(n, 4), log_rho=log_rho, err=err,
-                          r_khat=np.ones(n), slope=np.zeros(n),
-                          fallback=np.zeros(n, dtype=bool))
+                          r_khat=np.ones(n), fallback=np.zeros(n, dtype=bool))
     is_center = np.zeros(n, dtype=bool)
     is_center[centers] = True
     assignment = PeakAssignment(g=log_rho + err, delta=np.ones(n),
