@@ -13,8 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, DataError
 
@@ -134,42 +132,84 @@ class PairwiseDistances:
             raise ConfigError(f"unknown metric {metric!r}")
         self._coords = None if coords is None else np.asarray(coords, dtype=np.float64)
         self._matrix = None if matrix is None else np.asarray(matrix, dtype=np.float64)
-        self._metric = _METRICS.get(metric, metric)
+        self._metric = metric
 
     def row(self, i: int) -> np.ndarray:
         """Distances from point i to every point (self included, = 0)."""
         if self._matrix is not None:
             return self._matrix[i]
-        return cdist(self._coords[i:i + 1], self._coords, metric=self._metric)[0]
+        return _distances(self._coords[i:i + 1], self._coords, self._metric)[0]
+
+
+def _distances(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
+    """Distances from each row of ``a`` to each row of ``b``, as cdist computes them.
+
+    The terms are added in coordinate order, one column at a time, and the
+    euclidean sum is then square-rooted: that is cdist's arithmetic, so the
+    result equals ``scipy.spatial.distance.cdist`` bit for bit at any block
+    shape.  An expansion |a|^2 + |b|^2 - 2ab through BLAS does not.
+    """
+    d = np.empty((a.shape[0], b.shape[0]))
+    term = np.empty_like(d)
+    for j in range(a.shape[1]):
+        out = term if j else d
+        np.subtract(a[:, j, None], b[None, :, j], out=out)
+        if metric == "euclidean":
+            np.multiply(out, out, out=out)
+        else:
+            np.abs(out, out=out)
+        if j:
+            d += term
+    if metric == "euclidean":
+        np.sqrt(d, out=d)
+    return d
+
+
+def _take_rows(table: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``table[r, cols[r]]`` per row r, as take_along_axis but by flat index.
+
+    On a 24 x 4,000 block at 512 columns it took 31 against 76 us.
+    """
+    return table.take(cols + (np.arange(cols.shape[0]) * table.shape[1])[:, None])
 
 
 def _exact_knn_rows(block: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Select the k_max nearest per row of a distance block, exactly.
 
     Ties are broken by ascending candidate index.  When k_max is at least
-    two thirds of the row, one stable sort of each row is the cheaper way:
-    on 350 rows of a 1,500-point matrix it took 46 against 66 ms at k_max
-    1,499, as long at 1,000, and longer at 900 and below.  Otherwise
-    argpartition selects; it does not respect the tie rule at the selection
-    boundary, so rows where the boundary distance is shared re-select from
-    the full tied candidate set.
+    two thirds of the row, sorting whole rows is the cheaper way (350 rows
+    of 1,500 at k_max 1,000: 8.3 against 19.0 ms); otherwise argpartition
+    selects and the selection is sorted (64 rows of 6,000 at 512: 1.7
+    against 5.8 ms).  Both use numpy's
+    default sort, which orders equal distances arbitrarily but is about
+    four times faster than a stable one (0.084 against 0.31 s on 10k rows
+    of 512).  Rows without a tie among the selected distances or at the
+    selection boundary come out the same either way; the others are
+    selected again, all together: every distance below the k_max-th, then
+    the lowest indices at it, stably sorted.
     """
     if 3 * k_max >= 2 * block.shape[1]:
-        ids = np.argsort(block, axis=1, kind="stable")[:, :k_max]
-        return ids, np.take_along_axis(block, ids, axis=1)
-    kth = k_max - 1
-    # a copy, so that the full-width index array is freed at once
-    part = np.argpartition(block, kth, axis=1)[:, :k_max].copy()
-    part.sort(axis=1)  # ascending ids: the stable sort below breaks ties by id
-    part_d = np.take_along_axis(block, part, axis=1)
-    thr = part_d.max(axis=1)
-    for r in np.flatnonzero((block <= thr[:, None]).sum(axis=1) > k_max):
-        cand = np.flatnonzero(block[r] <= thr[r])
-        part[r] = cand[np.argsort(block[r, cand], kind="stable")[:k_max]]
-        part_d[r] = block[r, part[r]]
-    ids = np.take_along_axis(part, np.argsort(part_d, axis=1, kind="stable"), axis=1)
-    del part, part_d
-    return ids, np.take_along_axis(block, ids, axis=1)
+        ids = np.argsort(block, axis=1)[:, :k_max]
+        dists = _take_rows(block, ids)
+    else:
+        ids = np.argpartition(block, k_max - 1, axis=1)[:, :k_max]
+        dists = _take_rows(block, ids)
+        order = np.argsort(dists, axis=1)
+        ids, dists = _take_rows(ids, order), _take_rows(dists, order)
+    kth = dists[:, -1:]
+    tied = (dists[:, 1:] == dists[:, :-1]).any(axis=1)
+    tied |= (block <= kth).sum(axis=1) > k_max
+    rows = np.flatnonzero(tied)
+    if rows.size:
+        sub, kth = block[rows], kth[rows]
+        keep = sub < kth
+        at = sub == kth
+        keep |= at & (np.cumsum(at, axis=1) <= k_max - keep.sum(axis=1, keepdims=True))
+        sel = np.nonzero(keep)[1].reshape(rows.size, k_max)
+        sel_d = _take_rows(sub, sel)
+        order = np.argsort(sel_d, axis=1, kind="stable")
+        ids[rows], dists[rows] = _take_rows(sel, order), _take_rows(sel_d, order)
+    return ids, dists
 
 
 def _usable_cpus() -> int:
@@ -180,41 +220,45 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Scratch held by all row blocks in flight together: tree candidates, and
-# doubles of distance rows.  Each worker gets an equal share, so the total
-# does not grow with the CPU count.  Large tree blocks left freed scratch in
-# the workers' malloc arenas: at 1M candidates a 20k-point 3-D build peaked
-# 45 MB higher on two CPUs than at 128K, and was no faster.  Distance rows
-# fared the same: 12k 20-D points at k_max 100 took 1.50 s at 1M doubles
-# against 1.80 s at 16M.
-_TREE_BUDGET = 1 << 17
-_BRUTE_BUDGET = 1 << 20
+# Distance entries held by all blocks in flight together, in full rows or
+# in kd-leaf candidate rows.  Each worker gets an equal share, so the total
+# does not grow with the CPU count.  Freed scratch stays in the workers'
+# malloc arenas and raises the peak of later stages: 12k 20-D points at
+# k_max 100 took 1.50 s at 1M entries against 1.80 s at 16M.  A 20k-point
+# 3-D kd-leaf build peaked at 173 MiB with 1M entries and 161 MiB with
+# 128K, in the same time; at 10k 2-D, 104 and 100 MiB, 15% faster at 1M.
+_BLOCK_BUDGET = 1 << 20
+
+
+def _map_blocks(fn, blocks: list[tuple]) -> list:
+    """Return ``[fn(*b) for b in blocks]``, in block order.
+
+    The blocks run on a thread pool with one worker per usable CPU; the
+    numpy and scipy kernels they call release the GIL.  With one CPU, or a
+    single block, they run in the calling thread in order: scratch freed in
+    a worker thread stays in that thread's malloc arena and raises the peak
+    of later stages.  If a block raises, the blocks not yet started are
+    cancelled and the exception propagates once the running ones have
+    finished.
+    """
+    workers = min(_usable_cpus(), len(blocks))
+    if workers <= 1:
+        return [fn(*b) for b in blocks]
+    pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="densitopo-knn")
+    try:
+        futures = [pool.submit(fn, *b) for b in blocks]
+        return [f.result() for f in futures]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _map_row_blocks(fn, n_rows: int, row_width: int, budget: int) -> list:
     """Return ``[fn(s, e) ...]`` over contiguous row blocks, in block order.
 
-    The blocks run on a thread pool with one worker per usable CPU; the
-    numpy and scipy kernels they call release the GIL.  A block holds about
-    ``budget / workers`` scratch entries (``row_width`` per row), so the
-    blocks in flight together stay within ``budget``.  With one CPU, or a
-    single block, they run in the calling thread in row order: scratch
-    freed in a worker thread stays in that thread's malloc arena and raises
-    the peak of later stages.  If a block raises, the blocks not yet started
-    are cancelled and the exception propagates once the running ones have
-    finished.
+    A block holds about ``budget / workers`` entries (``row_width`` per
+    row), so the blocks in flight together stay within ``budget``.
     """
-    workers = _usable_cpus()
-    blocks = _row_blocks(n_rows, row_width, budget // workers)
-    workers = min(workers, len(blocks))
-    if workers == 1:
-        return [fn(s, e) for s, e in blocks]
-    pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="densitopo-knn")
-    try:
-        futures = [pool.submit(fn, s, e) for s, e in blocks]
-        return [f.result() for f in futures]
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    return _map_blocks(fn, _row_blocks(n_rows, row_width, budget // _usable_cpus()))
 
 
 def _select_knn(distance_rows, n_rows: int, n: int,
@@ -230,92 +274,143 @@ def _select_knn(distance_rows, n_rows: int, n: int,
     def block(s: int, e: int) -> None:
         ids[s:e], dists[s:e] = _exact_knn_rows(distance_rows(s, e), k_max)
 
-    _map_row_blocks(block, n_rows, n, _BRUTE_BUDGET)
+    _map_row_blocks(block, n_rows, n, _BLOCK_BUDGET)
     return ids, dists
 
 
-def _brute_knn(coords: np.ndarray, k_max: int, metric: str,
-               rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Exact kNN of ``rows`` (default: every point) from full distance rows."""
-    n = coords.shape[0]
-    rows = np.arange(n) if rows is None else rows
+def _rows_knn(coords: np.ndarray, k_max: int, rows: np.ndarray,
+              distances) -> tuple[np.ndarray, np.ndarray]:
+    """Exact kNN of ``rows`` from their distances to every point.
 
+    ``distances(a, b)`` returns the distances between the rows of a and b.
+    """
     def distance_rows(s: int, e: int) -> np.ndarray:
         part = rows[s:e]
-        d = cdist(coords[part], coords, metric=_METRICS[metric])
+        d = distances(coords[part], coords)
         d[np.arange(part.size), part] = np.inf  # exclude self
         return d
 
-    return _select_knn(distance_rows, rows.size, n, k_max)
+    return _select_knn(distance_rows, rows.size, coords.shape[0], k_max)
 
 
-# The tree sums coordinates in its own order and prunes on rounded bounds,
-# so its distances may differ from cdist's by a few ulps; this relative
-# gap is far above that.
+def _brute_knn(coords: np.ndarray, k_max: int,
+               metric: str) -> tuple[np.ndarray, np.ndarray]:
+    """Exact kNN of every point from full cdist distance rows.
+
+    cdist is faster than :func:`_distances` on many coordinates (a 350 x
+    1,500 block took 2.5 against 11.7 ms in 5-D, 6.5 against 37 ms in
+    20-D), so high-dimensional inputs pay for importing scipy.  The import
+    runs here, in the calling thread, before any worker starts.
+    """
+    from scipy.spatial.distance import cdist
+
+    def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return cdist(a, b, metric=_METRICS[metric])
+
+    return _rows_knn(coords, k_max, np.arange(coords.shape[0]), distances)
+
+
+# Points per kd leaf: of 16 to 128, 64 was fastest on 10k 2-D, 20k 3-D and
+# 20k 4-D mixtures at k_max 512.  Smaller leaves pay more per-leaf work,
+# larger ones more candidates per row.
+_LEAF_SIZE = 64
+# The relative gap by which a row's k_max-th distance must clear its leaf's
+# candidate radius.  Box and point distances are each rounded, by far less.
 _TREE_RTOL = 1e-9
+
+
+def _kd_leaves(coords: np.ndarray) -> list[np.ndarray]:
+    """Point ids cut into leaves of at most ``_LEAF_SIZE`` by median splits.
+
+    Each split halves a node on the axis of its widest extent.
+    """
+    leaves, stack = [], [np.arange(coords.shape[0])]
+    while stack:
+        node = stack.pop()
+        if node.size <= _LEAF_SIZE:
+            leaves.append(np.sort(node))
+            continue
+        values = coords[node]
+        axis = int(np.argmax(values.max(axis=0) - values.min(axis=0)))
+        half = node.size // 2
+        split = np.argpartition(values[:, axis], half)
+        stack.append(node[split[half:]])
+        stack.append(node[split[:half]])
+    return leaves
 
 
 def _tree_knn(coords: np.ndarray, k_max: int,
               metric: str) -> tuple[np.ndarray, np.ndarray]:
-    """Exact kNN via a k-d tree, identical to :func:`_brute_knn`.
+    """Exact kNN from kd leaves, identical to full distance rows.
 
-    The tree returns self, the k_max candidates and one beyond the horizon.
-    Distances are recomputed with cdist's arithmetic (terms summed in
-    coordinate order, then sqrt), so they are bit-identical.  A row is kept
-    only if self comes first, the candidates are in (distance, id) order, and
-    the candidate beyond the horizon is farther than the k_max-th by more
-    than the tree's rounding; any other row (ties at the horizon, duplicate
-    points) is recomputed by brute force once every block is done.
+    The points are cut into kd leaves (:func:`_kd_leaves`).  For each leaf,
+    a row's (k_max + 1)-th distance into the nearest leaves by box distance
+    bounds its k_max-th distance, and the largest bound of the leaf's rows
+    is its radius.  Every point within that radius lies in a leaf whose box
+    is within it, so those leaves' points, in ascending id order, are the
+    candidates, and :func:`_exact_knn_rows` selects among them by the same
+    (distance, id) rule as over full rows: ties, lattices and duplicate
+    points need nothing more.  Distances come from :func:`_distances`,
+    cdist's arithmetic.  A row whose k_max-th distance does not clear the
+    radius by ``_TREE_RTOL`` (a radius of 0: k_max + 1 coincident points)
+    is selected again over all points once every leaf is done.
+
+    The bounding leaves hold 2 (k_max + 1) points.  On a 50k 3-D mixture,
+    bounding leaves holding k_max + 1 points gave radii 1.67 times the
+    leaf's largest k_max-th distance and 8,376 candidates per row; twice
+    that gave 1.09 times and 6,013 (5,437 at the exact radius).
     """
     n = coords.shape[0]
-    width = min(k_max + 2, n)  # k_max = n - 1 leaves nothing beyond the horizon
-    tree = cKDTree(coords)
+    leaves = _kd_leaves(coords)
+    sizes = np.array([leaf.size for leaf in leaves])
+    lo = np.array([coords[leaf].min(axis=0) for leaf in leaves])
+    hi = np.array([coords[leaf].max(axis=0) for leaf in leaves])
     columns = np.ascontiguousarray(coords.T)
     ids = np.empty((n, k_max), dtype=_id_dtype(n))
     dists = np.empty((n, k_max), dtype=np.float64)
+    share = _BLOCK_BUDGET // _usable_cpus()
 
-    def block(s: int, e: int) -> np.ndarray:
-        rows = np.arange(s, e)
-        _, cand = tree.query(coords[s:e], k=width, p=2 if metric == "euclidean" else 1)
-        d = np.zeros(cand.shape)
-        for col in columns:
-            term = col[cand] - col[s:e, None]
-            d += term * term if metric == "euclidean" else np.abs(term)
-        if metric == "euclidean":
-            np.sqrt(d, out=d)
-        kd, kid = d[:, 1:k_max + 1], cand[:, 1:k_max + 1]
-        ok = cand[:, 0] == rows
-        ok &= ((kd[:, 1:] > kd[:, :-1])
-               | ((kd[:, 1:] == kd[:, :-1]) & (kid[:, 1:] > kid[:, :-1]))).all(axis=1)
-        if width == k_max + 2:
-            ok &= d[:, -1] - d[:, -2] > _TREE_RTOL * d[:, -1]
-        ids[s:e] = kid
-        dists[s:e] = kd
-        return rows[~ok]
+    def candidates(chosen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cand = np.sort(np.concatenate([leaves[m] for m in chosen]))
+        return cand, np.take(columns, cand, axis=1).T
 
-    redo = np.concatenate(_map_row_blocks(block, n, width, _TREE_BUDGET))
+    def leaf_block(leaf: int) -> np.ndarray:
+        rows = leaves[leaf]
+        gap = np.maximum(np.maximum(lo - hi[leaf], lo[leaf] - hi), 0.0)
+        near = np.sqrt((gap * gap).sum(axis=1)) if metric == "euclidean" else gap.sum(axis=1)
+        # self may or may not be among the bounding leaves: either way each
+        # row's (k_max + 1)-th distance there is at least its k_max-th
+        by_near = np.argsort(near)
+        first = by_near[:np.searchsorted(np.cumsum(sizes[by_near]), 2 * (k_max + 1)) + 1]
+        bound = np.full(rows.size, np.inf)
+        if first.size < len(leaves):
+            cand, cand_coords = candidates(first)
+            for s, e in _row_blocks(rows.size, cand.size, share):
+                d = _distances(coords[rows[s:e]], cand_coords, metric)
+                bound[s:e] = np.partition(d, k_max, axis=1)[:, k_max]
+        radius = bound.max() * (1.0 + 2.0 * _TREE_RTOL)
+        cand, cand_coords = candidates(np.flatnonzero(near <= radius))
+        redo = []
+        for s, e in _row_blocks(rows.size, cand.size, share):
+            part = rows[s:e]
+            d = _distances(coords[part], cand_coords, metric)
+            d[np.arange(part.size), np.searchsorted(cand, part)] = np.inf  # exclude self
+            col, dists[part] = _exact_knn_rows(d, k_max)
+            ids[part] = cand[col]
+            if cand.size < n:
+                redo.append(part[~(dists[part, -1] < radius * (1.0 - _TREE_RTOL))])
+        return np.concatenate(redo) if redo else rows[:0]
+
+    redo = np.concatenate(_map_blocks(leaf_block, [(m,) for m in range(len(leaves))]))
+    redo.sort()
     if redo.size:
-        ids[redo], dists[redo] = _brute_knn(coords, k_max, metric, redo)
+        ids[redo], dists[redo] = _rows_knn(
+            coords, k_max, redo, lambda a, b: _distances(a, b, metric))
     return ids, dists
 
 
-def _use_tree(n: int, k_max: int, dim: int) -> bool:
-    """Whether the k-d tree beats full distance rows.
-
-    Brute force costs O(n) per point whatever k_max is; the tree's cost grows
-    with k_max and, steeply, with the dimension.  Timed on Gaussian mixtures
-    and uniform cubes (CHANGES.md), the tree won in all 71 measured cases
-    with dim <= 4 and n >= 4 * dim * (k_max + 2), by 1.2x or more; on
-    uniform data with dim >= 5 it lost in some cases even at
-    n >= 12 * (k_max + 2).
-
-    Exact lattices are a known loss: on a 70 x 70 grid with k_max = 60 every
-    row ties at the horizon, so the tree query is paid and then every row is
-    redone by brute force.  On two CPUs (median of 9) the tree path took
-    0.168 s euclidean and 0.123 s manhattan against 0.134 s and 0.105 s for
-    brute force.  The loss is accepted: no tie pre-check is made.
-    """
-    return dim <= 4 and n >= 4 * dim * (k_max + 2)
+# Coordinates of at most this many dimensions take the kd-leaf path.
+_TREE_MAX_DIM = 4
 
 
 def _checked_k_max(k_max: int | None, n: int) -> int:
@@ -331,10 +426,11 @@ def build_neighbor_graph(points: PointSet, k_max: int | None = None,
                          metric: str = "euclidean") -> NeighborGraph:
     """Compute the exact kNN graph of a point set.
 
-    Candidates come from a k-d tree when it is faster (low embedding
-    dimension, k_max small next to n) and from full distance rows otherwise.
-    Both paths return the same bytes: distances carry cdist's arithmetic and
-    ties are broken by ascending id.
+    Up to ``_TREE_MAX_DIM`` coordinates, candidates come from kd leaves
+    (:func:`_tree_knn`), which needs numpy alone; above it, full cdist
+    distance rows are faster (:func:`_brute_knn`).  Both paths return the
+    same bytes: distances carry cdist's arithmetic and ties are broken by
+    ascending id.
 
     Args:
         points: input point cloud.
@@ -348,7 +444,7 @@ def build_neighbor_graph(points: PointSet, k_max: int | None = None,
         raise ConfigError(f"unknown metric {metric!r}; choose euclidean or manhattan")
     n = points.n_points
     k_max = _checked_k_max(k_max, n)
-    knn = _tree_knn if _use_tree(n, k_max, points.embedding_dim) else _brute_knn
+    knn = _tree_knn if points.embedding_dim <= _TREE_MAX_DIM else _brute_knn
     ids, dists = knn(points.coords, k_max, metric)
     return NeighborGraph(ids, dists)
 

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.cluster.hierarchy import linkage
-from scipy.spatial.distance import squareform
 
 from .clustering import PeakAssignment, SaddleTable
 from .density import DensityEstimate
@@ -126,9 +124,7 @@ def single_linkage(topography: Topography) -> Dendrogram:
                           branch_height=heights_of_leaf)
 
     dist, sentinel = _closed_distances(topography)
-    z = linkage(squareform(dist, checks=False), method="single")
-    children = [(int(a), int(b)) for a, b, _, _ in z]
-    merge_heights = [float(h) for _, _, h, _ in z]
+    children, merge_heights = _mst_single_linkage(dist)
     is_sentinel = [sentinel is not None and h == sentinel for h in merge_heights]
 
     ordered = _ordered_children(k, children)
@@ -159,6 +155,41 @@ def single_linkage(topography: Topography) -> Dendrogram:
                       is_sentinel=is_sentinel, sentinel_height=sentinel,
                       leaf_order=leaf_order, leaf_x=leaf_x, leaf_width=leaf_width,
                       branch_height=heights_of_leaf)
+
+
+def _mst_single_linkage(dist: np.ndarray) -> tuple[list[tuple[int, int]], list[float]]:
+    """Merges and heights of single linkage, as scipy's ``mst_single_linkage``.
+
+    Prim's algorithm grows a minimum spanning tree from leaf 0, taking the
+    first of equally near leaves; a stable sort orders its edges by height;
+    a union-find then names each merge by its two roots, the smaller first,
+    and the root of merge t is node K + t.
+    """
+    k = dist.shape[0]
+    merged = np.zeros(k, dtype=bool)
+    nearest = np.full(k, np.inf)
+    edges, x = [], 0
+    for _ in range(k - 1):
+        merged[x] = True
+        closer = (dist[x] < nearest) & ~merged
+        nearest[closer] = dist[x][closer]
+        y = int(np.argmin(np.where(merged, np.inf, nearest)))
+        edges.append((x, y, float(nearest[y])))
+        x = y
+    edges.sort(key=lambda edge: edge[2])
+    parent = list(range(2 * k - 1))
+
+    def find(node: int) -> int:
+        while parent[node] != node:
+            node = parent[node]
+        return node
+
+    children = []
+    for t, (a, b, _) in enumerate(edges):
+        a, b = sorted((find(a), find(b)))
+        parent[a] = parent[b] = k + t
+        children.append((a, b))
+    return children, [h for _, _, h in edges]
 
 
 def _ordered_children(k: int, children: list[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -38,10 +38,21 @@ def test_matrix_ingest_peaks_below_a_quarter_matrix_above_the_graph(k_max, monke
     coords = np.random.default_rng(0).random((n, 2))
     matrix = cdist(coords, coords)
     monkeypatch.setattr(neighbors, "_SCAN_BUDGET", 8 * n)
-    monkeypatch.setattr(neighbors, "_BRUTE_BUDGET", 8 * n)
+    monkeypatch.setattr(neighbors, "_BLOCK_BUDGET", 8 * n)
     peak, graph = _traced_peak(ingest_distance_matrix, matrix, k_max=k_max)
     graph_bytes = graph.neighbor_ids.nbytes + graph.neighbor_dists.nbytes
     assert peak - graph_bytes < matrix.nbytes / 4
+
+
+def test_kd_leaf_knn_peak_follows_its_blocks_not_its_leaves(monkeypatch):
+    # leaves of 2,048 points hold about 4,000 candidates each: unblocked,
+    # one leaf's distances alone would take 64 MB
+    coords, _ = synth_gmm(k=3, n=5000, dim=2, separation=8, seed=1)
+    monkeypatch.setattr(neighbors, "_LEAF_SIZE", 2048)
+    monkeypatch.setattr(neighbors, "_BLOCK_BUDGET", 8 * coords.shape[0])
+    peak, graph = _traced_peak(build_neighbor_graph, PointSet(coords), k_max=200)
+    graph_bytes = graph.neighbor_ids.nbytes + graph.neighbor_dists.nbytes
+    assert peak - graph_bytes < graph_bytes / 4
 
 
 def test_clustering_peak_follows_its_blocks_not_the_table(monkeypatch):

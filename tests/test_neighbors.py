@@ -13,7 +13,7 @@ from densitopo import (ConfigError, DataError, NeighborGraph, PairwiseDistances,
                        PointSet, build_neighbor_graph, ingest_distance_matrix,
                        ingest_knn_file, read_points_tsv, write_points_tsv)
 from densitopo import neighbors
-from densitopo.neighbors import _brute_knn, _tree_knn, _use_tree
+from densitopo.neighbors import _brute_knn, _distances, _exact_knn_rows, _tree_knn
 from oracles import argsort_matrix_knn, brute_knn, export_knn_file
 
 
@@ -69,14 +69,16 @@ def test_small_instances_equal_brute_force(data):
     ids, dists = brute_knn(coords, k_max, metric)
     np.testing.assert_array_equal(graph.neighbor_ids, ids)
     np.testing.assert_array_equal(graph.neighbor_dists, dists)
-    tree_ids, tree_dists = _tree_knn(coords, k_max, metric)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(neighbors, "_LEAF_SIZE", 3)  # many leaves: candidates are pruned
+        tree_ids, tree_dists = _tree_knn(coords, k_max, metric)
     np.testing.assert_array_equal(tree_ids, ids)
     np.testing.assert_array_equal(tree_dists, dists)
 
 
 # ---------------------------------------------------------------------------
-# both kNN paths against the oracle, called directly: the size rule would
-# send most small inputs down the brute-force path
+# both kNN paths against the oracle, called directly: the dimension rule
+# sends every input of at most 4 coordinates down the kd-leaf path
 
 
 def _lattice(side, dim=2):
@@ -95,7 +97,7 @@ def _horizon_ties():
 
 
 def _duplicates():
-    # each point three times: self need not be the tree's first candidate
+    # each point three times: ties at distance zero, in and across leaves
     base = np.random.default_rng(22).random((60, 2))
     return np.vstack([base, base, base]), 7
 
@@ -110,7 +112,7 @@ def _all_neighbors():
 
 
 def _eight_dim():
-    # the tree's own euclidean sums differ from cdist's in the last bit here
+    # an embedding dimension that takes the cdist path
     return np.random.default_rng(25).standard_normal((150, 8)), 15
 
 
@@ -136,25 +138,28 @@ def test_knn_paths_match_oracle(knn, metric, case):
 # how the rows are cut into blocks
 
 _BLOCK_ROWS = 7  # no case has a multiple of 7 points: the last block is short
+_LEAF = 8  # kd leaves of at most 8 points: most leaves see only part of the cloud
 
 
 def _small_blocks(monkeypatch, cpus, coords, k_max):
-    """Pretend to have ``cpus`` CPUs and cut every pass into 7-row blocks."""
+    """Pretend to have ``cpus`` CPUs; cut full-row passes into 7-row blocks
+    and the kd-leaf pass into leaves of at most 8 points."""
     n = coords.shape[0]
     monkeypatch.setattr(neighbors, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(neighbors, "_TREE_BUDGET", _BLOCK_ROWS * cpus * min(k_max + 2, n))
-    monkeypatch.setattr(neighbors, "_BRUTE_BUDGET", _BLOCK_ROWS * cpus * n)
+    monkeypatch.setattr(neighbors, "_BLOCK_BUDGET", _BLOCK_ROWS * cpus * n)
+    monkeypatch.setattr(neighbors, "_LEAF_SIZE", _LEAF)
 
 
 def _recording_redo(monkeypatch):
-    """Record the rows the tree path hands to brute force."""
+    """Record the rows handed to full distance rows (the kd-leaf path's redo)."""
     redone = []
 
-    def brute(coords, k_max, metric, rows=None):
+    def rows_knn(coords, k_max, rows, distances):
         redone.append(rows)
-        return _brute_knn(coords, k_max, metric, rows)
+        return real(coords, k_max, rows, distances)
 
-    monkeypatch.setattr(neighbors, "_brute_knn", brute)
+    real = neighbors._rows_knn
+    monkeypatch.setattr(neighbors, "_rows_knn", rows_knn)
     return redone
 
 
@@ -165,16 +170,27 @@ def test_row_blocks_match_oracle(cpus, metric, case, monkeypatch):
     coords, k_max = KNN_CASES[case]()
     assert coords.shape[0] % _BLOCK_ROWS
     _small_blocks(monkeypatch, cpus, coords, k_max)
-    redone = _recording_redo(monkeypatch)
     ids, dists = brute_knn(coords, k_max, metric)
-    for knn in (_brute_knn, _tree_knn):
-        got_ids, got_dists = knn(coords, k_max, metric)
-        np.testing.assert_array_equal(got_ids, ids)
-        assert got_dists.tobytes() == dists.tobytes()
+    got_ids, got_dists = _brute_knn(coords, k_max, metric)
+    np.testing.assert_array_equal(got_ids, ids)
+    assert got_dists.tobytes() == dists.tobytes()
+    redone = _recording_redo(monkeypatch)
+    got_ids, got_dists = _tree_knn(coords, k_max, metric)
+    np.testing.assert_array_equal(got_ids, ids)
+    assert got_dists.tobytes() == dists.tobytes()
+    assert not redone  # ties and duplicates are exact inside the candidates
+    # a margin no row clears forces every pruned row through the redo
+    monkeypatch.setattr(neighbors, "_TREE_RTOL", 1.0)
+    got_ids, got_dists = _tree_knn(coords, k_max, metric)
+    np.testing.assert_array_equal(got_ids, ids)
+    assert got_dists.tobytes() == dists.tobytes()
     if case in ("horizon_ties", "duplicates"):
         (rows,) = redone
-        assert np.unique(rows // _BLOCK_ROWS).size > 1
-        assert (np.diff(rows) > 0).all()  # concatenated in block order
+        leaf_of = np.empty(coords.shape[0], dtype=np.int64)
+        for leaf, members in enumerate(neighbors._kd_leaves(coords)):
+            leaf_of[members] = leaf
+        assert np.unique(leaf_of[rows]).size > 1
+        assert (np.diff(rows) > 0).all()  # each row once, in ascending order
 
 
 def test_row_blocks_under_rapid_thread_switching(monkeypatch):
@@ -205,28 +221,41 @@ def test_lone_worker_runs_in_the_calling_thread(cpus, budget, monkeypatch):
 
 @pytest.mark.parametrize("dim", [2, 8], ids=["tree", "brute"])
 def test_failing_block_propagates_and_stops_the_pool(dim, monkeypatch):
+    import scipy.spatial.distance
+
     coords = np.random.default_rng(26).random((300, dim))
-    assert neighbors._use_tree(300, 5, dim) == (dim == 2)
+    assert (dim <= neighbors._TREE_MAX_DIM) == (dim == 2)
     _small_blocks(monkeypatch, 2, coords, 5)
     calls = itertools.count()
 
-    def failing(block):
+    def failing(kernel):
         def wrapped(*args, **kwargs):
             if next(calls) == 3:
                 raise RuntimeError("block failed")
-            return block(*args, **kwargs)
+            return kernel(*args, **kwargs)
         return wrapped
 
-    # the tree path queries once per block, the brute path computes one cdist
-    monkeypatch.setattr(neighbors, "cdist", failing(neighbors.cdist))
-
-    class FailingTree(neighbors.cKDTree):
-        query = failing(neighbors.cKDTree.query)
-
-    monkeypatch.setattr(neighbors, "cKDTree", FailingTree)
+    # every block of either path computes its distances through one kernel
+    monkeypatch.setattr(neighbors, "_distances", failing(neighbors._distances))
+    monkeypatch.setattr(scipy.spatial.distance, "cdist",
+                        failing(scipy.spatial.distance.cdist))
     with pytest.raises(RuntimeError, match="block failed"):
         build_neighbor_graph(PointSet(coords), k_max=5)
     assert not [t for t in threading.enumerate() if t.name.startswith("densitopo-knn")]
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_lattice_needs_no_redo(metric, monkeypatch):
+    # every row of a 70 x 70 grid ties inside its k_max = 60 neighbors and at
+    # the 60th; the candidates hold every tie, so no row is selected again
+    coords = _lattice(70)
+    redone = _recording_redo(monkeypatch)
+    ids, dists = _tree_knn(coords, 60, metric)
+    assert not redone
+    want_ids, want_dists = _brute_knn(coords, 60, metric)
+    np.testing.assert_array_equal(ids, want_ids)
+    assert dists.tobytes() == want_dists.tobytes()
+    assert (dists[:, 1:] == dists[:, :-1]).any(axis=1).all()
 
 
 def test_horizon_case_has_ties_at_k_max():
@@ -236,11 +265,19 @@ def test_horizon_case_has_ties_at_k_max():
         assert (dists[:, k_max - 1] == dists[:, k_max]).sum() > 50
 
 
-def test_path_rule_follows_size_and_dimension():
-    assert _use_tree(10000, 512, 2)         # large low-dimensional clouds
-    assert not _use_tree(1500, 512, 20)     # high embedding dimension
-    assert not _use_tree(1500, 512, 2)      # k_max a third of n
-    assert _use_tree(800, 24, 2) and _use_tree(286, 16, 2)  # golden inputs
+def test_path_rule_follows_dimension(monkeypatch):
+    # no size rule: a small or a k_max-wide cloud of at most 4 coordinates
+    # takes the kd-leaf path too
+    taken = []
+    monkeypatch.setattr(neighbors, "_tree_knn",
+                        lambda *a: taken.append("tree") or _tree_knn(*a))
+    monkeypatch.setattr(neighbors, "_brute_knn",
+                        lambda *a: taken.append("brute") or _brute_knn(*a))
+    rng = np.random.default_rng(27)
+    for n, dim, k_max in [(40, 1, 39), (300, 2, 200), (60, 3, 5), (60, 4, 59), (60, 5, 5),
+                          (60, 20, 10)]:
+        build_neighbor_graph(PointSet(rng.random((n, dim))), k_max=k_max)
+    assert taken == ["tree"] * 4 + ["brute"] * 2
 
 
 def test_rebuild_is_byte_identical():
@@ -528,12 +565,78 @@ def test_points_tsv_empty_rejected(tmp_path):
 
 
 def test_pairwise_views_agree():
-    rng = np.random.default_rng(9)
-    coords = rng.random((30, 2))
     from scipy.spatial.distance import cdist
-    matrix = cdist(coords, coords)
-    by_coords = PairwiseDistances(coords=coords)
-    by_matrix = PairwiseDistances(matrix=matrix)
-    for i in (0, 7, 29):
-        np.testing.assert_allclose(by_coords.row(i), by_matrix.row(i), atol=1e-12)
-        assert by_coords.row(i)[i] == 0.0
+
+    rng = np.random.default_rng(9)
+    coords = rng.random((30, 5))
+    for metric in ("euclidean", "manhattan"):
+        matrix = cdist(coords, coords, metric=neighbors._METRICS[metric])
+        by_coords = PairwiseDistances(coords=coords, metric=metric)
+        by_matrix = PairwiseDistances(matrix=matrix)
+        for i in (0, 7, 29):
+            assert by_coords.row(i).tobytes() == by_matrix.row(i).tobytes()
+            assert by_coords.row(i)[i] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the numpy distance kernel and the row selection, against their oracles
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_distances_equal_cdist_bitwise(metric):
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(28)
+    for dim in range(1, 65):
+        for rows, cols in [(1, 1), (7, 13), (1, 31), (33, 1), (5, 64)]:
+            a = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-3, 4)
+            b = rng.standard_normal((cols, dim)) * 10.0 ** rng.integers(-3, 4)
+            want = cdist(a, b, metric=neighbors._METRICS[metric])
+            assert _distances(a, b, metric).tobytes() == want.tobytes(), (dim, rows, cols)
+            # a transposed gather, as the kd-leaf path passes its candidates
+            assert _distances(a, np.ascontiguousarray(b.T).T, metric).tobytes() == \
+                want.tobytes()
+
+
+def _stable_rows(block, k_max):
+    ids = np.argsort(block, axis=1, kind="stable")[:, :k_max]
+    return ids, np.take_along_axis(block, ids, axis=1)
+
+
+def _self_excluded(coords, metric="euclidean", rows=slice(None)):
+    """Distances from ``coords[rows]`` to every point, +inf to itself."""
+    own = np.arange(coords.shape[0])[rows]
+    block = _distances(coords[own], coords, metric)
+    block[np.arange(own.size), own] = np.inf
+    return block
+
+
+def _injected_ties(seed):
+    # random rows where about a third of the entries repeat an earlier one
+    rng = np.random.default_rng(seed)
+    block = rng.random((40, 90))
+    src = rng.integers(0, 90, size=block.shape)
+    copy = rng.random(block.shape) < 0.3
+    block[copy] = np.take_along_axis(block, src, axis=1)[copy]
+    return block
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _self_excluded(_horizon_ties()[0]),
+    lambda: _self_excluded(_duplicates()[0], "manhattan"),
+    lambda: _self_excluded(_lattice(70), rows=slice(None, None, 7)),
+    lambda: _injected_ties(29),
+    lambda: np.random.default_rng(30).random((25, 70))],
+    ids=["horizon_ties", "duplicates", "lattice70", "injected_ties", "tie_free"])
+def test_exact_knn_rows_matches_stable_sort(make):
+    block = make()
+    before = block.copy()
+    width = block.shape[1]
+    # the argpartition path, its last k_max, and the whole-row sort path
+    for k_max in sorted({1, 7, 10, 60, (2 * width) // 3 - 1, (2 * width + 2) // 3,
+                         width - 1}):
+        ids, dists = _exact_knn_rows(block, k_max)
+        want_ids, want_dists = _stable_rows(block, k_max)
+        np.testing.assert_array_equal(ids, want_ids)
+        assert dists.tobytes() == want_dists.tobytes()
+    np.testing.assert_array_equal(block, before)
+

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.cluster.hierarchy import linkage
+from scipy.spatial.distance import cdist, squareform
 
 from densitopo import (
     DataError,
@@ -157,6 +160,31 @@ def test_linkage_matches_naive_oracle(seed):
     assert _production_partitions(den.children, k) == exp_parts
     # single-linkage heights are monotone root-ward
     assert den.merge_heights == sorted(den.merge_heights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_linkage_matches_scipy(data):
+    # few distinct peak and saddle values make tied heights common; missing
+    # saddles leave parts that join at the sentinel
+    k = data.draw(st.integers(min_value=2, max_value=12))
+    peaks = data.draw(st.lists(st.sampled_from([3.0, 4.0, 5.0, 5.5]),
+                               min_size=k, max_size=k))
+    saddles = {}
+    for a in range(k):
+        for b in range(a + 1, k):
+            v = data.draw(st.one_of(st.none(), st.sampled_from([0.0, 1.0, 2.0, 2.5, 3.0])))
+            if v is not None:
+                saddles[(a, b)] = v
+    topo = _make_topography(peaks, [2] * k, saddles)
+    den = single_linkage(topo)
+    closed = topo.cluster_dist.copy()
+    if den.sentinel_height is not None:
+        closed[np.isinf(closed)] = den.sentinel_height
+    z = linkage(squareform(closed, checks=False), method="single")
+    assert den.children == [(int(a), int(b)) for a, b, _, _ in z]
+    assert den.merge_heights == [float(h) for h in z[:, 2]]
+    assert (den.sentinel_height is None) == bool(np.isfinite(topo.cluster_dist).all())
 
 
 def test_disconnected_parts_join_at_sentinel():
