@@ -25,6 +25,13 @@ def _gmm_coords(path):
     return {"format": "coords", "k_max": 24, "z": 1.0}
 
 
+def _gmm_8d_coords(path):
+    # above 4 coordinates: the hashes were recorded from full cdist rows
+    points, _ = synth_gmm(k=3, n=800, dim=8, separation=8.0, seed=7)
+    write_points_tsv(points, path)
+    return {"format": "coords", "k_max": 24, "z": 1.0}
+
+
 def _lattice_with_duplicates(path):
     # exact integer lattice: many equal distances, some exactly at the
     # k_max-th neighbor; the first 30 sites appear twice
@@ -43,6 +50,7 @@ def _distance_matrix(path):
 
 
 CASES = {"gmm_coords": _gmm_coords,
+         "gmm_8d_coords": _gmm_8d_coords,
          "lattice_duplicates": _lattice_with_duplicates,
          "distance_matrix": _distance_matrix}
 
@@ -53,6 +61,13 @@ GOLDEN = {
         "topography.json": "da317185864cdd93a9072f0dd092933ca4851e6ecae382a196fcb88e2b84da14",
         "dendrogram.nwk": "5c2f563a4a457888b2056946ff432b46de523368c851972d6879f4fa6c3cc93a",
         "network.dot": "69d0812ebddbfbb69ec19fcf387af24a53eac7b6ea337554711be6f932b96ec7",
+    },
+    "gmm_8d_coords": {
+        "density.tsv": "f31936c03fd615d85e80d6d4e490b7b1289ec983e5bf98652fdd878c1e59ff6d",
+        "assignment.tsv": "a0c7b696d098e9eaa861022f430b3c80b545ed52ec827944d2c2a92b610491d9",
+        "topography.json": "1426ac5d3122fa267316ec6d1f643b9412ac07ea11e7488bc1e7a9633c7fe2f4",
+        "dendrogram.nwk": "deb0705fe5f5231d5bbb47f8cc112520374905bdd81603a0e13aa96e5495c69a",
+        "network.dot": "cfbe7004f55c5f4d5ac6f71d8af53ad3f2df1b9a83e2fdb528f472a82d32f314",
     },
     "gmm_coords": {
         "density.tsv": "c1e6d1bcb8a2b326048169f8d752dc55ee20ccaac8b33a15855279877ae08dfc",
