@@ -40,7 +40,6 @@ from .tsv import (PURITY, TRUTH, assignment_tsv_text, confusion_spec, density_ts
                   read_truth_tsv, saddles_tsv_text, table_text, write_points_tsv)
 
 _FORMATS = ("coords", "matrix", "knn")
-_METRIC_CHOICES = tuple(_METRICS)
 
 
 def _fmt(x: float) -> str:
@@ -133,8 +132,8 @@ def _load_graph(cfg: RunConfig, need_pairwise: bool):
         raise ConfigError(f"format must be one of {_FORMATS}, got {cfg.format!r}")
     if cfg.input is None:
         raise ConfigError("--input is required")
-    if cfg.metric not in _METRIC_CHOICES:
-        raise ConfigError(f"metric must be one of {_METRIC_CHOICES}, got {cfg.metric!r}")
+    if cfg.metric not in _METRICS:
+        raise ConfigError(f"metric must be one of {_METRICS}, got {cfg.metric!r}")
 
     if cfg.format == "coords":
         points = read_points_tsv(cfg.input)
@@ -396,7 +395,7 @@ def _add_common(p: argparse.ArgumentParser, formats=_FORMATS) -> None:
     p.add_argument("--input", help="input data file (TSV)")
     p.add_argument("--format", choices=list(formats), default=None,
                    help="input layout (default coords)")
-    p.add_argument("--metric", choices=list(_METRIC_CHOICES), default=None)
+    p.add_argument("--metric", choices=list(_METRICS), default=None)
     p.add_argument("--k-max", dest="k_max", type=int, default=None,
                    help="neighbors per point (default min(n-1, 512))")
     p.add_argument("--config", default=None,

@@ -18,8 +18,7 @@ from .errors import ConfigError, DataError
 
 DEFAULT_K_MAX = 512
 
-# public metric name -> scipy metric name
-_METRICS = {"euclidean": "euclidean", "manhattan": "cityblock"}
+_METRICS = ("euclidean", "manhattan")
 
 # Entries of an n x k_max or n x n table that a check reads at once; its
 # temporaries take a few bytes per entry, so no check allocates a copy of
@@ -223,10 +222,9 @@ def _usable_cpus() -> int:
 # Distance entries held by all blocks in flight together, in full rows or
 # in kd-leaf candidate rows.  Each worker gets an equal share, so the total
 # does not grow with the CPU count.  Freed scratch stays in the workers'
-# malloc arenas and raises the peak of later stages: 12k 20-D points at
-# k_max 100 took 1.50 s at 1M entries against 1.80 s at 16M.  A 20k-point
-# 3-D kd-leaf build peaked at 173 MiB with 1M entries and 161 MiB with
-# 128K, in the same time; at 10k 2-D, 104 and 100 MiB, 15% faster at 1M.
+# malloc arenas and raises the peak of later stages.  A 20k-point 3-D
+# kd-leaf build peaked at 173 MiB with 1M entries and 161 MiB with 128K, in
+# the same time; at 10k 2-D, 104 and 100 MiB, 15% faster at 1M.
 _BLOCK_BUDGET = 1 << 20
 
 
@@ -234,7 +232,7 @@ def _map_blocks(fn, blocks: list[tuple]) -> list:
     """Return ``[fn(*b) for b in blocks]``, in block order.
 
     The blocks run on a thread pool with one worker per usable CPU; the
-    numpy and scipy kernels they call release the GIL.  With one CPU, or a
+    numpy kernels they call release the GIL.  With one CPU, or a
     single block, they run in the calling thread in order: scratch freed in
     a worker thread stays in that thread's malloc arena and raises the peak
     of later stages.  If a block raises, the blocks not yet started are
@@ -279,35 +277,15 @@ def _select_knn(distance_rows, n_rows: int, n: int,
 
 
 def _rows_knn(coords: np.ndarray, k_max: int, rows: np.ndarray,
-              distances) -> tuple[np.ndarray, np.ndarray]:
-    """Exact kNN of ``rows`` from their distances to every point.
-
-    ``distances(a, b)`` returns the distances between the rows of a and b.
-    """
+              metric: str) -> tuple[np.ndarray, np.ndarray]:
+    """Exact kNN of ``rows`` from their distances to every point."""
     def distance_rows(s: int, e: int) -> np.ndarray:
         part = rows[s:e]
-        d = distances(coords[part], coords)
+        d = _distances(coords[part], coords, metric)
         d[np.arange(part.size), part] = np.inf  # exclude self
         return d
 
     return _select_knn(distance_rows, rows.size, coords.shape[0], k_max)
-
-
-def _brute_knn(coords: np.ndarray, k_max: int,
-               metric: str) -> tuple[np.ndarray, np.ndarray]:
-    """Exact kNN of every point from full cdist distance rows.
-
-    cdist is faster than :func:`_distances` on many coordinates (a 350 x
-    1,500 block took 2.5 against 11.7 ms in 5-D, 6.5 against 37 ms in
-    20-D), so high-dimensional inputs pay for importing scipy.  The import
-    runs here, in the calling thread, before any worker starts.
-    """
-    from scipy.spatial.distance import cdist
-
-    def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return cdist(a, b, metric=_METRICS[metric])
-
-    return _rows_knn(coords, k_max, np.arange(coords.shape[0]), distances)
 
 
 # Points per kd leaf: of 16 to 128, 64 was fastest on 10k 2-D, 20k 3-D and
@@ -404,13 +382,8 @@ def _tree_knn(coords: np.ndarray, k_max: int,
     redo = np.concatenate(_map_blocks(leaf_block, [(m,) for m in range(len(leaves))]))
     redo.sort()
     if redo.size:
-        ids[redo], dists[redo] = _rows_knn(
-            coords, k_max, redo, lambda a, b: _distances(a, b, metric))
+        ids[redo], dists[redo] = _rows_knn(coords, k_max, redo, metric)
     return ids, dists
-
-
-# Coordinates of at most this many dimensions take the kd-leaf path.
-_TREE_MAX_DIM = 4
 
 
 def _checked_k_max(k_max: int | None, n: int) -> int:
@@ -426,11 +399,14 @@ def build_neighbor_graph(points: PointSet, k_max: int | None = None,
                          metric: str = "euclidean") -> NeighborGraph:
     """Compute the exact kNN graph of a point set.
 
-    Up to ``_TREE_MAX_DIM`` coordinates, candidates come from kd leaves
-    (:func:`_tree_knn`), which needs numpy alone; above it, full cdist
-    distance rows are faster (:func:`_brute_knn`).  Both paths return the
-    same bytes: distances carry cdist's arithmetic and ties are broken by
-    ascending id.
+    Candidates come from kd leaves (:func:`_tree_knn`) in any dimension.
+    The result equals selection over full distance rows: distances carry
+    cdist's arithmetic and ties are broken by ascending id.  Points near a
+    low-dimensional manifold prune most leaves: on 2 CPUs, 12k points of a
+    3-D mixture embedded in 20-D take 1.1 s at k_max 100, against 2.6 s
+    for full cdist rows with scipy's import.  Full-rank data in many
+    dimensions prunes few, and there cdist's kernel is faster: 12k uniform
+    20-D points take 4.1 against 2.4 s.
 
     Args:
         points: input point cloud.
@@ -444,8 +420,7 @@ def build_neighbor_graph(points: PointSet, k_max: int | None = None,
         raise ConfigError(f"unknown metric {metric!r}; choose euclidean or manhattan")
     n = points.n_points
     k_max = _checked_k_max(k_max, n)
-    knn = _tree_knn if points.embedding_dim <= _TREE_MAX_DIM else _brute_knn
-    ids, dists = knn(points.coords, k_max, metric)
+    ids, dists = _tree_knn(points.coords, k_max, metric)
     return NeighborGraph(ids, dists)
 
 

@@ -1,4 +1,4 @@
-"""Which runs load scipy: only coordinates of more than 4 dimensions need it.
+"""No run loads scipy: it is an oracle of the test suite, not a dependency.
 
 Each check runs in a fresh interpreter, since this test process has scipy
 loaded already.
@@ -53,6 +53,8 @@ def test_runs_up_to_4_dimensions_and_on_a_matrix_load_no_scipy(dim, tmp_path):
     assert (tmp_path / "out" / "topography.json").is_file()
 
 
-def test_runs_above_4_dimensions_load_cdist(tmp_path):
-    # documented: full cdist distance rows are the faster kNN path there
-    assert "scipy.spatial.distance" in _scipy_modules(_run_code(tmp_path, 8))
+@pytest.mark.parametrize("dim", [8, 20], ids=["coords_8d", "coords_20d"])
+def test_runs_above_4_dimensions_load_no_scipy(dim, tmp_path):
+    # the kd-leaf kNN runs in any dimension
+    assert _scipy_modules(_run_code(tmp_path, dim)) == []
+    assert (tmp_path / "out" / "topography.json").is_file()

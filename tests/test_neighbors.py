@@ -13,8 +13,11 @@ from densitopo import (ConfigError, DataError, NeighborGraph, PairwiseDistances,
                        PointSet, build_neighbor_graph, ingest_distance_matrix,
                        ingest_knn_file, read_points_tsv, write_points_tsv)
 from densitopo import neighbors
-from densitopo.neighbors import _brute_knn, _distances, _exact_knn_rows, _tree_knn
+from densitopo.neighbors import _distances, _exact_knn_rows, _rows_knn, _tree_knn
 from oracles import argsort_matrix_knn, brute_knn, export_knn_file
+
+# public metric name -> scipy metric name, for the tests that call cdist
+_CDIST_METRIC = {"euclidean": "euclidean", "manhattan": "cityblock"}
 
 
 def test_line_points_by_inspection():
@@ -57,7 +60,7 @@ def test_lattice_ties_match_brute_force():
 @given(st.data())
 def test_small_instances_equal_brute_force(data):
     n = data.draw(st.integers(min_value=2, max_value=30))
-    dim = data.draw(st.integers(min_value=1, max_value=3))
+    dim = data.draw(st.integers(min_value=1, max_value=8))
     k_max = data.draw(st.integers(min_value=1, max_value=n - 1))
     metric = data.draw(st.sampled_from(["euclidean", "manhattan"]))
     # coarse grid coordinates make distance ties likely
@@ -77,8 +80,7 @@ def test_small_instances_equal_brute_force(data):
 
 
 # ---------------------------------------------------------------------------
-# both kNN paths against the oracle, called directly: the dimension rule
-# sends every input of at most 4 coordinates down the kd-leaf path
+# the kd-leaf path, and full distance rows (its redo), against the oracle
 
 
 def _lattice(side, dim=2):
@@ -112,13 +114,29 @@ def _all_neighbors():
 
 
 def _eight_dim():
-    # an embedding dimension that takes the cdist path
     return np.random.default_rng(25).standard_normal((150, 8)), 15
+
+
+def _twenty_dim():
+    # full rank: the kd leaves prune little
+    return np.random.default_rng(31).standard_normal((200, 20)), 25
+
+
+def _padded_lattice():
+    # the horizon ties of the square lattice, padded with 18 zero coordinates
+    coords, k_max = _horizon_ties()
+    return np.hstack([coords, np.zeros((coords.shape[0], 18))]), k_max
 
 
 KNN_CASES = {"random": _random_points, "horizon_ties": _horizon_ties,
              "duplicates": _duplicates, "one_dim": _one_dim,
-             "k_max_n_minus_1": _all_neighbors, "eight_dim": _eight_dim}
+             "k_max_n_minus_1": _all_neighbors, "eight_dim": _eight_dim,
+             "twenty_dim": _twenty_dim, "padded_lattice": _padded_lattice}
+
+
+def _brute_knn(coords, k_max, metric):
+    """Brute force: every row from its full distance row, as the redo selects."""
+    return _rows_knn(coords, k_max, np.arange(coords.shape[0]), metric)
 
 
 @pytest.mark.parametrize("knn", [_brute_knn, _tree_knn])
@@ -154,9 +172,9 @@ def _recording_redo(monkeypatch):
     """Record the rows handed to full distance rows (the kd-leaf path's redo)."""
     redone = []
 
-    def rows_knn(coords, k_max, rows, distances):
+    def rows_knn(coords, k_max, rows, metric):
         redone.append(rows)
-        return real(coords, k_max, rows, distances)
+        return real(coords, k_max, rows, metric)
 
     real = neighbors._rows_knn
     monkeypatch.setattr(neighbors, "_rows_knn", rows_knn)
@@ -171,9 +189,6 @@ def test_row_blocks_match_oracle(cpus, metric, case, monkeypatch):
     assert coords.shape[0] % _BLOCK_ROWS
     _small_blocks(monkeypatch, cpus, coords, k_max)
     ids, dists = brute_knn(coords, k_max, metric)
-    got_ids, got_dists = _brute_knn(coords, k_max, metric)
-    np.testing.assert_array_equal(got_ids, ids)
-    assert got_dists.tobytes() == dists.tobytes()
     redone = _recording_redo(monkeypatch)
     got_ids, got_dists = _tree_knn(coords, k_max, metric)
     np.testing.assert_array_equal(got_ids, ids)
@@ -184,7 +199,7 @@ def test_row_blocks_match_oracle(cpus, metric, case, monkeypatch):
     got_ids, got_dists = _tree_knn(coords, k_max, metric)
     np.testing.assert_array_equal(got_ids, ids)
     assert got_dists.tobytes() == dists.tobytes()
-    if case in ("horizon_ties", "duplicates"):
+    if case in ("horizon_ties", "duplicates", "padded_lattice"):
         (rows,) = redone
         leaf_of = np.empty(coords.shape[0], dtype=np.int64)
         for leaf, members in enumerate(neighbors._kd_leaves(coords)):
@@ -200,10 +215,9 @@ def test_row_blocks_under_rapid_thread_switching(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for knn in (_brute_knn, _tree_knn):
-            got_ids, got_dists = knn(coords, k_max, "manhattan")
-            np.testing.assert_array_equal(got_ids, ids)
-            assert got_dists.tobytes() == dists.tobytes()
+        got_ids, got_dists = _tree_knn(coords, k_max, "manhattan")
+        np.testing.assert_array_equal(got_ids, ids)
+        assert got_dists.tobytes() == dists.tobytes()
     finally:
         sys.setswitchinterval(interval)
 
@@ -219,12 +233,9 @@ def test_lone_worker_runs_in_the_calling_thread(cpus, budget, monkeypatch):
                    for s in range(0, 10, step)]
 
 
-@pytest.mark.parametrize("dim", [2, 8], ids=["tree", "brute"])
+@pytest.mark.parametrize("dim", [2, 8])
 def test_failing_block_propagates_and_stops_the_pool(dim, monkeypatch):
-    import scipy.spatial.distance
-
     coords = np.random.default_rng(26).random((300, dim))
-    assert (dim <= neighbors._TREE_MAX_DIM) == (dim == 2)
     _small_blocks(monkeypatch, 2, coords, 5)
     calls = itertools.count()
 
@@ -235,10 +246,8 @@ def test_failing_block_propagates_and_stops_the_pool(dim, monkeypatch):
             return kernel(*args, **kwargs)
         return wrapped
 
-    # every block of either path computes its distances through one kernel
+    # every block computes its distances through one kernel
     monkeypatch.setattr(neighbors, "_distances", failing(neighbors._distances))
-    monkeypatch.setattr(scipy.spatial.distance, "cdist",
-                        failing(scipy.spatial.distance.cdist))
     with pytest.raises(RuntimeError, match="block failed"):
         build_neighbor_graph(PointSet(coords), k_max=5)
     assert not [t for t in threading.enumerate() if t.name.startswith("densitopo-knn")]
@@ -263,21 +272,6 @@ def test_horizon_case_has_ties_at_k_max():
     for metric in ("euclidean", "manhattan"):
         _, dists = brute_knn(coords, k_max + 1, metric)
         assert (dists[:, k_max - 1] == dists[:, k_max]).sum() > 50
-
-
-def test_path_rule_follows_dimension(monkeypatch):
-    # no size rule: a small or a k_max-wide cloud of at most 4 coordinates
-    # takes the kd-leaf path too
-    taken = []
-    monkeypatch.setattr(neighbors, "_tree_knn",
-                        lambda *a: taken.append("tree") or _tree_knn(*a))
-    monkeypatch.setattr(neighbors, "_brute_knn",
-                        lambda *a: taken.append("brute") or _brute_knn(*a))
-    rng = np.random.default_rng(27)
-    for n, dim, k_max in [(40, 1, 39), (300, 2, 200), (60, 3, 5), (60, 4, 59), (60, 5, 5),
-                          (60, 20, 10)]:
-        build_neighbor_graph(PointSet(rng.random((n, dim))), k_max=k_max)
-    assert taken == ["tree"] * 4 + ["brute"] * 2
 
 
 def test_rebuild_is_byte_identical():
@@ -570,7 +564,7 @@ def test_pairwise_views_agree():
     rng = np.random.default_rng(9)
     coords = rng.random((30, 5))
     for metric in ("euclidean", "manhattan"):
-        matrix = cdist(coords, coords, metric=neighbors._METRICS[metric])
+        matrix = cdist(coords, coords, metric=_CDIST_METRIC[metric])
         by_coords = PairwiseDistances(coords=coords, metric=metric)
         by_matrix = PairwiseDistances(matrix=matrix)
         for i in (0, 7, 29):
@@ -590,7 +584,7 @@ def test_distances_equal_cdist_bitwise(metric):
         for rows, cols in [(1, 1), (7, 13), (1, 31), (33, 1), (5, 64)]:
             a = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-3, 4)
             b = rng.standard_normal((cols, dim)) * 10.0 ** rng.integers(-3, 4)
-            want = cdist(a, b, metric=neighbors._METRICS[metric])
+            want = cdist(a, b, metric=_CDIST_METRIC[metric])
             assert _distances(a, b, metric).tobytes() == want.tobytes(), (dim, rows, cols)
             # a transposed gather, as the kd-leaf path passes its candidates
             assert _distances(a, np.ascontiguousarray(b.T).T, metric).tobytes() == \
