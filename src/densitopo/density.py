@@ -29,9 +29,9 @@ ANSATZ_CHOICES = ("volume", "index")
 _NR_TOL = 1e-8
 _NR_MAX_ITER = 100
 _MAX_STEP_HALVINGS = 30
-# array entries (points x k_hat) per lockstep fit block: bounds the fit's
-# working arrays however many points share one k_hat
-_BLOCK_ENTRIES = 1 << 16
+# padded entries (points x the block's largest k_hat) per lockstep fit block,
+# whose largest k_hat is at most twice its smallest: bounds the fit's arrays
+_BLOCK_ENTRIES = 1 << 15
 
 
 def unit_ball_volume(d: float) -> float:
@@ -156,51 +156,66 @@ def _plain_log_rho(ids: np.ndarray, k: int | np.ndarray, vol: np.ndarray,
     return _libm(math.log, np.atleast_1d(k)) - _libm(math.log, vol)
 
 
-def _objective(b: np.ndarray, a: np.ndarray, x: np.ndarray,
-               v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Shell log-likelihood per row at rates exp(b + a * x), and the shell
-    terms v * exp(b + a * x) it subtracts."""
-    t = b[:, None] + a[:, None] * x
-    w = v * np.exp(t)
-    return t.sum(axis=1) - w.sum(axis=1), w
+def _row_sums(k: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Row sums of terms, shaped (..., rows, width), over each row's first
+    k entries, k sorted: each run of equal k sums exact-length rows in
+    numpy's pairwise order, as a 1-D sum over one point's shells would."""
+    cut = [0, *(np.flatnonzero(np.diff(k)) + 1).tolist(), k.size]
+    out = np.empty(terms.shape[:-1])
+    for s, e in zip(cut[:-1], cut[1:]):
+        out[..., s:e] = terms[..., s:e, :k[s]].sum(axis=-1)
+    return out
+
+
+def _loglik(b: np.ndarray, a: np.ndarray, x: np.ndarray, v: np.ndarray,
+            k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shell log-likelihood per row at rates exp(b + a * x) over its k shells,
+    the shell terms v * exp(b + a * x) it subtracts, and their row sums."""
+    t, w = terms = np.empty((2, *x.shape))
+    np.multiply(a[:, None], x, out=t)
+    t += b[:, None]
+    np.exp(t, out=w)
+    w *= v
+    t_sum, w_sum = _row_sums(k, terms)
+    return t_sum - w_sum, w, w_sum
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _fit_block(ids: np.ndarray, k: int, d: float, omega: float, ansatz: str,
-               graph: NeighborGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Fit log rho with a linear density drift over k shells, for many points.
+def _fit_rows(ids: np.ndarray, k: np.ndarray, d: float, omega: float, ansatz: str,
+              graph: NeighborGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Fit log rho with a linear density drift over each point's k shells.
 
     Per point, maximizes the shell likelihood of rate exp(b + a * x_l) by
     Newton iteration from (log(k / V), 0), halving steps that lower the
     objective.  The intercept b is the bias-corrected log density at the
-    point.  All points run in lockstep, each halving its own steps and
-    leaving once it is decided.  Every row sum reduces an exact-length row,
-    in the order of a 1-D sum over that point's shells, so each point's
-    result is what a fit of that point alone gives.
+    point.  The points, sorted by k, run in lockstep, each halving its own
+    steps and leaving once it is decided.  Elementwise steps run on rows
+    padded to the largest k with the graph's later shells; row sums read
+    only each point's k shells, so it gets what a fit of it alone gives.
 
     Returns:
         (log_rho, fallback) per point: fallback is True where the solver
         did not converge or the curvature degenerated, in which case the
         plain k/V estimate is returned.
     """
-    cum = omega * np.power(graph.neighbor_dists[ids, :k], d)
-    log_rho = _plain_log_rho(ids, k, cum[:, -1], d)
+    width = int(k[-1])
+    cum = omega * np.power(graph.neighbor_dists[ids, :width], d)
+    log_rho = _plain_log_rho(ids, k, cum[np.arange(ids.size), k - 1], d)
     v = np.maximum(np.diff(cum, axis=1, prepend=0.0), 0.0)
-    if ansatz == "volume":
-        x = cum
-    else:
-        x = np.tile(np.arange(1.0, k + 1.0), (ids.size, 1))
-    x_sum = x.sum(axis=1)
+    x = cum if ansatz == "volume" else np.tile(np.arange(1.0, width + 1.0), (ids.size, 1))
+    x_sum = _row_sums(k, x)
     fallback = np.ones(ids.size, dtype=bool)
 
     # state of the points still iterating; rows maps it to the block
     rows = np.arange(ids.size)
     b, a = log_rho.copy(), np.zeros(ids.size)
-    current, w = _objective(b, a, x, v)
+    current, w, w_sum = _loglik(b, a, x, v, k)
     pending = []  # rows whose last step found no ascent
     for it in range(_NR_MAX_ITER + 1):
-        wx = w * x
-        w_sum, wx_sum, wxx_sum = w.sum(axis=1), wx.sum(axis=1), (wx * x).sum(axis=1)
+        wx = np.empty((2, *w.shape))
+        np.multiply(w, x, out=wx[0])
+        np.multiply(wx[0], x, out=wx[1])
+        wx_sum, wxx_sum = _row_sums(k, wx)
         g_b = k - w_sum
         g_a = x_sum - wx_sum
         finite = np.isfinite(w_sum + wx_sum + wxx_sum)
@@ -220,24 +235,25 @@ def _fit_block(ids: np.ndarray, k: int, d: float, omega: float, ansatz: str,
         step_b = -(h_aa * g_b - h_ba * g_a)[go] / det[go]
         step_a = -(h_bb * g_a - h_ba * g_b)[go] / det[go]
         if n_go < rows.size:
-            rows, b, a, current, w, x, v, x_sum = (
-                arr[go] for arr in (rows, b, a, current, w, x, v, x_sum))
+            rows, k, b, a, current, w, w_sum, x, v, x_sum = (
+                arr[go] for arr in (rows, k, b, a, current, w, w_sum, x, v, x_sum))
 
         tb, ta = b + step_b, a + step_a
-        cand, cand_w = _objective(tb, ta, x, v)
+        cand, cand_w, cand_sum = _loglik(tb, ta, x, v, k)
         pending = np.arange(rows.size)
         for halving in range(_MAX_STEP_HALVINGS):
             cur = current[pending]
             ok = np.isfinite(cand) & (cand >= cur - 1e-15 * (1.0 + np.abs(cur)))
             hit = pending[ok]
             b[hit], a[hit], current[hit], w[hit] = tb[ok], ta[ok], cand[ok], cand_w[ok]
+            w_sum[hit] = cand_sum[ok]
             pending = pending[~ok]
             if not pending.size or halving == _MAX_STEP_HALVINGS - 1:
                 break
             step_b[pending] *= 0.5
             step_a[pending] *= 0.5
             tb, ta = b[pending] + step_b[pending], a[pending] + step_a[pending]
-            cand, cand_w = _objective(tb, ta, x[pending], v[pending])
+            cand, cand_w, cand_sum = _loglik(tb, ta, x[pending], v[pending], k[pending])
     return log_rho, fallback
 
 
@@ -247,10 +263,11 @@ def estimate_density(graph: NeighborGraph, d: float,
 
     Neighborhood sizes come from the same-density scan; each point then
     gets the drift-corrected likelihood fit, falling back to log(k/V)
-    where the fit degenerates.  The fits run in blocks of points with the
-    same k_hat.  Points whose selected neighborhood has zero volume are
-    retried at the smallest k with positive volume, given log(k/V) and
-    flagged; if no such k exists the data is degenerate.
+    where the fit degenerates.  The fits run in blocks of points sorted by
+    k_hat, each row padded to its block's largest k_hat.  Points whose
+    selected neighborhood has zero volume are retried at the smallest k
+    with positive volume, given log(k/V) and flagged; if no such k exists
+    the data is degenerate.
 
     Args:
         d: intrinsic dimension used for shell volumes (> 0, may be fractional).
@@ -288,13 +305,16 @@ def estimate_density(graph: NeighborGraph, d: float,
 
     fit = np.flatnonzero(~coincident)
     fit = fit[np.argsort(k_hat[fit], kind="stable")]
-    ks, starts = np.unique(k_hat[fit], return_index=True)
-    ends = np.append(starts[1:], fit.size)
-    for k, start, end in zip(ks.tolist(), starts.tolist(), ends.tolist()):
-        block = max(1, _BLOCK_ENTRIES // k)
-        for lo in range(start, end, block):
-            ids = fit[lo:min(lo + block, end)]
-            log_rho[ids], fallback[ids] = _fit_block(ids, k, d, omega, ansatz, graph)
+    ks = k_hat[fit]
+    lo = 0
+    while lo < fit.size:
+        # the rows up to twice the first one's k_hat that fit the budget
+        hi = min(lo + _BLOCK_ENTRIES // ks[lo], np.searchsorted(ks, 2 * ks[lo], "right"))
+        hi = lo + max(1, np.count_nonzero(np.arange(1, hi - lo + 1) * ks[lo:hi]
+                                          <= _BLOCK_ENTRIES))
+        ids = fit[lo:hi]
+        log_rho[ids], fallback[ids] = _fit_rows(ids, ks[lo:hi], d, omega, ansatz, graph)
+        lo = hi
 
     err = log_density_error(k_hat.astype(np.float64))
     if not np.isfinite(log_rho).all():

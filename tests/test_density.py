@@ -583,6 +583,62 @@ def test_batched_fit_raises_no_floating_point_warning():
         estimate_density(graph, 7.5)
 
 
+def _record_fit_blocks(monkeypatch) -> list[np.ndarray]:
+    """Spy on the lockstep fit: the sorted k_hat of every block it runs."""
+    blocks = []
+    fit_rows = density_module._fit_rows
+
+    def spy(ids, k, *args):
+        blocks.append(k.copy())
+        return fit_rows(ids, k, *args)
+
+    monkeypatch.setattr(density_module, "_fit_rows", spy)
+    return blocks
+
+
+def test_batched_fit_matches_reference_in_blocks_of_many_k_hat(monkeypatch):
+    # a small budget cuts the rows, sorted by k_hat, into blocks that each
+    # span several k_hat values and splits runs of one k_hat between blocks
+    coords = synth_gmm(k=3, n=400, dim=2, separation=6, seed=1)[0]
+    graph = build_neighbor_graph(PointSet(coords), 64)
+    monkeypatch.setattr(density_module, "_BLOCK_ENTRIES", 1000)
+    for ansatz in density_module.ANSATZ_CHOICES:
+        blocks = _record_fit_blocks(monkeypatch)
+        _assert_matches_per_point(graph, 2.0, ansatz)
+        assert all(k.size * k[-1] <= 1000 and k[-1] <= 2 * k[0] for k in blocks)
+        assert max(np.unique(k).size for k in blocks) >= 5
+        assert any(left[-1] == right[0] for left, right in zip(blocks, blocks[1:]))
+
+
+def test_batched_fit_matches_reference_with_short_and_recursing_rows_in_one_block(
+        monkeypatch):
+    # above 128 shells numpy's pairwise row sum recurses; rows of at most
+    # 128 shells padded into the same block must still sum on their own
+    graph = build_neighbor_graph(PointSet(synth_uniform(n=600, dim=2, seed=0)), 150)
+    blocks = _record_fit_blocks(monkeypatch)
+    _assert_matches_per_point(graph, 2.0)
+    assert any(k[0] <= 128 < k[-1] for k in blocks)
+
+
+def test_batched_fit_ignores_overflow_in_the_padding(monkeypatch):
+    # row 0 keeps k_hat = 4: its density rises over four shells, so its
+    # fitted slope is positive, and its later shells lie 1e100 out; padded
+    # to width 8 beside the other rows, exp overflows in its padding
+    d = 2.0
+    radii = radii_constant_density(32, 8, rho=1.0, d=d, omega=math.pi)
+    radii[0, :4] = np.sqrt(np.cumsum([1.0, 0.8, 0.6, 0.4]) / math.pi)
+    radii[0, 4:] = 1e100 * np.arange(1.0, 5.0)
+    graph = graph_from_radii(radii)
+    log_rho, slope, _, _ = fit_linear_corrected(0, 4, d, graph)
+    assert log_rho + slope * cumulative_volume(0, 5, d, graph) > math.log(np.finfo(float).max)
+    blocks = _record_fit_blocks(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = _assert_matches_per_point(graph, d)
+    assert est.k_hat[0] == 4 and not est.fallback[0]
+    assert len(blocks) == 1 and blocks[0][-1] == 8
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
        n=st.integers(min_value=20, max_value=60),
@@ -590,15 +646,18 @@ def test_batched_fit_raises_no_floating_point_warning():
        decimals=st.sampled_from([0, 1, 6]),
        d=st.floats(min_value=0.5, max_value=8.0),
        ansatz=st.sampled_from(density_module.ANSATZ_CHOICES),
-       nr_max_iter=st.sampled_from([3, 4, 100]))
+       nr_max_iter=st.sampled_from([3, 4, 100]),
+       block_entries=st.sampled_from([1, 40, density_module._BLOCK_ENTRIES]))
 def test_batched_fit_matches_reference_on_random_clouds(seed, n, dim, decimals, d,
-                                                        ansatz, nr_max_iter):
+                                                        ansatz, nr_max_iter, block_entries):
     # rounding the coordinates makes duplicate points common; a low
-    # iteration limit sends most fits through the final stationarity test
+    # iteration limit sends most fits through the final stationarity test;
+    # a small block budget fits one row at a time, or a few of mixed k_hat
     coords = np.round(np.random.default_rng(seed).normal(size=(n, dim)), decimals)
     graph = build_neighbor_graph(PointSet(coords), min(n - 1, 24))
     with pytest.MonkeyPatch.context() as mp_patch:
         mp_patch.setattr(density_module, "_NR_MAX_ITER", nr_max_iter)
+        mp_patch.setattr(density_module, "_BLOCK_ENTRIES", block_entries)
         try:
             ref = per_point_density(graph, d, ansatz)
         except DegenerateDataError:

@@ -16,7 +16,7 @@ from scipy.spatial.distance import cdist
 from densitopo import (PairwiseDistances, PointSet, build_neighbor_graph, cluster_points,
                        estimate_density, ingest_distance_matrix, ingest_knn_file,
                        synth_gmm)
-from densitopo import clustering, neighbors
+from densitopo import clustering, density, neighbors
 from oracles import export_knn_file
 
 
@@ -53,6 +53,18 @@ def test_kd_leaf_knn_peak_follows_its_blocks_not_its_leaves(monkeypatch):
     peak, graph = _traced_peak(build_neighbor_graph, PointSet(coords), k_max=200)
     graph_bytes = graph.neighbor_ids.nbytes + graph.neighbor_dists.nbytes
     assert peak - graph_bytes < graph_bytes / 4
+
+
+def test_density_peak_follows_its_blocks_not_the_table(monkeypatch):
+    # a budget of four rows at k_max: the fits' working arrays must follow
+    # their padded blocks, not the n x k_max table
+    coords, _ = synth_gmm(k=3, n=5000, dim=2, separation=8, seed=1)
+    graph = build_neighbor_graph(PointSet(coords), k_max=400)
+    monkeypatch.setattr(density, "_BLOCK_ENTRIES", 4 * graph.k_max)
+    peak, estimate = _traced_peak(estimate_density, graph, 2.0)
+    assert estimate.k_hat.max() == graph.k_max
+    # below one byte per entry of the n x k_max table
+    assert peak < graph.n_points * graph.k_max
 
 
 def test_clustering_peak_follows_its_blocks_not_the_table(monkeypatch):
