@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError
-from .neighbors import NeighborGraph
+from .neighbors import NeighborGraph, _row_blocks
 
 # chi-square(1) quantile at p = 1e-6: neighborhood growth stops once the
 # same-density hypothesis is rejected at that level
@@ -286,11 +286,10 @@ def estimate_density(graph: NeighborGraph, d: float,
     r_khat = graph.neighbor_dists[np.arange(n), k_hat - 1]
     coincident = r_khat <= 0.0
     retry = np.flatnonzero(coincident)
-    block = max(1, _BLOCK_ENTRIES // cap)
-    for lo in range(0, retry.size, block):
+    for s, e in _row_blocks(retry.size, cap, _BLOCK_ENTRIES):
         # all selected neighbors coincide with the point; widen until the
         # ball has positive volume
-        ids = retry[lo:lo + block]
+        ids = retry[s:e]
         positive = graph.neighbor_dists[ids, DEFAULT_K_MIN - 1:cap] > 0.0
         grown = positive.argmax(axis=1)
         unbounded = ~positive[np.arange(ids.size), grown]

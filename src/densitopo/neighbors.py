@@ -83,8 +83,8 @@ class NeighborGraph:
 
     def __post_init__(self):
         ids = np.asarray(self.neighbor_ids)
-        if ids.dtype.kind not in "iu":
-            ids = ids.astype(np.int64)
+        if ids.dtype.kind not in "iu" and not (np.floor(ids) == ids).all():
+            raise DataError("neighbor ids must be whole numbers")  # NaN too; inf is out of range
         dists = np.asarray(self.neighbor_dists, dtype=np.float64)
         if ids.ndim != 2 or ids.shape != dists.shape:
             raise DataError("neighbor id and distance arrays must share a 2-D shape")
@@ -219,12 +219,13 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Distance entries held by all blocks in flight together, in full rows or
-# in kd-leaf candidate rows.  Each worker gets an equal share, so the total
-# does not grow with the CPU count.  Freed scratch stays in the workers'
-# malloc arenas and raises the peak of later stages.  A 20k-point 3-D
-# kd-leaf build peaked at 173 MiB with 1M entries and 161 MiB with 128K, in
-# the same time; at 10k 2-D, 104 and 100 MiB, 15% faster at 1M.
+# Distance entries held by all blocks in flight together: the rows of a
+# kd leaf's bounds, and of :func:`_knn_among` against a leaf's candidates
+# or every point.  Each worker gets an equal share, so the total does not
+# grow with the CPU count.  Freed scratch stays in the workers' malloc
+# arenas and raises the peak of later stages.  A 20k-point 3-D kd-leaf
+# build peaked at 173 MiB with 1M entries and 161 MiB with 128K, in the
+# same time; at 10k 2-D, 104 and 100 MiB, 15% faster at 1M.
 _BLOCK_BUDGET = 1 << 20
 
 
@@ -250,42 +251,24 @@ def _map_blocks(fn, blocks: list[tuple]) -> list:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _map_row_blocks(fn, n_rows: int, row_width: int, budget: int) -> list:
-    """Return ``[fn(s, e) ...]`` over contiguous row blocks, in block order.
+def _knn_among(rows: np.ndarray, cand: np.ndarray, distance_rows,
+               ids: np.ndarray, dists: np.ndarray) -> None:
+    """Write the exact kNN of ``rows`` among the points ``cand`` into ``ids`` and ``dists``.
 
-    A block holds about ``budget / workers`` entries (``row_width`` per
-    row), so the blocks in flight together stay within ``budget``.
+    ``cand`` is ascending and holds every row; ``distance_rows(part, cand)``
+    returns the distances from the points ``part`` to ``cand`` as a fresh
+    array.  The rows go in blocks of at most one worker's share of
+    ``_BLOCK_BUDGET`` entries, each row's own point is set to +inf, and
+    :func:`_exact_knn_rows` selects by (distance, id): candidates in
+    ascending id order make its column order the id order.
     """
-    return _map_blocks(fn, _row_blocks(n_rows, row_width, budget // _usable_cpus()))
-
-
-def _select_knn(distance_rows, n_rows: int, n: int,
-                k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact kNN of ``n_rows`` rows of an n-point distance table, by row blocks.
-
-    ``distance_rows(s, e)`` returns rows s..e-1 of the table as a fresh
-    array, with each row's own point set to +inf.
-    """
-    ids = np.empty((n_rows, k_max), dtype=_id_dtype(n))
-    dists = np.empty((n_rows, k_max), dtype=np.float64)
-
-    def block(s: int, e: int) -> None:
-        ids[s:e], dists[s:e] = _exact_knn_rows(distance_rows(s, e), k_max)
-
-    _map_row_blocks(block, n_rows, n, _BLOCK_BUDGET)
-    return ids, dists
-
-
-def _rows_knn(coords: np.ndarray, k_max: int, rows: np.ndarray,
-              metric: str) -> tuple[np.ndarray, np.ndarray]:
-    """Exact kNN of ``rows`` from their distances to every point."""
-    def distance_rows(s: int, e: int) -> np.ndarray:
+    k_max = ids.shape[1]
+    for s, e in _row_blocks(rows.size, cand.size, _BLOCK_BUDGET // _usable_cpus()):
         part = rows[s:e]
-        d = _distances(coords[part], coords, metric)
-        d[np.arange(part.size), part] = np.inf  # exclude self
-        return d
-
-    return _select_knn(distance_rows, rows.size, coords.shape[0], k_max)
+        d = distance_rows(part, cand)
+        d[np.arange(part.size), np.searchsorted(cand, part)] = np.inf  # exclude self
+        col, dists[part] = _exact_knn_rows(d, k_max)
+        ids[part] = cand[col]
 
 
 # Points per kd leaf: of 16 to 128, 64 was fastest on 10k 2-D, 20k 3-D and
@@ -326,12 +309,12 @@ def _tree_knn(coords: np.ndarray, k_max: int,
     bounds its k_max-th distance, and the largest bound of the leaf's rows
     is its radius.  Every point within that radius lies in a leaf whose box
     is within it, so those leaves' points, in ascending id order, are the
-    candidates, and :func:`_exact_knn_rows` selects among them by the same
+    candidates, and :func:`_knn_among` selects among them by the same
     (distance, id) rule as over full rows: ties, lattices and duplicate
     points need nothing more.  Distances come from :func:`_distances`,
     cdist's arithmetic.  A row whose k_max-th distance does not clear the
     radius by ``_TREE_RTOL`` (a radius of 0: k_max + 1 coincident points)
-    is selected again over all points once every leaf is done.
+    is selected again over all points, by the same step in the same worker.
 
     The bounding leaves hold 2 (k_max + 1) points.  On a 50k 3-D mixture,
     bounding leaves holding k_max + 1 points gave radii 1.67 times the
@@ -344,15 +327,18 @@ def _tree_knn(coords: np.ndarray, k_max: int,
     lo = np.array([coords[leaf].min(axis=0) for leaf in leaves])
     hi = np.array([coords[leaf].max(axis=0) for leaf in leaves])
     columns = np.ascontiguousarray(coords.T)
+    everyone = np.arange(n)
     ids = np.empty((n, k_max), dtype=_id_dtype(n))
     dists = np.empty((n, k_max), dtype=np.float64)
     share = _BLOCK_BUDGET // _usable_cpus()
 
-    def candidates(chosen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cand = np.sort(np.concatenate([leaves[m] for m in chosen]))
-        return cand, np.take(columns, cand, axis=1).T
+    def candidates(chosen: np.ndarray) -> np.ndarray:
+        return np.sort(np.concatenate([leaves[m] for m in chosen]))
 
-    def leaf_block(leaf: int) -> np.ndarray:
+    def distance_rows(part: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        return _distances(coords[part], np.take(columns, cand, axis=1).T, metric)
+
+    def leaf_block(leaf: int) -> None:
         rows = leaves[leaf]
         gap = np.maximum(np.maximum(lo - hi[leaf], lo[leaf] - hi), 0.0)
         near = np.sqrt((gap * gap).sum(axis=1)) if metric == "euclidean" else gap.sum(axis=1)
@@ -362,27 +348,19 @@ def _tree_knn(coords: np.ndarray, k_max: int,
         first = by_near[:np.searchsorted(np.cumsum(sizes[by_near]), 2 * (k_max + 1)) + 1]
         bound = np.full(rows.size, np.inf)
         if first.size < len(leaves):
-            cand, cand_coords = candidates(first)
+            cand = candidates(first)
             for s, e in _row_blocks(rows.size, cand.size, share):
-                d = _distances(coords[rows[s:e]], cand_coords, metric)
-                bound[s:e] = np.partition(d, k_max, axis=1)[:, k_max]
+                # unnamed, so the block is freed before the selection allocates its own
+                bound[s:e] = np.partition(distance_rows(rows[s:e], cand), k_max,
+                                          axis=1)[:, k_max]
         radius = bound.max() * (1.0 + 2.0 * _TREE_RTOL)
-        cand, cand_coords = candidates(np.flatnonzero(near <= radius))
-        redo = []
-        for s, e in _row_blocks(rows.size, cand.size, share):
-            part = rows[s:e]
-            d = _distances(coords[part], cand_coords, metric)
-            d[np.arange(part.size), np.searchsorted(cand, part)] = np.inf  # exclude self
-            col, dists[part] = _exact_knn_rows(d, k_max)
-            ids[part] = cand[col]
-            if cand.size < n:
-                redo.append(part[~(dists[part, -1] < radius * (1.0 - _TREE_RTOL))])
-        return np.concatenate(redo) if redo else rows[:0]
+        cand = candidates(np.flatnonzero(near <= radius))
+        _knn_among(rows, cand, distance_rows, ids, dists)
+        if cand.size < n:
+            redo = rows[~(dists[rows, -1] < radius * (1.0 - _TREE_RTOL))]
+            _knn_among(redo, everyone, distance_rows, ids, dists)
 
-    redo = np.concatenate(_map_blocks(leaf_block, [(m,) for m in range(len(leaves))]))
-    redo.sort()
-    if redo.size:
-        ids[redo], dists[redo] = _rows_knn(coords, k_max, redo, metric)
+    _map_blocks(leaf_block, [(m,) for m in range(len(leaves))])
     return ids, dists
 
 
@@ -429,10 +407,11 @@ def ingest_distance_matrix(matrix: np.ndarray, k_max: int | None = None) -> Neig
 
     The matrix must be square, non-negative, zero on the diagonal, and
     symmetric within 1e-9; asymmetry beyond that is rejected naming the
-    worst entry pair.  Rows are selected by the same (distance, ascending
-    id) rule and row-block driver as :func:`build_neighbor_graph`, with the
-    same k_max default.  Checks and selection read the matrix in row blocks,
-    so neither allocates a matrix-sized temporary.
+    worst entry pair.  Contiguous row blocks go to the thread pool, and
+    each is selected among every point by the step that selects a kd leaf's
+    rows in :func:`build_neighbor_graph` (:func:`_knn_among`), with the same
+    k_max default.  Checks and selection read the matrix in row blocks, so
+    neither allocates a matrix-sized temporary.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -460,11 +439,12 @@ def ingest_distance_matrix(matrix: np.ndarray, k_max: int | None = None) -> Neig
         raise DataError(
             f"distance matrix asymmetric: |d[{i},{j}] - d[{j},{i}]| = {worst:g} > 1e-9")
     k_max = _checked_k_max(k_max, n)
-
-    def distance_rows(s: int, e: int) -> np.ndarray:
-        d = m[s:e].copy()
-        d[np.arange(e - s), np.arange(s, e)] = np.inf  # exclude self
-        return d
-
-    return NeighborGraph(*_select_knn(distance_rows, n, n, k_max))
+    everyone = np.arange(n)
+    ids = np.empty((n, k_max), dtype=_id_dtype(n))
+    dists = np.empty((n, k_max), dtype=np.float64)
+    # every point is a candidate, so a row of the matrix is its distance row
+    _map_blocks(lambda s, e: _knn_among(everyone[s:e], everyone, lambda part, _: m[part],
+                                        ids, dists),
+                _row_blocks(n, n, _BLOCK_BUDGET // _usable_cpus()))
+    return NeighborGraph(ids, dists)
 

@@ -41,7 +41,7 @@ def _flag(text: str) -> bool:
     return bool(int(text))
 
 
-_DTYPES = {_int: np.int64, _flag: np.bool_}  # any other cast gives float64
+_DTYPES = {_int: np.int64, _flag: np.bool_}  # views of a flag's 0/1 bytes; else float64
 _TYPECODES = {_int: "q", _flag: "b"}  # read buffers; any other cast reads into "d"
 _bit = "{:d}".format  # a flag is written as 0 or 1
 
@@ -76,7 +76,8 @@ def read_table(path: str | Path, spec: tuple,
     """Return the line number of every data row and one array per column.
 
     Rows are cast field by field into one typed buffer per column, so a
-    row costs the bytes of its values, not a list of Python objects.
+    row costs the bytes of its values, not a list of Python objects.  The
+    arrays returned are views of those buffers, not copies.
     """
     lines = array("q")
     columns = [array(_TYPECODES.get(cast, "d")) for _, cast, _ in spec]
@@ -105,8 +106,8 @@ def read_table(path: str | Path, spec: tuple,
             lines.append(lineno)
     if not lines and not allow_empty:
         raise DataError(f"{path}: empty input file")
-    return np.array(lines, dtype=np.int64), [
-        np.array(column, dtype=_DTYPES.get(cast, np.float64))
+    return np.frombuffer(lines, dtype=np.int64), [
+        np.frombuffer(column, dtype=_DTYPES.get(cast, np.float64))
         for (_, cast, _), column in zip(spec, columns)]
 
 
@@ -308,8 +309,10 @@ def ingest_knn_file(path: str | Path) -> NeighborGraph:
         raise DataError(f"{path}: inconsistent neighbor count across points")
     _reject_outside(path, lines, neighbor_id, group.size, "neighbor id")
     k_max = int(counts[0])
+    ids, dists = neighbor_id.reshape(-1, k_max), dist.reshape(-1, k_max)
+    if (group != np.arange(group.size)).any():  # gather only rows out of point order
+        ids, dists = ids[order], dists[order]
     try:
-        return NeighborGraph(neighbor_id.reshape(-1, k_max)[order],
-                             dist.reshape(-1, k_max)[order])
+        return NeighborGraph(ids, dists)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None

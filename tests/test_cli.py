@@ -286,6 +286,21 @@ def test_staged_pipeline_matches_fused(dataset, tmp_path, fmt):
         assert (eval_dir / name).read_bytes() == (fused / name).read_bytes(), name
 
 
+def test_matrix_run_matches_coords_run(dataset, tmp_path):
+    # the matrix's row blocks and the kd leaves select the same graph, and the
+    # matrix rows equal the coordinate distance rows, so every artifact agrees
+    matrix = tmp_path / "matrix.tsv"
+    write_points_tsv(cdist(dataset["coords"], dataset["coords"]), matrix)
+    common = ["--k-max", "32", "--z", "1.5", "--truth", dataset["truth"]]
+    assert _run(["run", "--input", dataset["points"], "--outdir", tmp_path / "coords",
+                 *common]) == 0
+    assert _run(["run", "--input", matrix, "--format", "matrix", "--outdir",
+                 tmp_path / "matrix", *common]) == 0
+    for name in PIPELINE_FILES + ("confusion.tsv", "purity.tsv"):
+        assert (tmp_path / "matrix" / name).read_bytes() == \
+            (tmp_path / "coords" / name).read_bytes(), name
+
+
 def test_topography_staged_needs_both_files(dataset, tmp_path):
     with pytest.raises(SystemExit) as exc:
         _run(["topography", "--assignment", tmp_path / "a.tsv",

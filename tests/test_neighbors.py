@@ -13,7 +13,7 @@ from densitopo import (ConfigError, DataError, NeighborGraph, PairwiseDistances,
                        PointSet, build_neighbor_graph, ingest_distance_matrix,
                        ingest_knn_file, read_points_tsv, write_points_tsv)
 from densitopo import neighbors
-from densitopo.neighbors import _distances, _exact_knn_rows, _rows_knn, _tree_knn
+from densitopo.neighbors import _distances, _exact_knn_rows, _knn_among, _tree_knn
 from oracles import argsort_matrix_knn, brute_knn, export_knn_file
 
 # public metric name -> scipy metric name, for the tests that call cdist
@@ -135,8 +135,13 @@ KNN_CASES = {"random": _random_points, "horizon_ties": _horizon_ties,
 
 
 def _brute_knn(coords, k_max, metric):
-    """Brute force: every row from its full distance row, as the redo selects."""
-    return _rows_knn(coords, k_max, np.arange(coords.shape[0]), metric)
+    """Brute force: the selection step over every point, as the redo runs it."""
+    n = coords.shape[0]
+    ids, dists = np.empty((n, k_max), dtype=np.int32), np.empty((n, k_max))
+    everyone = np.arange(n)
+    _knn_among(everyone, everyone, lambda part, cand: _distances(coords[part], coords, metric),
+               ids, dists)
+    return ids, dists
 
 
 @pytest.mark.parametrize("knn", [_brute_knn, _tree_knn])
@@ -169,16 +174,25 @@ def _small_blocks(monkeypatch, cpus, coords, k_max):
 
 
 def _recording_redo(monkeypatch):
-    """Record the rows handed to full distance rows (the kd-leaf path's redo)."""
-    redone = []
+    """Hook the selection step; return a function that runs ``_tree_knn`` and
+    returns its graph and, per point, how many times its row was selected
+    again (the kd-leaf path's redo)."""
+    selected = []
 
-    def rows_knn(coords, k_max, rows, metric):
-        redone.append(rows)
-        return real(coords, k_max, rows, metric)
+    def knn_among(rows, *args):
+        selected.append(rows.copy())
+        return real(rows, *args)
 
-    real = neighbors._rows_knn
-    monkeypatch.setattr(neighbors, "_rows_knn", rows_knn)
-    return redone
+    def tree_knn(coords, k_max, metric):
+        selected.clear()
+        ids, dists = _tree_knn(coords, k_max, metric)
+        counts = np.bincount(np.concatenate(selected), minlength=coords.shape[0])
+        assert counts.min() >= 1  # every row is selected among its leaf's candidates
+        return ids, dists, counts - 1
+
+    real = neighbors._knn_among
+    monkeypatch.setattr(neighbors, "_knn_among", knn_among)
+    return tree_knn
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 5])
@@ -189,23 +203,38 @@ def test_row_blocks_match_oracle(cpus, metric, case, monkeypatch):
     assert coords.shape[0] % _BLOCK_ROWS
     _small_blocks(monkeypatch, cpus, coords, k_max)
     ids, dists = brute_knn(coords, k_max, metric)
-    redone = _recording_redo(monkeypatch)
-    got_ids, got_dists = _tree_knn(coords, k_max, metric)
+    tree_knn = _recording_redo(monkeypatch)
+    got_ids, got_dists, redone = tree_knn(coords, k_max, metric)
     np.testing.assert_array_equal(got_ids, ids)
     assert got_dists.tobytes() == dists.tobytes()
-    assert not redone  # ties and duplicates are exact inside the candidates
+    assert not redone.any()  # ties and duplicates are exact inside the candidates
     # a margin no row clears forces every pruned row through the redo
     monkeypatch.setattr(neighbors, "_TREE_RTOL", 1.0)
-    got_ids, got_dists = _tree_knn(coords, k_max, metric)
+    got_ids, got_dists, redone = tree_knn(coords, k_max, metric)
     np.testing.assert_array_equal(got_ids, ids)
     assert got_dists.tobytes() == dists.tobytes()
+    assert redone.max() <= 1  # each row is redone at most once
     if case in ("horizon_ties", "duplicates", "padded_lattice"):
-        (rows,) = redone
         leaf_of = np.empty(coords.shape[0], dtype=np.int64)
         for leaf, members in enumerate(neighbors._kd_leaves(coords)):
             leaf_of[members] = leaf
-        assert np.unique(leaf_of[rows]).size > 1
-        assert (np.diff(rows) > 0).all()  # each row once, in ascending order
+        assert np.unique(leaf_of[redone == 1]).size > 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("case", sorted(KNN_CASES))
+def test_matrix_rows_match_kd_leaves(cpus, metric, case, monkeypatch):
+    # a distance matrix's row blocks and the kd leaves share one selection step
+    from scipy.spatial.distance import cdist
+
+    coords, k_max = KNN_CASES[case]()
+    _small_blocks(monkeypatch, cpus, coords, k_max)
+    by_matrix = ingest_distance_matrix(cdist(coords, coords, _CDIST_METRIC[metric]),
+                                       k_max=k_max)
+    by_coords = build_neighbor_graph(PointSet(coords), k_max=k_max, metric=metric)
+    assert by_matrix.neighbor_ids.tobytes() == by_coords.neighbor_ids.tobytes()
+    assert by_matrix.neighbor_dists.tobytes() == by_coords.neighbor_dists.tobytes()
 
 
 def test_row_blocks_under_rapid_thread_switching(monkeypatch):
@@ -226,8 +255,8 @@ def test_row_blocks_under_rapid_thread_switching(monkeypatch):
 def test_lone_worker_runs_in_the_calling_thread(cpus, budget, monkeypatch):
     # a worker thread would keep its freed scratch in its own malloc arena
     monkeypatch.setattr(neighbors, "_usable_cpus", lambda: cpus)
-    ran = neighbors._map_row_blocks(lambda s, e: (s, e, threading.current_thread()),
-                                    10, 1, budget)
+    ran = neighbors._map_blocks(lambda s, e: (s, e, threading.current_thread()),
+                                neighbors._row_blocks(10, 1, budget // cpus))
     step = budget // cpus
     assert ran == [(s, min(10, s + step), threading.current_thread())
                    for s in range(0, 10, step)]
@@ -258,9 +287,8 @@ def test_lattice_needs_no_redo(metric, monkeypatch):
     # every row of a 70 x 70 grid ties inside its k_max = 60 neighbors and at
     # the 60th; the candidates hold every tie, so no row is selected again
     coords = _lattice(70)
-    redone = _recording_redo(monkeypatch)
-    ids, dists = _tree_knn(coords, 60, metric)
-    assert not redone
+    ids, dists, redone = _recording_redo(monkeypatch)(coords, 60, metric)
+    assert not redone.any()
     want_ids, want_dists = _brute_knn(coords, 60, metric)
     np.testing.assert_array_equal(ids, want_ids)
     assert dists.tobytes() == want_dists.tobytes()
@@ -332,6 +360,17 @@ def test_graph_checks_ids_before_narrowing_them(dtype):
     # 2**32 + 1 is 1 once cast to int32: a valid id, were it checked after the cast
     ids = np.array([[1, 2], [2**32 + 1, 2], [0, 1]], dtype=dtype)
     with pytest.raises(DataError, match="out of range"):
+        NeighborGraph(ids, np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("bad,message", [
+    (1.7, "whole numbers"), (0.2, "whole numbers"), (np.nan, "whole numbers"),
+    (np.inf, "out of range")], ids=["fraction", "below_one", "nan", "inf"])
+def test_graph_rejects_ids_that_are_not_whole_numbers(bad, message):
+    # a cast to an integer dtype would truncate 1.7 to the valid id 1
+    ids = np.array([[1.0, 2.0], [0.0, 2.0], [0.0, 1.0]])
+    ids[0, 0] = bad
+    with pytest.raises(DataError, match=message):
         NeighborGraph(ids, np.ones((3, 2)))
 
 
