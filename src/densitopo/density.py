@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError
-from .neighbors import NeighborGraph, _row_blocks
+from .neighbors import NeighborGraph, _row_blocks, _Scratch, _take
 
 # chi-square(1) quantile at p = 1e-6: neighborhood growth stops once the
 # same-density hypothesis is rejected at that level
@@ -74,24 +74,41 @@ class DensityEstimate:
         return self.k_hat.shape[0]
 
 
-def _lrt_kernel(k, v_i, v_j):
+def _lrt_kernel(k, v_i, v_j, scratch: _Scratch | None = None):
     """Likelihood-ratio statistic comparing separate vs shared density.
 
     Twice the gap between the two points' individually maximized shell
     log-likelihoods and the shared-density maximum.  Vectorized over
     volumes; degenerate (zero) volumes map to +inf so neighborhood growth
-    stops there.
+    stops there.  The statistic and its temporaries are views of
+    ``scratch`` when one is given.
     """
     k = np.asarray(k, dtype=np.float64)
     v_i = np.asarray(v_i, dtype=np.float64)
     v_j = np.asarray(v_j, dtype=np.float64)
+    scratch = scratch or _Scratch()
+    shape = np.broadcast_shapes(k.shape, v_i.shape, v_j.shape)
+    stat, sep_j, shared = (scratch.take(name, shape) for name in ("stat", "sep_j", "shared"))
     with np.errstate(divide="ignore", invalid="ignore"):
-        sep_i = k * (np.log(k) - np.log(v_i)) - k
-        sep_j = k * (np.log(k) - np.log(v_j)) - k
-        shared = 2.0 * k * (np.log(2.0 * k) - np.log(v_i + v_j)) - 2.0 * k
-        stat = 2.0 * (sep_i + sep_j - shared)
-    stat = np.where(v_i == v_j, 0.0, np.maximum(stat, 0.0))
-    stat = np.where((v_i <= 0) | (v_j <= 0), np.inf, stat)
+        # k * (log k - log v) - k per point, and 2k * (log 2k - log(v_i + v_j)) - 2k
+        for v, sep in ((v_i, stat), (v_j, sep_j)):
+            np.log(v, out=sep)
+            np.subtract(np.log(k), sep, out=sep)
+            np.multiply(k, sep, out=sep)
+            np.subtract(sep, k, out=sep)
+        np.add(v_i, v_j, out=shared)
+        np.log(shared, out=shared)
+        np.subtract(np.log(2.0 * k), shared, out=shared)
+        np.multiply(2.0 * k, shared, out=shared)
+        np.subtract(shared, 2.0 * k, out=shared)
+        stat += sep_j
+        stat -= shared
+        np.multiply(2.0, stat, out=stat)
+    np.maximum(stat, 0.0, out=stat)
+    np.copyto(stat, 0.0, where=np.equal(v_i, v_j, out=scratch.take("equal", shape, bool)))
+    low = np.less_equal(v_i, 0, out=scratch.take("low", shape, bool))
+    low |= np.less_equal(v_j, 0, out=scratch.take("equal", shape, bool))
+    np.copyto(stat, np.inf, where=low)
     return stat
 
 
@@ -111,20 +128,33 @@ def _adaptive_k_all(graph: NeighborGraph, d: float, omega: float,
 
     Scans k = k_min..cap and stops at a point's first rejection; if even
     k_min is rejected the answer is still k_min, and with no rejection it
-    is the cap.  Each step tests only the points not yet rejected.  A
-    volume that overflows is rejected later, by the plain estimate's check.
+    is the cap.  Each step tests only the points not yet rejected, in
+    arrays reused from step to step.  A volume that overflows is rejected
+    later, by the plain estimate's check.
     """
     k_hat = np.full(graph.n_points, cap, dtype=np.int64)
     growing = np.arange(graph.n_points)
+    scratch = _Scratch()
     for k in range(DEFAULT_K_MIN, cap + 1):
-        radii = graph.neighbor_dists[:, k - 1]
-        v_i = omega * np.power(radii[growing], d)
-        v_j = omega * np.power(radii[graph.neighbor_ids[growing, k - 1]], d)
-        rejected = _lrt_kernel(float(k), v_i, v_j) > LRT_THRESHOLD
-        k_hat[growing[rejected]] = max(DEFAULT_K_MIN, k - 1)
-        growing = growing[~rejected]
-        if not growing.size:
-            break
+        # column k - 1 of rows i of the C-contiguous tables is entry i * k_max + k - 1
+        at = np.multiply(growing, graph.k_max, out=scratch.take("at", growing.shape, np.intp))
+        at += k - 1
+        j = _take(graph.neighbor_ids, at, scratch.take("j", growing.shape,
+                                                       graph.neighbor_ids.dtype))
+        v_i = _take(graph.neighbor_dists, at, scratch.take("v_i", growing.shape))
+        np.multiply(j, graph.k_max, out=at, dtype=np.intp)
+        at += k - 1
+        v_j = _take(graph.neighbor_dists, at, scratch.take("v_j", growing.shape))
+        for v in (v_i, v_j):
+            np.power(v, d, out=v)
+            np.multiply(omega, v, out=v)
+        rejected = np.greater(_lrt_kernel(float(k), v_i, v_j, scratch), LRT_THRESHOLD,
+                              out=scratch.take("rejected", growing.shape, bool))
+        if rejected.any():
+            k_hat[growing[rejected]] = max(DEFAULT_K_MIN, k - 1)
+            growing = growing[~rejected]
+            if not growing.size:
+                break
     return k_hat
 
 
@@ -167,11 +197,14 @@ def _row_sums(k: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _loglik(b: np.ndarray, a: np.ndarray, x: np.ndarray, v: np.ndarray,
-            k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _loglik(b: np.ndarray, a: np.ndarray, x: np.ndarray, v: np.ndarray, k: np.ndarray,
+            terms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shell log-likelihood per row at rates exp(b + a * x) over its k shells,
-    the shell terms v * exp(b + a * x) it subtracts, and their row sums."""
-    t, w = terms = np.empty((2, *x.shape))
+    the shell terms v * exp(b + a * x) it subtracts, and their row sums.
+
+    The exponents and shell terms are written into ``terms``, shaped
+    (2, *x.shape); the shell terms returned are ``terms[1]``."""
+    t, w = terms
     np.multiply(a[:, None], x, out=t)
     t += b[:, None]
     np.exp(t, out=w)
@@ -182,7 +215,7 @@ def _loglik(b: np.ndarray, a: np.ndarray, x: np.ndarray, v: np.ndarray,
 
 @np.errstate(over="ignore", invalid="ignore")
 def _fit_rows(ids: np.ndarray, k: np.ndarray, d: float, omega: float, ansatz: str,
-              graph: NeighborGraph) -> tuple[np.ndarray, np.ndarray]:
+              graph: NeighborGraph, scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
     """Fit log rho with a linear density drift over each point's k shells.
 
     Per point, maximizes the shell likelihood of rate exp(b + a * x_l) by
@@ -193,26 +226,44 @@ def _fit_rows(ids: np.ndarray, k: np.ndarray, d: float, omega: float, ansatz: st
     padded to the largest k with the graph's later shells; row sums read
     only each point's k shells, so it gets what a fit of it alone gives.
 
+    Every points x shells array is a view of ``scratch``: the regressors x,
+    shell volumes v and shell terms w of the points still iterating move
+    between two halves of the buffers ``x``, ``v`` and ``w`` as points
+    leave, ``wx`` holds each iteration's products and then its candidate
+    terms, and ``halving`` the rows and terms of the steps halved, so an
+    iteration allocates no block-sized array.
+
     Returns:
         (log_rho, fallback) per point: fallback is True where the solver
         did not converge or the curvature degenerated, in which case the
         plain k/V estimate is returned.
     """
-    width = int(k[-1])
-    cum = omega * np.power(graph.neighbor_dists[ids, :width], d)
+    shape = (ids.size, int(k[-1]))
+    half = math.prod(shape) * 8  # bytes: the second half of x, v and w starts here
+    cum = scratch.take("x", shape)
+    cum[...] = graph.neighbor_dists[ids, :shape[1]]
+    np.power(cum, d, out=cum)
+    cum *= omega
     log_rho = _plain_log_rho(ids, k, cum[np.arange(ids.size), k - 1], d)
-    v = np.maximum(np.diff(cum, axis=1, prepend=0.0), 0.0)
-    x = cum if ansatz == "volume" else np.tile(np.arange(1.0, width + 1.0), (ids.size, 1))
+    v = scratch.take("v", shape)
+    v[:, 0] = cum[:, 0]
+    np.subtract(cum[:, 1:], cum[:, :-1], out=v[:, 1:])
+    np.maximum(v, 0.0, out=v)
+    x = cum
+    if ansatz == "index":
+        x[:] = np.arange(1.0, shape[1] + 1.0)
     x_sum = _row_sums(k, x)
     fallback = np.ones(ids.size, dtype=bool)
 
     # state of the points still iterating; rows maps it to the block
     rows = np.arange(ids.size)
     b, a = log_rho.copy(), np.zeros(ids.size)
-    current, w, w_sum = _loglik(b, a, x, v, k)
+    # the exponents take the first half of w, the terms the second
+    current, w, w_sum = _loglik(b, a, x, v, k, scratch.take("w", (2, *shape)))
+    moves = 0  # times the state moved to the other halves
     pending = []  # rows whose last step found no ascent
     for it in range(_NR_MAX_ITER + 1):
-        wx = np.empty((2, *w.shape))
+        wx = scratch.take("wx", (2, *w.shape))
         np.multiply(w, x, out=wx[0])
         np.multiply(wx[0], x, out=wx[1])
         wx_sum, wxx_sum = _row_sums(k, wx)
@@ -235,17 +286,27 @@ def _fit_rows(ids: np.ndarray, k: np.ndarray, d: float, omega: float, ansatz: st
         step_b = -(h_aa * g_b - h_ba * g_a)[go] / det[go]
         step_a = -(h_bb * g_a - h_ba * g_b)[go] / det[go]
         if n_go < rows.size:
-            rows, k, b, a, current, w, w_sum, x, v, x_sum = (
-                arr[go] for arr in (rows, k, b, a, current, w, w_sum, x, v, x_sum))
+            rows, k, b, a, current, w_sum, x_sum = (
+                arr[go] for arr in (rows, k, b, a, current, w_sum, x_sum))
+            moves += 1
+            kept = np.flatnonzero(go)
+            x, v, w = (_take(arr, kept, scratch.take(name, (n_go, shape[1]), offset=at), 0)
+                       for name, arr, at in (("x", x, moves % 2 * half),
+                                             ("v", v, moves % 2 * half),
+                                             ("w", w, (moves + 1) % 2 * half)))
 
         tb, ta = b + step_b, a + step_a
-        cand, cand_w, cand_sum = _loglik(tb, ta, x, v, k)
+        # the products are summed: their buffer takes the candidate terms
+        terms = scratch.take("wx", (2, *x.shape))
+        cand, cand_w, cand_sum = _loglik(tb, ta, x, v, k, terms)
         pending = np.arange(rows.size)
         for halving in range(_MAX_STEP_HALVINGS):
             cur = current[pending]
             ok = np.isfinite(cand) & (cand >= cur - 1e-15 * (1.0 + np.abs(cur)))
             hit = pending[ok]
-            b[hit], a[hit], current[hit], w[hit] = tb[ok], ta[ok], cand[ok], cand_w[ok]
+            b[hit], a[hit], current[hit] = tb[ok], ta[ok], cand[ok]
+            # the exponents are spent: their rows take the accepted terms
+            w[hit] = _take(cand_w, np.flatnonzero(ok), terms[0, :hit.size], 0)
             w_sum[hit] = cand_sum[ok]
             pending = pending[~ok]
             if not pending.size or halving == _MAX_STEP_HALVINGS - 1:
@@ -253,7 +314,9 @@ def _fit_rows(ids: np.ndarray, k: np.ndarray, d: float, omega: float, ansatz: st
             step_b[pending] *= 0.5
             step_a[pending] *= 0.5
             tb, ta = b[pending] + step_b[pending], a[pending] + step_a[pending]
-            cand, cand_w, cand_sum = _loglik(tb, ta, x[pending], v[pending], k[pending])
+            xv, terms = scratch.take("halving", (2, 2, pending.size, shape[1]))
+            cand, cand_w, cand_sum = _loglik(tb, ta, _take(x, pending, xv[0], 0),
+                                             _take(v, pending, xv[1], 0), k[pending], terms)
     return log_rho, fallback
 
 
@@ -305,6 +368,7 @@ def estimate_density(graph: NeighborGraph, d: float,
     fit = np.flatnonzero(~coincident)
     fit = fit[np.argsort(k_hat[fit], kind="stable")]
     ks = k_hat[fit]
+    scratch = _Scratch()  # the fits' working arrays, reused from block to block
     lo = 0
     while lo < fit.size:
         # the rows up to twice the first one's k_hat that fit the budget
@@ -312,7 +376,8 @@ def estimate_density(graph: NeighborGraph, d: float,
         hi = lo + max(1, np.count_nonzero(np.arange(1, hi - lo + 1) * ks[lo:hi]
                                           <= _BLOCK_ENTRIES))
         ids = fit[lo:hi]
-        log_rho[ids], fallback[ids] = _fit_rows(ids, ks[lo:hi], d, omega, ansatz, graph)
+        log_rho[ids], fallback[ids] = _fit_rows(ids, ks[lo:hi], d, omega, ansatz, graph,
+                                                scratch)
         lo = hi
 
     err = log_density_error(k_hat.astype(np.float64))

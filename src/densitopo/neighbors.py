@@ -8,7 +8,9 @@ graph from identical input bytes yields identical output bytes.
 
 from __future__ import annotations
 
+import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -38,6 +40,38 @@ def _row_blocks(n_rows: int, row_width: int, budget: int) -> list[tuple[int, int
     """
     step = max(1, budget // row_width)
     return [(s, min(n_rows, s + step)) for s in range(0, n_rows, step)]
+
+
+class _Scratch:
+    """Working arrays reused by every block one worker runs in one call.
+
+    ``take(name, shape, dtype, offset)`` returns a C-contiguous view that
+    starts ``offset`` bytes into the byte buffer called ``name`` and holds
+    whatever an earlier block left there; the buffer is replaced by a larger
+    one when a wider block asks for more.  Views of one name share its
+    bytes, so arrays whose lives do not overlap can share a buffer.  Fresh
+    block-sized temporaries are handed back to the kernel by malloc between
+    blocks and faulted in again for the next one; reused buffers are faulted
+    in once.  A caller makes one per worker for the length of one call, and
+    the buffers are freed with it: kept any longer, they would raise the
+    peak of later stages.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64,
+             offset: int = 0) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        end = offset + math.prod(shape) * dtype.itemsize
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < end:
+            buf = self._buffers[name] = None  # freed before its successor is made
+            buf = self._buffers[name] = self._allocate(name, end)
+        return buf[offset:end].view(dtype).reshape(shape)
+
+    def _allocate(self, name: str, nbytes: int) -> np.ndarray:
+        return np.empty(nbytes, dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -104,8 +138,10 @@ class NeighborGraph:
                 raise DataError("neighbor id out of range")
             if (block_ids == np.arange(s, e)[:, None]).any():
                 raise DataError("a point may not list itself as a neighbor")
-        object.__setattr__(self, "neighbor_ids", ids.astype(_id_dtype(n), copy=False))
-        object.__setattr__(self, "neighbor_dists", dists)
+        # C order: the passes over the graph gather by flat index, in place
+        object.__setattr__(self, "neighbor_ids", ids.astype(_id_dtype(n), order="C",
+                                                           copy=False))
+        object.__setattr__(self, "neighbor_dists", np.ascontiguousarray(dists))
 
     @property
     def n_points(self) -> int:
@@ -137,19 +173,20 @@ class PairwiseDistances:
         """Distances from point i to every point (self included, = 0)."""
         if self._matrix is not None:
             return self._matrix[i]
-        return _distances(self._coords[i:i + 1], self._coords, self._metric)[0]
+        return _distances(self._coords[i:i + 1], self._coords, self._metric, _Scratch())[0]
 
 
-def _distances(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
+def _distances(a: np.ndarray, b: np.ndarray, metric: str, scratch: _Scratch) -> np.ndarray:
     """Distances from each row of ``a`` to each row of ``b``, as cdist computes them.
 
     The terms are added in coordinate order, one column at a time, and the
     euclidean sum is then square-rooted: that is cdist's arithmetic, so the
     result equals ``scipy.spatial.distance.cdist`` bit for bit at any block
-    shape.  An expansion |a|^2 + |b|^2 - 2ab through BLAS does not.
+    shape.  An expansion |a|^2 + |b|^2 - 2ab through BLAS does not.  The
+    result is the scratch buffer ``"d"``; ``"term"`` holds each column's terms.
     """
-    d = np.empty((a.shape[0], b.shape[0]))
-    term = np.empty_like(d)
+    d = scratch.take("d", (a.shape[0], b.shape[0]))
+    term = scratch.take("term", d.shape) if a.shape[1] > 1 else None
     for j in range(a.shape[1]):
         out = term if j else d
         np.subtract(a[:, j, None], b[None, :, j], out=out)
@@ -164,15 +201,32 @@ def _distances(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
     return d
 
 
-def _take_rows(table: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _take(table: np.ndarray, index: np.ndarray, out: np.ndarray | None,
+          axis: int | None = None) -> np.ndarray:
+    """``np.take(table, index, axis)``, written into ``out`` when given.
+
+    The indices are in range: mode "clip" only keeps numpy from writing
+    through a copy of ``out``, as it does in mode "raise".  ``table`` is
+    C-contiguous, or numpy copies all of it first.
+    """
+    return np.take(table, index, axis=axis, out=out, mode="clip")
+
+
+def _take_rows(table: np.ndarray, cols: np.ndarray, flat: np.ndarray | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
     """``table[r, cols[r]]`` per row r, as take_along_axis but by flat index.
 
-    On a 24 x 4,000 block at 512 columns it took 31 against 76 us.
+    The flat index is written into ``flat`` when given, shaped as ``cols``
+    (``cols`` itself will do), and ``table`` is C-contiguous, or numpy
+    would copy it.  On a 24 x 4,000 block at 512 columns it took 31 against
+    76 us.
     """
-    return table.take(cols + (np.arange(cols.shape[0]) * table.shape[1])[:, None])
+    flat = np.add(cols, (np.arange(cols.shape[0]) * table.shape[1])[:, None], out=flat)
+    return _take(table, flat, out)
 
 
-def _exact_knn_rows(block: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+def _exact_knn_rows(block: np.ndarray, k_max: int,
+                    scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
     """Select the k_max nearest per row of a distance block, exactly.
 
     Ties are broken by ascending candidate index.  When k_max is at least
@@ -186,18 +240,32 @@ def _exact_knn_rows(block: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarr
     selection boundary come out the same either way; the others are
     selected again, all together: every distance below the k_max-th, then
     the lowest indices at it, stably sorted.
+
+    The ids, the distances and the tie count's mask are views of the
+    scratch buffer ``"term"``, whose column terms :func:`_distances` has
+    spent; only the sort indices are fresh.  The selected distances are
+    sorted in place: a row without ties has one sorted order, and a row
+    with ties is selected again.  ``block`` must not be a view of that
+    buffer.
     """
+    shape = (block.shape[0], k_max)
+    size = math.prod(shape) * 8
+    mask = scratch.take("term", block.shape, bool, 2 * size)  # last, so the buffer grows once
+    ids, dists = scratch.take("term", shape, np.intp), scratch.take("term", shape, offset=size)
     if 3 * k_max >= 2 * block.shape[1]:
-        ids = np.argsort(block, axis=1)[:, :k_max]
-        dists = _take_rows(block, ids)
+        order = np.argsort(block, axis=1)[:, :k_max]
+        _take_rows(block, order, ids, dists)
+        ids = order
     else:
-        ids = np.argpartition(block, k_max - 1, axis=1)[:, :k_max]
-        dists = _take_rows(block, ids)
+        whole = np.argpartition(block, k_max - 1, axis=1)
+        _take_rows(block, whole[:, :k_max], ids, dists)
         order = np.argsort(dists, axis=1)
-        ids, dists = _take_rows(ids, order), _take_rows(dists, order)
+        # order indexes the first k_max columns, which ``whole`` holds in place
+        _take_rows(whole, order, order, ids)
+        dists.sort(axis=1)
     kth = dists[:, -1:]
     tied = (dists[:, 1:] == dists[:, :-1]).any(axis=1)
-    tied |= (block <= kth).sum(axis=1) > k_max
+    tied |= np.less_equal(block, kth, out=mask).sum(axis=1) > k_max
     rows = np.flatnonzero(tied)
     if rows.size:
         sub, kth = block[rows], kth[rows]
@@ -222,53 +290,69 @@ def _usable_cpus() -> int:
 # Distance entries held by all blocks in flight together: the rows of a
 # kd leaf's bounds, and of :func:`_knn_among` against a leaf's candidates
 # or every point.  Each worker gets an equal share, so the total does not
-# grow with the CPU count.  Freed scratch stays in the workers' malloc
-# arenas and raises the peak of later stages.  A 20k-point 3-D kd-leaf
-# build peaked at 173 MiB with 1M entries and 161 MiB with 128K, in the
-# same time; at 10k 2-D, 104 and 100 MiB, 15% faster at 1M.
-_BLOCK_BUDGET = 1 << 20
+# grow with the CPU count.  A worker's scratch is reused from block to block
+# and stays resident until the call returns, so the budget sets the stage's
+# peak: on 2 CPUs a 20k-point 3-D mixture builds in about 1.05 s at 2^18,
+# 2^19 and 2^20 entries and peaks at 165, 170 and 185 MiB (1.38 s and 173
+# MiB at 2^20 with fresh scratch per block).
+_BLOCK_BUDGET = 1 << 18
 
 
 def _map_blocks(fn, blocks: list[tuple]) -> list:
-    """Return ``[fn(*b) for b in blocks]``, in block order.
+    """Return ``[fn(scratch, *b) for b in blocks]``, in block order.
 
     The blocks run on a thread pool with one worker per usable CPU; the
     numpy kernels they call release the GIL.  With one CPU, or a
     single block, they run in the calling thread in order: scratch freed in
     a worker thread stays in that thread's malloc arena and raises the peak
-    of later stages.  If a block raises, the blocks not yet started are
-    cancelled and the exception propagates once the running ones have
-    finished.
+    of later stages.  Each worker passes its blocks one :class:`_Scratch`,
+    freed when the call returns, so no result may be a view of it.  If a
+    block raises, the blocks not yet started are cancelled and the exception
+    propagates once the running ones have finished.
     """
     workers = min(_usable_cpus(), len(blocks))
     if workers <= 1:
-        return [fn(*b) for b in blocks]
+        scratch = _Scratch()
+        return [fn(scratch, *b) for b in blocks]
+    by_thread: dict[int, _Scratch] = {}
+
+    def run(*b):
+        ident = threading.get_ident()
+        if ident not in by_thread:
+            by_thread[ident] = _Scratch()
+        return fn(by_thread[ident], *b)
+
     pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="densitopo-knn")
     try:
-        futures = [pool.submit(fn, *b) for b in blocks]
+        futures = [pool.submit(run, *b) for b in blocks]
         return [f.result() for f in futures]
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _knn_among(rows: np.ndarray, cand: np.ndarray, distance_rows,
-               ids: np.ndarray, dists: np.ndarray) -> None:
+               ids: np.ndarray, dists: np.ndarray, scratch: _Scratch) -> None:
     """Write the exact kNN of ``rows`` among the points ``cand`` into ``ids`` and ``dists``.
 
-    ``cand`` is ascending and holds every row; ``distance_rows(part, cand)``
-    returns the distances from the points ``part`` to ``cand`` as a fresh
-    array.  The rows go in blocks of at most one worker's share of
-    ``_BLOCK_BUDGET`` entries, each row's own point is set to +inf, and
-    :func:`_exact_knn_rows` selects by (distance, id): candidates in
-    ascending id order make its column order the id order.
+    ``cand`` is ascending and holds every row; ``distance_rows(part, cand,
+    scratch)`` returns the distances from the points ``part`` to ``cand`` in
+    a buffer of ``scratch`` that this step may overwrite.  The rows go in
+    blocks of at most one worker's share of ``_BLOCK_BUDGET`` entries, each
+    row's own point is set to +inf, and :func:`_exact_knn_rows` selects by
+    (distance, id): candidates in ascending id order make its column order
+    the id order.
     """
     k_max = ids.shape[1]
     for s, e in _row_blocks(rows.size, cand.size, _BLOCK_BUDGET // _usable_cpus()):
         part = rows[s:e]
-        d = distance_rows(part, cand)
+        d = distance_rows(part, cand, scratch)
         d[np.arange(part.size), np.searchsorted(cand, part)] = np.inf  # exclude self
-        col, dists[part] = _exact_knn_rows(d, k_max)
-        ids[part] = cand[col]
+        col, dists[part] = _exact_knn_rows(d, k_max, scratch)
+        # in place: each position's column is read before its id is written
+        ids[part] = _take(cand, col, col)
+        # views of the scratch: held into the next block, they would keep
+        # the buffers a wider block replaces alive beside their successors
+        del d, col
 
 
 # Points per kd leaf: of 16 to 128, 64 was fastest on 10k 2-D, 20k 3-D and
@@ -335,10 +419,16 @@ def _tree_knn(coords: np.ndarray, k_max: int,
     def candidates(chosen: np.ndarray) -> np.ndarray:
         return np.sort(np.concatenate([leaves[m] for m in chosen]))
 
-    def distance_rows(part: np.ndarray, cand: np.ndarray) -> np.ndarray:
-        return _distances(coords[part], np.take(columns, cand, axis=1).T, metric)
+    def distance_rows(part: np.ndarray, cand: np.ndarray, scratch: _Scratch) -> np.ndarray:
+        return _distances(coords[part], np.take(columns, cand, axis=1).T, metric, scratch)
 
-    def leaf_block(leaf: int) -> None:
+    def kth_distances(part: np.ndarray, cand: np.ndarray, scratch: _Scratch) -> np.ndarray:
+        """The (k_max + 1)-th distance of each of ``part`` among ``cand``."""
+        block = distance_rows(part, cand, scratch)
+        block.partition(k_max, axis=1)
+        return block[:, k_max]
+
+    def leaf_block(scratch: _Scratch, leaf: int) -> None:
         rows = leaves[leaf]
         gap = np.maximum(np.maximum(lo - hi[leaf], lo[leaf] - hi), 0.0)
         near = np.sqrt((gap * gap).sum(axis=1)) if metric == "euclidean" else gap.sum(axis=1)
@@ -350,15 +440,13 @@ def _tree_knn(coords: np.ndarray, k_max: int,
         if first.size < len(leaves):
             cand = candidates(first)
             for s, e in _row_blocks(rows.size, cand.size, share):
-                # unnamed, so the block is freed before the selection allocates its own
-                bound[s:e] = np.partition(distance_rows(rows[s:e], cand), k_max,
-                                          axis=1)[:, k_max]
+                bound[s:e] = kth_distances(rows[s:e], cand, scratch)
         radius = bound.max() * (1.0 + 2.0 * _TREE_RTOL)
         cand = candidates(np.flatnonzero(near <= radius))
-        _knn_among(rows, cand, distance_rows, ids, dists)
+        _knn_among(rows, cand, distance_rows, ids, dists, scratch)
         if cand.size < n:
             redo = rows[~(dists[rows, -1] < radius * (1.0 - _TREE_RTOL))]
-            _knn_among(redo, everyone, distance_rows, ids, dists)
+            _knn_among(redo, everyone, distance_rows, ids, dists, scratch)
 
     _map_blocks(leaf_block, [(m,) for m in range(len(leaves))])
     return ids, dists
@@ -442,9 +530,16 @@ def ingest_distance_matrix(matrix: np.ndarray, k_max: int | None = None) -> Neig
     everyone = np.arange(n)
     ids = np.empty((n, k_max), dtype=_id_dtype(n))
     dists = np.empty((n, k_max), dtype=np.float64)
-    # every point is a candidate, so a row of the matrix is its distance row
-    _map_blocks(lambda s, e: _knn_among(everyone[s:e], everyone, lambda part, _: m[part],
-                                        ids, dists),
+
+    def matrix_rows(part: np.ndarray, _, scratch: _Scratch) -> np.ndarray:
+        # every point is a candidate, so a row of the matrix is its distance
+        # row; a block's rows are consecutive, a slice of m in any memory order
+        d = scratch.take("d", (part.size, n))
+        d[...] = m[part[0]:part[-1] + 1]
+        return d
+
+    _map_blocks(lambda scratch, s, e: _knn_among(everyone[s:e], everyone, matrix_rows,
+                                                 ids, dists, scratch),
                 _row_blocks(n, n, _BLOCK_BUDGET // _usable_cpus()))
     return NeighborGraph(ids, dists)
 

@@ -1,12 +1,16 @@
 """Peak memory of the passes over a whole neighbor table or distance matrix,
-and of reading a kNN file.
+of reading a kNN file, and the life of the block scratch.
 
 numpy reports its array buffers to tracemalloc, so a traced peak counts every
 temporary a stage allocates, in any thread.  Each pass test shrinks the block
 budget, so a pass whose scratch follows the size of the table rather than of
-its block shows as a peak far above the bound.
+its block shows as a peak far above the bound.  The scratch tests check that
+each worker's buffers are made once per call, not once per block, that none
+outlives the call, and that nothing a block left in them reaches a result.
 """
 
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,8 +20,9 @@ from scipy.spatial.distance import cdist
 from densitopo import (PairwiseDistances, PointSet, build_neighbor_graph, cluster_points,
                        estimate_density, ingest_distance_matrix, ingest_knn_file,
                        synth_gmm)
-from densitopo import clustering, density, neighbors
-from oracles import export_knn_file
+from densitopo import DegenerateDataError, clustering, density, neighbors
+from oracles import export_knn_file, graph_from_radii, radii_constant_density
+from test_neighbors import KNN_CASES
 
 
 def _traced_peak(fn, *args, **kwargs):
@@ -92,3 +97,231 @@ def test_knn_file_reader_peak_follows_the_row_values(tmp_path):
     # place; the graph's int32 ids take 4 more.  A Python list per row costs
     # near 300, and a copy of each column 32 more.
     assert peak < 48 * graph.n_points * graph.k_max
+
+
+# ---------------------------------------------------------------------------
+# block scratch: one set of buffers per worker and call
+
+
+def _pretend_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(neighbors, "_usable_cpus", lambda: cpus)
+
+
+def _arrays_bytes(*arrays) -> int:
+    return sum(arr.nbytes for arr in arrays)
+
+
+def _held_after(fn, *args):
+    """Return (traced bytes still held once fn returns, above those held at
+    the call; fn's result)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    return held, result
+
+
+# Python objects a stage leaves besides its result's arrays (the result's
+# own objects, caches numpy and the interpreter fill): far below one block's
+# scratch, which is at least 300 KB in every stage here
+_SLACK = 64 << 10
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_no_scratch_outlives_its_stage(cpus, monkeypatch):
+    # with one CPU the kNN blocks run in the calling thread, so a buffer kept
+    # there (a module global, a thread-local) would still be held here
+    _pretend_cpus(monkeypatch, cpus)
+    coords, _ = synth_gmm(k=3, n=3000, dim=2, separation=8, seed=1)
+    points = PointSet(coords)
+    pairwise = PairwiseDistances(coords=points.coords)
+    graph = build_neighbor_graph(points, k_max=100)  # warm: imports, first-call caches
+    estimate = estimate_density(graph, 2.0)
+    cluster_points(graph, estimate, pairwise)
+
+    held, graph = _held_after(build_neighbor_graph, points, 100)
+    assert held - _arrays_bytes(graph.neighbor_ids, graph.neighbor_dists) < _SLACK
+    held, estimate = _held_after(estimate_density, graph, 2.0)
+    assert held - _arrays_bytes(estimate.k_hat, estimate.log_rho, estimate.err,
+                                estimate.r_khat, estimate.fallback) < _SLACK
+    held, result = _held_after(cluster_points, graph, estimate, pairwise)
+    a = result.assignment
+    assert held - _arrays_bytes(a.g, a.delta, a.parent, a.labels, a.is_center,
+                                a.is_halo) < _SLACK
+
+
+def _record_allocations(monkeypatch) -> list[tuple[int, str, int]]:
+    """Spy on the scratch: (scratch serial, buffer name, bytes) per allocation."""
+    allocations = []
+    serials = itertools.count()
+    init, allocate = neighbors._Scratch.__init__, neighbors._Scratch._allocate
+
+    def numbered(self):
+        init(self)
+        self.serial = next(serials)
+
+    def spy(self, name, nbytes):
+        allocations.append((self.serial, name, nbytes))
+        return allocate(self, name, nbytes)
+
+    monkeypatch.setattr(neighbors._Scratch, "__init__", numbered)
+    monkeypatch.setattr(neighbors._Scratch, "_allocate", spy)
+    return allocations
+
+
+def _count_calls(monkeypatch, owner, attr) -> itertools.count:
+    calls = itertools.count()
+    fn = getattr(owner, attr)
+
+    def counted(*args):
+        next(calls)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+def _assert_per_worker(allocations, blocks: int, scratches: int) -> None:
+    """At most ``scratches`` workspaces, and per buffer of each one a first
+    allocation and then only grows, far fewer than the blocks."""
+    assert blocks >= 10
+    assert len({serial for serial, _, _ in allocations}) <= scratches
+    sizes: dict[tuple[int, str], list[int]] = {}
+    for serial, name, nbytes in allocations:
+        sizes.setdefault((serial, name), []).append(nbytes)
+    assert all(a < b for seq in sizes.values() for a, b in zip(seq, seq[1:]))
+    assert len(allocations) < blocks
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_scratch_follows_workers_not_blocks(cpus, monkeypatch):
+    coords, _ = synth_gmm(k=3, n=2000, dim=2, separation=8, seed=1)
+    points = PointSet(coords)
+    _pretend_cpus(monkeypatch, cpus)
+    # a budget of 40 rows of every point: full-row blocks are cut, and leaves
+    # of varying candidate counts make the buffers grow
+    monkeypatch.setattr(neighbors, "_BLOCK_BUDGET", 40 * cpus * coords.shape[0])
+    monkeypatch.setattr(density, "_BLOCK_ENTRIES", 8 * 100)
+    monkeypatch.setattr(clustering, "_BLOCK_ENTRIES", 8 * 100)
+
+    allocations = _record_allocations(monkeypatch)
+    blocks = _count_calls(monkeypatch, neighbors, "_distances")
+    graph = build_neighbor_graph(points, k_max=100)
+    _assert_per_worker(allocations, next(blocks), cpus)
+
+    allocations.clear()
+    blocks = _count_calls(monkeypatch, density, "_fit_rows")
+    estimate = estimate_density(graph, 2.0)
+    # one workspace for the scan over k, freed before the fits make theirs
+    _assert_per_worker(allocations, next(blocks), 2)
+
+    allocations.clear()
+    blocks = _count_calls(monkeypatch, clustering, "_row_ids")
+    cluster_points(graph, estimate, PairwiseDistances(coords=points.coords))
+    # one workspace for each pass over the table: delta, centers, saddles;
+    # each exact distance row the passes ask for is made in a workspace of its own
+    passes = [a for a in allocations if a[1] not in ("d", "term")]
+    _assert_per_worker(passes, next(blocks), 3)
+
+
+# ---------------------------------------------------------------------------
+# poisoned scratch: every view starts as NaN or inf, and the bytes out hold
+
+
+def _poison(monkeypatch, fill: float) -> None:
+    """Fill every buffer and every view the scratch hands out with the bytes
+    of ``fill``, read as whatever dtype the view has."""
+    pattern = np.frombuffer(np.float64(fill).tobytes(), dtype=np.uint8)
+    take = neighbors._Scratch.take
+
+    def poisoned(self, *args, **kwargs):
+        view = take(self, *args, **kwargs)
+        raw = view.reshape(-1).view(np.uint8)
+        raw[:] = np.resize(pattern, raw.size)
+        return view
+
+    monkeypatch.setattr(neighbors._Scratch, "take", poisoned)
+
+
+def _tiny_blocks(monkeypatch, n: int, k_max: int) -> None:
+    # two CPUs, blocks of three rows of every point, kd leaves of at most 8
+    # points, fit blocks of 40 padded entries and clustering blocks of 3 rows
+    _pretend_cpus(monkeypatch, 2)
+    monkeypatch.setattr(neighbors, "_BLOCK_BUDGET", 3 * 2 * n)
+    monkeypatch.setattr(neighbors, "_LEAF_SIZE", 8)
+    monkeypatch.setattr(density, "_BLOCK_ENTRIES", 40)
+    monkeypatch.setattr(clustering, "_BLOCK_ENTRIES", 3 * k_max)
+
+
+def _estimate_bytes(graph, d, ansatz="volume"):
+    try:
+        est = estimate_density(graph, d, ansatz)
+    except DegenerateDataError as exc:
+        return str(exc), None
+    return [getattr(est, f).tobytes() for f in
+            ("k_hat", "log_rho", "err", "r_khat", "fallback")], est
+
+
+def _pipeline_bytes(coords, k_max):
+    """The bytes of the graph, the density estimate and the clusters."""
+    graph = build_neighbor_graph(PointSet(coords), k_max=k_max)
+    out = [graph.neighbor_ids.tobytes(), graph.neighbor_dists.tobytes()]
+    est_bytes, est = _estimate_bytes(graph, 2.0)
+    out.append(est_bytes)
+    if est is not None:
+        result = cluster_points(graph, est, PairwiseDistances(coords=coords))
+        a = result.assignment
+        out += [arr.tobytes() for arr in (a.g, a.delta, a.parent, a.labels,
+                                          a.is_center, a.is_halo)]
+        out += [a.centers, result.putative_centers, result.merge_log,
+                result.saddles.entries]
+    return out
+
+
+def _overflow_in_padding():
+    # test_density's row whose padded shells overflow exp beside rows of 8
+    radii = radii_constant_density(32, 8, rho=1.0, d=2.0, omega=math.pi)
+    radii[0, :4] = np.sqrt(np.cumsum([1.0, 0.8, 0.6, 0.4]) / math.pi)
+    radii[0, 4:] = 1e100 * np.arange(1.0, 5.0)
+    return graph_from_radii(radii)
+
+
+def _random_cloud(seed, n, dim, decimals):
+    # test_density's random clouds: rounding makes duplicate points common
+    coords = np.round(np.random.default_rng(seed).normal(size=(n, dim)), decimals)
+    return build_neighbor_graph(PointSet(coords), min(n - 1, 24))
+
+
+DENSITY_CASES = {
+    "overflow_in_padding": lambda: (_overflow_in_padding(), "volume"),
+    "cloud_1d_integers": lambda: (_random_cloud(3, 41, 1, 0), "volume"),
+    "cloud_2d_tenths": lambda: (_random_cloud(4, 60, 2, 1), "index"),
+    "cloud_3d": lambda: (_random_cloud(5, 53, 3, 6), "volume"),
+}
+
+
+@pytest.mark.parametrize("blocks", ["tiny", "default"])
+@pytest.mark.parametrize("fill", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("case", sorted(KNN_CASES))
+def test_poisoned_scratch_leaves_pipeline_bytes(case, fill, blocks, monkeypatch):
+    coords, k_max = KNN_CASES[case]()
+    want = _pipeline_bytes(coords, k_max)
+    _poison(monkeypatch, fill)
+    if blocks == "tiny":
+        _tiny_blocks(monkeypatch, coords.shape[0], k_max)
+    assert _pipeline_bytes(coords, k_max) == want
+
+
+@pytest.mark.parametrize("blocks", ["tiny", "default"])
+@pytest.mark.parametrize("fill", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("case", sorted(DENSITY_CASES))
+def test_poisoned_scratch_leaves_density_bytes(case, fill, blocks, monkeypatch):
+    graph, ansatz = DENSITY_CASES[case]()
+    want = _estimate_bytes(graph, 2.0, ansatz)[0]
+    _poison(monkeypatch, fill)
+    if blocks == "tiny":
+        _tiny_blocks(monkeypatch, graph.n_points, graph.k_max)
+    assert _estimate_bytes(graph, 2.0, ansatz)[0] == want

@@ -13,7 +13,7 @@ from densitopo import (ConfigError, DataError, NeighborGraph, PairwiseDistances,
                        PointSet, build_neighbor_graph, ingest_distance_matrix,
                        ingest_knn_file, read_points_tsv, write_points_tsv)
 from densitopo import neighbors
-from densitopo.neighbors import _distances, _exact_knn_rows, _knn_among, _tree_knn
+from densitopo.neighbors import _distances, _exact_knn_rows, _knn_among, _Scratch, _tree_knn
 from oracles import argsort_matrix_knn, brute_knn, export_knn_file
 
 # public metric name -> scipy metric name, for the tests that call cdist
@@ -139,8 +139,9 @@ def _brute_knn(coords, k_max, metric):
     n = coords.shape[0]
     ids, dists = np.empty((n, k_max), dtype=np.int32), np.empty((n, k_max))
     everyone = np.arange(n)
-    _knn_among(everyone, everyone, lambda part, cand: _distances(coords[part], coords, metric),
-               ids, dists)
+    _knn_among(everyone, everyone,
+               lambda part, cand, scratch: _distances(coords[part], coords, metric, scratch),
+               ids, dists, _Scratch())
     return ids, dists
 
 
@@ -255,7 +256,7 @@ def test_row_blocks_under_rapid_thread_switching(monkeypatch):
 def test_lone_worker_runs_in_the_calling_thread(cpus, budget, monkeypatch):
     # a worker thread would keep its freed scratch in its own malloc arena
     monkeypatch.setattr(neighbors, "_usable_cpus", lambda: cpus)
-    ran = neighbors._map_blocks(lambda s, e: (s, e, threading.current_thread()),
+    ran = neighbors._map_blocks(lambda scratch, s, e: (s, e, threading.current_thread()),
                                 neighbors._row_blocks(10, 1, budget // cpus))
     step = budget // cpus
     assert ran == [(s, min(10, s + step), threading.current_thread())
@@ -380,6 +381,17 @@ def test_graph_stores_int32_ids():
     np.testing.assert_array_equal(graph.neighbor_ids, [[1, 2], [0, 2], [0, 1]])
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_graph_stores_tables_in_c_order(dtype):
+    # the passes over the graph gather by flat index into the stored tables
+    ids = np.asfortranarray([[1, 2], [0, 2], [0, 1]], dtype=dtype)
+    dists = np.ones((3, 4))[:, ::2]
+    graph = NeighborGraph(ids, dists)
+    assert graph.neighbor_ids.flags.c_contiguous and graph.neighbor_dists.flags.c_contiguous
+    np.testing.assert_array_equal(graph.neighbor_ids, ids)
+    np.testing.assert_array_equal(graph.neighbor_dists, dists)
+
+
 def _nan(ids, dists):
     dists[6, 1] = np.nan
 
@@ -494,6 +506,14 @@ def test_matrix_row_blocks_match_stable_argsort(make, k_max, cpus, monkeypatch):
     m = make(5)
     _small_blocks(monkeypatch, cpus, m, k_max)
     monkeypatch.setattr(neighbors, "_SCAN_BUDGET", _BLOCK_ROWS * m.shape[0])
+    _assert_matrix_matches_stable_argsort(m, k_max)
+
+
+@_MATRIX_CASES
+def test_matrix_in_fortran_order_matches_stable_argsort(make, k_max, monkeypatch):
+    # a block's rows are copied out of the matrix as one slice, in any memory order
+    m = np.asfortranarray(make(5))
+    _small_blocks(monkeypatch, 2, m, k_max)
     _assert_matrix_matches_stable_argsort(m, k_max)
 
 
@@ -624,10 +644,11 @@ def test_distances_equal_cdist_bitwise(metric):
             a = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-3, 4)
             b = rng.standard_normal((cols, dim)) * 10.0 ** rng.integers(-3, 4)
             want = cdist(a, b, metric=_CDIST_METRIC[metric])
-            assert _distances(a, b, metric).tobytes() == want.tobytes(), (dim, rows, cols)
+            assert _distances(a, b, metric, _Scratch()).tobytes() == want.tobytes(), \
+                (dim, rows, cols)
             # a transposed gather, as the kd-leaf path passes its candidates
-            assert _distances(a, np.ascontiguousarray(b.T).T, metric).tobytes() == \
-                want.tobytes()
+            assert _distances(a, np.ascontiguousarray(b.T).T, metric,
+                              _Scratch()).tobytes() == want.tobytes()
 
 
 def _stable_rows(block, k_max):
@@ -638,7 +659,7 @@ def _stable_rows(block, k_max):
 def _self_excluded(coords, metric="euclidean", rows=slice(None)):
     """Distances from ``coords[rows]`` to every point, +inf to itself."""
     own = np.arange(coords.shape[0])[rows]
-    block = _distances(coords[own], coords, metric)
+    block = _distances(coords[own], coords, metric, _Scratch())
     block[np.arange(own.size), own] = np.inf
     return block
 
@@ -667,7 +688,7 @@ def test_exact_knn_rows_matches_stable_sort(make):
     # the argpartition path, its last k_max, and the whole-row sort path
     for k_max in sorted({1, 7, 10, 60, (2 * width) // 3 - 1, (2 * width + 2) // 3,
                          width - 1}):
-        ids, dists = _exact_knn_rows(block, k_max)
+        ids, dists = _exact_knn_rows(block, k_max, _Scratch())
         want_ids, want_dists = _stable_rows(block, k_max)
         np.testing.assert_array_equal(ids, want_ids)
         assert dists.tobytes() == want_dists.tobytes()
