@@ -15,16 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import neighbors
 from .density import DensityEstimate
 from .errors import ConfigError, DegenerateDataError, InternalInvariantError
 from .neighbors import NeighborGraph, PairwiseDistances, _row_blocks, _Scratch, _take
-
-# neighbor-table entries (rows x k_max) per block: each pass over the graph
-# holds a few bytes of temporaries per entry of one block, not of the table.
-# A pass's scratch is freed when the pass returns, below the arrays it made,
-# so it stays resident as free heap: at 2^16 entries a uniform2d run peaked
-# 1.5 MB higher than at 2^15, in the same time.
-_BLOCK_ENTRIES = 1 << 15
 
 
 def _check_z(z: float) -> None:
@@ -117,7 +111,7 @@ def compute_delta_parent(g: np.ndarray, graph: NeighborGraph,
     need_scan: list[int] = []
 
     scratch = _Scratch()
-    for s, e in _row_blocks(n, k_max, _BLOCK_ENTRIES):
+    for s, e in _row_blocks(n, k_max, neighbors._BLOCK_ENTRIES):
         ids = _row_ids(graph, slice(s, e), scratch)
         dists = graph.neighbor_dists[s:e]
         higher = np.greater(_gather(g, ids, scratch, "g"), g[s:e, None],
@@ -162,7 +156,7 @@ def detect_putative_centers(g: np.ndarray, delta: np.ndarray,
     vetoed = np.zeros(n, dtype=bool)
     k_hat = estimate.k_hat
     scratch = _Scratch()
-    for s, e in _row_blocks(n, graph.k_max, _BLOCK_ENTRIES):
+    for s, e in _row_blocks(n, graph.k_max, neighbors._BLOCK_ENTRIES):
         ids = _row_ids(graph, slice(s, e), scratch)
         dominated = np.less(_gather(g, ids, scratch, "g"), g[s:e, None],
                             out=scratch.take("dominated", ids.shape, bool))
@@ -221,7 +215,7 @@ def find_borders_saddles(labels: np.ndarray, graph: NeighborGraph,
     pair_key: list[np.ndarray] = []
 
     scratch = _Scratch()
-    for s, e in _row_blocks(n, graph.k_max, _BLOCK_ENTRIES):
+    for s, e in _row_blocks(n, graph.k_max, neighbors._BLOCK_ENTRIES):
         ids = _row_ids(graph, slice(s, e), scratch)
         within = np.less_equal(graph.neighbor_dists[s:e], estimate.r_khat[s:e, None],
                                out=scratch.take("within", ids.shape, bool))
@@ -237,7 +231,7 @@ def find_borders_saddles(labels: np.ndarray, graph: NeighborGraph,
 
         ok = np.empty(i.size, dtype=bool)
         # the block's ids and labels are spent: the back-check reuses their buffers
-        for b, c in _row_blocks(i.size, graph.k_max, _BLOCK_ENTRIES):
+        for b, c in _row_blocks(i.size, graph.k_max, neighbors._BLOCK_ENTRIES):
             jb, mb = j[b:c], mine[b:c]
             hit = np.equal(_gather(labels, _row_ids(graph, jb, scratch), scratch, "labels"),
                            mb[:, None], out=scratch.take("hit", (jb.size, graph.k_max), bool))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import neighbors
 from .errors import ConfigError, DegenerateDataError
 from .neighbors import NeighborGraph, _row_blocks, _Scratch, _take
 
@@ -29,9 +30,6 @@ ANSATZ_CHOICES = ("volume", "index")
 _NR_TOL = 1e-8
 _NR_MAX_ITER = 100
 _MAX_STEP_HALVINGS = 30
-# padded entries (points x the block's largest k_hat) per lockstep fit block,
-# whose largest k_hat is at most twice its smallest: bounds the fit's arrays
-_BLOCK_ENTRIES = 1 << 15
 
 
 def unit_ball_volume(d: float) -> float:
@@ -349,7 +347,7 @@ def estimate_density(graph: NeighborGraph, d: float,
     r_khat = graph.neighbor_dists[np.arange(n), k_hat - 1]
     coincident = r_khat <= 0.0
     retry = np.flatnonzero(coincident)
-    for s, e in _row_blocks(retry.size, cap, _BLOCK_ENTRIES):
+    for s, e in _row_blocks(retry.size, cap, neighbors._BLOCK_ENTRIES):
         # all selected neighbors coincide with the point; widen until the
         # ball has positive volume
         ids = retry[s:e]
@@ -369,12 +367,14 @@ def estimate_density(graph: NeighborGraph, d: float,
     fit = fit[np.argsort(k_hat[fit], kind="stable")]
     ks = k_hat[fit]
     scratch = _Scratch()  # the fits' working arrays, reused from block to block
+    # padded entries (points x the block's largest k_hat) per lockstep fit
+    # block, whose largest k_hat is at most twice its smallest
+    budget = neighbors._BLOCK_ENTRIES
     lo = 0
     while lo < fit.size:
         # the rows up to twice the first one's k_hat that fit the budget
-        hi = min(lo + _BLOCK_ENTRIES // ks[lo], np.searchsorted(ks, 2 * ks[lo], "right"))
-        hi = lo + max(1, np.count_nonzero(np.arange(1, hi - lo + 1) * ks[lo:hi]
-                                          <= _BLOCK_ENTRIES))
+        hi = min(lo + budget // ks[lo], np.searchsorted(ks, 2 * ks[lo], "right"))
+        hi = lo + max(1, np.count_nonzero(np.arange(1, hi - lo + 1) * ks[lo:hi] <= budget))
         ids = fit[lo:hi]
         log_rho[ids], fallback[ids] = _fit_rows(ids, ks[lo:hi], d, omega, ansatz, graph,
                                                 scratch)

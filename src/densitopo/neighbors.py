@@ -22,10 +22,15 @@ DEFAULT_K_MAX = 512
 
 _METRICS = ("euclidean", "manhattan")
 
-# Entries of an n x k_max or n x n table that a check reads at once; its
-# temporaries take a few bytes per entry, so no check allocates a copy of
-# the table.
-_SCAN_BUDGET = 1 << 18
+# Entries of an n x k_max or n x n table per block of a serial pass: the
+# graph's and a distance matrix's checks, the density retry and fits, and
+# the clustering passes.  A pass holds a few bytes of temporaries per entry
+# of one block, not of the table.  Its scratch is freed when it returns,
+# below the arrays it made, so it stays resident as free heap: at 2^16
+# entries a uniform2d run peaked 1.5 MB higher than at 2^15, in the same
+# time.  The other modules read it here when a pass runs, so one setting
+# reaches every pass.
+_BLOCK_ENTRIES = 1 << 15
 
 
 def _id_dtype(n: int) -> type:
@@ -98,10 +103,6 @@ class PointSet:
     def n_points(self) -> int:
         return self.coords.shape[0]
 
-    @property
-    def embedding_dim(self) -> int:
-        return self.coords.shape[1]
-
 
 @dataclass(frozen=True)
 class NeighborGraph:
@@ -126,7 +127,7 @@ class NeighborGraph:
         if n < 2 or k_max < 1 or k_max > n - 1:
             raise DataError(f"invalid neighbor graph shape ({n}, {k_max})")
         # ids are range-checked in the caller's dtype: the cast below would wrap
-        for s, e in _row_blocks(n, k_max, _SCAN_BUDGET):
+        for s, e in _row_blocks(n, k_max, _BLOCK_ENTRIES):
             block_ids, block_dists = ids[s:e], dists[s:e]
             if not np.isfinite(block_dists).all():
                 raise DataError("non-finite neighbor distance")
@@ -229,17 +230,15 @@ def _exact_knn_rows(block: np.ndarray, k_max: int,
                     scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
     """Select the k_max nearest per row of a distance block, exactly.
 
-    Ties are broken by ascending candidate index.  When k_max is at least
-    two thirds of the row, sorting whole rows is the cheaper way (350 rows
-    of 1,500 at k_max 1,000: 8.3 against 19.0 ms); otherwise argpartition
-    selects and the selection is sorted (64 rows of 6,000 at 512: 1.7
-    against 5.8 ms).  Both use numpy's
-    default sort, which orders equal distances arbitrarily but is about
-    four times faster than a stable one (0.084 against 0.31 s on 10k rows
-    of 512).  Rows without a tie among the selected distances or at the
-    selection boundary come out the same either way; the others are
-    selected again, all together: every distance below the k_max-th, then
-    the lowest indices at it, stably sorted.
+    Ties are broken by ascending candidate index.  Argpartition selects
+    and only the selection is sorted (64 rows of 6,000 at 512: 1.7 against
+    5.8 ms for sorting whole rows).  The sort is numpy's default, which
+    orders equal distances arbitrarily but is about four times faster than
+    a stable one (0.084 against 0.31 s on 10k rows of 512).  Rows without a
+    tie among the selected distances or at the selection boundary come out
+    the same either way; the others are selected again, all together:
+    every distance below the k_max-th, then the lowest indices at it,
+    stably sorted.
 
     The ids, the distances and the tie count's mask are views of the
     scratch buffer ``"term"``, whose column terms :func:`_distances` has
@@ -252,17 +251,12 @@ def _exact_knn_rows(block: np.ndarray, k_max: int,
     size = math.prod(shape) * 8
     mask = scratch.take("term", block.shape, bool, 2 * size)  # last, so the buffer grows once
     ids, dists = scratch.take("term", shape, np.intp), scratch.take("term", shape, offset=size)
-    if 3 * k_max >= 2 * block.shape[1]:
-        order = np.argsort(block, axis=1)[:, :k_max]
-        _take_rows(block, order, ids, dists)
-        ids = order
-    else:
-        whole = np.argpartition(block, k_max - 1, axis=1)
-        _take_rows(block, whole[:, :k_max], ids, dists)
-        order = np.argsort(dists, axis=1)
-        # order indexes the first k_max columns, which ``whole`` holds in place
-        _take_rows(whole, order, order, ids)
-        dists.sort(axis=1)
+    whole = np.argpartition(block, k_max - 1, axis=1)
+    _take_rows(block, whole[:, :k_max], ids, dists)
+    order = np.argsort(dists, axis=1)
+    # order indexes the first k_max columns, which ``whole`` holds in place
+    _take_rows(whole, order, order, ids)
+    dists.sort(axis=1)
     kth = dists[:, -1:]
     tied = (dists[:, 1:] == dists[:, :-1]).any(axis=1)
     tied |= np.less_equal(block, kth, out=mask).sum(axis=1) > k_max
@@ -287,28 +281,31 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Distance entries held by all blocks in flight together: the rows of a
-# kd leaf's bounds, and of :func:`_knn_among` against a leaf's candidates
-# or every point.  Each worker gets an equal share, so the total does not
-# grow with the CPU count.  A worker's scratch is reused from block to block
-# and stays resident until the call returns, so the budget sets the stage's
-# peak: on 2 CPUs a 20k-point 3-D mixture builds in about 1.05 s at 2^18,
-# 2^19 and 2^20 entries and peaks at 165, 170 and 185 MiB (1.38 s and 173
-# MiB at 2^20 with fresh scratch per block).
-_BLOCK_BUDGET = 1 << 18
+# Distance entries per block of one kNN worker: the rows of a kd leaf's
+# bounds, and of :func:`_knn_among` against a leaf's candidates or every
+# point.  Each worker owns one scratch of this size, reused from block to
+# block and resident until the call returns, so the stage's peak grows with
+# the worker count.  On 2 CPUs a 20k-point 3-D mixture builds in about 1.05 s
+# at 2^17, 2^18 and 2^19 entries per worker and peaks at 165, 170 and 185
+# MiB (1.38 s and 173 MiB at 2^19 with fresh scratch per block).  At 2^15,
+# the serial passes' size, the kNN of a 10k-point 2-D mixture takes 0.60
+# against 0.43 s on 2 CPUs.
+_WORKER_ENTRIES = 1 << 17
 
 
 def _map_blocks(fn, blocks: list[tuple]) -> list:
     """Return ``[fn(scratch, *b) for b in blocks]``, in block order.
 
     The blocks run on a thread pool with one worker per usable CPU; the
-    numpy kernels they call release the GIL.  With one CPU, or a
-    single block, they run in the calling thread in order: scratch freed in
-    a worker thread stays in that thread's malloc arena and raises the peak
+    numpy kernels they call release the GIL.  With one CPU, or a single
+    block, they run in the calling thread in order: scratch freed in a
+    worker thread stays in that thread's malloc arena and raises the peak
     of later stages.  Each worker passes its blocks one :class:`_Scratch`,
-    freed when the call returns, so no result may be a view of it.  If a
-    block raises, the blocks not yet started are cancelled and the exception
-    propagates once the running ones have finished.
+    freed when the call returns, so no result may be a view of it.  Callers
+    size blocks by ``_WORKER_ENTRIES``, the entries of one worker's scratch,
+    so the CPU count is read here alone and the total scratch grows with
+    it.  If a block raises, the blocks not yet started are cancelled and
+    the exception propagates once the running ones have finished.
     """
     workers = min(_usable_cpus(), len(blocks))
     if workers <= 1:
@@ -337,13 +334,13 @@ def _knn_among(rows: np.ndarray, cand: np.ndarray, distance_rows,
     ``cand`` is ascending and holds every row; ``distance_rows(part, cand,
     scratch)`` returns the distances from the points ``part`` to ``cand`` in
     a buffer of ``scratch`` that this step may overwrite.  The rows go in
-    blocks of at most one worker's share of ``_BLOCK_BUDGET`` entries, each
-    row's own point is set to +inf, and :func:`_exact_knn_rows` selects by
-    (distance, id): candidates in ascending id order make its column order
-    the id order.
+    blocks of at most ``_WORKER_ENTRIES`` entries, the size of one worker's
+    scratch; each row's own point is set to +inf, and
+    :func:`_exact_knn_rows` selects by (distance, id): candidates in
+    ascending id order make its column order the id order.
     """
     k_max = ids.shape[1]
-    for s, e in _row_blocks(rows.size, cand.size, _BLOCK_BUDGET // _usable_cpus()):
+    for s, e in _row_blocks(rows.size, cand.size, _WORKER_ENTRIES):
         part = rows[s:e]
         d = distance_rows(part, cand, scratch)
         d[np.arange(part.size), np.searchsorted(cand, part)] = np.inf  # exclude self
@@ -414,7 +411,6 @@ def _tree_knn(coords: np.ndarray, k_max: int,
     everyone = np.arange(n)
     ids = np.empty((n, k_max), dtype=_id_dtype(n))
     dists = np.empty((n, k_max), dtype=np.float64)
-    share = _BLOCK_BUDGET // _usable_cpus()
 
     def candidates(chosen: np.ndarray) -> np.ndarray:
         return np.sort(np.concatenate([leaves[m] for m in chosen]))
@@ -439,7 +435,7 @@ def _tree_knn(coords: np.ndarray, k_max: int,
         bound = np.full(rows.size, np.inf)
         if first.size < len(leaves):
             cand = candidates(first)
-            for s, e in _row_blocks(rows.size, cand.size, share):
+            for s, e in _row_blocks(rows.size, cand.size, _WORKER_ENTRIES):
                 bound[s:e] = kth_distances(rows[s:e], cand, scratch)
         radius = bound.max() * (1.0 + 2.0 * _TREE_RTOL)
         cand = candidates(np.flatnonzero(near <= radius))
@@ -508,7 +504,7 @@ def ingest_distance_matrix(matrix: np.ndarray, k_max: int | None = None) -> Neig
     if n < 2:
         raise DataError("distance matrix needs at least 2 points")
     worst, pair = 0.0, (0, 0)
-    for s, e in _row_blocks(n, n, _SCAN_BUDGET):
+    for s, e in _row_blocks(n, n, _BLOCK_ENTRIES):
         rows = m[s:e]
         if not np.isfinite(rows).all():
             raise DataError("non-finite entry in distance matrix")
@@ -540,6 +536,6 @@ def ingest_distance_matrix(matrix: np.ndarray, k_max: int | None = None) -> Neig
 
     _map_blocks(lambda scratch, s, e: _knn_among(everyone[s:e], everyone, matrix_rows,
                                                  ids, dists, scratch),
-                _row_blocks(n, n, _BLOCK_BUDGET // _usable_cpus()))
+                _row_blocks(n, n, _WORKER_ENTRIES))
     return NeighborGraph(ids, dists)
 

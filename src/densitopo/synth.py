@@ -34,8 +34,8 @@ def synth_gmm(k: int, n: int, dim: int, separation: float,
     """
     if k < 1 or n < k or dim < 1:
         raise ConfigError(f"need k >= 1, n >= k, dim >= 1; got k={k} n={n} dim={dim}")
-    if separation < 0:
-        raise ConfigError(f"separation must be >= 0, got {separation}")
+    if not (0 <= separation < np.inf):  # NaN too
+        raise ConfigError(f"separation must be finite and >= 0, got {separation}")
     rng = np.random.default_rng(seed)
     span = max(1.0, separation) * max(2.0, k ** (1.0 / dim)) * 1.5
     means: list[np.ndarray] = []
@@ -106,8 +106,8 @@ def synth_spirals(n: int, noise: float, seed: int) -> tuple[np.ndarray, np.ndarr
     """
     if n < 2 or n % 2 != 0:
         raise ConfigError(f"n must be even and >= 2, got {n}")
-    if noise < 0:
-        raise ConfigError(f"noise must be >= 0, got {noise}")
+    if not (0 <= noise < np.inf):  # NaN too
+        raise ConfigError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     half = n // 2
     points = np.empty((n, 2), dtype=np.float64)

@@ -38,7 +38,9 @@ def _finite(text: str) -> float:
 
 
 def _flag(text: str) -> bool:
-    return bool(int(text))
+    if text not in ("0", "1"):
+        raise ValueError(f"flag must be 0 or 1, got {text!r}")
+    return text == "1"
 
 
 _DTYPES = {_int: np.int64, _flag: np.bool_}  # views of a flag's 0/1 bytes; else float64

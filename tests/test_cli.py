@@ -501,7 +501,7 @@ def _replace_field(path, lineno, col, value):
                                        (4, b"-inf"), (2, b"0.\xe9"),
                                        (1, b"99999999999999999999"), (1, b"0"),
                                        (3, b"-5.0"), (3, b"0.0"), (4, b"-1.0"),
-                                       (1, b"33"), (1, b"9999")])
+                                       (1, b"33"), (1, b"9999"), (5, b"2")])
 def test_cluster_bad_density_field_names_line(dataset, tmp_path, capsys, col, value):
     density = tmp_path / "density.tsv"
     assert _run(["density", "--input", dataset["points"], "--k-max", "32",
@@ -547,7 +547,8 @@ def test_unreadable_point_or_matrix_file_is_data_error(tmp_path, capsys, fmt, ki
 
 @pytest.mark.parametrize("col,value", [(1, b"x"), (4, b"nan"), (5, b"inf"),
                                        (6, b"nan"), (7, b"1.5"), (1, b"9"), (1, b"-1"),
-                                       (8, b"\xff"), (7, b"0"), (6, b"-0.1"), (6, b"0.0")])
+                                       (8, b"\xff"), (7, b"0"), (6, b"-0.1"), (6, b"0.0"),
+                                       (2, b"2"), (3, b"-1")])
 def test_evaluate_bad_assignment_field_names_line(tmp_path, capsys, col, value):
     assignment = tmp_path / "assignment.tsv"
     _write_perfect_assignment(assignment)

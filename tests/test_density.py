@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from densitopo import density as density_module
+from densitopo import neighbors
 from densitopo import (
     ConfigError,
     DegenerateDataError,
@@ -540,7 +541,7 @@ def test_batched_fit_matches_reference_on_long_shells_and_split_groups(monkeypat
     graph = build_neighbor_graph(PointSet(synth_uniform(n=600, dim=2, seed=0)), 150)
     est = _assert_matches_per_point(graph, 2.0)
     assert est.k_hat.max() > 128
-    monkeypatch.setattr(density_module, "_BLOCK_ENTRIES", 16 * 150)
+    monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 16 * 150)
     assert np.bincount(est.k_hat).max() > 16
     _assert_matches_per_point(graph, 2.0)
 
@@ -601,7 +602,7 @@ def test_batched_fit_matches_reference_in_blocks_of_many_k_hat(monkeypatch):
     # span several k_hat values and splits runs of one k_hat between blocks
     coords = synth_gmm(k=3, n=400, dim=2, separation=6, seed=1)[0]
     graph = build_neighbor_graph(PointSet(coords), 64)
-    monkeypatch.setattr(density_module, "_BLOCK_ENTRIES", 1000)
+    monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 1000)
     for ansatz in density_module.ANSATZ_CHOICES:
         blocks = _record_fit_blocks(monkeypatch)
         _assert_matches_per_point(graph, 2.0, ansatz)
@@ -647,7 +648,7 @@ def test_batched_fit_ignores_overflow_in_the_padding(monkeypatch):
        d=st.floats(min_value=0.5, max_value=8.0),
        ansatz=st.sampled_from(density_module.ANSATZ_CHOICES),
        nr_max_iter=st.sampled_from([3, 4, 100]),
-       block_entries=st.sampled_from([1, 40, density_module._BLOCK_ENTRIES]))
+       block_entries=st.sampled_from([1, 40, neighbors._BLOCK_ENTRIES]))
 def test_batched_fit_matches_reference_on_random_clouds(seed, n, dim, decimals, d,
                                                         ansatz, nr_max_iter, block_entries):
     # rounding the coordinates makes duplicate points common; a low
@@ -657,7 +658,7 @@ def test_batched_fit_matches_reference_on_random_clouds(seed, n, dim, decimals, 
     graph = build_neighbor_graph(PointSet(coords), min(n - 1, 24))
     with pytest.MonkeyPatch.context() as mp_patch:
         mp_patch.setattr(density_module, "_NR_MAX_ITER", nr_max_iter)
-        mp_patch.setattr(density_module, "_BLOCK_ENTRIES", block_entries)
+        mp_patch.setattr(neighbors, "_BLOCK_ENTRIES", block_entries)
         try:
             ref = per_point_density(graph, d, ansatz)
         except DegenerateDataError:

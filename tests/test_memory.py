@@ -42,8 +42,8 @@ def test_matrix_ingest_peaks_below_a_quarter_matrix_above_the_graph(k_max, monke
     n = 1500
     coords = np.random.default_rng(0).random((n, 2))
     matrix = cdist(coords, coords)
-    monkeypatch.setattr(neighbors, "_SCAN_BUDGET", 8 * n)
-    monkeypatch.setattr(neighbors, "_BLOCK_BUDGET", 8 * n)
+    monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 8 * n)
+    monkeypatch.setattr(neighbors, "_WORKER_ENTRIES", 4 * n)
     peak, graph = _traced_peak(ingest_distance_matrix, matrix, k_max=k_max)
     graph_bytes = graph.neighbor_ids.nbytes + graph.neighbor_dists.nbytes
     assert peak - graph_bytes < matrix.nbytes / 4
@@ -54,7 +54,7 @@ def test_kd_leaf_knn_peak_follows_its_blocks_not_its_leaves(monkeypatch):
     # one leaf's distances alone would take 64 MB
     coords, _ = synth_gmm(k=3, n=5000, dim=2, separation=8, seed=1)
     monkeypatch.setattr(neighbors, "_LEAF_SIZE", 2048)
-    monkeypatch.setattr(neighbors, "_BLOCK_BUDGET", 8 * coords.shape[0])
+    monkeypatch.setattr(neighbors, "_WORKER_ENTRIES", 4 * coords.shape[0])
     peak, graph = _traced_peak(build_neighbor_graph, PointSet(coords), k_max=200)
     graph_bytes = graph.neighbor_ids.nbytes + graph.neighbor_dists.nbytes
     assert peak - graph_bytes < graph_bytes / 4
@@ -65,7 +65,7 @@ def test_density_peak_follows_its_blocks_not_the_table(monkeypatch):
     # their padded blocks, not the n x k_max table
     coords, _ = synth_gmm(k=3, n=5000, dim=2, separation=8, seed=1)
     graph = build_neighbor_graph(PointSet(coords), k_max=400)
-    monkeypatch.setattr(density, "_BLOCK_ENTRIES", 4 * graph.k_max)
+    monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 4 * graph.k_max)
     peak, estimate = _traced_peak(estimate_density, graph, 2.0)
     assert estimate.k_hat.max() == graph.k_max
     # below one byte per entry of the n x k_max table
@@ -78,7 +78,7 @@ def test_clustering_peak_follows_its_blocks_not_the_table(monkeypatch):
     graph = build_neighbor_graph(points, k_max=400)
     estimate = estimate_density(graph, 2.0)
     pairwise = PairwiseDistances(coords=points.coords)
-    monkeypatch.setattr(clustering, "_BLOCK_ENTRIES", 4 * graph.k_max)
+    monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 4 * graph.k_max)
     peak, result = _traced_peak(cluster_points, graph, estimate, pairwise)
     assert result.assignment.n_clusters >= 1
     # below one byte per entry of the n x k_max table
@@ -201,11 +201,10 @@ def test_scratch_follows_workers_not_blocks(cpus, monkeypatch):
     coords, _ = synth_gmm(k=3, n=2000, dim=2, separation=8, seed=1)
     points = PointSet(coords)
     _pretend_cpus(monkeypatch, cpus)
-    # a budget of 40 rows of every point: full-row blocks are cut, and leaves
-    # of varying candidate counts make the buffers grow
-    monkeypatch.setattr(neighbors, "_BLOCK_BUDGET", 40 * cpus * coords.shape[0])
-    monkeypatch.setattr(density, "_BLOCK_ENTRIES", 8 * 100)
-    monkeypatch.setattr(clustering, "_BLOCK_ENTRIES", 8 * 100)
+    # kNN blocks of 40 rows of every point: full-row blocks are cut, and
+    # leaves of varying candidate counts make the buffers grow
+    monkeypatch.setattr(neighbors, "_WORKER_ENTRIES", 40 * coords.shape[0])
+    monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 8 * 100)
 
     allocations = _record_allocations(monkeypatch)
     blocks = _count_calls(monkeypatch, neighbors, "_distances")
@@ -247,13 +246,13 @@ def _poison(monkeypatch, fill: float) -> None:
 
 
 def _tiny_blocks(monkeypatch, n: int, k_max: int) -> None:
-    # two CPUs, blocks of three rows of every point, kd leaves of at most 8
-    # points, fit blocks of 40 padded entries and clustering blocks of 3 rows
+    # two CPUs, kNN blocks of three rows of every point, kd leaves of at
+    # most 8 points, and serial blocks of 3 rows at k_max: graph checks and
+    # clustering passes of 3 rows, fit blocks of 3 * k_max padded entries
     _pretend_cpus(monkeypatch, 2)
-    monkeypatch.setattr(neighbors, "_BLOCK_BUDGET", 3 * 2 * n)
+    monkeypatch.setattr(neighbors, "_WORKER_ENTRIES", 3 * n)
     monkeypatch.setattr(neighbors, "_LEAF_SIZE", 8)
-    monkeypatch.setattr(density, "_BLOCK_ENTRIES", 40)
-    monkeypatch.setattr(clustering, "_BLOCK_ENTRIES", 3 * k_max)
+    monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 3 * k_max)
 
 
 def _estimate_bytes(graph, d, ansatz="volume"):

@@ -170,7 +170,7 @@ def _small_blocks(monkeypatch, cpus, coords, k_max):
     and the kd-leaf pass into leaves of at most 8 points."""
     n = coords.shape[0]
     monkeypatch.setattr(neighbors, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(neighbors, "_BLOCK_BUDGET", _BLOCK_ROWS * cpus * n)
+    monkeypatch.setattr(neighbors, "_WORKER_ENTRIES", _BLOCK_ROWS * n)
     monkeypatch.setattr(neighbors, "_LEAF_SIZE", _LEAF)
 
 
@@ -196,7 +196,7 @@ def _recording_redo(monkeypatch):
     return tree_knn
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 5])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
 @pytest.mark.parametrize("case", sorted(KNN_CASES))
 def test_row_blocks_match_oracle(cpus, metric, case, monkeypatch):
@@ -416,7 +416,7 @@ def _self(ids, dists):
     (_nan, "non-finite"), (_negative, "negative"), (_decreasing, "non-decreasing"),
     (_too_large, "out of range"), (_self, "itself")])
 def test_graph_checks_reach_the_last_row_block(fault, message, monkeypatch):
-    monkeypatch.setattr(neighbors, "_SCAN_BUDGET", 4)  # two-row blocks; row 6 is alone
+    monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 4)  # two-row blocks; row 6 is alone
     ids = (np.arange(7)[:, None] + np.arange(1, 3)) % 7
     dists = np.tile([1.0, 2.0], (7, 1))
     NeighborGraph(ids, dists)
@@ -470,8 +470,8 @@ def _duplicate_points_matrix(seed):
     return np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
 
 
-# 60-point matrices: k_max 39 selects by argpartition, 40 (two thirds of the
-# 60-wide rows) by one full stable sort
+# 60-point matrices: k_max from a few of each row's columns to all the
+# others (59), with 39 and 40 either side of two thirds of the row
 _MATRIX_CASES = pytest.mark.parametrize("make,k_max", [
     (_integer_matrix, 7), (_integer_matrix, 39), (_integer_matrix, 40),
     (_integer_matrix, 59), (_duplicate_points_matrix, 4),
@@ -505,7 +505,7 @@ def test_matrix_matches_stable_argsort(make, k_max):
 def test_matrix_row_blocks_match_stable_argsort(make, k_max, cpus, monkeypatch):
     m = make(5)
     _small_blocks(monkeypatch, cpus, m, k_max)
-    monkeypatch.setattr(neighbors, "_SCAN_BUDGET", _BLOCK_ROWS * m.shape[0])
+    monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", _BLOCK_ROWS * m.shape[0])
     _assert_matrix_matches_stable_argsort(m, k_max)
 
 
@@ -525,7 +525,7 @@ def test_matrix_asymmetry_names_worst_pair():
 
 @pytest.mark.parametrize("budget", [1, 7 * 9, 10**6], ids=["row", "7_rows", "whole"])
 def test_matrix_asymmetry_names_first_worst_pair_across_blocks(budget, monkeypatch):
-    monkeypatch.setattr(neighbors, "_SCAN_BUDGET", budget)
+    monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", budget)
     m = np.ones((9, 9))
     np.fill_diagonal(m, 0.0)
     m[1, 3] = m[8, 5] = 1.5  # a smaller gap in an early row
@@ -685,7 +685,8 @@ def test_exact_knn_rows_matches_stable_sort(make):
     block = make()
     before = block.copy()
     width = block.shape[1]
-    # the argpartition path, its last k_max, and the whole-row sort path
+    # from one column to every other one, and either side of two thirds of
+    # the row
     for k_max in sorted({1, 7, 10, 60, (2 * width) // 3 - 1, (2 * width + 2) // 3,
                          width - 1}):
         ids, dists = _exact_knn_rows(block, k_max, _Scratch())

@@ -62,8 +62,9 @@ def test_gmm_rejects_bad_parameters():
         synth_gmm(k=5, n=4, dim=2, separation=1.0, seed=0)
     with pytest.raises(ConfigError):
         synth_gmm(k=2, n=10, dim=0, separation=1.0, seed=0)
-    with pytest.raises(ConfigError):
-        synth_gmm(k=2, n=10, dim=2, separation=-1.0, seed=0)
+    for separation in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            synth_gmm(k=2, n=10, dim=2, separation=separation, seed=0)
 
 
 def test_gmm_reports_exhausted_mean_placement(monkeypatch):
@@ -119,8 +120,9 @@ def test_spirals_reject_bad_parameters():
         synth_spirals(n=999, noise=0.1, seed=0)
     with pytest.raises(ConfigError):
         synth_spirals(n=0, noise=0.1, seed=0)
-    with pytest.raises(ConfigError):
-        synth_spirals(n=100, noise=-0.1, seed=0)
+    for noise in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            synth_spirals(n=100, noise=noise, seed=0)
 
 
 # ---------------------------------------------------------------------------
