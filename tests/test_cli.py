@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
+import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from densitopo import (
     synth_gmm,
     write_points_tsv,
 )
-from densitopo import cli
+from densitopo import cli, neighbors, tsv
 from densitopo.cli import main, read_config_file
 from oracles import export_knn_file
 
@@ -515,14 +517,28 @@ def test_cluster_bad_density_field_names_line(dataset, tmp_path, capsys, col, va
 @pytest.mark.parametrize("value", [b"x", b"1.0\t2.0", b"nan", b"inf", b"0.\xe9"],
                          ids=["bad-field", "ragged-row", "nan", "inf", "not-utf8"])
 @pytest.mark.parametrize("fmt", ["coords", "matrix"])
-def test_bad_point_or_matrix_field_names_line(dataset, tmp_path, capsys, fmt, value):
+def test_bad_point_or_matrix_field_names_line(dataset, tmp_path, capsys, monkeypatch,
+                                              fmt, value):
     coords = dataset["coords"][:30]
     path = tmp_path / f"{fmt}.tsv"
     write_points_tsv(coords if fmt == "coords" else cdist(coords, coords), path)
-    path.write_bytes(b"# a comment line counts\n" + path.read_bytes())
+    rows = path.read_bytes()
+    path.write_bytes(b"# a comment line counts\n" + rows)
     _replace_field(path, 5, 1, value)
     code = _run(["estimate-id", "--format", fmt, "--input", path])
     _assert_rejected(code, capsys, 3, f"{path}:5:")
+    # parsed on two CPUs, a fault on the last line is in the forked worker's part
+    monkeypatch.setattr(tsv, "_PART_BYTES", 1)
+    monkeypatch.setattr(neighbors, "_usable_cpus", lambda: 2)
+    forks = []
+    if hasattr(os, "fork"):
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    path.write_bytes(rows)
+    _replace_field(path, 30, 1, value)
+    code = _run(["estimate-id", "--format", fmt, "--input", path])
+    _assert_rejected(code, capsys, 3, f"{path}:30:")
+    assert len(forks) == (hasattr(os, "fork") and sys.version_info < (3, 12))
 
 
 @pytest.mark.parametrize("fmt,rows", [

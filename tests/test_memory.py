@@ -1,5 +1,5 @@
 """Peak memory of the passes over a whole neighbor table or distance matrix,
-of reading a kNN file, and the life of the block scratch.
+of reading a kNN, point or matrix file, and the life of the block scratch.
 
 numpy reports its array buffers to tracemalloc, so a traced peak counts every
 temporary a stage allocates, in any thread.  Each pass test shrinks the block
@@ -11,6 +11,8 @@ outlives the call, and that nothing a block left in them reaches a result.
 
 import itertools
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,8 +21,8 @@ from scipy.spatial.distance import cdist
 
 from densitopo import (PairwiseDistances, PointSet, build_neighbor_graph, cluster_points,
                        estimate_density, ingest_distance_matrix, ingest_knn_file,
-                       synth_gmm)
-from densitopo import DegenerateDataError, clustering, density, neighbors
+                       synth_gmm, write_points_tsv)
+from densitopo import DegenerateDataError, clustering, density, neighbors, tsv
 from oracles import export_knn_file, graph_from_radii, radii_constant_density
 from test_neighbors import KNN_CASES
 
@@ -97,6 +99,34 @@ def test_knn_file_reader_peak_follows_the_row_values(tmp_path):
     # place; the graph's int32 ids take 4 more.  A Python list per row costs
     # near 300, and a copy of each column 32 more.
     assert peak < 48 * graph.n_points * graph.k_max
+
+
+def _matrix_600():
+    coords = np.random.default_rng(0).random((600, 2))
+    return cdist(coords, coords)
+
+
+def test_finiteness_check_builds_no_table_mask():
+    matrix = _matrix_600()
+    peak, finite = _traced_peak(tsv._all_finite, matrix)
+    assert finite and peak < matrix.size / 64  # an isfinite mask takes matrix.size
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or sys.version_info >= (3, 12),
+                    reason="the point and matrix readers fork only before Python 3.12")
+def test_forked_matrix_read_peak_follows_its_chunks(tmp_path, monkeypatch):
+    # the forked parse writes its chunks straight into a shared mapping,
+    # which tracemalloc does not see, and the worker's part is parsed in
+    # another process; a table-sized temporary of the caller would show
+    matrix = _matrix_600()
+    path = tmp_path / "m.tsv"
+    write_points_tsv(matrix, path)
+    monkeypatch.setattr(tsv, "_PART_BYTES", 1)
+    monkeypatch.setattr(tsv, "_CHUNK_BYTES", 1 << 16)
+    _pretend_cpus(monkeypatch, 2)
+    peak, read = _traced_peak(tsv.read_distance_matrix_tsv, path)
+    assert read.tobytes() == np.loadtxt(path, ndmin=2).tobytes()
+    assert peak < 8 * tsv._CHUNK_BYTES < matrix.nbytes / 4
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Table files: every column spec round-trips bit for bit through one writer and reader."""
 
 import importlib.util
+import os
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densitopo import DataError, cli, clustering
+from densitopo import DataError, cli, clustering, neighbors
 from densitopo import tsv
 
 SPECS = {"density": tsv.DENSITY, "assignment": tsv.ASSIGNMENT, "saddles": tsv.SADDLES,
@@ -102,3 +105,163 @@ def test_traced_names_resolve():
     for module, table in ((cli, spans.CLI_SPANS), (clustering, spans.CLUSTERING_SPANS)):
         for attr, _ in table:
             assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+# ---------------------------------------------------------------------------
+# point and matrix files parsed on every usable CPU
+
+FORKS = hasattr(os, "fork") and sys.version_info < (3, 12)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Parse every file as a large one, in 64-byte chunks; return the fork log."""
+    monkeypatch.setattr(tsv, "_PART_BYTES", 1)
+    monkeypatch.setattr(tsv, "_CHUNK_BYTES", 64)
+    log = []
+    if hasattr(os, "fork"):
+        real = os.fork
+        monkeypatch.setattr(os, "fork", lambda: log.append(os.getpid()) or real())
+    return log
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _matrix(n=23, seed=3):
+    coords = np.random.default_rng(seed).standard_normal((n, 3)) * 50
+    return np.sqrt(((coords[:, None] - coords[None]) ** 2).sum(axis=2))
+
+
+def _tsv_bytes(rows, newline=b"\n"):
+    return newline.join(b"\t".join(repr(float(x)).encode() for x in row)
+                        for row in rows) + newline
+
+
+def _assert_same_as_loadtxt(path):
+    want = np.loadtxt(path, comments="#", ndmin=2, dtype=np.float64)
+    got = [tsv.read_distance_matrix_tsv(path), tsv.read_points_tsv(path).coords]
+    for arr in got:
+        assert arr.dtype == np.float64 and arr.shape == want.shape
+        assert arr.flags.c_contiguous and arr.flags.writeable
+        assert arr.tobytes() == want.tobytes()
+
+
+PARALLEL_FILES = {
+    "plain": _tsv_bytes(_matrix()),
+    "crlf": _tsv_bytes(_matrix(), b"\r\n"),
+    "no-final-newline": _tsv_bytes(_matrix())[:-1],
+    "inline-comment": _tsv_bytes(_matrix()).replace(b"\n", b"\t# row\n", 7),
+}
+SERIAL_FILES = {
+    "leading-comment": b"# distances\n" + _tsv_bytes(_matrix()),
+    "leading-blank": b"\n" + _tsv_bytes(_matrix()),
+    "trailing-blank": _tsv_bytes(_matrix()) + b"\n",
+    "trailing-blank-crlf": _tsv_bytes(_matrix(), b"\r\n") + b"\r\n",
+}
+
+
+@pytest.mark.parametrize("cpus", [2, 5])  # 5: more processes than most machines have cores
+@pytest.mark.parametrize("name", sorted(PARALLEL_FILES))
+def test_forked_parse_equals_loadtxt(tmp_path, monkeypatch, forks, name, cpus):
+    monkeypatch.setattr(neighbors, "_usable_cpus", lambda: cpus)
+    path = tmp_path / "m.tsv"
+    path.write_bytes(PARALLEL_FILES[name])
+    size = path.stat().st_size
+    assert all(path.read_bytes()[size * i // cpus - 1] != ord("\n")
+               for i in range(1, cpus))  # every cut falls mid-line
+    _assert_same_as_loadtxt(path)
+    assert len(forks) == (2 * (cpus - 1) if FORKS else 0)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("name", sorted(SERIAL_FILES))
+def test_blank_or_comment_first_line_or_blank_last_line_stays_serial(tmp_path, monkeypatch,
+                                                                      forks, name):
+    monkeypatch.setattr(neighbors, "_usable_cpus", lambda: 2)
+    path = tmp_path / "m.tsv"
+    path.write_bytes(SERIAL_FILES[name])
+    _assert_same_as_loadtxt(path)
+    assert forks == []
+
+
+def test_comment_or_blank_line_further_down_falls_back_to_serial(tmp_path, monkeypatch,
+                                                                 forks):
+    monkeypatch.setattr(neighbors, "_usable_cpus", lambda: 2)
+    lines = _tsv_bytes(_matrix()).splitlines(keepends=True)
+    path = tmp_path / "m.tsv"
+    for extra in (b"# late comment\n", b"\n", b"  \n"):
+        path.write_bytes(b"".join(lines[:3] + [extra] + lines[3:17] + [extra] + lines[17:]))
+        _assert_same_as_loadtxt(path)
+        _no_child_left()
+    assert len(forks) == (6 if FORKS else 0)
+
+
+def test_fork_selection_follows_usable_cpus(tmp_path, forks):
+    # one CPU (as under ``taskset -c 0``) parses in the calling process
+    path = tmp_path / "m.tsv"
+    path.write_bytes(PARALLEL_FILES["plain"])
+    _assert_same_as_loadtxt(path)
+    want = 2 * (neighbors._usable_cpus() - 1) if FORKS else 0
+    assert len(forks) == want
+
+
+def test_no_more_workers_than_parts_of_part_bytes(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(neighbors, "_usable_cpus", lambda: 5)
+    path = tmp_path / "m.tsv"
+    path.write_bytes(PARALLEL_FILES["plain"])
+    monkeypatch.setattr(tsv, "_PART_BYTES", path.stat().st_size // 3)
+    _assert_same_as_loadtxt(path)
+    assert len(forks) == (2 * 2 if FORKS else 0)  # three parts per read
+
+
+@pytest.mark.parametrize("case", ["small-file", "one-cpu", "second-thread"])
+def test_serial_unless_every_condition_holds(tmp_path, monkeypatch, forks, case):
+    monkeypatch.setattr(neighbors, "_usable_cpus", lambda: 1 if case == "one-cpu" else 2)
+    path = tmp_path / "m.tsv"
+    path.write_bytes(PARALLEL_FILES["plain"])
+    if case == "small-file":
+        monkeypatch.setattr(tsv, "_PART_BYTES", path.stat().st_size // 2 + 1)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if case == "second-thread":
+        thread.start()
+    try:
+        _assert_same_as_loadtxt(path)
+    finally:
+        stop.set()
+        if case == "second-thread":
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+
+
+@pytest.mark.parametrize("line", [2, 23], ids=["caller-part", "worker-part"])
+@pytest.mark.parametrize("value", [b"x", b"nan", b"1.0\t2.0"])
+def test_forked_fault_reads_again_serially_and_reaps(tmp_path, monkeypatch, forks,
+                                                     line, value):
+    path = tmp_path / "m.tsv"
+    lines = _tsv_bytes(_matrix()).splitlines()
+    lines[line - 1] = lines[line - 1].replace(b"\t", b"\t" + value + b"\t", 1)
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    monkeypatch.setattr(neighbors, "_usable_cpus", lambda: 1)
+    with pytest.raises(DataError) as serial:
+        tsv.read_distance_matrix_tsv(path)
+    assert forks == []
+    monkeypatch.setattr(neighbors, "_usable_cpus", lambda: 2)
+    with pytest.raises(DataError) as forked:
+        tsv.read_distance_matrix_tsv(path)
+    assert len(forks) == (1 if FORKS else 0)
+    assert str(forked.value) == str(serial.value)
+    assert f"{path}:{line}:" in str(forked.value)
+    _no_child_left()
+
+
+def test_finiteness_check_finds_nan_and_infinities():
+    arr = np.ones((4, 5))
+    assert tsv._all_finite(arr)
+    for bad in (np.nan, np.inf, -np.inf):
+        arr[2, 3] = bad
+        assert not tsv._all_finite(arr)
