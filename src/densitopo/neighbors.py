@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -279,6 +280,59 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def _fork_cpus() -> int:
+    """Processes a forked pass may run on: the usable CPUs, or 1 where a
+    fork is unsafe: ``os.fork`` is missing, a second Python thread runs, or
+    the interpreter is 3.12 or later (where forking a process with threads
+    warns, and numpy's BLAS starts one)."""
+    if (not hasattr(os, "fork") or threading.active_count() != 1
+            or sys.version_info >= (3, 12)):
+        return 1
+    return _usable_cpus()
+
+
+def _shared(nbytes: int) -> np.ndarray:
+    """``nbytes`` zero bytes in an anonymous mapping that forked processes share."""
+    # imported here: only a forked pass needs mmap and signal, and they add
+    # 1-2 ms to the import of the package
+    import mmap
+
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.uint8)
+
+
+def _forked(tasks: list) -> bool:
+    """Run ``tasks[0]()`` in the calling process and each other task in a
+    forked one; return whether every forked task returned.
+
+    A forked task hands its results back through :func:`_shared` memory; one
+    that raises exits with code 1, silently.  Every worker is reaped before
+    this returns, and killed first if the caller's own task raised, whose
+    exception then propagates.
+    """
+    import signal  # lazily, as mmap in _shared
+
+    pids = []
+    try:
+        for task in tasks[1:]:
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    task()
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        tasks[0]()
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    return not any(codes)
 
 
 # Distance entries per block of one kNN worker: the rows of a kd leaf's

@@ -11,10 +11,9 @@ when a row is at fault, ``path:line`` and the column.
 
 from __future__ import annotations
 
+import functools
 import io
 import os
-import sys
-import threading
 import warnings
 from array import array
 from pathlib import Path
@@ -208,19 +207,15 @@ def _forked_rows(path) -> np.ndarray | None:
     no more parts than it holds ``_PART_BYTES``.  The calling process
     parses the first part and one forked process each other part, all in
     chunks written straight into a shared anonymous mapping, which becomes
-    the array returned.  None, for the caller to read the file serially,
-    when: ``os.fork`` is missing, one CPU is usable, a second Python thread
-    runs, the interpreter is 3.12 or later (where forking a process with
-    threads warns, and numpy's BLAS starts one), the file is below twice
-    ``_PART_BYTES``, its first line is blank or a comment, its last line is
-    blank, or any part faults (a line that is not one finite row of the
-    first line's width, such as a bad field, a comment or blank line, or a
-    worker exit other than 0).  Every worker is reaped before this returns,
-    and killed first if the caller's own part raised.
+    the array returned (see :func:`neighbors._forked`).  None, for the
+    caller to read the file serially, when :func:`neighbors._fork_cpus`
+    gives one CPU, the file is below twice ``_PART_BYTES``, its first line
+    is blank or a comment, its last line is blank, or any part faults (a
+    line that is not one finite row of the first line's width, such as a
+    bad field, a comment or blank line, or a worker exit other than 0).
     """
-    cpus = neighbors._usable_cpus()
-    if (not hasattr(os, "fork") or cpus < 2 or threading.active_count() != 1
-            or sys.version_info >= (3, 12)):
+    cpus = neighbors._fork_cpus()
+    if cpus < 2:
         return None
     try:
         with open(path, "rb") as fh:
@@ -250,35 +245,14 @@ def _forked_rows(path) -> np.ndarray | None:
         stops = np.cumsum(part_rows).tolist()
         if stops[-1] * width > (size + 1) // 2:  # each value but the last ends in a separator
             return None
-        # imported here: only a forked parse needs them, and they add 1-2 ms
-        # to the import of the package
-        import mmap
-        import signal
-
-        out = np.frombuffer(mmap.mmap(-1, stops[-1] * width * 8),
-                            dtype=np.float64).reshape(stops[-1], width)
-        pids = []
-        try:
-            for lo, hi, start, stop in zip(cuts[1:], cuts[2:], stops, stops[1:]):
-                pid = os.fork()
-                if pid == 0:
-                    code = 1
-                    try:
-                        _parse_range(path, lo, hi, out[start:stop])
-                        code = 0
-                    finally:
-                        os._exit(code)
-                pids.append(pid)
-            _parse_range(path, 0, cuts[1], out[:stops[0]])
-        except BaseException:
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        out = neighbors._shared(stops[-1] * width * 8).view(np.float64).reshape(
+            stops[-1], width)
+        parts = zip(cuts, cuts[1:], [0, *stops], stops)
+        done = neighbors._forked([functools.partial(_parse_range, path, lo, hi, out[start:stop])
+                                  for lo, hi, start, stop in parts])
     except (OSError, ValueError):
         return None
-    return out if not any(codes) else None
+    return out if done else None
 
 
 def _float_rows(path: str | Path) -> np.ndarray:

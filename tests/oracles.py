@@ -337,6 +337,32 @@ def adaptive_k(i: int, d: float, graph: NeighborGraph) -> int:
     return cap
 
 
+@np.errstate(over="ignore")
+def scan_per_k(graph: NeighborGraph, ids: np.ndarray, d: float, cap: int) -> np.ndarray:
+    """:func:`adaptive_k` of every point of ``ids``, one k at a time.
+
+    Each step tests every point not yet rejected at one k, with the same
+    array operations as the estimator's scan, so the two agree bit for bit
+    where the statistic sits at the threshold; only the chunking over k
+    differs.
+    """
+    k_min = density.DEFAULT_K_MIN
+    omega = unit_ball_volume(d)
+    k_hat = np.full(ids.size, cap, dtype=np.int64)
+    growing = np.arange(ids.size)
+    for k in range(k_min, cap + 1):
+        rows = ids[growing]
+        j = graph.neighbor_ids[rows, k - 1]
+        v_i = omega * np.power(graph.neighbor_dists[rows, k - 1], d)
+        v_j = omega * np.power(graph.neighbor_dists[j, k - 1], d)
+        rejected = _lrt_kernel(float(k), v_i, v_j) > density.LRT_THRESHOLD
+        k_hat[growing[rejected]] = max(k_min, k - 1)
+        growing = growing[~rejected]
+        if not growing.size:
+            break
+    return k_hat
+
+
 def _regressor(shells_cum: np.ndarray, ansatz: str) -> np.ndarray:
     if ansatz == "volume":
         return shells_cum

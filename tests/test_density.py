@@ -1,7 +1,12 @@
 """Tests for the adaptive density estimator and its building blocks."""
 
 import math
+import os
 import re
+import signal
+import sys
+import threading
+import types
 import warnings
 
 import numpy as np
@@ -22,7 +27,8 @@ from densitopo import (
     synth_gmm,
     synth_uniform,
 )
-from densitopo.density import DEFAULT_K_MIN, LRT_THRESHOLD, log_density_error, unit_ball_volume
+from densitopo.density import (DEFAULT_K_MIN, LRT_THRESHOLD, _effective_cap, log_density_error,
+                               unit_ball_volume)
 from oracles import (
     adaptive_k,
     compass_max2d,
@@ -36,6 +42,7 @@ from oracles import (
     per_point_density,
     radii_constant_density,
     radii_two_step,
+    scan_per_k,
     shell_volumes,
 )
 
@@ -290,6 +297,84 @@ def test_adaptive_k_rejects_graph_smaller_than_k_min():
     graph = graph_from_radii(radii)
     with pytest.raises(ConfigError):
         adaptive_k(0, 1.0, graph)
+
+
+# ---------------------------------------------------------------------------
+# the scan over chunks of k against the scan one k at a time
+
+
+def _assert_scan_matches_per_k(graph, d, block_entries, monkeypatch, shards=(1, 2, 3)):
+    """The chunked scan equals the per-k oracle on all points and on every
+    interleaved shard ``ids[w::workers]``, as the forked estimate cuts them."""
+    cap = _effective_cap(graph)
+    monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", block_entries)
+    for workers in shards:
+        for w in range(workers):
+            ids = np.arange(w, graph.n_points, workers)
+            got = density_module._adaptive_k_all(graph, ids, d, unit_ball_volume(d), cap)
+            assert got.tolist() == scan_per_k(graph, ids, d, cap).tolist()
+    return scan_per_k(graph, np.arange(graph.n_points), d, cap)
+
+
+def _scan_cases():
+    """Graphs of each kind of row the scan must get right, with their d."""
+    cases = {}
+    # ties: every row the same, so v_i == v_j and the statistic is 0; no
+    # row is rejected and all reach the cap
+    cases["ties"] = (graph_from_radii(radii_constant_density(60, 15, 1.0, 2.0, math.pi)), 2.0)
+    # zero distances: duplicates give zero volumes, rejected as infinite
+    coords = _mixture_with_duplicates()
+    cases["duplicates"] = (build_neighbor_graph(PointSet(coords), 48), 2.9)
+    # at d = 300 most volumes overflow to inf, beside finite ones and a few
+    # that vanish to 0
+    coords = synth_uniform(n=600, dim=2, seed=0) * 100
+    cases["overflow"] = (build_neighbor_graph(PointSet(coords), 150), 300.0)
+    # k_min itself rejected: one dense row among sparse ones
+    radii = np.empty((48, 12))
+    radii[0] = radii_constant_density(1, 12, rho=1000.0, d=1.0, omega=OMEGA_1)[0]
+    radii[1:] = radii_constant_density(1, 12, rho=1.0, d=1.0, omega=OMEGA_1)[0]
+    cases["k_min_rejected"] = (graph_from_radii(radii), 1.0)
+    # rows that stop at many k below the cap, and rows that reach it
+    coords = synth_uniform(n=600, dim=2, seed=0)
+    cases["uniform"] = (build_neighbor_graph(PointSet(coords), 150), 2.0)
+    return cases
+
+
+@pytest.mark.parametrize("block_entries", [1, 40, 1 << 15])
+@pytest.mark.parametrize("case", ["ties", "duplicates", "overflow", "k_min_rejected",
+                                  "uniform"])
+def test_chunked_scan_matches_per_k_scan(case, block_entries, monkeypatch):
+    graph, d = _scan_cases()[case]
+    k_hat = _assert_scan_matches_per_k(graph, d, block_entries, monkeypatch)
+    cap = _effective_cap(graph)
+    with np.errstate(over="ignore", under="ignore"):
+        volumes = unit_ball_volume(d) * graph.neighbor_dists[:, :cap] ** d
+    kinds = {
+        "ties": k_hat == cap,
+        "duplicates": k_hat[300:] == DEFAULT_K_MIN,  # five zero radii each
+        "overflow": [np.isinf(volumes).any(), np.isfinite(volumes).any(),
+                     (volumes == 0).any(), np.unique(k_hat).size > 1],
+        "k_min_rejected": [k_hat[0] == DEFAULT_K_MIN, cap in k_hat],
+        "uniform": [np.unique(k_hat).size > 50, cap in k_hat],
+    }
+    assert np.all(kinds[case])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n=st.integers(min_value=20, max_value=80),
+       dim=st.integers(min_value=1, max_value=4),
+       decimals=st.sampled_from([0, 1, 6]),
+       d=st.sampled_from([0.5, 1.0, 2.0, 3.7, 8.0, 150.0, 300.0]),
+       block_entries=st.sampled_from([1, 7, 40, 300, 1 << 15]))
+def test_chunked_scan_matches_per_k_scan_on_random_clouds(seed, n, dim, decimals, d,
+                                                          block_entries):
+    # rounding makes duplicate points and tied volumes common; a large d
+    # makes the volumes of far neighbors overflow and of near ones vanish
+    coords = np.round(np.random.default_rng(seed).normal(size=(n, dim)) * 30, decimals)
+    graph = build_neighbor_graph(PointSet(coords), min(n - 1, 30))
+    with pytest.MonkeyPatch.context() as mp_patch:
+        _assert_scan_matches_per_k(graph, d, block_entries, mp_patch)
 
 
 # ---------------------------------------------------------------------------
@@ -697,3 +782,140 @@ def test_estimate_density_validates_d_and_ansatz():
     with pytest.raises(ConfigError,
                        match=re.escape("intrinsic dimension 300.0 is too large for point 7")):
         estimate_density(graph_from_radii(radii), 300.0)
+
+
+# ---------------------------------------------------------------------------
+# the estimate on every usable CPU: forked shards, the same bytes and errors
+
+FORKS = hasattr(os, "fork") and sys.version_info < (3, 12)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two usable CPUs and shards of any size; return the fork log."""
+    monkeypatch.setattr(density_module, "_SHARD_ROWS", 1)
+    monkeypatch.setattr(neighbors, "_usable_cpus", lambda: 2)
+    log = []
+    if hasattr(os, "fork"):
+        real = os.fork
+        monkeypatch.setattr(os, "fork", lambda: log.append(os.getpid()) or real())
+    return log
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _estimate_outcome(graph, d, ansatz="volume"):
+    """The bytes of every field of the estimate, or the error's type and text."""
+    try:
+        est = estimate_density(graph, d, ansatz)
+    except (ConfigError, DegenerateDataError) as exc:
+        return type(exc), str(exc)
+    return [getattr(est, name).tobytes() for name in _ESTIMATE_FIELDS]
+
+
+def _one_cpu_outcome(monkeypatch, graph, d, ansatz="volume"):
+    with monkeypatch.context() as m:
+        m.setattr(neighbors, "_usable_cpus", lambda: 1)
+        return _estimate_outcome(graph, d, ansatz)
+
+
+def _forked_cases():
+    mixture = build_neighbor_graph(PointSet(_mixture_with_duplicates()), 48)
+    falling_back = build_neighbor_graph(
+        PointSet(synth_gmm(k=5, n=300, dim=20, separation=10, seed=0)[0]), 64)
+    return {"duplicates-volume": (mixture, 2.9, "volume"),
+            "duplicates-index": (mixture, 2.9, "index"),
+            "fallbacks-20d": (falling_back, 14.0, "volume")}
+
+
+@pytest.mark.parametrize("cpus", [2, 5])  # 5: more processes than most machines have cores
+@pytest.mark.parametrize("case", ["duplicates-volume", "duplicates-index", "fallbacks-20d"])
+def test_forked_estimate_equals_the_one_cpu_bytes(case, cpus, forks, monkeypatch):
+    graph, d, ansatz = _forked_cases()[case]
+    want = _one_cpu_outcome(monkeypatch, graph, d, ansatz)
+    assert forks == []
+    monkeypatch.setattr(neighbors, "_usable_cpus", lambda: cpus)
+    assert _estimate_outcome(graph, d, ansatz) == want
+    assert len(forks) == (cpus - 1 if FORKS else 0)
+    _no_child_left()
+
+
+def _faulty_graph(fault: str, points: tuple[int, ...]):
+    """40 rows of 10 neighbors, cap 10, where ``points`` alone are at fault."""
+    radii = radii_constant_density(40, 10, rho=1.0, d=2.0, omega=math.pi)
+    for point in points:
+        if fault == "duplicates":
+            radii[point] = 0.0  # more than cap exact duplicates
+        else:
+            radii[point] *= 1e20  # its ball's volume overflows at d = 20
+    return graph_from_radii(radii), 2.0 if fault == "duplicates" else 20.0
+
+
+@pytest.mark.parametrize("points", [(6,), (7,), (5, 6)],
+                         ids=["caller-shard", "worker-shard", "both-shards"])
+@pytest.mark.parametrize("fault", ["duplicates", "d-too-large"])
+def test_shard_error_is_the_one_cpu_error(fault, points, forks, monkeypatch):
+    # on two CPUs the caller estimates the even points, the worker the odd;
+    # with a fault in both, a one-CPU run names the worker's point 5 first
+    graph, d = _faulty_graph(fault, points)
+    want = _one_cpu_outcome(monkeypatch, graph, d)
+    kind, text = want
+    assert kind is (DegenerateDataError if fault == "duplicates" else ConfigError)
+    assert text.startswith(f"point {points[0]}: more than 10 exact duplicates"
+                           if fault == "duplicates" else
+                           f"intrinsic dimension 20.0 is too large for point {points[0]}")
+    assert _estimate_outcome(graph, d) == want
+    assert len(forks) == (1 if FORKS else 0)
+    _no_child_left()
+
+
+@pytest.mark.skipif(not FORKS, reason="the density estimate forks only before Python 3.12")
+@pytest.mark.parametrize("how", ["exit-code", "signal", "exception"])
+def test_failed_worker_gives_the_one_cpu_bytes(how, forks, monkeypatch):
+    graph, d, ansatz = _forked_cases()["duplicates-volume"]
+    want = _one_cpu_outcome(monkeypatch, graph, d, ansatz)
+    caller, estimate_rows = os.getpid(), density_module._estimate_rows
+
+    def failing(*args):
+        if os.getpid() != caller:
+            if how == "exit-code":
+                os._exit(3)
+            if how == "signal":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("worker failed")
+        return estimate_rows(*args)
+
+    monkeypatch.setattr(density_module, "_estimate_rows", failing)
+    assert _estimate_outcome(graph, d, ansatz) == want
+    assert len(forks) == 1
+    _no_child_left()
+
+
+@pytest.mark.parametrize("case", ["one-cpu", "few-points", "second-thread", "python-3.12",
+                                  "no-fork"])
+def test_serial_unless_every_condition_holds(case, forks, monkeypatch):
+    graph, d, ansatz = _forked_cases()["duplicates-volume"]
+    want = _one_cpu_outcome(monkeypatch, graph, d, ansatz)
+    if case == "one-cpu":
+        monkeypatch.setattr(neighbors, "_usable_cpus", lambda: 1)
+    elif case == "few-points":  # one shard of _SHARD_ROWS points or more
+        monkeypatch.setattr(density_module, "_SHARD_ROWS", graph.n_points // 2 + 1)
+    elif case == "python-3.12":
+        monkeypatch.setattr(neighbors, "sys", types.SimpleNamespace(version_info=(3, 12, 0)))
+    elif case == "no-fork" and hasattr(os, "fork"):
+        monkeypatch.delattr(os, "fork")
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if case == "second-thread":
+        thread.start()
+    try:
+        assert _estimate_outcome(graph, d, ansatz) == want
+    finally:
+        stop.set()
+        if case == "second-thread":
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []

@@ -2,15 +2,17 @@
 of reading a kNN, point or matrix file, and the life of the block scratch.
 
 numpy reports its array buffers to tracemalloc, so a traced peak counts every
-temporary a stage allocates, in any thread.  Each pass test shrinks the block
-budget, so a pass whose scratch follows the size of the table rather than of
-its block shows as a peak far above the bound.  The scratch tests check that
-each worker's buffers are made once per call, not once per block, that none
-outlives the call, and that nothing a block left in them reaches a result.
+temporary a stage allocates, in any thread, but not in a forked process.  Each
+pass test shrinks the block budget, so a pass whose scratch follows the size of
+the table rather than of its block shows as a peak far above the bound.  The
+scratch tests check that each worker's buffers are made once per call, not
+once per block, that none outlives the call, and that nothing a block left in
+them reaches a result.
 """
 
 import itertools
 import math
+import mmap
 import os
 import sys
 import tracemalloc
@@ -62,9 +64,9 @@ def test_kd_leaf_knn_peak_follows_its_blocks_not_its_leaves(monkeypatch):
     assert peak - graph_bytes < graph_bytes / 4
 
 
-def test_density_peak_follows_its_blocks_not_the_table(monkeypatch):
-    # a budget of four rows at k_max: the fits' working arrays must follow
-    # their padded blocks, not the n x k_max table
+def _density_peak(monkeypatch):
+    # a budget of four rows at k_max: the scan's chunks of k and the fits'
+    # working arrays must follow their blocks, not the n x k_max table
     coords, _ = synth_gmm(k=3, n=5000, dim=2, separation=8, seed=1)
     graph = build_neighbor_graph(PointSet(coords), k_max=400)
     monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 4 * graph.k_max)
@@ -72,6 +74,26 @@ def test_density_peak_follows_its_blocks_not_the_table(monkeypatch):
     assert estimate.k_hat.max() == graph.k_max
     # below one byte per entry of the n x k_max table
     assert peak < graph.n_points * graph.k_max
+
+
+def test_density_peak_follows_its_blocks_not_the_table(monkeypatch):
+    # one usable CPU: every point is estimated in this process, where
+    # tracemalloc sees all the work
+    _pretend_cpus(monkeypatch, 1)
+    forks = _count_forks(monkeypatch)
+    _density_peak(monkeypatch)
+    assert forks == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or sys.version_info >= (3, 12),
+                    reason="the density estimate forks only before Python 3.12")
+def test_forked_density_peak_of_the_caller_follows_its_blocks(monkeypatch):
+    # two CPUs: the caller estimates half the points and a forked process,
+    # which tracemalloc does not see, the other half into a shared mapping
+    _pretend_cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    _density_peak(monkeypatch)
+    assert len(forks) == 1
 
 
 def test_clustering_peak_follows_its_blocks_not_the_table(monkeypatch):
@@ -137,8 +159,24 @@ def _pretend_cpus(monkeypatch, cpus):
     monkeypatch.setattr(neighbors, "_usable_cpus", lambda: cpus)
 
 
+def _count_forks(monkeypatch) -> list[int]:
+    """Log every ``os.fork`` call from now on."""
+    log = []
+    if hasattr(os, "fork"):
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: log.append(1) or fork())
+    return log
+
+
 def _arrays_bytes(*arrays) -> int:
-    return sum(arr.nbytes for arr in arrays)
+    """Bytes of the arrays that tracemalloc sees: not those whose memory is
+    a shared mapping, as a forked estimate's are."""
+    def owner(arr):
+        while isinstance(arr, np.ndarray) and arr.base is not None:
+            arr = arr.base
+        return arr.obj if isinstance(arr, memoryview) else arr
+
+    return sum(arr.nbytes for arr in arrays if not isinstance(owner(arr), mmap.mmap))
 
 
 def _held_after(fn, *args):

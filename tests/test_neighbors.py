@@ -1,8 +1,10 @@
 """Graph construction, ingestion formats, and their validation rules."""
 
 import itertools
+import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -695,3 +697,40 @@ def test_exact_knn_rows_matches_stable_sort(make):
         assert dists.tobytes() == want_dists.tobytes()
     np.testing.assert_array_equal(block, before)
 
+
+
+# ---------------------------------------------------------------------------
+# forked passes: the one fork, reap and kill path of the point, matrix and
+# density readers' workers
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_tasks_write_shared_memory_and_report_worker_failure():
+    out = neighbors._shared(3)
+
+    def put(i, code=0):
+        def task():
+            out[i] = i + 1
+            if code:
+                os._exit(code)
+        return task
+
+    assert neighbors._forked([put(0), put(1), put(2)])
+    assert out.tolist() == [1, 2, 3]
+    assert not neighbors._forked([put(0), put(1, code=4)])
+    assert not neighbors._forked([put(0), put(1), lambda: 1 / 0])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_workers_are_killed_when_the_caller_raises():
+    def interrupted():
+        raise KeyboardInterrupt
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        neighbors._forked([interrupted, lambda: time.sleep(60)])
+    assert time.monotonic() - start < 30  # the sleeping worker was killed, then reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
