@@ -23,14 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from . import synth
-from .clustering import PeakAssignment, SaddleTable, _check_z, cluster_points
+from .clustering import PeakAssignment, SaddleTable, check_z, cluster_points
 from .density import DensityEstimate, estimate_density
 from .errors import (EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, ConfigError,
                      DataError, InternalInvariantError)
 from .intrinsic_dim import twonn_estimate
 from .metrics import (LabeledPartition, confusion_matrix, majority_labels, nmi,
                       purity)
-from .neighbors import (_METRICS, NeighborGraph, PairwiseDistances, build_neighbor_graph,
+from .neighbors import (METRICS, NeighborGraph, PairwiseDistances, build_neighbor_graph,
                         ingest_distance_matrix)
 from .topography import (build_topography, dendrogram_newick, mds_layout,
                          network_dot, single_linkage, topography_to_json)
@@ -132,8 +132,8 @@ def _load_graph(cfg: RunConfig, need_pairwise: bool):
         raise ConfigError(f"format must be one of {_FORMATS}, got {cfg.format!r}")
     if cfg.input is None:
         raise ConfigError("--input is required")
-    if cfg.metric not in _METRICS:
-        raise ConfigError(f"metric must be one of {_METRICS}, got {cfg.metric!r}")
+    if cfg.metric not in METRICS:
+        raise ConfigError(f"metric must be one of {METRICS}, got {cfg.metric!r}")
 
     if cfg.format == "coords":
         points = read_points_tsv(cfg.input)
@@ -268,7 +268,7 @@ def run_pipeline(config: RunConfig) -> dict:
     when every stage succeeds; on failure the error names the failing
     stage and the output directory keeps what it held before.
     """
-    _check_z(config.z)
+    check_z(config.z)
     with _staged(config.outdir) as out:
         stage = "ingest"
         try:
@@ -395,7 +395,7 @@ def _add_common(p: argparse.ArgumentParser, formats=_FORMATS) -> None:
     p.add_argument("--input", help="input data file (TSV)")
     p.add_argument("--format", choices=list(formats), default=None,
                    help="input layout (default coords)")
-    p.add_argument("--metric", choices=list(_METRICS), default=None)
+    p.add_argument("--metric", choices=list(METRICS), default=None)
     p.add_argument("--k-max", dest="k_max", type=int, default=None,
                    help="neighbors per point (default min(n-1, 512))")
     p.add_argument("--config", default=None,

@@ -15,13 +15,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import neighbors
+from ._blocks import Scratch, row_blocks, take
 from .density import DensityEstimate
 from .errors import ConfigError, DegenerateDataError, InternalInvariantError
-from .neighbors import NeighborGraph, PairwiseDistances, _row_blocks, _Scratch, _take
+from .neighbors import NeighborGraph, PairwiseDistances
 
 
-def _check_z(z: float) -> None:
+def check_z(z: float) -> None:
     """Reject a merge threshold z that is negative or NaN."""
     if not (z >= 0.0):
         raise ConfigError(f"z must be >= 0, got {z}")
@@ -68,7 +68,7 @@ class ClusterResult:
     putative_centers: list[int]
 
 
-def _row_ids(graph: NeighborGraph, rows, scratch: _Scratch) -> np.ndarray:
+def _row_ids(graph: NeighborGraph, rows, scratch: Scratch) -> np.ndarray:
     """Neighbor ids of the rows ``rows`` as intp, the index type numpy
     gathers by, in the scratch buffer ``"ids"``.
 
@@ -81,9 +81,9 @@ def _row_ids(graph: NeighborGraph, rows, scratch: _Scratch) -> np.ndarray:
     return ids
 
 
-def _gather(values: np.ndarray, ids: np.ndarray, scratch: _Scratch, name: str) -> np.ndarray:
+def _gather(values: np.ndarray, ids: np.ndarray, scratch: Scratch, name: str) -> np.ndarray:
     """``values[ids]`` in the scratch buffer ``name``."""
-    return _take(values, ids, scratch.take(name, ids.shape, values.dtype))
+    return take(values, ids, scratch.take(name, ids.shape, values.dtype))
 
 
 def compute_g(estimate: DensityEstimate) -> np.ndarray:
@@ -110,8 +110,8 @@ def compute_delta_parent(g: np.ndarray, graph: NeighborGraph,
     parent = np.full(n, -1, dtype=np.int64)
     need_scan: list[int] = []
 
-    scratch = _Scratch()
-    for s, e in _row_blocks(n, k_max, neighbors._BLOCK_ENTRIES):
+    scratch = Scratch()
+    for s, e in row_blocks(n, k_max):
         ids = _row_ids(graph, slice(s, e), scratch)
         dists = graph.neighbor_dists[s:e]
         higher = np.greater(_gather(g, ids, scratch, "g"), g[s:e, None],
@@ -155,8 +155,8 @@ def detect_putative_centers(g: np.ndarray, delta: np.ndarray,
     eligible = delta > estimate.r_khat
     vetoed = np.zeros(n, dtype=bool)
     k_hat = estimate.k_hat
-    scratch = _Scratch()
-    for s, e in _row_blocks(n, graph.k_max, neighbors._BLOCK_ENTRIES):
+    scratch = Scratch()
+    for s, e in row_blocks(n, graph.k_max):
         ids = _row_ids(graph, slice(s, e), scratch)
         dominated = np.less(_gather(g, ids, scratch, "g"), g[s:e, None],
                             out=scratch.take("dominated", ids.shape, bool))
@@ -214,8 +214,8 @@ def find_borders_saddles(labels: np.ndarray, graph: NeighborGraph,
     border: list[np.ndarray] = []
     pair_key: list[np.ndarray] = []
 
-    scratch = _Scratch()
-    for s, e in _row_blocks(n, graph.k_max, neighbors._BLOCK_ENTRIES):
+    scratch = Scratch()
+    for s, e in row_blocks(n, graph.k_max):
         ids = _row_ids(graph, slice(s, e), scratch)
         within = np.less_equal(graph.neighbor_dists[s:e], estimate.r_khat[s:e, None],
                                out=scratch.take("within", ids.shape, bool))
@@ -231,7 +231,7 @@ def find_borders_saddles(labels: np.ndarray, graph: NeighborGraph,
 
         ok = np.empty(i.size, dtype=bool)
         # the block's ids and labels are spent: the back-check reuses their buffers
-        for b, c in _row_blocks(i.size, graph.k_max, neighbors._BLOCK_ENTRIES):
+        for b, c in row_blocks(i.size, graph.k_max):
             jb, mb = j[b:c], mine[b:c]
             hit = np.equal(_gather(labels, _row_ids(graph, jb, scratch), scratch, "labels"),
                            mb[:, None], out=scratch.take("hit", (jb.size, graph.k_max), bool))
@@ -345,7 +345,7 @@ def cluster_points(graph: NeighborGraph, estimate: DensityEstimate,
     merges more aggressively, z = 0 keeps every density peak that stands
     above its saddles at all.
     """
-    _check_z(z)
+    check_z(z)
     g = compute_g(estimate)
     delta, parent = compute_delta_parent(g, graph, pairwise)
     putative = detect_putative_centers(g, delta, estimate, graph)

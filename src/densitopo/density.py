@@ -9,15 +9,15 @@ corrects the leading bias of the plain k/V estimate.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import neighbors
+from . import _blocks
+from ._blocks import Scratch, fork_cpus, forked, row_blocks, take
 from .errors import ConfigError, DegenerateDataError
-from .neighbors import NeighborGraph, _row_blocks, _Scratch, _take
+from .neighbors import NeighborGraph
 
 # chi-square(1) quantile at p = 1e-6: neighborhood growth stops once the
 # same-density hypothesis is rejected at that level
@@ -73,7 +73,7 @@ class DensityEstimate:
         return self.k_hat.shape[0]
 
 
-def _lrt_kernel(k, v_i, v_j, scratch: _Scratch | None = None):
+def _lrt_kernel(k, v_i, v_j, scratch: Scratch | None = None):
     """Likelihood-ratio statistic comparing separate vs shared density.
 
     Twice the gap between the two points' individually maximized shell
@@ -85,7 +85,7 @@ def _lrt_kernel(k, v_i, v_j, scratch: _Scratch | None = None):
     k = np.asarray(k, dtype=np.float64)
     v_i = np.asarray(v_i, dtype=np.float64)
     v_j = np.asarray(v_j, dtype=np.float64)
-    scratch = scratch or _Scratch()
+    scratch = scratch or Scratch()
     shape = np.broadcast_shapes(k.shape, v_i.shape, v_j.shape)
     stat, sep_j, shared = (scratch.take(name, shape) for name in ("stat", "sep_j", "shared"))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -132,7 +132,7 @@ def _adaptive_k_all(graph: NeighborGraph, ids: np.ndarray, d: float, omega: floa
     consecutive k, in arrays reused from step to step, and each point takes
     its first rejection in the chunk.  The tests past it are wasted, but
     the step's 55 or so numpy calls are paid once per chunk, not once per
-    k.  A chunk holds as many k as keep the step within ``_BLOCK_ENTRIES``
+    k.  A chunk holds as many k as keep the step within ``BLOCK_ENTRIES``
     entries (one at least), and no more than the scan has passed, so a
     point that stops early wastes no more tests than it made: at k_hat
     near 12 (1.5k points in 20-D) the scan took 1.7 ms, against 3.9 ms
@@ -141,10 +141,10 @@ def _adaptive_k_all(graph: NeighborGraph, ids: np.ndarray, d: float, omega: floa
     """
     k_hat = np.full(graph.n_points, cap, dtype=np.int64)
     rows = ids  # the points not yet rejected
-    scratch = _Scratch()
+    scratch = Scratch()
     k = DEFAULT_K_MIN
     while k <= cap and rows.size:
-        width = min(max(1, neighbors._BLOCK_ENTRIES // rows.size), cap + 1 - k,
+        width = min(max(1, _blocks.BLOCK_ENTRIES // rows.size), cap + 1 - k,
                     k + 1 - DEFAULT_K_MIN)
         # one line per k: every elementwise loop runs along the points, and
         # a k broadcasts down its line
@@ -155,11 +155,11 @@ def _adaptive_k_all(graph: NeighborGraph, ids: np.ndarray, d: float, omega: floa
         np.multiply(rows, graph.k_max, out=at[0])
         at[1:] = at[0]
         at += cols
-        j = _take(graph.neighbor_ids, at, scratch.take("j", shape, graph.neighbor_ids.dtype))
-        v_i = _take(graph.neighbor_dists, at, scratch.take("v_i", shape))
+        j = take(graph.neighbor_ids, at, scratch.take("j", shape, graph.neighbor_ids.dtype))
+        v_i = take(graph.neighbor_dists, at, scratch.take("v_i", shape))
         np.multiply(j, graph.k_max, out=at, dtype=np.intp)
         at += cols
-        v_j = _take(graph.neighbor_dists, at, scratch.take("v_j", shape))
+        v_j = take(graph.neighbor_dists, at, scratch.take("v_j", shape))
         for v in (v_i, v_j):
             np.power(v, d, out=v)
             np.multiply(omega, v, out=v)
@@ -233,7 +233,7 @@ def _loglik(b: np.ndarray, a: np.ndarray, x: np.ndarray, v: np.ndarray, k: np.nd
 
 @np.errstate(over="ignore", invalid="ignore")
 def _fit_rows(ids: np.ndarray, k: np.ndarray, d: float, omega: float, ansatz: str,
-              graph: NeighborGraph, scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
+              graph: NeighborGraph, scratch: Scratch) -> tuple[np.ndarray, np.ndarray]:
     """Fit log rho with a linear density drift over each point's k shells.
 
     Per point, maximizes the shell likelihood of rate exp(b + a * x_l) by
@@ -308,7 +308,7 @@ def _fit_rows(ids: np.ndarray, k: np.ndarray, d: float, omega: float, ansatz: st
                 arr[go] for arr in (rows, k, b, a, current, w_sum, x_sum))
             moves += 1
             kept = np.flatnonzero(go)
-            x, v, w = (_take(arr, kept, scratch.take(name, (n_go, shape[1]), offset=at), 0)
+            x, v, w = (take(arr, kept, scratch.take(name, (n_go, shape[1]), offset=at), 0)
                        for name, arr, at in (("x", x, moves % 2 * half),
                                              ("v", v, moves % 2 * half),
                                              ("w", w, (moves + 1) % 2 * half)))
@@ -324,7 +324,7 @@ def _fit_rows(ids: np.ndarray, k: np.ndarray, d: float, omega: float, ansatz: st
             hit = pending[ok]
             b[hit], a[hit], current[hit] = tb[ok], ta[ok], cand[ok]
             # the exponents are spent: their rows take the accepted terms
-            w[hit] = _take(cand_w, np.flatnonzero(ok), terms[0, :hit.size], 0)
+            w[hit] = take(cand_w, np.flatnonzero(ok), terms[0, :hit.size], 0)
             w_sum[hit] = cand_sum[ok]
             pending = pending[~ok]
             if not pending.size or halving == _MAX_STEP_HALVINGS - 1:
@@ -333,8 +333,8 @@ def _fit_rows(ids: np.ndarray, k: np.ndarray, d: float, omega: float, ansatz: st
             step_a[pending] *= 0.5
             tb, ta = b[pending] + step_b[pending], a[pending] + step_a[pending]
             xv, terms = scratch.take("halving", (2, 2, pending.size, shape[1]))
-            cand, cand_w, cand_sum = _loglik(tb, ta, _take(x, pending, xv[0], 0),
-                                             _take(v, pending, xv[1], 0), k[pending], terms)
+            cand, cand_w, cand_sum = _loglik(tb, ta, take(x, pending, xv[0], 0),
+                                             take(v, pending, xv[1], 0), k[pending], terms)
     return log_rho, fallback
 
 
@@ -353,7 +353,7 @@ def _estimate_rows(graph: NeighborGraph, ids: np.ndarray, d: float, omega: float
     k_hat[ids], r_khat[ids], fallback[ids] = k, r, True
     coincident = r <= 0.0
     retry = ids[coincident]
-    for s, e in _row_blocks(retry.size, cap, neighbors._BLOCK_ENTRIES):
+    for s, e in row_blocks(retry.size, cap):
         # all selected neighbors coincide with the point; widen until the
         # ball has positive volume
         block = retry[s:e]
@@ -371,10 +371,10 @@ def _estimate_rows(graph: NeighborGraph, ids: np.ndarray, d: float, omega: float
 
     order = np.argsort(k[~coincident], kind="stable")
     fit, ks = ids[~coincident][order], k[~coincident][order]
-    scratch = _Scratch()  # the fits' working arrays, reused from block to block
+    scratch = Scratch()  # the fits' working arrays, reused from block to block
     # padded entries (points x the block's largest k_hat) per lockstep fit
     # block, whose largest k_hat is at most twice its smallest
-    budget = neighbors._BLOCK_ENTRIES
+    budget = _blocks.BLOCK_ENTRIES
     lo = 0
     while lo < fit.size:
         # the rows up to twice the first one's k_hat that fit the budget
@@ -397,24 +397,6 @@ def _estimate_rows(graph: NeighborGraph, ids: np.ndarray, d: float, omega: float
 # so smaller graphs, such as the 2,000-point matrix2k benchmark, keep one
 # process.
 _SHARD_ROWS = 1024
-
-
-def _forked_estimate(graph: NeighborGraph, d: float, omega: float, cap: int,
-                     ansatz: str, workers: int) -> tuple[np.ndarray, ...] | None:
-    """k_hat, log_rho, r_khat and fallback from ``workers`` interleaved
-    shards, the first estimated by the caller and each other by a forked
-    process, all written into one shared mapping; None if any shard raised
-    or its process failed."""
-    n = graph.n_points
-    out = neighbors._shared(25 * n)  # three 8-byte arrays and one of flags
-    arrays = (out[:8 * n].view(np.int64), out[8 * n:16 * n].view(np.float64),
-              out[16 * n:24 * n].view(np.float64), out[24 * n:].view(bool))
-    tasks = [functools.partial(_estimate_rows, graph, np.arange(w, n, workers), d, omega,
-                               cap, ansatz, *arrays) for w in range(workers)]
-    try:
-        return arrays if neighbors._forked(tasks) else None
-    except Exception:
-        return None  # the serial estimate raises the error of a one-CPU run
 
 
 def estimate_density(graph: NeighborGraph, d: float,
@@ -449,13 +431,21 @@ def estimate_density(graph: NeighborGraph, d: float,
         raise ConfigError(f"ansatz must be one of {ANSATZ_CHOICES}, got {ansatz!r}")
     n = graph.n_points
     cap = _effective_cap(graph)
-    workers = min(neighbors._fork_cpus(), n // _SHARD_ROWS)
-    arrays = _forked_estimate(graph, d, omega, cap, ansatz, workers) if workers > 1 else None
-    if arrays is None:
-        arrays = (np.empty(n, dtype=np.int64), np.empty(n), np.empty(n),
-                  np.empty(n, dtype=bool))
-        _estimate_rows(graph, np.arange(n), d, omega, cap, ansatz, *arrays)
-    k_hat, log_rho, r_khat, fallback = arrays
+
+    def fields(out: np.ndarray) -> tuple[np.ndarray, ...]:
+        # k_hat, log_rho, r_khat and fallback: three 8-byte arrays and one of flags
+        return (out[:8 * n].view(np.int64), out[8 * n:16 * n].view(np.float64),
+                out[16 * n:24 * n].view(np.float64), out[24 * n:].view(bool))
+
+    def shard(out: np.ndarray, w: int, shards: int) -> None:
+        _estimate_rows(graph, np.arange(w, n, shards), d, omega, cap, ansatz, *fields(out))
+
+    workers = min(fork_cpus(), n // _SHARD_ROWS)
+    out = forked(workers, 25 * n, lambda buf, w: shard(buf, w, workers)) if workers > 1 else None
+    if out is None:
+        out = np.empty(25 * n, dtype=np.uint8)
+        shard(out, 0, 1)
+    k_hat, log_rho, r_khat, fallback = fields(out)
 
     err = log_density_error(k_hat.astype(np.float64))
     if not np.isfinite(log_rho).all():

@@ -9,75 +9,21 @@ graph from identical input bytes yields identical output bytes.
 from __future__ import annotations
 
 import math
-import os
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blocks
+from ._blocks import Scratch, map_blocks, row_blocks, take, take_rows
 from .errors import ConfigError, DataError
 
 DEFAULT_K_MAX = 512
 
-_METRICS = ("euclidean", "manhattan")
-
-# Entries of an n x k_max or n x n table per block of a serial pass: the
-# graph's and a distance matrix's checks, the density retry and fits, and
-# the clustering passes.  A pass holds a few bytes of temporaries per entry
-# of one block, not of the table.  Its scratch is freed when it returns,
-# below the arrays it made, so it stays resident as free heap: at 2^16
-# entries a uniform2d run peaked 1.5 MB higher than at 2^15, in the same
-# time.  The other modules read it here when a pass runs, so one setting
-# reaches every pass.
-_BLOCK_ENTRIES = 1 << 15
-
+METRICS = ("euclidean", "manhattan")
 
 def _id_dtype(n: int) -> type:
     """Neighbor id dtype for n points: int32 while every id fits in it."""
     return np.int32 if n < 2**31 else np.int64
-
-
-def _row_blocks(n_rows: int, row_width: int, budget: int) -> list[tuple[int, int]]:
-    """``(start, stop)`` of contiguous row blocks of at most ``budget`` entries.
-
-    A block holds at least one row, however wide.
-    """
-    step = max(1, budget // row_width)
-    return [(s, min(n_rows, s + step)) for s in range(0, n_rows, step)]
-
-
-class _Scratch:
-    """Working arrays reused by every block one worker runs in one call.
-
-    ``take(name, shape, dtype, offset)`` returns a C-contiguous view that
-    starts ``offset`` bytes into the byte buffer called ``name`` and holds
-    whatever an earlier block left there; the buffer is replaced by a larger
-    one when a wider block asks for more.  Views of one name share its
-    bytes, so arrays whose lives do not overlap can share a buffer.  Fresh
-    block-sized temporaries are handed back to the kernel by malloc between
-    blocks and faulted in again for the next one; reused buffers are faulted
-    in once.  A caller makes one per worker for the length of one call, and
-    the buffers are freed with it: kept any longer, they would raise the
-    peak of later stages.
-    """
-
-    def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64,
-             offset: int = 0) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        end = offset + math.prod(shape) * dtype.itemsize
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < end:
-            buf = self._buffers[name] = None  # freed before its successor is made
-            buf = self._buffers[name] = self._allocate(name, end)
-        return buf[offset:end].view(dtype).reshape(shape)
-
-    def _allocate(self, name: str, nbytes: int) -> np.ndarray:
-        return np.empty(nbytes, dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -128,7 +74,7 @@ class NeighborGraph:
         if n < 2 or k_max < 1 or k_max > n - 1:
             raise DataError(f"invalid neighbor graph shape ({n}, {k_max})")
         # ids are range-checked in the caller's dtype: the cast below would wrap
-        for s, e in _row_blocks(n, k_max, _BLOCK_ENTRIES):
+        for s, e in row_blocks(n, k_max):
             block_ids, block_dists = ids[s:e], dists[s:e]
             if not np.isfinite(block_dists).all():
                 raise DataError("non-finite neighbor distance")
@@ -165,7 +111,7 @@ class PairwiseDistances:
                  matrix: np.ndarray | None = None, metric: str = "euclidean"):
         if (coords is None) == (matrix is None):
             raise ConfigError("provide exactly one of coordinates or a distance matrix")
-        if coords is not None and metric not in _METRICS:
+        if coords is not None and metric not in METRICS:
             raise ConfigError(f"unknown metric {metric!r}")
         self._coords = None if coords is None else np.asarray(coords, dtype=np.float64)
         self._matrix = None if matrix is None else np.asarray(matrix, dtype=np.float64)
@@ -175,10 +121,10 @@ class PairwiseDistances:
         """Distances from point i to every point (self included, = 0)."""
         if self._matrix is not None:
             return self._matrix[i]
-        return _distances(self._coords[i:i + 1], self._coords, self._metric, _Scratch())[0]
+        return _distances(self._coords[i:i + 1], self._coords, self._metric, Scratch())[0]
 
 
-def _distances(a: np.ndarray, b: np.ndarray, metric: str, scratch: _Scratch) -> np.ndarray:
+def _distances(a: np.ndarray, b: np.ndarray, metric: str, scratch: Scratch) -> np.ndarray:
     """Distances from each row of ``a`` to each row of ``b``, as cdist computes them.
 
     The terms are added in coordinate order, one column at a time, and the
@@ -203,32 +149,8 @@ def _distances(a: np.ndarray, b: np.ndarray, metric: str, scratch: _Scratch) -> 
     return d
 
 
-def _take(table: np.ndarray, index: np.ndarray, out: np.ndarray | None,
-          axis: int | None = None) -> np.ndarray:
-    """``np.take(table, index, axis)``, written into ``out`` when given.
-
-    The indices are in range: mode "clip" only keeps numpy from writing
-    through a copy of ``out``, as it does in mode "raise".  ``table`` is
-    C-contiguous, or numpy copies all of it first.
-    """
-    return np.take(table, index, axis=axis, out=out, mode="clip")
-
-
-def _take_rows(table: np.ndarray, cols: np.ndarray, flat: np.ndarray | None = None,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """``table[r, cols[r]]`` per row r, as take_along_axis but by flat index.
-
-    The flat index is written into ``flat`` when given, shaped as ``cols``
-    (``cols`` itself will do), and ``table`` is C-contiguous, or numpy
-    would copy it.  On a 24 x 4,000 block at 512 columns it took 31 against
-    76 us.
-    """
-    flat = np.add(cols, (np.arange(cols.shape[0]) * table.shape[1])[:, None], out=flat)
-    return _take(table, flat, out)
-
-
 def _exact_knn_rows(block: np.ndarray, k_max: int,
-                    scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
+                    scratch: Scratch) -> tuple[np.ndarray, np.ndarray]:
     """Select the k_max nearest per row of a distance block, exactly.
 
     Ties are broken by ascending candidate index.  Argpartition selects
@@ -253,10 +175,10 @@ def _exact_knn_rows(block: np.ndarray, k_max: int,
     mask = scratch.take("term", block.shape, bool, 2 * size)  # last, so the buffer grows once
     ids, dists = scratch.take("term", shape, np.intp), scratch.take("term", shape, offset=size)
     whole = np.argpartition(block, k_max - 1, axis=1)
-    _take_rows(block, whole[:, :k_max], ids, dists)
+    take_rows(block, whole[:, :k_max], ids, dists)
     order = np.argsort(dists, axis=1)
     # order indexes the first k_max columns, which ``whole`` holds in place
-    _take_rows(whole, order, order, ids)
+    take_rows(whole, order, order, ids)
     dists.sort(axis=1)
     kth = dists[:, -1:]
     tied = (dists[:, 1:] == dists[:, :-1]).any(axis=1)
@@ -268,139 +190,32 @@ def _exact_knn_rows(block: np.ndarray, k_max: int,
         at = sub == kth
         keep |= at & (np.cumsum(at, axis=1) <= k_max - keep.sum(axis=1, keepdims=True))
         sel = np.nonzero(keep)[1].reshape(rows.size, k_max)
-        sel_d = _take_rows(sub, sel)
+        sel_d = take_rows(sub, sel)
         order = np.argsort(sel_d, axis=1, kind="stable")
-        ids[rows], dists[rows] = _take_rows(sel, order), _take_rows(sel_d, order)
+        ids[rows], dists[rows] = take_rows(sel, order), take_rows(sel_d, order)
     return ids, dists
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _fork_cpus() -> int:
-    """Processes a forked pass may run on: the usable CPUs, or 1 where a
-    fork is unsafe: ``os.fork`` is missing, a second Python thread runs, or
-    the interpreter is 3.12 or later (where forking a process with threads
-    warns, and numpy's BLAS starts one)."""
-    if (not hasattr(os, "fork") or threading.active_count() != 1
-            or sys.version_info >= (3, 12)):
-        return 1
-    return _usable_cpus()
-
-
-def _shared(nbytes: int) -> np.ndarray:
-    """``nbytes`` zero bytes in an anonymous mapping that forked processes share."""
-    # imported here: only a forked pass needs mmap and signal, and they add
-    # 1-2 ms to the import of the package
-    import mmap
-
-    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.uint8)
-
-
-def _forked(tasks: list) -> bool:
-    """Run ``tasks[0]()`` in the calling process and each other task in a
-    forked one; return whether every forked task returned.
-
-    A forked task hands its results back through :func:`_shared` memory; one
-    that raises exits with code 1, silently.  Every worker is reaped before
-    this returns, and killed first if the caller's own task raised, whose
-    exception then propagates.
-    """
-    import signal  # lazily, as mmap in _shared
-
-    pids = []
-    try:
-        for task in tasks[1:]:
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    task()
-                    code = 0
-                finally:
-                    os._exit(code)
-            pids.append(pid)
-        tasks[0]()
-    except BaseException:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    return not any(codes)
-
-
-# Distance entries per block of one kNN worker: the rows of a kd leaf's
-# bounds, and of :func:`_knn_among` against a leaf's candidates or every
-# point.  Each worker owns one scratch of this size, reused from block to
-# block and resident until the call returns, so the stage's peak grows with
-# the worker count.  On 2 CPUs a 20k-point 3-D mixture builds in about 1.05 s
-# at 2^17, 2^18 and 2^19 entries per worker and peaks at 165, 170 and 185
-# MiB (1.38 s and 173 MiB at 2^19 with fresh scratch per block).  At 2^15,
-# the serial passes' size, the kNN of a 10k-point 2-D mixture takes 0.60
-# against 0.43 s on 2 CPUs.
-_WORKER_ENTRIES = 1 << 17
-
-
-def _map_blocks(fn, blocks: list[tuple]) -> list:
-    """Return ``[fn(scratch, *b) for b in blocks]``, in block order.
-
-    The blocks run on a thread pool with one worker per usable CPU; the
-    numpy kernels they call release the GIL.  With one CPU, or a single
-    block, they run in the calling thread in order: scratch freed in a
-    worker thread stays in that thread's malloc arena and raises the peak
-    of later stages.  Each worker passes its blocks one :class:`_Scratch`,
-    freed when the call returns, so no result may be a view of it.  Callers
-    size blocks by ``_WORKER_ENTRIES``, the entries of one worker's scratch,
-    so the CPU count is read here alone and the total scratch grows with
-    it.  If a block raises, the blocks not yet started are cancelled and
-    the exception propagates once the running ones have finished.
-    """
-    workers = min(_usable_cpus(), len(blocks))
-    if workers <= 1:
-        scratch = _Scratch()
-        return [fn(scratch, *b) for b in blocks]
-    by_thread: dict[int, _Scratch] = {}
-
-    def run(*b):
-        ident = threading.get_ident()
-        if ident not in by_thread:
-            by_thread[ident] = _Scratch()
-        return fn(by_thread[ident], *b)
-
-    pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="densitopo-knn")
-    try:
-        futures = [pool.submit(run, *b) for b in blocks]
-        return [f.result() for f in futures]
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
 def _knn_among(rows: np.ndarray, cand: np.ndarray, distance_rows,
-               ids: np.ndarray, dists: np.ndarray, scratch: _Scratch) -> None:
+               ids: np.ndarray, dists: np.ndarray, scratch: Scratch) -> None:
     """Write the exact kNN of ``rows`` among the points ``cand`` into ``ids`` and ``dists``.
 
     ``cand`` is ascending and holds every row; ``distance_rows(part, cand,
     scratch)`` returns the distances from the points ``part`` to ``cand`` in
     a buffer of ``scratch`` that this step may overwrite.  The rows go in
-    blocks of at most ``_WORKER_ENTRIES`` entries, the size of one worker's
+    blocks of at most ``WORKER_ENTRIES`` entries, the size of one worker's
     scratch; each row's own point is set to +inf, and
     :func:`_exact_knn_rows` selects by (distance, id): candidates in
     ascending id order make its column order the id order.
     """
     k_max = ids.shape[1]
-    for s, e in _row_blocks(rows.size, cand.size, _WORKER_ENTRIES):
+    for s, e in row_blocks(rows.size, cand.size, _blocks.WORKER_ENTRIES):
         part = rows[s:e]
         d = distance_rows(part, cand, scratch)
         d[np.arange(part.size), np.searchsorted(cand, part)] = np.inf  # exclude self
         col, dists[part] = _exact_knn_rows(d, k_max, scratch)
         # in place: each position's column is read before its id is written
-        ids[part] = _take(cand, col, col)
+        ids[part] = take(cand, col, col)
         # views of the scratch: held into the next block, they would keep
         # the buffers a wider block replaces alive beside their successors
         del d, col
@@ -469,16 +284,16 @@ def _tree_knn(coords: np.ndarray, k_max: int,
     def candidates(chosen: np.ndarray) -> np.ndarray:
         return np.sort(np.concatenate([leaves[m] for m in chosen]))
 
-    def distance_rows(part: np.ndarray, cand: np.ndarray, scratch: _Scratch) -> np.ndarray:
+    def distance_rows(part: np.ndarray, cand: np.ndarray, scratch: Scratch) -> np.ndarray:
         return _distances(coords[part], np.take(columns, cand, axis=1).T, metric, scratch)
 
-    def kth_distances(part: np.ndarray, cand: np.ndarray, scratch: _Scratch) -> np.ndarray:
+    def kth_distances(part: np.ndarray, cand: np.ndarray, scratch: Scratch) -> np.ndarray:
         """The (k_max + 1)-th distance of each of ``part`` among ``cand``."""
         block = distance_rows(part, cand, scratch)
         block.partition(k_max, axis=1)
         return block[:, k_max]
 
-    def leaf_block(scratch: _Scratch, leaf: int) -> None:
+    def leaf_block(scratch: Scratch, leaf: int) -> None:
         rows = leaves[leaf]
         gap = np.maximum(np.maximum(lo - hi[leaf], lo[leaf] - hi), 0.0)
         near = np.sqrt((gap * gap).sum(axis=1)) if metric == "euclidean" else gap.sum(axis=1)
@@ -489,7 +304,7 @@ def _tree_knn(coords: np.ndarray, k_max: int,
         bound = np.full(rows.size, np.inf)
         if first.size < len(leaves):
             cand = candidates(first)
-            for s, e in _row_blocks(rows.size, cand.size, _WORKER_ENTRIES):
+            for s, e in row_blocks(rows.size, cand.size, _blocks.WORKER_ENTRIES):
                 bound[s:e] = kth_distances(rows[s:e], cand, scratch)
         radius = bound.max() * (1.0 + 2.0 * _TREE_RTOL)
         cand = candidates(np.flatnonzero(near <= radius))
@@ -498,7 +313,7 @@ def _tree_knn(coords: np.ndarray, k_max: int,
             redo = rows[~(dists[rows, -1] < radius * (1.0 - _TREE_RTOL))]
             _knn_among(redo, everyone, distance_rows, ids, dists, scratch)
 
-    _map_blocks(leaf_block, [(m,) for m in range(len(leaves))])
+    map_blocks(leaf_block, [(m,) for m in range(len(leaves))])
     return ids, dists
 
 
@@ -532,7 +347,7 @@ def build_neighbor_graph(points: PointSet, k_max: int | None = None,
     Returns:
         NeighborGraph with rows sorted by (distance, ascending id).
     """
-    if metric not in _METRICS:
+    if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}; choose euclidean or manhattan")
     n = points.n_points
     k_max = _checked_k_max(k_max, n)
@@ -558,7 +373,7 @@ def ingest_distance_matrix(matrix: np.ndarray, k_max: int | None = None) -> Neig
     if n < 2:
         raise DataError("distance matrix needs at least 2 points")
     worst, pair = 0.0, (0, 0)
-    for s, e in _row_blocks(n, n, _BLOCK_ENTRIES):
+    for s, e in row_blocks(n, n):
         rows = m[s:e]
         if not np.isfinite(rows).all():
             raise DataError("non-finite entry in distance matrix")
@@ -581,15 +396,15 @@ def ingest_distance_matrix(matrix: np.ndarray, k_max: int | None = None) -> Neig
     ids = np.empty((n, k_max), dtype=_id_dtype(n))
     dists = np.empty((n, k_max), dtype=np.float64)
 
-    def matrix_rows(part: np.ndarray, _, scratch: _Scratch) -> np.ndarray:
+    def matrix_rows(part: np.ndarray, _, scratch: Scratch) -> np.ndarray:
         # every point is a candidate, so a row of the matrix is its distance
         # row; a block's rows are consecutive, a slice of m in any memory order
         d = scratch.take("d", (part.size, n))
         d[...] = m[part[0]:part[-1] + 1]
         return d
 
-    _map_blocks(lambda scratch, s, e: _knn_among(everyone[s:e], everyone, matrix_rows,
-                                                 ids, dists, scratch),
-                _row_blocks(n, n, _WORKER_ENTRIES))
+    map_blocks(lambda scratch, s, e: _knn_among(everyone[s:e], everyone, matrix_rows,
+                                                ids, dists, scratch),
+               row_blocks(n, n, _blocks.WORKER_ENTRIES))
     return NeighborGraph(ids, dists)
 

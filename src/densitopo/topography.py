@@ -117,11 +117,6 @@ def single_linkage(topography: Topography) -> Dendrogram:
     k = topography.n_clusters
     pops = [c.population for c in topography.clusters]
     heights_of_leaf = [c.peak_log_rho for c in topography.clusters]
-    if k == 1:
-        return Dendrogram(n_leaves=1, children=[], merge_heights=[],
-                          is_sentinel=[], sentinel_height=None, leaf_order=[0],
-                          leaf_x=[0.5], leaf_width=[1.0],
-                          branch_height=heights_of_leaf)
 
     dist, sentinel = _closed_distances(topography)
     children, merge_heights = _mst_single_linkage(dist)

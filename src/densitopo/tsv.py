@@ -11,7 +11,6 @@ when a row is at fault, ``path:line`` and the column.
 
 from __future__ import annotations
 
-import functools
 import io
 import os
 import warnings
@@ -20,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import neighbors
+from ._blocks import fork_cpus, forked
 from .clustering import PeakAssignment, SaddleInfo, SaddleTable
 from .density import DensityEstimate
 from .errors import DataError
@@ -207,20 +206,17 @@ def _forked_rows(path) -> np.ndarray | None:
     no more parts than it holds ``_PART_BYTES``.  The calling process
     parses the first part and one forked process each other part, all in
     chunks written straight into a shared anonymous mapping, which becomes
-    the array returned (see :func:`neighbors._forked`).  None, for the
-    caller to read the file serially, when :func:`neighbors._fork_cpus`
+    the array returned (see :func:`_blocks.forked`).  None, for the
+    caller to read the file serially, when :func:`_blocks.fork_cpus`
     gives one CPU, the file is below twice ``_PART_BYTES``, its first line
     is blank or a comment, its last line is blank, or any part faults (a
     line that is not one finite row of the first line's width, such as a
     bad field, a comment or blank line, or a worker exit other than 0).
     """
-    cpus = neighbors._fork_cpus()
-    if cpus < 2:
-        return None
     try:
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
-            workers = min(cpus, size // _PART_BYTES)
+            workers = min(fork_cpus(), size // _PART_BYTES)
             if workers < 2:
                 return None
             first = fh.readline()
@@ -242,17 +238,19 @@ def _forked_rows(path) -> np.ndarray | None:
                 part_rows.append(sum(fh.read(min(_CHUNK_BYTES, hi - at)).count(b"\n")
                                      for at in range(lo, hi, _CHUNK_BYTES)))
             part_rows[-1] += not end.endswith(b"\n")
-        stops = np.cumsum(part_rows).tolist()
-        if stops[-1] * width > (size + 1) // 2:  # each value but the last ends in a separator
-            return None
-        out = neighbors._shared(stops[-1] * width * 8).view(np.float64).reshape(
-            stops[-1], width)
-        parts = zip(cuts, cuts[1:], [0, *stops], stops)
-        done = neighbors._forked([functools.partial(_parse_range, path, lo, hi, out[start:stop])
-                                  for lo, hi, start, stop in parts])
     except (OSError, ValueError):
         return None
-    return out if done else None
+    stops = np.cumsum(part_rows).tolist()
+    if stops[-1] * width > (size + 1) // 2:  # each value but the last ends in a separator
+        return None
+    starts, shape = [0, *stops], (stops[-1], width)
+
+    def parse(out: np.ndarray, part: int) -> None:
+        _parse_range(path, cuts[part], cuts[part + 1],
+                     out.view(np.float64).reshape(shape)[starts[part]:stops[part]])
+
+    out = forked(len(stops), 8 * stops[-1] * width, parse)
+    return None if out is None else out.view(np.float64).reshape(shape)
 
 
 def _float_rows(path: str | Path) -> np.ndarray:

@@ -14,7 +14,7 @@ from densitopo import (
     synth_gmm,
     write_points_tsv,
 )
-from densitopo import cli, neighbors, tsv
+from densitopo import _blocks, cli, tsv
 from densitopo.cli import main, read_config_file
 from oracles import export_knn_file
 
@@ -529,7 +529,7 @@ def test_bad_point_or_matrix_field_names_line(dataset, tmp_path, capsys, monkeyp
     _assert_rejected(code, capsys, 3, f"{path}:5:")
     # parsed on two CPUs, a fault on the last line is in the forked worker's part
     monkeypatch.setattr(tsv, "_PART_BYTES", 1)
-    monkeypatch.setattr(neighbors, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_blocks, "usable_cpus", lambda: 2)
     forks = []
     if hasattr(os, "fork"):
         fork = os.fork

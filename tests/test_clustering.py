@@ -23,7 +23,7 @@ from densitopo import (
     synth_gmm,
     synth_uniform,
 )
-from densitopo import neighbors
+from densitopo import _blocks
 from densitopo.clustering import (assign_points, compute_delta_parent, compute_g,
                                   detect_putative_centers, find_borders_saddles,
                                   flag_halo, merge_clusters)
@@ -389,7 +389,7 @@ def test_saddles_and_centers_match_loop_oracles_in_7_row_blocks(case, min_center
                                                                 monkeypatch):
     graph, pairwise, est = case()
     assert graph.n_points % 7  # the last block is short
-    monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 7 * graph.k_max)
+    monkeypatch.setattr(_blocks, "BLOCK_ENTRIES", 7 * graph.k_max)
     _assert_stages_match_loop_oracles(graph, pairwise, est, min_centers)
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from densitopo import density as density_module
-from densitopo import neighbors
+from densitopo import _blocks
 from densitopo import (
     ConfigError,
     DegenerateDataError,
@@ -307,7 +307,7 @@ def _assert_scan_matches_per_k(graph, d, block_entries, monkeypatch, shards=(1, 
     """The chunked scan equals the per-k oracle on all points and on every
     interleaved shard ``ids[w::workers]``, as the forked estimate cuts them."""
     cap = _effective_cap(graph)
-    monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(_blocks, "BLOCK_ENTRIES", block_entries)
     for workers in shards:
         for w in range(workers):
             ids = np.arange(w, graph.n_points, workers)
@@ -626,7 +626,7 @@ def test_batched_fit_matches_reference_on_long_shells_and_split_groups(monkeypat
     graph = build_neighbor_graph(PointSet(synth_uniform(n=600, dim=2, seed=0)), 150)
     est = _assert_matches_per_point(graph, 2.0)
     assert est.k_hat.max() > 128
-    monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 16 * 150)
+    monkeypatch.setattr(_blocks, "BLOCK_ENTRIES", 16 * 150)
     assert np.bincount(est.k_hat).max() > 16
     _assert_matches_per_point(graph, 2.0)
 
@@ -687,7 +687,7 @@ def test_batched_fit_matches_reference_in_blocks_of_many_k_hat(monkeypatch):
     # span several k_hat values and splits runs of one k_hat between blocks
     coords = synth_gmm(k=3, n=400, dim=2, separation=6, seed=1)[0]
     graph = build_neighbor_graph(PointSet(coords), 64)
-    monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 1000)
+    monkeypatch.setattr(_blocks, "BLOCK_ENTRIES", 1000)
     for ansatz in density_module.ANSATZ_CHOICES:
         blocks = _record_fit_blocks(monkeypatch)
         _assert_matches_per_point(graph, 2.0, ansatz)
@@ -733,7 +733,7 @@ def test_batched_fit_ignores_overflow_in_the_padding(monkeypatch):
        d=st.floats(min_value=0.5, max_value=8.0),
        ansatz=st.sampled_from(density_module.ANSATZ_CHOICES),
        nr_max_iter=st.sampled_from([3, 4, 100]),
-       block_entries=st.sampled_from([1, 40, neighbors._BLOCK_ENTRIES]))
+       block_entries=st.sampled_from([1, 40, _blocks.BLOCK_ENTRIES]))
 def test_batched_fit_matches_reference_on_random_clouds(seed, n, dim, decimals, d,
                                                         ansatz, nr_max_iter, block_entries):
     # rounding the coordinates makes duplicate points common; a low
@@ -743,7 +743,7 @@ def test_batched_fit_matches_reference_on_random_clouds(seed, n, dim, decimals, 
     graph = build_neighbor_graph(PointSet(coords), min(n - 1, 24))
     with pytest.MonkeyPatch.context() as mp_patch:
         mp_patch.setattr(density_module, "_NR_MAX_ITER", nr_max_iter)
-        mp_patch.setattr(neighbors, "_BLOCK_ENTRIES", block_entries)
+        mp_patch.setattr(_blocks, "BLOCK_ENTRIES", block_entries)
         try:
             ref = per_point_density(graph, d, ansatz)
         except DegenerateDataError:
@@ -794,7 +794,7 @@ FORKS = hasattr(os, "fork") and sys.version_info < (3, 12)
 def forks(monkeypatch):
     """Two usable CPUs and shards of any size; return the fork log."""
     monkeypatch.setattr(density_module, "_SHARD_ROWS", 1)
-    monkeypatch.setattr(neighbors, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_blocks, "usable_cpus", lambda: 2)
     log = []
     if hasattr(os, "fork"):
         real = os.fork
@@ -818,7 +818,7 @@ def _estimate_outcome(graph, d, ansatz="volume"):
 
 def _one_cpu_outcome(monkeypatch, graph, d, ansatz="volume"):
     with monkeypatch.context() as m:
-        m.setattr(neighbors, "_usable_cpus", lambda: 1)
+        m.setattr(_blocks, "usable_cpus", lambda: 1)
         return _estimate_outcome(graph, d, ansatz)
 
 
@@ -837,7 +837,7 @@ def test_forked_estimate_equals_the_one_cpu_bytes(case, cpus, forks, monkeypatch
     graph, d, ansatz = _forked_cases()[case]
     want = _one_cpu_outcome(monkeypatch, graph, d, ansatz)
     assert forks == []
-    monkeypatch.setattr(neighbors, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_blocks, "usable_cpus", lambda: cpus)
     assert _estimate_outcome(graph, d, ansatz) == want
     assert len(forks) == (cpus - 1 if FORKS else 0)
     _no_child_left()
@@ -900,11 +900,11 @@ def test_serial_unless_every_condition_holds(case, forks, monkeypatch):
     graph, d, ansatz = _forked_cases()["duplicates-volume"]
     want = _one_cpu_outcome(monkeypatch, graph, d, ansatz)
     if case == "one-cpu":
-        monkeypatch.setattr(neighbors, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(_blocks, "usable_cpus", lambda: 1)
     elif case == "few-points":  # one shard of _SHARD_ROWS points or more
         monkeypatch.setattr(density_module, "_SHARD_ROWS", graph.n_points // 2 + 1)
     elif case == "python-3.12":
-        monkeypatch.setattr(neighbors, "sys", types.SimpleNamespace(version_info=(3, 12, 0)))
+        monkeypatch.setattr(_blocks, "sys", types.SimpleNamespace(version_info=(3, 12, 0)))
     elif case == "no-fork" and hasattr(os, "fork"):
         monkeypatch.delattr(os, "fork")
     stop = threading.Event()

@@ -24,7 +24,7 @@ from scipy.spatial.distance import cdist
 from densitopo import (PairwiseDistances, PointSet, build_neighbor_graph, cluster_points,
                        estimate_density, ingest_distance_matrix, ingest_knn_file,
                        synth_gmm, write_points_tsv)
-from densitopo import DegenerateDataError, clustering, density, neighbors, tsv
+from densitopo import DegenerateDataError, _blocks, clustering, density, neighbors, tsv
 from oracles import export_knn_file, graph_from_radii, radii_constant_density
 from test_neighbors import KNN_CASES
 
@@ -46,8 +46,8 @@ def test_matrix_ingest_peaks_below_a_quarter_matrix_above_the_graph(k_max, monke
     n = 1500
     coords = np.random.default_rng(0).random((n, 2))
     matrix = cdist(coords, coords)
-    monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 8 * n)
-    monkeypatch.setattr(neighbors, "_WORKER_ENTRIES", 4 * n)
+    monkeypatch.setattr(_blocks, "BLOCK_ENTRIES", 8 * n)
+    monkeypatch.setattr(_blocks, "WORKER_ENTRIES", 4 * n)
     peak, graph = _traced_peak(ingest_distance_matrix, matrix, k_max=k_max)
     graph_bytes = graph.neighbor_ids.nbytes + graph.neighbor_dists.nbytes
     assert peak - graph_bytes < matrix.nbytes / 4
@@ -58,7 +58,7 @@ def test_kd_leaf_knn_peak_follows_its_blocks_not_its_leaves(monkeypatch):
     # one leaf's distances alone would take 64 MB
     coords, _ = synth_gmm(k=3, n=5000, dim=2, separation=8, seed=1)
     monkeypatch.setattr(neighbors, "_LEAF_SIZE", 2048)
-    monkeypatch.setattr(neighbors, "_WORKER_ENTRIES", 4 * coords.shape[0])
+    monkeypatch.setattr(_blocks, "WORKER_ENTRIES", 4 * coords.shape[0])
     peak, graph = _traced_peak(build_neighbor_graph, PointSet(coords), k_max=200)
     graph_bytes = graph.neighbor_ids.nbytes + graph.neighbor_dists.nbytes
     assert peak - graph_bytes < graph_bytes / 4
@@ -69,7 +69,7 @@ def _density_peak(monkeypatch):
     # working arrays must follow their blocks, not the n x k_max table
     coords, _ = synth_gmm(k=3, n=5000, dim=2, separation=8, seed=1)
     graph = build_neighbor_graph(PointSet(coords), k_max=400)
-    monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 4 * graph.k_max)
+    monkeypatch.setattr(_blocks, "BLOCK_ENTRIES", 4 * graph.k_max)
     peak, estimate = _traced_peak(estimate_density, graph, 2.0)
     assert estimate.k_hat.max() == graph.k_max
     # below one byte per entry of the n x k_max table
@@ -102,7 +102,7 @@ def test_clustering_peak_follows_its_blocks_not_the_table(monkeypatch):
     graph = build_neighbor_graph(points, k_max=400)
     estimate = estimate_density(graph, 2.0)
     pairwise = PairwiseDistances(coords=points.coords)
-    monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 4 * graph.k_max)
+    monkeypatch.setattr(_blocks, "BLOCK_ENTRIES", 4 * graph.k_max)
     peak, result = _traced_peak(cluster_points, graph, estimate, pairwise)
     assert result.assignment.n_clusters >= 1
     # below one byte per entry of the n x k_max table
@@ -156,7 +156,7 @@ def test_forked_matrix_read_peak_follows_its_chunks(tmp_path, monkeypatch):
 
 
 def _pretend_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(neighbors, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_blocks, "usable_cpus", lambda: cpus)
 
 
 def _count_forks(monkeypatch) -> list[int]:
@@ -225,7 +225,7 @@ def _record_allocations(monkeypatch) -> list[tuple[int, str, int]]:
     """Spy on the scratch: (scratch serial, buffer name, bytes) per allocation."""
     allocations = []
     serials = itertools.count()
-    init, allocate = neighbors._Scratch.__init__, neighbors._Scratch._allocate
+    init, allocate = _blocks.Scratch.__init__, _blocks.Scratch._allocate
 
     def numbered(self):
         init(self)
@@ -235,8 +235,8 @@ def _record_allocations(monkeypatch) -> list[tuple[int, str, int]]:
         allocations.append((self.serial, name, nbytes))
         return allocate(self, name, nbytes)
 
-    monkeypatch.setattr(neighbors._Scratch, "__init__", numbered)
-    monkeypatch.setattr(neighbors._Scratch, "_allocate", spy)
+    monkeypatch.setattr(_blocks.Scratch, "__init__", numbered)
+    monkeypatch.setattr(_blocks.Scratch, "_allocate", spy)
     return allocations
 
 
@@ -271,8 +271,8 @@ def test_scratch_follows_workers_not_blocks(cpus, monkeypatch):
     _pretend_cpus(monkeypatch, cpus)
     # kNN blocks of 40 rows of every point: full-row blocks are cut, and
     # leaves of varying candidate counts make the buffers grow
-    monkeypatch.setattr(neighbors, "_WORKER_ENTRIES", 40 * coords.shape[0])
-    monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 8 * 100)
+    monkeypatch.setattr(_blocks, "WORKER_ENTRIES", 40 * coords.shape[0])
+    monkeypatch.setattr(_blocks, "BLOCK_ENTRIES", 8 * 100)
 
     allocations = _record_allocations(monkeypatch)
     blocks = _count_calls(monkeypatch, neighbors, "_distances")
@@ -302,7 +302,7 @@ def _poison(monkeypatch, fill: float) -> None:
     """Fill every buffer and every view the scratch hands out with the bytes
     of ``fill``, read as whatever dtype the view has."""
     pattern = np.frombuffer(np.float64(fill).tobytes(), dtype=np.uint8)
-    take = neighbors._Scratch.take
+    take = _blocks.Scratch.take
 
     def poisoned(self, *args, **kwargs):
         view = take(self, *args, **kwargs)
@@ -310,7 +310,7 @@ def _poison(monkeypatch, fill: float) -> None:
         raw[:] = np.resize(pattern, raw.size)
         return view
 
-    monkeypatch.setattr(neighbors._Scratch, "take", poisoned)
+    monkeypatch.setattr(_blocks.Scratch, "take", poisoned)
 
 
 def _tiny_blocks(monkeypatch, n: int, k_max: int) -> None:
@@ -318,9 +318,9 @@ def _tiny_blocks(monkeypatch, n: int, k_max: int) -> None:
     # most 8 points, and serial blocks of 3 rows at k_max: graph checks and
     # clustering passes of 3 rows, fit blocks of 3 * k_max padded entries
     _pretend_cpus(monkeypatch, 2)
-    monkeypatch.setattr(neighbors, "_WORKER_ENTRIES", 3 * n)
+    monkeypatch.setattr(_blocks, "WORKER_ENTRIES", 3 * n)
     monkeypatch.setattr(neighbors, "_LEAF_SIZE", 8)
-    monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 3 * k_max)
+    monkeypatch.setattr(_blocks, "BLOCK_ENTRIES", 3 * k_max)
 
 
 def _estimate_bytes(graph, d, ansatz="volume"):

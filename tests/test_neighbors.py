@@ -1,10 +1,7 @@
 """Graph construction, ingestion formats, and their validation rules."""
 
 import itertools
-import os
-import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -14,8 +11,9 @@ from hypothesis import strategies as st
 from densitopo import (ConfigError, DataError, NeighborGraph, PairwiseDistances,
                        PointSet, build_neighbor_graph, ingest_distance_matrix,
                        ingest_knn_file, read_points_tsv, write_points_tsv)
-from densitopo import neighbors
-from densitopo.neighbors import _distances, _exact_knn_rows, _knn_among, _Scratch, _tree_knn
+from densitopo import _blocks, neighbors
+from densitopo._blocks import Scratch
+from densitopo.neighbors import _distances, _exact_knn_rows, _knn_among, _tree_knn
 from oracles import argsort_matrix_knn, brute_knn, export_knn_file
 
 # public metric name -> scipy metric name, for the tests that call cdist
@@ -143,7 +141,7 @@ def _brute_knn(coords, k_max, metric):
     everyone = np.arange(n)
     _knn_among(everyone, everyone,
                lambda part, cand, scratch: _distances(coords[part], coords, metric, scratch),
-               ids, dists, _Scratch())
+               ids, dists, Scratch())
     return ids, dists
 
 
@@ -171,8 +169,8 @@ def _small_blocks(monkeypatch, cpus, coords, k_max):
     """Pretend to have ``cpus`` CPUs; cut full-row passes into 7-row blocks
     and the kd-leaf pass into leaves of at most 8 points."""
     n = coords.shape[0]
-    monkeypatch.setattr(neighbors, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(neighbors, "_WORKER_ENTRIES", _BLOCK_ROWS * n)
+    monkeypatch.setattr(_blocks, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_blocks, "WORKER_ENTRIES", _BLOCK_ROWS * n)
     monkeypatch.setattr(neighbors, "_LEAF_SIZE", _LEAF)
 
 
@@ -240,26 +238,12 @@ def test_matrix_rows_match_kd_leaves(cpus, metric, case, monkeypatch):
     assert by_matrix.neighbor_dists.tobytes() == by_coords.neighbor_dists.tobytes()
 
 
-def test_row_blocks_under_rapid_thread_switching(monkeypatch):
-    coords, k_max = _duplicates()
-    _small_blocks(monkeypatch, 5, coords, k_max)  # more workers than cores
-    ids, dists = brute_knn(coords, k_max, "manhattan")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got_ids, got_dists = _tree_knn(coords, k_max, "manhattan")
-        np.testing.assert_array_equal(got_ids, ids)
-        assert got_dists.tobytes() == dists.tobytes()
-    finally:
-        sys.setswitchinterval(interval)
-
-
 @pytest.mark.parametrize("cpus,budget", [(1, 3), (2, 100)], ids=["one_cpu", "one_block"])
 def test_lone_worker_runs_in_the_calling_thread(cpus, budget, monkeypatch):
     # a worker thread would keep its freed scratch in its own malloc arena
-    monkeypatch.setattr(neighbors, "_usable_cpus", lambda: cpus)
-    ran = neighbors._map_blocks(lambda scratch, s, e: (s, e, threading.current_thread()),
-                                neighbors._row_blocks(10, 1, budget // cpus))
+    monkeypatch.setattr(_blocks, "usable_cpus", lambda: cpus)
+    ran = _blocks.map_blocks(lambda scratch, s, e: (s, e, threading.current_thread()),
+                                _blocks.row_blocks(10, 1, budget // cpus))
     step = budget // cpus
     assert ran == [(s, min(10, s + step), threading.current_thread())
                    for s in range(0, 10, step)]
@@ -418,7 +402,7 @@ def _self(ids, dists):
     (_nan, "non-finite"), (_negative, "negative"), (_decreasing, "non-decreasing"),
     (_too_large, "out of range"), (_self, "itself")])
 def test_graph_checks_reach_the_last_row_block(fault, message, monkeypatch):
-    monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 4)  # two-row blocks; row 6 is alone
+    monkeypatch.setattr(_blocks, "BLOCK_ENTRIES", 4)  # two-row blocks; row 6 is alone
     ids = (np.arange(7)[:, None] + np.arange(1, 3)) % 7
     dists = np.tile([1.0, 2.0], (7, 1))
     NeighborGraph(ids, dists)
@@ -507,7 +491,7 @@ def test_matrix_matches_stable_argsort(make, k_max):
 def test_matrix_row_blocks_match_stable_argsort(make, k_max, cpus, monkeypatch):
     m = make(5)
     _small_blocks(monkeypatch, cpus, m, k_max)
-    monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", _BLOCK_ROWS * m.shape[0])
+    monkeypatch.setattr(_blocks, "BLOCK_ENTRIES", _BLOCK_ROWS * m.shape[0])
     _assert_matrix_matches_stable_argsort(m, k_max)
 
 
@@ -527,7 +511,7 @@ def test_matrix_asymmetry_names_worst_pair():
 
 @pytest.mark.parametrize("budget", [1, 7 * 9, 10**6], ids=["row", "7_rows", "whole"])
 def test_matrix_asymmetry_names_first_worst_pair_across_blocks(budget, monkeypatch):
-    monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", budget)
+    monkeypatch.setattr(_blocks, "BLOCK_ENTRIES", budget)
     m = np.ones((9, 9))
     np.fill_diagonal(m, 0.0)
     m[1, 3] = m[8, 5] = 1.5  # a smaller gap in an early row
@@ -646,11 +630,11 @@ def test_distances_equal_cdist_bitwise(metric):
             a = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-3, 4)
             b = rng.standard_normal((cols, dim)) * 10.0 ** rng.integers(-3, 4)
             want = cdist(a, b, metric=_CDIST_METRIC[metric])
-            assert _distances(a, b, metric, _Scratch()).tobytes() == want.tobytes(), \
+            assert _distances(a, b, metric, Scratch()).tobytes() == want.tobytes(), \
                 (dim, rows, cols)
             # a transposed gather, as the kd-leaf path passes its candidates
             assert _distances(a, np.ascontiguousarray(b.T).T, metric,
-                              _Scratch()).tobytes() == want.tobytes()
+                              Scratch()).tobytes() == want.tobytes()
 
 
 def _stable_rows(block, k_max):
@@ -661,7 +645,7 @@ def _stable_rows(block, k_max):
 def _self_excluded(coords, metric="euclidean", rows=slice(None)):
     """Distances from ``coords[rows]`` to every point, +inf to itself."""
     own = np.arange(coords.shape[0])[rows]
-    block = _distances(coords[own], coords, metric, _Scratch())
+    block = _distances(coords[own], coords, metric, Scratch())
     block[np.arange(own.size), own] = np.inf
     return block
 
@@ -691,46 +675,8 @@ def test_exact_knn_rows_matches_stable_sort(make):
     # the row
     for k_max in sorted({1, 7, 10, 60, (2 * width) // 3 - 1, (2 * width + 2) // 3,
                          width - 1}):
-        ids, dists = _exact_knn_rows(block, k_max, _Scratch())
+        ids, dists = _exact_knn_rows(block, k_max, Scratch())
         want_ids, want_dists = _stable_rows(block, k_max)
         np.testing.assert_array_equal(ids, want_ids)
         assert dists.tobytes() == want_dists.tobytes()
     np.testing.assert_array_equal(block, before)
-
-
-
-# ---------------------------------------------------------------------------
-# forked passes: the one fork, reap and kill path of the point, matrix and
-# density readers' workers
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_tasks_write_shared_memory_and_report_worker_failure():
-    out = neighbors._shared(3)
-
-    def put(i, code=0):
-        def task():
-            out[i] = i + 1
-            if code:
-                os._exit(code)
-        return task
-
-    assert neighbors._forked([put(0), put(1), put(2)])
-    assert out.tolist() == [1, 2, 3]
-    assert not neighbors._forked([put(0), put(1, code=4)])
-    assert not neighbors._forked([put(0), put(1), lambda: 1 / 0])
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_workers_are_killed_when_the_caller_raises():
-    def interrupted():
-        raise KeyboardInterrupt
-
-    start = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        neighbors._forked([interrupted, lambda: time.sleep(60)])
-    assert time.monotonic() - start < 30  # the sleeping worker was killed, then reaped
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)

@@ -109,8 +109,8 @@ def test_single_cluster_dendrogram():
     den = single_linkage(topo)
     assert den.n_leaves == 1
     assert den.children == [] and den.merge_heights == []
-    assert den.leaf_order == [0] and den.leaf_width == [1.0]
-    assert den.sentinel_height is None
+    assert den.leaf_order == [0] and den.leaf_width == [1.0] and den.leaf_x == [0.5]
+    assert den.is_sentinel == [] and den.sentinel_height is None
     assert den.branch_height == [1.5]
     assert dendrogram_newick(den) == "0;"
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densitopo import DataError, cli, clustering, neighbors
+from densitopo import DataError, _blocks, cli, clustering
 from densitopo import tsv
 
 SPECS = {"density": tsv.DENSITY, "assignment": tsv.ASSIGNMENT, "saddles": tsv.SADDLES,
@@ -166,7 +166,7 @@ SERIAL_FILES = {
 @pytest.mark.parametrize("cpus", [2, 5])  # 5: more processes than most machines have cores
 @pytest.mark.parametrize("name", sorted(PARALLEL_FILES))
 def test_forked_parse_equals_loadtxt(tmp_path, monkeypatch, forks, name, cpus):
-    monkeypatch.setattr(neighbors, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_blocks, "usable_cpus", lambda: cpus)
     path = tmp_path / "m.tsv"
     path.write_bytes(PARALLEL_FILES[name])
     size = path.stat().st_size
@@ -180,7 +180,7 @@ def test_forked_parse_equals_loadtxt(tmp_path, monkeypatch, forks, name, cpus):
 @pytest.mark.parametrize("name", sorted(SERIAL_FILES))
 def test_blank_or_comment_first_line_or_blank_last_line_stays_serial(tmp_path, monkeypatch,
                                                                       forks, name):
-    monkeypatch.setattr(neighbors, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_blocks, "usable_cpus", lambda: 2)
     path = tmp_path / "m.tsv"
     path.write_bytes(SERIAL_FILES[name])
     _assert_same_as_loadtxt(path)
@@ -189,7 +189,7 @@ def test_blank_or_comment_first_line_or_blank_last_line_stays_serial(tmp_path, m
 
 def test_comment_or_blank_line_further_down_falls_back_to_serial(tmp_path, monkeypatch,
                                                                  forks):
-    monkeypatch.setattr(neighbors, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_blocks, "usable_cpus", lambda: 2)
     lines = _tsv_bytes(_matrix()).splitlines(keepends=True)
     path = tmp_path / "m.tsv"
     for extra in (b"# late comment\n", b"\n", b"  \n"):
@@ -204,12 +204,12 @@ def test_fork_selection_follows_usable_cpus(tmp_path, forks):
     path = tmp_path / "m.tsv"
     path.write_bytes(PARALLEL_FILES["plain"])
     _assert_same_as_loadtxt(path)
-    want = 2 * (neighbors._usable_cpus() - 1) if FORKS else 0
+    want = 2 * (_blocks.usable_cpus() - 1) if FORKS else 0
     assert len(forks) == want
 
 
 def test_no_more_workers_than_parts_of_part_bytes(tmp_path, monkeypatch, forks):
-    monkeypatch.setattr(neighbors, "_usable_cpus", lambda: 5)
+    monkeypatch.setattr(_blocks, "usable_cpus", lambda: 5)
     path = tmp_path / "m.tsv"
     path.write_bytes(PARALLEL_FILES["plain"])
     monkeypatch.setattr(tsv, "_PART_BYTES", path.stat().st_size // 3)
@@ -219,7 +219,7 @@ def test_no_more_workers_than_parts_of_part_bytes(tmp_path, monkeypatch, forks):
 
 @pytest.mark.parametrize("case", ["small-file", "one-cpu", "second-thread"])
 def test_serial_unless_every_condition_holds(tmp_path, monkeypatch, forks, case):
-    monkeypatch.setattr(neighbors, "_usable_cpus", lambda: 1 if case == "one-cpu" else 2)
+    monkeypatch.setattr(_blocks, "usable_cpus", lambda: 1 if case == "one-cpu" else 2)
     path = tmp_path / "m.tsv"
     path.write_bytes(PARALLEL_FILES["plain"])
     if case == "small-file":
@@ -246,11 +246,11 @@ def test_forked_fault_reads_again_serially_and_reaps(tmp_path, monkeypatch, fork
     lines = _tsv_bytes(_matrix()).splitlines()
     lines[line - 1] = lines[line - 1].replace(b"\t", b"\t" + value + b"\t", 1)
     path.write_bytes(b"\n".join(lines) + b"\n")
-    monkeypatch.setattr(neighbors, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(_blocks, "usable_cpus", lambda: 1)
     with pytest.raises(DataError) as serial:
         tsv.read_distance_matrix_tsv(path)
     assert forks == []
-    monkeypatch.setattr(neighbors, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_blocks, "usable_cpus", lambda: 2)
     with pytest.raises(DataError) as forked:
         tsv.read_distance_matrix_tsv(path)
     assert len(forks) == (1 if FORKS else 0)
