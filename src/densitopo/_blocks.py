@@ -2,9 +2,11 @@
 
 Every pass over the neighbor graph or a distance matrix reads it in row
 blocks (:func:`row_blocks`), each pass with one :class:`Scratch`.  The kNN
-passes run their blocks on a thread pool (:func:`map_blocks`); the density
-estimate and the point and matrix reader run parts in forked processes
-(:func:`forked`).
+passes and the density estimate split their rows into parts and run them
+on every usable CPU, part 0 in the calling process and each other part in
+a forked one, or all of them in the caller (:func:`fill_parts`).  The
+point and matrix reader calls the fork step, :func:`forked`, itself: a
+failed forked read falls back to ``np.loadtxt``, not to its own parse.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import math
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,12 +31,11 @@ BLOCK_ENTRIES = 1 << 15
 # Distance entries per block of one kNN worker: the rows of a kd leaf's
 # bounds, and of the selection against a leaf's candidates or every point.
 # Each worker owns one scratch of this size, reused from block to block and
-# resident until the call returns, so the stage's peak grows with the worker
-# count.  On 2 CPUs a 20k-point 3-D mixture builds in about 1.05 s at 2^17,
-# 2^18 and 2^19 entries per worker and peaks at 165, 170 and 185 MiB (1.38 s
-# and 173 MiB at 2^19 with fresh scratch per block).  At 2^15, the serial
-# passes' size, the kNN of a 10k-point 2-D mixture takes 0.60 against 0.43 s
-# on 2 CPUs.
+# resident until the call returns.  Each worker is a process of its own, so
+# the caller holds one worker's scratch whatever the CPU count.  On 2 CPUs
+# a 20k-point 3-D mixture at the default k_max built in 0.82-0.85 s at 2^15
+# entries (the serial passes' size), 0.78-0.79 s at 2^17, 0.82-0.84 s at
+# 2^18 and 0.78-0.80 s at 2^19, peaking at 155 MiB, and 159 MiB at 2^19.
 WORKER_ENTRIES = 1 << 17
 
 
@@ -121,77 +121,71 @@ def fork_cpus() -> int:
     return usable_cpus()
 
 
-def forked(parts: int, nbytes: int, fill) -> np.ndarray | None:
-    """Run ``fill(out, part)`` for each of ``parts`` parts, part 0 in the
-    calling process and each other in a forked one; return ``out``.
+def forked(parts: int, layout, fill) -> tuple[np.ndarray, ...] | None:
+    """Run ``fill(part, *arrays)`` for each of ``parts`` parts, part 0 in the
+    calling process and each other in a forked one; return the arrays.
 
-    ``out`` is ``nbytes`` zero bytes of an anonymous mapping that the forked
-    processes share, the one way their results come back.  The result is
-    None if any part raised an ``Exception`` or its process failed; a part
-    that raises in a forked process exits with code 1, silently.  Every
-    worker is reaped before this returns, and killed first if the caller's
-    own part did not finish; an exception that is not an ``Exception``,
-    such as ``KeyboardInterrupt``, then propagates.
+    ``layout`` lists the ``(shape, dtype)`` of each array, and the arrays
+    are zeros in one anonymous mapping that the forked processes share,
+    the one way their results come back.  The result is None if any part
+    raised an ``Exception`` or its process failed; a part that raises in a
+    forked process exits with code 1, silently.  Every worker is reaped
+    before this returns, and killed first if the caller's own part did not
+    finish; an exception that is not an ``Exception``, such as
+    ``KeyboardInterrupt``, then propagates.
     """
     # imported here: only a forked pass needs mmap and signal, and they add
     # 1-2 ms to the import of the package
     import mmap
     import signal
 
+    nbytes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layout]
+    # each array starts at a multiple of 8 bytes, so every dtype is aligned
+    starts = np.cumsum([0, *(-(-size // 8) * 8 for size in nbytes)]).tolist()
     pids = []
     try:
-        out = np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.uint8)
+        buf = np.frombuffer(mmap.mmap(-1, starts[-1]), dtype=np.uint8)
+        arrays = tuple(buf[at:at + size].view(dtype).reshape(shape)
+                       for (shape, dtype), at, size in zip(layout, starts, nbytes))
         for part in range(1, parts):
             pid = os.fork()
             if pid == 0:
                 code = 1
                 try:
-                    fill(out, part)
+                    fill(part, *arrays)
                     code = 0
                 finally:
                     os._exit(code)
             pids.append(pid)
-        fill(out, 0)
+        fill(0, *arrays)
     except BaseException as exc:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
         if not isinstance(exc, Exception):
             raise
-        out = None
+        arrays = None
     finally:
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    return None if any(codes) else out
+    return None if any(codes) else arrays
 
 
-def map_blocks(fn, blocks: list[tuple]) -> list:
-    """Return ``[fn(scratch, *b) for b in blocks]``, in block order.
+def fill_parts(most: int, layout, fill) -> tuple[np.ndarray, ...]:
+    """Arrays of ``layout``, a list of ``(shape, dtype)``, filled on every
+    usable CPU by ``fill(part, parts, *arrays)``.
 
-    The blocks run on a thread pool with one worker per usable CPU; the
-    numpy kernels they call release the GIL.  With one CPU, or a single
-    block, they run in the calling thread in order: scratch freed in a
-    worker thread stays in that thread's malloc arena and raises the peak
-    of later stages.  Each worker passes its blocks one :class:`Scratch`,
-    freed when the call returns, so no result may be a view of it.  Callers
-    size blocks by ``WORKER_ENTRIES``, the entries of one worker's scratch,
-    so the CPU count is read here alone and the total scratch grows with
-    it.  If a block raises, the blocks not yet started are cancelled and
-    the exception propagates once the running ones have finished.
+    Each call fills one part of a pass of per-row work, and writes only the
+    entries of that part.  The pass is cut into ``most`` parts, or into
+    :func:`fork_cpus` if fewer; part 0 runs in the caller and each other
+    part in a forked process (:func:`forked`).  With one part, or if any
+    part raises or its process fails, ``fill(0, 1, *arrays)`` runs the
+    whole pass in the caller, into arrays of its own: the result, and any
+    error, are those of a one-CPU run.
     """
-    workers = min(usable_cpus(), len(blocks))
-    if workers <= 1:
-        scratch = Scratch()
-        return [fn(scratch, *b) for b in blocks]
-    by_thread: dict[int, Scratch] = {}
-
-    def run(*b):
-        ident = threading.get_ident()
-        if ident not in by_thread:
-            by_thread[ident] = Scratch()
-        return fn(by_thread[ident], *b)
-
-    pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="densitopo-knn")
-    try:
-        futures = [pool.submit(run, *b) for b in blocks]
-        return [f.result() for f in futures]
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    parts = min(most, fork_cpus())
+    arrays = None
+    if parts > 1:
+        arrays = forked(parts, layout, lambda part, *out: fill(part, parts, *out))
+    if arrays is None:
+        arrays = tuple(np.empty(shape, dtype) for shape, dtype in layout)
+        fill(0, 1, *arrays)
+    return arrays

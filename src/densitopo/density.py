@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blocks
-from ._blocks import Scratch, fork_cpus, forked, row_blocks, take
+from ._blocks import Scratch, fill_parts, row_blocks, take
 from .errors import ConfigError, DegenerateDataError
 from .neighbors import NeighborGraph
 
@@ -432,20 +432,10 @@ def estimate_density(graph: NeighborGraph, d: float,
     n = graph.n_points
     cap = _effective_cap(graph)
 
-    def fields(out: np.ndarray) -> tuple[np.ndarray, ...]:
-        # k_hat, log_rho, r_khat and fallback: three 8-byte arrays and one of flags
-        return (out[:8 * n].view(np.int64), out[8 * n:16 * n].view(np.float64),
-                out[16 * n:24 * n].view(np.float64), out[24 * n:].view(bool))
-
-    def shard(out: np.ndarray, w: int, shards: int) -> None:
-        _estimate_rows(graph, np.arange(w, n, shards), d, omega, cap, ansatz, *fields(out))
-
-    workers = min(fork_cpus(), n // _SHARD_ROWS)
-    out = forked(workers, 25 * n, lambda buf, w: shard(buf, w, workers)) if workers > 1 else None
-    if out is None:
-        out = np.empty(25 * n, dtype=np.uint8)
-        shard(out, 0, 1)
-    k_hat, log_rho, r_khat, fallback = fields(out)
+    k_hat, log_rho, r_khat, fallback = fill_parts(
+        n // _SHARD_ROWS, [((n,), np.int64), ((n,), np.float64), ((n,), np.float64), ((n,), bool)],
+        lambda part, parts, *out: _estimate_rows(graph, np.arange(part, n, parts), d, omega,
+                                                 cap, ansatz, *out))
 
     err = log_density_error(k_hat.astype(np.float64))
     if not np.isfinite(log_rho).all():

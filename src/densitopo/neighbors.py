@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blocks
-from ._blocks import Scratch, map_blocks, row_blocks, take, take_rows
+from ._blocks import Scratch, fill_parts, row_blocks, take, take_rows
 from .errors import ConfigError, DataError
 
 DEFAULT_K_MAX = 512
@@ -221,6 +221,21 @@ def _knn_among(rows: np.ndarray, cand: np.ndarray, distance_rows,
         del d, col
 
 
+def _knn_parts(n: int, k_max: int, items, select) -> tuple[np.ndarray, np.ndarray]:
+    """The ids and distances of an n-point graph from ``select(item, ids,
+    dists, scratch)`` per item (a kd leaf, a row block), each writing only
+    its own rows.  Part p of the items, p, p + parts, ..., runs with one
+    :class:`Scratch` on a CPU of its own (:func:`_blocks.fill_parts`).
+    """
+    def fill(part: int, parts: int, ids: np.ndarray, dists: np.ndarray) -> None:
+        scratch = Scratch()
+        for item in items[part::parts]:
+            select(item, ids, dists, scratch)
+
+    return fill_parts(len(items), [((n, k_max), _id_dtype(n)), ((n, k_max), np.float64)],
+                      fill)
+
+
 # Points per kd leaf: of 16 to 128, 64 was fastest on 10k 2-D, 20k 3-D and
 # 20k 4-D mixtures at k_max 512.  Smaller leaves pay more per-leaf work,
 # larger ones more candidates per row.
@@ -265,6 +280,7 @@ def _tree_knn(coords: np.ndarray, k_max: int,
     cdist's arithmetic.  A row whose k_max-th distance does not clear the
     radius by ``_TREE_RTOL`` (a radius of 0: k_max + 1 coincident points)
     is selected again over all points, by the same step in the same worker.
+    The leaves run on every usable CPU (:func:`_knn_parts`).
 
     The bounding leaves hold 2 (k_max + 1) points.  On a 50k 3-D mixture,
     bounding leaves holding k_max + 1 points gave radii 1.67 times the
@@ -278,8 +294,6 @@ def _tree_knn(coords: np.ndarray, k_max: int,
     hi = np.array([coords[leaf].max(axis=0) for leaf in leaves])
     columns = np.ascontiguousarray(coords.T)
     everyone = np.arange(n)
-    ids = np.empty((n, k_max), dtype=_id_dtype(n))
-    dists = np.empty((n, k_max), dtype=np.float64)
 
     def candidates(chosen: np.ndarray) -> np.ndarray:
         return np.sort(np.concatenate([leaves[m] for m in chosen]))
@@ -293,7 +307,7 @@ def _tree_knn(coords: np.ndarray, k_max: int,
         block.partition(k_max, axis=1)
         return block[:, k_max]
 
-    def leaf_block(scratch: Scratch, leaf: int) -> None:
+    def leaf_block(leaf: int, ids: np.ndarray, dists: np.ndarray, scratch: Scratch) -> None:
         rows = leaves[leaf]
         gap = np.maximum(np.maximum(lo - hi[leaf], lo[leaf] - hi), 0.0)
         near = np.sqrt((gap * gap).sum(axis=1)) if metric == "euclidean" else gap.sum(axis=1)
@@ -313,8 +327,7 @@ def _tree_knn(coords: np.ndarray, k_max: int,
             redo = rows[~(dists[rows, -1] < radius * (1.0 - _TREE_RTOL))]
             _knn_among(redo, everyone, distance_rows, ids, dists, scratch)
 
-    map_blocks(leaf_block, [(m,) for m in range(len(leaves))])
-    return ids, dists
+    return _knn_parts(n, k_max, range(len(leaves)), leaf_block)
 
 
 def _checked_k_max(k_max: int | None, n: int) -> int:
@@ -360,10 +373,11 @@ def ingest_distance_matrix(matrix: np.ndarray, k_max: int | None = None) -> Neig
 
     The matrix must be square, non-negative, zero on the diagonal, and
     symmetric within 1e-9; asymmetry beyond that is rejected naming the
-    worst entry pair.  Contiguous row blocks go to the thread pool, and
-    each is selected among every point by the step that selects a kd leaf's
-    rows in :func:`build_neighbor_graph` (:func:`_knn_among`), with the same
-    k_max default.  Checks and selection read the matrix in row blocks, so
+    worst entry pair.  Contiguous row blocks run on every usable CPU as the
+    kd leaves do (:func:`_knn_parts`), and each is selected among every
+    point by the step that selects a kd leaf's rows in
+    :func:`build_neighbor_graph` (:func:`_knn_among`), with the same k_max
+    default.  Checks and selection read the matrix in row blocks, so
     neither allocates a matrix-sized temporary.
     """
     m = np.asarray(matrix, dtype=np.float64)
@@ -393,8 +407,6 @@ def ingest_distance_matrix(matrix: np.ndarray, k_max: int | None = None) -> Neig
             f"distance matrix asymmetric: |d[{i},{j}] - d[{j},{i}]| = {worst:g} > 1e-9")
     k_max = _checked_k_max(k_max, n)
     everyone = np.arange(n)
-    ids = np.empty((n, k_max), dtype=_id_dtype(n))
-    dists = np.empty((n, k_max), dtype=np.float64)
 
     def matrix_rows(part: np.ndarray, _, scratch: Scratch) -> np.ndarray:
         # every point is a candidate, so a row of the matrix is its distance
@@ -403,8 +415,6 @@ def ingest_distance_matrix(matrix: np.ndarray, k_max: int | None = None) -> Neig
         d[...] = m[part[0]:part[-1] + 1]
         return d
 
-    map_blocks(lambda scratch, s, e: _knn_among(everyone[s:e], everyone, matrix_rows,
-                                                ids, dists, scratch),
-               row_blocks(n, n, _blocks.WORKER_ENTRIES))
-    return NeighborGraph(ids, dists)
-
+    blocks = [everyone[s:e] for s, e in row_blocks(n, n, _blocks.WORKER_ENTRIES)]
+    return NeighborGraph(*_knn_parts(
+        n, k_max, blocks, lambda rows, *out: _knn_among(rows, everyone, matrix_rows, *out)))

@@ -243,14 +243,13 @@ def _forked_rows(path) -> np.ndarray | None:
     stops = np.cumsum(part_rows).tolist()
     if stops[-1] * width > (size + 1) // 2:  # each value but the last ends in a separator
         return None
-    starts, shape = [0, *stops], (stops[-1], width)
+    starts = [0, *stops]
 
-    def parse(out: np.ndarray, part: int) -> None:
-        _parse_range(path, cuts[part], cuts[part + 1],
-                     out.view(np.float64).reshape(shape)[starts[part]:stops[part]])
+    def parse(part: int, rows: np.ndarray) -> None:
+        _parse_range(path, cuts[part], cuts[part + 1], rows[starts[part]:stops[part]])
 
-    out = forked(len(stops), 8 * stops[-1] * width, parse)
-    return None if out is None else out.view(np.float64).reshape(shape)
+    out = forked(len(stops), [((stops[-1], width), np.float64)], parse)
+    return None if out is None else out[0]
 
 
 def _float_rows(path: str | Path) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""The block engine: row blocks on a thread pool, and forked parts."""
+"""The block engine: row blocks on every usable CPU, and forked parts."""
 
 import os
 import sys
@@ -35,32 +35,38 @@ def test_row_blocks_under_rapid_thread_switching(monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_tasks_write_shared_memory_and_report_worker_failure():
     def put(code=0, fault=None):
-        def fill(out, part):
-            out[part] = part + 1
+        def fill(part, flags, values):
+            flags[part], values[part] = part + 1, part + 0.5
             if part and code:
                 os._exit(code)
             if part == fault:
                 1 / 0
         return fill
 
-    out = forked(3, 3, put())
-    assert out.tolist() == [1, 2, 3]
-    assert forked(2, 2, put(code=4)) is None
-    assert forked(3, 3, put(fault=2)) is None
+    def layout(parts):
+        # 3 bytes of flags: the values start at the next multiple of 8
+        return [((parts,), np.uint8), ((parts, 1), np.float64)]
+
+    flags, values = forked(3, layout(3), put())
+    assert flags.tolist() == [1, 2, 3]
+    assert values.tolist() == [[0.5], [1.5], [2.5]]
+    assert values.ctypes.data % 8 == 0 and values.ctypes.data >= flags.ctypes.data + 3
+    assert forked(2, layout(2), put(code=4)) is None
+    assert forked(3, layout(3), put(fault=2)) is None
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_workers_are_killed_when_the_caller_raises():
-    def interrupted(out, part):
+    def interrupted(part, out):
         if part == 0:
             raise KeyboardInterrupt
         time.sleep(60)
 
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        forked(2, 1, interrupted)
+        forked(2, [((1,), np.uint8)], interrupted)
     assert time.monotonic() - start < 30  # the sleeping worker was killed, then reaped
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -68,13 +74,13 @@ def test_forked_workers_are_killed_when_the_caller_raises():
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_caller_error_kills_the_workers_and_gives_none():
-    def failing(out, part):
+    def failing(part, out):
         if part == 0:
             raise ValueError("the caller's part failed")
         time.sleep(60)
 
     start = time.monotonic()
-    assert forked(3, 1, failing) is None
+    assert forked(3, [((1,), np.uint8)], failing) is None
     assert time.monotonic() - start < 30  # the sleeping workers were killed, then reaped
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

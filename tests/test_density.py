@@ -822,7 +822,10 @@ def _one_cpu_outcome(monkeypatch, graph, d, ansatz="volume"):
         return _estimate_outcome(graph, d, ansatz)
 
 
-def _forked_cases():
+@pytest.fixture(scope="module")
+def forked_cases():
+    """Graphs to estimate on several CPUs, built once, before any test of
+    the module pretends a CPU count or logs the forks: the kNN forks too."""
     mixture = build_neighbor_graph(PointSet(_mixture_with_duplicates()), 48)
     falling_back = build_neighbor_graph(
         PointSet(synth_gmm(k=5, n=300, dim=20, separation=10, seed=0)[0]), 64)
@@ -833,8 +836,8 @@ def _forked_cases():
 
 @pytest.mark.parametrize("cpus", [2, 5])  # 5: more processes than most machines have cores
 @pytest.mark.parametrize("case", ["duplicates-volume", "duplicates-index", "fallbacks-20d"])
-def test_forked_estimate_equals_the_one_cpu_bytes(case, cpus, forks, monkeypatch):
-    graph, d, ansatz = _forked_cases()[case]
+def test_forked_estimate_equals_the_one_cpu_bytes(case, cpus, forked_cases, forks, monkeypatch):
+    graph, d, ansatz = forked_cases[case]
     want = _one_cpu_outcome(monkeypatch, graph, d, ansatz)
     assert forks == []
     monkeypatch.setattr(_blocks, "usable_cpus", lambda: cpus)
@@ -874,8 +877,8 @@ def test_shard_error_is_the_one_cpu_error(fault, points, forks, monkeypatch):
 
 @pytest.mark.skipif(not FORKS, reason="the density estimate forks only before Python 3.12")
 @pytest.mark.parametrize("how", ["exit-code", "signal", "exception"])
-def test_failed_worker_gives_the_one_cpu_bytes(how, forks, monkeypatch):
-    graph, d, ansatz = _forked_cases()["duplicates-volume"]
+def test_failed_worker_gives_the_one_cpu_bytes(how, forked_cases, forks, monkeypatch):
+    graph, d, ansatz = forked_cases["duplicates-volume"]
     want = _one_cpu_outcome(monkeypatch, graph, d, ansatz)
     caller, estimate_rows = os.getpid(), density_module._estimate_rows
 
@@ -896,8 +899,8 @@ def test_failed_worker_gives_the_one_cpu_bytes(how, forks, monkeypatch):
 
 @pytest.mark.parametrize("case", ["one-cpu", "few-points", "second-thread", "python-3.12",
                                   "no-fork"])
-def test_serial_unless_every_condition_holds(case, forks, monkeypatch):
-    graph, d, ansatz = _forked_cases()["duplicates-volume"]
+def test_serial_unless_every_condition_holds(case, forked_cases, forks, monkeypatch):
+    graph, d, ansatz = forked_cases["duplicates-volume"]
     want = _one_cpu_outcome(monkeypatch, graph, d, ansatz)
     if case == "one-cpu":
         monkeypatch.setattr(_blocks, "usable_cpus", lambda: 1)

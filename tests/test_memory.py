@@ -41,34 +41,77 @@ def _traced_peak(fn, *args, **kwargs):
     return peak - start, result
 
 
-@pytest.mark.parametrize("k_max", [None, 1499], ids=["partition", "full_sort"])
-def test_matrix_ingest_peaks_below_a_quarter_matrix_above_the_graph(k_max, monkeypatch):
+FORKS = hasattr(os, "fork") and sys.version_info < (3, 12)
+
+
+def _peak_above_graph(monkeypatch, cpus, build):
+    """The traced peak of ``build()`` on ``cpus`` pretend CPUs, above the
+    bytes of its graph that tracemalloc sees."""
+    _pretend_cpus(monkeypatch, cpus)
+    peak, graph = _traced_peak(build)
+    return peak - _arrays_bytes(graph.neighbor_ids, graph.neighbor_dists), graph
+
+
+def _matrix_ingest(monkeypatch, k_max):
     n = 1500
     coords = np.random.default_rng(0).random((n, 2))
     matrix = cdist(coords, coords)
     monkeypatch.setattr(_blocks, "BLOCK_ENTRIES", 8 * n)
     monkeypatch.setattr(_blocks, "WORKER_ENTRIES", 4 * n)
-    peak, graph = _traced_peak(ingest_distance_matrix, matrix, k_max=k_max)
-    graph_bytes = graph.neighbor_ids.nbytes + graph.neighbor_dists.nbytes
-    assert peak - graph_bytes < matrix.nbytes / 4
+    return matrix, lambda: ingest_distance_matrix(matrix, k_max=k_max)
 
 
-def test_kd_leaf_knn_peak_follows_its_blocks_not_its_leaves(monkeypatch):
+def _kd_leaf_knn(monkeypatch):
     # leaves of 2,048 points hold about 4,000 candidates each: unblocked,
     # one leaf's distances alone would take 64 MB
     coords, _ = synth_gmm(k=3, n=5000, dim=2, separation=8, seed=1)
     monkeypatch.setattr(neighbors, "_LEAF_SIZE", 2048)
     monkeypatch.setattr(_blocks, "WORKER_ENTRIES", 4 * coords.shape[0])
-    peak, graph = _traced_peak(build_neighbor_graph, PointSet(coords), k_max=200)
-    graph_bytes = graph.neighbor_ids.nbytes + graph.neighbor_dists.nbytes
-    assert peak - graph_bytes < graph_bytes / 4
+    return lambda: build_neighbor_graph(PointSet(coords), k_max=200)
 
 
-def _density_peak(monkeypatch):
+# one usable CPU in the two bounds below: the whole pass and its graph are
+# in this process, where tracemalloc sees them
+
+@pytest.mark.parametrize("k_max", [None, 1499], ids=["partition", "full_sort"])
+def test_matrix_ingest_peaks_below_a_quarter_matrix_above_the_graph(k_max, monkeypatch):
+    matrix, ingest = _matrix_ingest(monkeypatch, k_max)
+    peak, _ = _peak_above_graph(monkeypatch, 1, ingest)
+    assert peak < matrix.nbytes / 4
+
+
+def test_kd_leaf_knn_peak_follows_its_blocks_not_its_leaves(monkeypatch):
+    peak, graph = _peak_above_graph(monkeypatch, 1, _kd_leaf_knn(monkeypatch))
+    assert peak < (graph.neighbor_ids.nbytes + graph.neighbor_dists.nbytes) / 4
+
+
+@pytest.mark.skipif(not FORKS, reason="the kNN passes fork only before Python 3.12")
+@pytest.mark.parametrize("stage", ["matrix_ingest", "kd_leaf_knn"])
+def test_knn_caller_holds_one_workers_scratch(stage, monkeypatch):
+    # two CPUs: the caller runs one part with one scratch, and the other
+    # part runs in a forked process, which tracemalloc does not see.  Both
+    # workers' scratch in this process would near double the one-CPU peak.
+    build = (_matrix_ingest(monkeypatch, None)[1] if stage == "matrix_ingest"
+             else _kd_leaf_knn(monkeypatch))
+    # the checks of the matrix and the graph in blocks of one row, so the
+    # peak is the kNN pass's
+    monkeypatch.setattr(_blocks, "BLOCK_ENTRIES", 1)
+    for cpus in (1, 2):  # warm: first-call caches, and the imports of a forked pass
+        _peak_above_graph(monkeypatch, cpus, build)
+    one_cpu, _ = _peak_above_graph(monkeypatch, 1, build)
+    two_cpus, graph = _peak_above_graph(monkeypatch, 2, build)
+    assert two_cpus < 1.25 * one_cpu
+    assert _arrays_bytes(graph.neighbor_ids, graph.neighbor_dists) == 0  # a shared mapping
+
+
+def _density_graph():
+    coords, _ = synth_gmm(k=3, n=5000, dim=2, separation=8, seed=1)
+    return build_neighbor_graph(PointSet(coords), k_max=400)
+
+
+def _density_peak(monkeypatch, graph):
     # a budget of four rows at k_max: the scan's chunks of k and the fits'
     # working arrays must follow their blocks, not the n x k_max table
-    coords, _ = synth_gmm(k=3, n=5000, dim=2, separation=8, seed=1)
-    graph = build_neighbor_graph(PointSet(coords), k_max=400)
     monkeypatch.setattr(_blocks, "BLOCK_ENTRIES", 4 * graph.k_max)
     peak, estimate = _traced_peak(estimate_density, graph, 2.0)
     assert estimate.k_hat.max() == graph.k_max
@@ -81,18 +124,19 @@ def test_density_peak_follows_its_blocks_not_the_table(monkeypatch):
     # tracemalloc sees all the work
     _pretend_cpus(monkeypatch, 1)
     forks = _count_forks(monkeypatch)
-    _density_peak(monkeypatch)
+    _density_peak(monkeypatch, _density_graph())
     assert forks == []
 
 
-@pytest.mark.skipif(not hasattr(os, "fork") or sys.version_info >= (3, 12),
-                    reason="the density estimate forks only before Python 3.12")
+@pytest.mark.skipif(not FORKS, reason="the density estimate forks only before Python 3.12")
 def test_forked_density_peak_of_the_caller_follows_its_blocks(monkeypatch):
     # two CPUs: the caller estimates half the points and a forked process,
-    # which tracemalloc does not see, the other half into a shared mapping
+    # which tracemalloc does not see, the other half into a shared mapping.
+    # The graph is built first, since its kNN forks too.
+    graph = _density_graph()
     _pretend_cpus(monkeypatch, 2)
     forks = _count_forks(monkeypatch)
-    _density_peak(monkeypatch)
+    _density_peak(monkeypatch, graph)
     assert len(forks) == 1
 
 
@@ -134,8 +178,7 @@ def test_finiteness_check_builds_no_table_mask():
     assert finite and peak < matrix.size / 64  # an isfinite mask takes matrix.size
 
 
-@pytest.mark.skipif(not hasattr(os, "fork") or sys.version_info >= (3, 12),
-                    reason="the point and matrix readers fork only before Python 3.12")
+@pytest.mark.skipif(not FORKS, reason="the point and matrix readers fork only before Python 3.12")
 def test_forked_matrix_read_peak_follows_its_chunks(tmp_path, monkeypatch):
     # the forked parse writes its chunks straight into a shared mapping,
     # which tracemalloc does not see, and the worker's part is parsed in

@@ -1,7 +1,8 @@
 """Graph construction, ingestion formats, and their validation rules."""
 
-import itertools
-import threading
+import os
+import signal
+import sys
 
 import numpy as np
 import pytest
@@ -204,18 +205,21 @@ def test_row_blocks_match_oracle(cpus, metric, case, monkeypatch):
     assert coords.shape[0] % _BLOCK_ROWS
     _small_blocks(monkeypatch, cpus, coords, k_max)
     ids, dists = brute_knn(coords, k_max, metric)
-    tree_knn = _recording_redo(monkeypatch)
+    # the redo is counted on one CPU: a forked part's selections are not seen here
+    counted = cpus == 1
+    tree_knn = _recording_redo(monkeypatch) if counted else lambda *a: (*_tree_knn(*a), None)
     got_ids, got_dists, redone = tree_knn(coords, k_max, metric)
     np.testing.assert_array_equal(got_ids, ids)
     assert got_dists.tobytes() == dists.tobytes()
-    assert not redone.any()  # ties and duplicates are exact inside the candidates
+    assert not counted or not redone.any()  # ties and duplicates are exact inside the candidates
     # a margin no row clears forces every pruned row through the redo
     monkeypatch.setattr(neighbors, "_TREE_RTOL", 1.0)
     got_ids, got_dists, redone = tree_knn(coords, k_max, metric)
     np.testing.assert_array_equal(got_ids, ids)
     assert got_dists.tobytes() == dists.tobytes()
-    assert redone.max() <= 1  # each row is redone at most once
-    if case in ("horizon_ties", "duplicates", "padded_lattice"):
+    if counted:
+        assert redone.max() <= 1  # each row is redone at most once
+    if counted and case in ("horizon_ties", "duplicates", "padded_lattice"):
         leaf_of = np.empty(coords.shape[0], dtype=np.int64)
         for leaf, members in enumerate(neighbors._kd_leaves(coords)):
             leaf_of[members] = leaf
@@ -238,41 +242,133 @@ def test_matrix_rows_match_kd_leaves(cpus, metric, case, monkeypatch):
     assert by_matrix.neighbor_dists.tobytes() == by_coords.neighbor_dists.tobytes()
 
 
-@pytest.mark.parametrize("cpus,budget", [(1, 3), (2, 100)], ids=["one_cpu", "one_block"])
-def test_lone_worker_runs_in_the_calling_thread(cpus, budget, monkeypatch):
-    # a worker thread would keep its freed scratch in its own malloc arena
+# ---------------------------------------------------------------------------
+# the kNN passes on several CPUs: a part that fails gives the one-CPU bytes,
+# and a part that raises gives the one-CPU error
+
+FORKS = hasattr(os, "fork") and sys.version_info < (3, 12)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _knn_stage(stage, monkeypatch, cpus):
+    """300 random points, kd leaves of 8 and matrix blocks of 7 rows on
+    ``cpus`` pretend CPUs; return the stage's build and its items: the rows
+    of each leaf or block, in the order one CPU runs them."""
+    from scipy.spatial.distance import cdist
+
+    coords = np.random.default_rng(26).random((300, 3))
+    _small_blocks(monkeypatch, cpus, coords, 5)
+    if stage == "kd_leaves":
+        items = neighbors._kd_leaves(coords)
+        build = lambda: build_neighbor_graph(PointSet(coords), k_max=5)
+    else:
+        n = coords.shape[0]
+        items = [np.arange(s, e) for s, e in _blocks.row_blocks(n, n, _blocks.WORKER_ENTRIES)]
+        matrix = cdist(coords, coords)
+        build = lambda: ingest_distance_matrix(matrix, k_max=5)
+    assert len(items) > 2 * cpus
+    return build, items
+
+
+def _knn_outcome(build):
+    """The bytes of the graph, or the error's text."""
+    try:
+        graph = build()
+    except RuntimeError as exc:
+        return str(exc)
+    return graph.neighbor_ids.tobytes(), graph.neighbor_dists.tobytes()
+
+
+def _count_forks(monkeypatch) -> list[int]:
+    """Log every ``os.fork`` call from now on."""
+    log = []
+    if hasattr(os, "fork"):
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: log.append(1) or fork())
+    return log
+
+
+@pytest.mark.parametrize("cpus,n", [(1, 300), (2, 60)], ids=["one_cpu", "one_block"])
+def test_lone_knn_part_runs_in_the_caller(cpus, n, monkeypatch):
+    # one CPU, or a single kd leaf or matrix block: no process is forked
+    from scipy.spatial.distance import cdist
+
+    coords = np.random.default_rng(26).random((n, 3))
     monkeypatch.setattr(_blocks, "usable_cpus", lambda: cpus)
-    ran = _blocks.map_blocks(lambda scratch, s, e: (s, e, threading.current_thread()),
-                                _blocks.row_blocks(10, 1, budget // cpus))
-    step = budget // cpus
-    assert ran == [(s, min(10, s + step), threading.current_thread())
-                   for s in range(0, 10, step)]
+    forks = _count_forks(monkeypatch)
+    by_coords = build_neighbor_graph(PointSet(coords), k_max=5)
+    by_matrix = ingest_distance_matrix(cdist(coords, coords), k_max=5)
+    assert forks == []
+    ids, dists = brute_knn(coords, 5, "euclidean")
+    for graph in (by_coords, by_matrix):
+        np.testing.assert_array_equal(graph.neighbor_ids, ids)
+        assert graph.neighbor_dists.tobytes() == dists.tobytes()
 
 
-@pytest.mark.parametrize("dim", [2, 8])
-def test_failing_block_propagates_and_stops_the_pool(dim, monkeypatch):
-    coords = np.random.default_rng(26).random((300, dim))
-    _small_blocks(monkeypatch, 2, coords, 5)
-    calls = itertools.count()
+@pytest.mark.skipif(not FORKS, reason="the kNN passes fork only before Python 3.12")
+@pytest.mark.parametrize("how", ["exit-code", "signal", "exception"])
+@pytest.mark.parametrize("cpus", [2, 5])  # 5: more processes than most machines have cores
+@pytest.mark.parametrize("stage", ["kd_leaves", "matrix_rows"])
+def test_failed_knn_part_gives_the_one_cpu_bytes(stage, cpus, how, monkeypatch):
+    build, _ = _knn_stage(stage, monkeypatch, 1)
+    want = _knn_outcome(build)
+    build, _ = _knn_stage(stage, monkeypatch, cpus)
+    caller, knn_among = os.getpid(), neighbors._knn_among
 
-    def failing(kernel):
-        def wrapped(*args, **kwargs):
-            if next(calls) == 3:
-                raise RuntimeError("block failed")
-            return kernel(*args, **kwargs)
-        return wrapped
+    def failing(*args):
+        if os.getpid() != caller:
+            if how == "exit-code":
+                os._exit(3)
+            if how == "signal":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("part failed")
+        return knn_among(*args)
 
-    # every block computes its distances through one kernel
-    monkeypatch.setattr(neighbors, "_distances", failing(neighbors._distances))
-    with pytest.raises(RuntimeError, match="block failed"):
-        build_neighbor_graph(PointSet(coords), k_max=5)
-    assert not [t for t in threading.enumerate() if t.name.startswith("densitopo-knn")]
+    monkeypatch.setattr(neighbors, "_knn_among", failing)
+    forks = _count_forks(monkeypatch)
+    assert _knn_outcome(build) == want
+    assert len(forks) == cpus - 1
+    _no_child_left()
+
+
+@pytest.mark.parametrize("where", ["caller-part", "worker-part", "every-part"])
+@pytest.mark.parametrize("cpus", [2, 5])
+@pytest.mark.parametrize("stage", ["kd_leaves", "matrix_rows"])
+def test_knn_part_error_is_the_one_cpu_error(stage, cpus, where, monkeypatch):
+    # part p runs items p, p + cpus, ...; with a fault in every part, the
+    # caller's first faulty item is item cpus, and a one-CPU run names item 1
+    build, items = _knn_stage(stage, monkeypatch, cpus)
+    faulty = {"caller-part": [0], "worker-part": [cpus - 1],
+              "every-part": list(range(1, cpus + 1))}[where]
+    bad = np.concatenate([items[m] for m in faulty])
+    knn_among = neighbors._knn_among
+
+    def failing(rows, *args):
+        if np.isin(rows, bad).any():
+            raise RuntimeError(f"rows from point {rows[0]} failed")
+        return knn_among(rows, *args)
+
+    monkeypatch.setattr(neighbors, "_knn_among", failing)
+    with monkeypatch.context() as m:
+        m.setattr(_blocks, "usable_cpus", lambda: 1)
+        want = _knn_outcome(build)
+    assert want == f"rows from point {items[faulty[0]][0]} failed"
+    forks = _count_forks(monkeypatch)
+    assert _knn_outcome(build) == want
+    assert len(forks) == (cpus - 1 if FORKS else 0)
+    _no_child_left()
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
 def test_lattice_needs_no_redo(metric, monkeypatch):
     # every row of a 70 x 70 grid ties inside its k_max = 60 neighbors and at
-    # the 60th; the candidates hold every tie, so no row is selected again
+    # the 60th; the candidates hold every tie, so no row is selected again.
+    # One CPU: every leaf runs in this process, where the redo is counted.
+    monkeypatch.setattr(_blocks, "usable_cpus", lambda: 1)
     coords = _lattice(70)
     ids, dists, redone = _recording_redo(monkeypatch)(coords, 60, metric)
     assert not redone.any()
