@@ -2,9 +2,9 @@
 
 For each point the neighborhood is grown shell by shell while a
 likelihood-ratio test accepts that the point and its current k-th neighbor
-see the same density; the log density is then a maximum-likelihood fit of
-a log-linear density ansatz over the accepted shells, whose intercept
-corrects the leading bias of the plain k/V estimate.
+see the same density; the log density is then a maximum-likelihood fit,
+over the accepted shells, of a density log-linear in cumulative shell
+volume, whose intercept corrects the leading bias of the plain k/V estimate.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .neighbors import NeighborGraph
 LRT_THRESHOLD = 23.928
 # smallest neighborhood the scan ever selects
 DEFAULT_K_MIN = 4
-ANSATZ_CHOICES = ("volume", "index")
 
 # Newton fit: gradient norm that counts as converged, and the iteration
 # limit before falling back to k/V
@@ -232,19 +231,20 @@ def _loglik(b: np.ndarray, a: np.ndarray, x: np.ndarray, v: np.ndarray, k: np.nd
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _fit_rows(ids: np.ndarray, k: np.ndarray, d: float, omega: float, ansatz: str,
+def _fit_rows(ids: np.ndarray, k: np.ndarray, d: float, omega: float,
               graph: NeighborGraph, scratch: Scratch) -> tuple[np.ndarray, np.ndarray]:
     """Fit log rho with a linear density drift over each point's k shells.
 
-    Per point, maximizes the shell likelihood of rate exp(b + a * x_l) by
-    Newton iteration from (log(k / V), 0), halving steps that lower the
-    objective.  The intercept b is the bias-corrected log density at the
-    point.  The points, sorted by k, run in lockstep, each halving its own
-    steps and leaving once it is decided.  Elementwise steps run on rows
-    padded to the largest k with the graph's later shells; row sums read
-    only each point's k shells, so it gets what a fit of it alone gives.
+    Per point, maximizes the shell likelihood of rate exp(b + a * x_l), x_l
+    the volume of the ball out to shell l, by Newton iteration from
+    (log(k / V), 0), halving steps that lower the objective.  The intercept
+    b is the bias-corrected log density at the point.  The points, sorted
+    by k, run in lockstep, each halving its own steps and leaving once it
+    is decided.  Elementwise steps run on rows padded to the largest k with
+    the graph's later shells; row sums read only each point's k shells, so
+    it gets what a fit of it alone gives.
 
-    Every points x shells array is a view of ``scratch``: the regressors x,
+    Every points x shells array is a view of ``scratch``: the ball volumes x,
     shell volumes v and shell terms w of the points still iterating move
     between two halves of the buffers ``x``, ``v`` and ``w`` as points
     leave, ``wx`` holds each iteration's products and then its candidate
@@ -258,18 +258,15 @@ def _fit_rows(ids: np.ndarray, k: np.ndarray, d: float, omega: float, ansatz: st
     """
     shape = (ids.size, int(k[-1]))
     half = math.prod(shape) * 8  # bytes: the second half of x, v and w starts here
-    cum = scratch.take("x", shape)
-    cum[...] = graph.neighbor_dists[ids, :shape[1]]
-    np.power(cum, d, out=cum)
-    cum *= omega
-    log_rho = _plain_log_rho(ids, k, cum[np.arange(ids.size), k - 1], d)
+    x = scratch.take("x", shape)
+    x[...] = graph.neighbor_dists[ids, :shape[1]]
+    np.power(x, d, out=x)
+    x *= omega
+    log_rho = _plain_log_rho(ids, k, x[np.arange(ids.size), k - 1], d)
     v = scratch.take("v", shape)
-    v[:, 0] = cum[:, 0]
-    np.subtract(cum[:, 1:], cum[:, :-1], out=v[:, 1:])
+    v[:, 0] = x[:, 0]
+    np.subtract(x[:, 1:], x[:, :-1], out=v[:, 1:])
     np.maximum(v, 0.0, out=v)
-    x = cum
-    if ansatz == "index":
-        x[:] = np.arange(1.0, shape[1] + 1.0)
     x_sum = _row_sums(k, x)
     fallback = np.ones(ids.size, dtype=bool)
 
@@ -339,7 +336,7 @@ def _fit_rows(ids: np.ndarray, k: np.ndarray, d: float, omega: float, ansatz: st
 
 
 def _estimate_rows(graph: NeighborGraph, ids: np.ndarray, d: float, omega: float,
-                   cap: int, ansatz: str, k_hat: np.ndarray, log_rho: np.ndarray,
+                   cap: int, k_hat: np.ndarray, log_rho: np.ndarray,
                    r_khat: np.ndarray, fallback: np.ndarray) -> None:
     """Estimate the points ``ids``, as :func:`estimate_density` describes,
     into their entries of the four arrays; ``err`` follows from k_hat.
@@ -381,8 +378,8 @@ def _estimate_rows(graph: NeighborGraph, ids: np.ndarray, d: float, omega: float
         hi = min(lo + budget // ks[lo], np.searchsorted(ks, 2 * ks[lo], "right"))
         hi = lo + max(1, np.count_nonzero(np.arange(1, hi - lo + 1) * ks[lo:hi] <= budget))
         block = fit[lo:hi]
-        log_rho[block], fallback[block] = _fit_rows(block, ks[lo:hi], d, omega, ansatz,
-                                                    graph, scratch)
+        log_rho[block], fallback[block] = _fit_rows(block, ks[lo:hi], d, omega, graph,
+                                                    scratch)
         lo = hi
 
 
@@ -399,17 +396,16 @@ def _estimate_rows(graph: NeighborGraph, ids: np.ndarray, d: float, omega: float
 _SHARD_ROWS = 1024
 
 
-def estimate_density(graph: NeighborGraph, d: float,
-                     ansatz: str = "volume") -> DensityEstimate:
+def estimate_density(graph: NeighborGraph, d: float) -> DensityEstimate:
     """Adaptive density estimate for every point of the graph.
 
     Neighborhood sizes come from the same-density scan; each point then
-    gets the drift-corrected likelihood fit, falling back to log(k/V)
-    where the fit degenerates.  The fits run in blocks of points sorted by
-    k_hat, each row padded to its block's largest k_hat.  Points whose
-    selected neighborhood has zero volume are retried at the smallest k
-    with positive volume, given log(k/V) and flagged; if no such k exists
-    the data is degenerate.
+    gets the likelihood fit of a density log-linear in cumulative shell
+    volume, falling back to log(k/V) where the fit degenerates.  The fits
+    run in blocks of points sorted by k_hat, each row padded to its block's
+    largest k_hat.  Points whose selected neighborhood has zero volume are
+    retried at the smallest k with positive volume, given log(k/V) and
+    flagged; if no such k exists the data is degenerate.
 
     Each point's estimate reads only its own row of the graph, so a graph
     of at least twice ``_SHARD_ROWS`` points is estimated on every usable
@@ -423,19 +419,15 @@ def estimate_density(graph: NeighborGraph, d: float,
 
     Args:
         d: intrinsic dimension used for shell volumes (> 0, may be fractional).
-        ansatz: regressor of the log-linear density model, one of
-            "volume" (cumulative shell volume) or "index" (shell number).
     """
     omega = unit_ball_volume(d)
-    if ansatz not in ANSATZ_CHOICES:
-        raise ConfigError(f"ansatz must be one of {ANSATZ_CHOICES}, got {ansatz!r}")
     n = graph.n_points
     cap = _effective_cap(graph)
 
     k_hat, log_rho, r_khat, fallback = fill_parts(
         n // _SHARD_ROWS, [((n,), np.int64), ((n,), np.float64), ((n,), np.float64), ((n,), bool)],
         lambda part, parts, *out: _estimate_rows(graph, np.arange(part, n, parts), d, omega,
-                                                 cap, ansatz, *out))
+                                                 cap, *out))
 
     err = log_density_error(k_hat.astype(np.float64))
     if not np.isfinite(log_rho).all():

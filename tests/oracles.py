@@ -363,12 +363,6 @@ def scan_per_k(graph: NeighborGraph, ids: np.ndarray, d: float, cap: int) -> np.
     return k_hat
 
 
-def _regressor(shells_cum: np.ndarray, ansatz: str) -> np.ndarray:
-    if ansatz == "volume":
-        return shells_cum
-    return np.arange(1.0, shells_cum.size + 1.0)
-
-
 def _model_value(b: float, a: float, x: np.ndarray, v: np.ndarray) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         t = b + a * x
@@ -376,14 +370,15 @@ def _model_value(b: float, a: float, x: np.ndarray, v: np.ndarray) -> float:
     return float(val)
 
 
-def fit_linear_corrected(i: int, k_hat: int, d: float, graph: NeighborGraph,
-                         ansatz: str = "volume") -> tuple[float, float, float, bool]:
+def fit_linear_corrected(i: int, k_hat: int, d: float,
+                         graph: NeighborGraph) -> tuple[float, float, float, bool]:
     """Fit log rho with a linear density drift over the accepted shells.
 
-    Maximizes the shell likelihood of rate exp(b + a * x_l) by Newton
-    iteration from (log(k_hat / V), 0), halving steps that lower the
-    objective.  The intercept b is the bias-corrected log density at the
-    point; a is the drift slope in the chosen regressor.
+    Maximizes the shell likelihood of rate exp(b + a * x_l), x_l the volume
+    of the ball out to shell l, by Newton iteration from (log(k_hat / V), 0),
+    halving steps that lower the objective.  The intercept b is the
+    bias-corrected log density at the point; a is the drift slope in
+    volume.
 
     Returns:
         (log_rho, slope, err, fallback): fallback is True when the solver
@@ -391,17 +386,16 @@ def fit_linear_corrected(i: int, k_hat: int, d: float, graph: NeighborGraph,
         plain k/V estimate is returned with zero slope.
     """
     radii = graph.neighbor_dists[i, :k_hat]
-    cum = unit_ball_volume(d) * np.power(radii, d)
-    prev = np.concatenate(([0.0], cum[:-1]))
-    v = np.maximum(cum - prev, 0.0)
-    vol = float(cum[-1])
+    x = unit_ball_volume(d) * np.power(radii, d)
+    prev = np.concatenate(([0.0], x[:-1]))
+    v = np.maximum(x - prev, 0.0)
+    vol = float(x[-1])
     err = float(log_density_error(float(k_hat)))
     if vol <= 0.0:
         raise DegenerateDataError(
             f"point {i}: all {k_hat} nearest neighbors coincide with it")
     b = math.log(k_hat) - math.log(vol)
     a = 0.0
-    x = _regressor(cum, ansatz)
     x_sum = float(x.sum())
     tol = density._NR_TOL
 
@@ -446,8 +440,7 @@ def fit_linear_corrected(i: int, k_hat: int, d: float, graph: NeighborGraph,
     return math.log(k_hat) - math.log(vol), 0.0, err, True
 
 
-def per_point_density(graph: NeighborGraph, d: float,
-                      ansatz: str = "volume") -> DensityEstimate:
+def per_point_density(graph: NeighborGraph, d: float) -> DensityEstimate:
     """The adaptive estimator one point at a time: scan, fit, duplicate retry."""
     n = graph.n_points
     cap = _effective_cap(graph)
@@ -466,8 +459,7 @@ def per_point_density(graph: NeighborGraph, d: float,
             log_rho[i], fallback[i] = knn_mle(k, vol), True
             err[i] = float(log_density_error(float(k)))
         else:
-            log_rho[i], _, err[i], fallback[i] = fit_linear_corrected(
-                i, k, d, graph, ansatz)
+            log_rho[i], _, err[i], fallback[i] = fit_linear_corrected(i, k, d, graph)
         k_hat[i] = k
     r_khat = graph.neighbor_dists[np.arange(n), k_hat - 1]
     return DensityEstimate(k_hat=k_hat, log_rho=log_rho, err=err, r_khat=r_khat,

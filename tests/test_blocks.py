@@ -1,35 +1,13 @@
-"""The block engine: row blocks on every usable CPU, and forked parts."""
+"""The block engine's forked parts: the one fork, reap and kill path of
+the kNN, matrix, reader and density passes' workers."""
 
 import os
-import sys
 import time
 
 import numpy as np
 import pytest
 
 from densitopo._blocks import forked
-from densitopo.neighbors import _tree_knn
-from oracles import brute_knn
-from test_neighbors import _duplicates, _small_blocks
-
-
-def test_row_blocks_under_rapid_thread_switching(monkeypatch):
-    coords, k_max = _duplicates()
-    _small_blocks(monkeypatch, 5, coords, k_max)  # more workers than cores
-    ids, dists = brute_knn(coords, k_max, "manhattan")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got_ids, got_dists = _tree_knn(coords, k_max, "manhattan")
-        np.testing.assert_array_equal(got_ids, ids)
-        assert got_dists.tobytes() == dists.tobytes()
-    finally:
-        sys.setswitchinterval(interval)
-
-
-# ---------------------------------------------------------------------------
-# forked passes: the one fork, reap and kill path of the point, matrix and
-# density readers' workers
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -364,6 +365,27 @@ def test_estimate_id_accepts_knn_format(dataset, tmp_path, capsys):
     assert _run(["estimate-id", "--input", dataset["points"],
                  "--k-max", "8"]) == 0
     assert capsys.readouterr().out.split()[0] == d_from_knn
+
+
+def test_module_entry_point_exits_and_prints_as_main_does(dataset, tmp_path, capsys):
+    # python3 -m densitopo, in a fresh interpreter
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "densitopo", *map(str, argv)], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            timeout=120)
+
+    assert module("run", "--outdir", tmp_path / "out").returncode == 2
+    bad = tmp_path / "bad.tsv"
+    write_points_tsv(dataset["coords"][:30], bad)
+    _replace_field(bad, 5, 1, b"x")
+    done = module("estimate-id", "--input", bad)
+    assert done.returncode == 3 and f"{bad}:5:" in done.stderr
+    assert "Traceback" not in done.stderr
+    argv = ["estimate-id", "--input", dataset["points"], "--k-max", "8"]
+    done = module(*argv)
+    assert _run(argv) == 0
+    assert done.returncode == 0 and done.stdout == capsys.readouterr().out
 
 
 def test_density_knn_file_honours_k_max(dataset, tmp_path, capsys):

@@ -558,17 +558,6 @@ def test_estimate_density_all_coincident_is_degenerate():
         estimate_density(graph, 2.0)
 
 
-def test_estimate_density_alternative_ansatz_choices():
-    rng = np.random.default_rng(41)
-    coords = rng.normal(size=(200, 2))
-    graph = build_neighbor_graph(PointSet(coords), 32)
-    ref = estimate_density(graph, 2.0, ansatz="volume")
-    est = estimate_density(graph, 2.0, ansatz="index")
-    assert np.isfinite(est.log_rho).all()
-    # neighborhood selection does not depend on the drift regressor
-    np.testing.assert_array_equal(est.k_hat, ref.k_hat)
-
-
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(min_value=2, max_value=400),
        vol_scale=st.floats(min_value=0.01, max_value=100.0,
@@ -589,9 +578,9 @@ def test_error_bar_between_zero_and_sqrt5(k, vol_scale):
 _ESTIMATE_FIELDS = ("k_hat", "log_rho", "err", "r_khat", "fallback")
 
 
-def _assert_matches_per_point(graph, d, ansatz="volume"):
-    est = estimate_density(graph, d, ansatz)
-    ref = per_point_density(graph, d, ansatz)
+def _assert_matches_per_point(graph, d):
+    est = estimate_density(graph, d)
+    ref = per_point_density(graph, d)
     for name in _ESTIMATE_FIELDS:
         assert np.array_equal(getattr(est, name), getattr(ref, name)), name
     return est
@@ -604,12 +593,12 @@ def _mixture_with_duplicates(seed: int = 1) -> np.ndarray:
     return np.concatenate([coords, coords[:50], np.repeat(coords[60:61], 5, axis=0)])
 
 
-@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
-@pytest.mark.parametrize("ansatz", ["volume", "index"])
-def test_batched_fit_matches_per_point_reference(ansatz, metric):
+# ids: the drift regressor (cumulative shell volume), then the metric
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"], ids=lambda m: f"volume-{m}")
+def test_batched_fit_matches_per_point_reference(metric):
     graph = build_neighbor_graph(PointSet(_mixture_with_duplicates()), 48, metric=metric)
     for d in (1.3, 2.9, 7.5):
-        est = _assert_matches_per_point(graph, d, ansatz)
+        est = _assert_matches_per_point(graph, d)
         assert est.fallback[300:].all() and np.all(est.k_hat[300:] == 6)
 
 
@@ -688,12 +677,11 @@ def test_batched_fit_matches_reference_in_blocks_of_many_k_hat(monkeypatch):
     coords = synth_gmm(k=3, n=400, dim=2, separation=6, seed=1)[0]
     graph = build_neighbor_graph(PointSet(coords), 64)
     monkeypatch.setattr(_blocks, "BLOCK_ENTRIES", 1000)
-    for ansatz in density_module.ANSATZ_CHOICES:
-        blocks = _record_fit_blocks(monkeypatch)
-        _assert_matches_per_point(graph, 2.0, ansatz)
-        assert all(k.size * k[-1] <= 1000 and k[-1] <= 2 * k[0] for k in blocks)
-        assert max(np.unique(k).size for k in blocks) >= 5
-        assert any(left[-1] == right[0] for left, right in zip(blocks, blocks[1:]))
+    blocks = _record_fit_blocks(monkeypatch)
+    _assert_matches_per_point(graph, 2.0)
+    assert all(k.size * k[-1] <= 1000 and k[-1] <= 2 * k[0] for k in blocks)
+    assert max(np.unique(k).size for k in blocks) >= 5
+    assert any(left[-1] == right[0] for left, right in zip(blocks, blocks[1:]))
 
 
 def test_batched_fit_matches_reference_with_short_and_recursing_rows_in_one_block(
@@ -731,11 +719,10 @@ def test_batched_fit_ignores_overflow_in_the_padding(monkeypatch):
        dim=st.integers(min_value=1, max_value=3),
        decimals=st.sampled_from([0, 1, 6]),
        d=st.floats(min_value=0.5, max_value=8.0),
-       ansatz=st.sampled_from(density_module.ANSATZ_CHOICES),
        nr_max_iter=st.sampled_from([3, 4, 100]),
        block_entries=st.sampled_from([1, 40, _blocks.BLOCK_ENTRIES]))
 def test_batched_fit_matches_reference_on_random_clouds(seed, n, dim, decimals, d,
-                                                        ansatz, nr_max_iter, block_entries):
+                                                        nr_max_iter, block_entries):
     # rounding the coordinates makes duplicate points common; a low
     # iteration limit sends most fits through the final stationarity test;
     # a small block budget fits one row at a time, or a few of mixed k_hat
@@ -745,12 +732,12 @@ def test_batched_fit_matches_reference_on_random_clouds(seed, n, dim, decimals, 
         mp_patch.setattr(density_module, "_NR_MAX_ITER", nr_max_iter)
         mp_patch.setattr(_blocks, "BLOCK_ENTRIES", block_entries)
         try:
-            ref = per_point_density(graph, d, ansatz)
+            ref = per_point_density(graph, d)
         except DegenerateDataError:
             with pytest.raises(DegenerateDataError):
-                estimate_density(graph, d, ansatz)
+                estimate_density(graph, d)
             return
-        est = estimate_density(graph, d, ansatz)
+        est = estimate_density(graph, d)
     for name in _ESTIMATE_FIELDS:
         assert np.array_equal(getattr(est, name), getattr(ref, name)), name
 
@@ -759,7 +746,7 @@ def test_batched_fit_matches_reference_on_random_clouds(seed, n, dim, decimals, 
 # argument validation
 
 
-def test_estimate_density_validates_d_and_ansatz():
+def test_estimate_density_validates_d():
     graph = graph_from_radii(radii_constant_density(40, 10, rho=1.0, d=2.0,
                                                     omega=math.pi))
     for d in (0.0, -1.0, math.nan, math.inf):
@@ -768,8 +755,6 @@ def test_estimate_density_validates_d_and_ansatz():
     for d in (400.0, 1e308):
         with pytest.raises(ConfigError, match=re.escape(f"intrinsic dimension {d} is too large")):
             estimate_density(graph, d)
-    with pytest.raises(ConfigError, match="ansatz must be one of"):
-        estimate_density(graph, 2.0, ansatz="cubic")
     # every radius is positive, but omega * r**d leaves floating point: it
     # underflows at d = 300 for radii near 0.1 and overflows at d = 20 for
     # radii near 1e20, in fitted rows and in a widened coincident row alike
@@ -807,19 +792,19 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _estimate_outcome(graph, d, ansatz="volume"):
+def _estimate_outcome(graph, d):
     """The bytes of every field of the estimate, or the error's type and text."""
     try:
-        est = estimate_density(graph, d, ansatz)
+        est = estimate_density(graph, d)
     except (ConfigError, DegenerateDataError) as exc:
         return type(exc), str(exc)
     return [getattr(est, name).tobytes() for name in _ESTIMATE_FIELDS]
 
 
-def _one_cpu_outcome(monkeypatch, graph, d, ansatz="volume"):
+def _one_cpu_outcome(monkeypatch, graph, d):
     with monkeypatch.context() as m:
         m.setattr(_blocks, "usable_cpus", lambda: 1)
-        return _estimate_outcome(graph, d, ansatz)
+        return _estimate_outcome(graph, d)
 
 
 @pytest.fixture(scope="module")
@@ -829,19 +814,17 @@ def forked_cases():
     mixture = build_neighbor_graph(PointSet(_mixture_with_duplicates()), 48)
     falling_back = build_neighbor_graph(
         PointSet(synth_gmm(k=5, n=300, dim=20, separation=10, seed=0)[0]), 64)
-    return {"duplicates-volume": (mixture, 2.9, "volume"),
-            "duplicates-index": (mixture, 2.9, "index"),
-            "fallbacks-20d": (falling_back, 14.0, "volume")}
+    return {"duplicates-volume": (mixture, 2.9), "fallbacks-20d": (falling_back, 14.0)}
 
 
 @pytest.mark.parametrize("cpus", [2, 5])  # 5: more processes than most machines have cores
-@pytest.mark.parametrize("case", ["duplicates-volume", "duplicates-index", "fallbacks-20d"])
+@pytest.mark.parametrize("case", ["duplicates-volume", "fallbacks-20d"])
 def test_forked_estimate_equals_the_one_cpu_bytes(case, cpus, forked_cases, forks, monkeypatch):
-    graph, d, ansatz = forked_cases[case]
-    want = _one_cpu_outcome(monkeypatch, graph, d, ansatz)
+    graph, d = forked_cases[case]
+    want = _one_cpu_outcome(monkeypatch, graph, d)
     assert forks == []
     monkeypatch.setattr(_blocks, "usable_cpus", lambda: cpus)
-    assert _estimate_outcome(graph, d, ansatz) == want
+    assert _estimate_outcome(graph, d) == want
     assert len(forks) == (cpus - 1 if FORKS else 0)
     _no_child_left()
 
@@ -878,8 +861,8 @@ def test_shard_error_is_the_one_cpu_error(fault, points, forks, monkeypatch):
 @pytest.mark.skipif(not FORKS, reason="the density estimate forks only before Python 3.12")
 @pytest.mark.parametrize("how", ["exit-code", "signal", "exception"])
 def test_failed_worker_gives_the_one_cpu_bytes(how, forked_cases, forks, monkeypatch):
-    graph, d, ansatz = forked_cases["duplicates-volume"]
-    want = _one_cpu_outcome(monkeypatch, graph, d, ansatz)
+    graph, d = forked_cases["duplicates-volume"]
+    want = _one_cpu_outcome(monkeypatch, graph, d)
     caller, estimate_rows = os.getpid(), density_module._estimate_rows
 
     def failing(*args):
@@ -892,7 +875,7 @@ def test_failed_worker_gives_the_one_cpu_bytes(how, forked_cases, forks, monkeyp
         return estimate_rows(*args)
 
     monkeypatch.setattr(density_module, "_estimate_rows", failing)
-    assert _estimate_outcome(graph, d, ansatz) == want
+    assert _estimate_outcome(graph, d) == want
     assert len(forks) == 1
     _no_child_left()
 
@@ -900,8 +883,8 @@ def test_failed_worker_gives_the_one_cpu_bytes(how, forked_cases, forks, monkeyp
 @pytest.mark.parametrize("case", ["one-cpu", "few-points", "second-thread", "python-3.12",
                                   "no-fork"])
 def test_serial_unless_every_condition_holds(case, forked_cases, forks, monkeypatch):
-    graph, d, ansatz = forked_cases["duplicates-volume"]
-    want = _one_cpu_outcome(monkeypatch, graph, d, ansatz)
+    graph, d = forked_cases["duplicates-volume"]
+    want = _one_cpu_outcome(monkeypatch, graph, d)
     if case == "one-cpu":
         monkeypatch.setattr(_blocks, "usable_cpus", lambda: 1)
     elif case == "few-points":  # one shard of _SHARD_ROWS points or more
@@ -915,7 +898,7 @@ def test_serial_unless_every_condition_holds(case, forked_cases, forks, monkeypa
     if case == "second-thread":
         thread.start()
     try:
-        assert _estimate_outcome(graph, d, ansatz) == want
+        assert _estimate_outcome(graph, d) == want
     finally:
         stop.set()
         if case == "second-thread":

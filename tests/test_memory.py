@@ -366,9 +366,9 @@ def _tiny_blocks(monkeypatch, n: int, k_max: int) -> None:
     monkeypatch.setattr(_blocks, "BLOCK_ENTRIES", 3 * k_max)
 
 
-def _estimate_bytes(graph, d, ansatz="volume"):
+def _estimate_bytes(graph, d):
     try:
-        est = estimate_density(graph, d, ansatz)
+        est = estimate_density(graph, d)
     except DegenerateDataError as exc:
         return str(exc), None
     return [getattr(est, f).tobytes() for f in
@@ -406,10 +406,10 @@ def _random_cloud(seed, n, dim, decimals):
 
 
 DENSITY_CASES = {
-    "overflow_in_padding": lambda: (_overflow_in_padding(), "volume"),
-    "cloud_1d_integers": lambda: (_random_cloud(3, 41, 1, 0), "volume"),
-    "cloud_2d_tenths": lambda: (_random_cloud(4, 60, 2, 1), "index"),
-    "cloud_3d": lambda: (_random_cloud(5, 53, 3, 6), "volume"),
+    "overflow_in_padding": _overflow_in_padding,
+    "cloud_1d_integers": lambda: _random_cloud(3, 41, 1, 0),
+    "cloud_2d_tenths": lambda: _random_cloud(4, 60, 2, 1),
+    "cloud_3d": lambda: _random_cloud(5, 53, 3, 6),
 }
 
 
@@ -429,9 +429,9 @@ def test_poisoned_scratch_leaves_pipeline_bytes(case, fill, blocks, monkeypatch)
 @pytest.mark.parametrize("fill", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("case", sorted(DENSITY_CASES))
 def test_poisoned_scratch_leaves_density_bytes(case, fill, blocks, monkeypatch):
-    graph, ansatz = DENSITY_CASES[case]()
-    want = _estimate_bytes(graph, 2.0, ansatz)[0]
+    graph = DENSITY_CASES[case]()
+    want = _estimate_bytes(graph, 2.0)[0]
     _poison(monkeypatch, fill)
     if blocks == "tiny":
         _tiny_blocks(monkeypatch, graph.n_points, graph.k_max)
-    assert _estimate_bytes(graph, 2.0, ansatz)[0] == want
+    assert _estimate_bytes(graph, 2.0)[0] == want
