@@ -2,11 +2,9 @@
 
 Every pass over the neighbor graph or a distance matrix reads it in row
 blocks (:func:`row_blocks`), each pass with one :class:`Scratch`.  The kNN
-passes and the density estimate split their rows into parts and run them
-on every usable CPU, part 0 in the calling process and each other part in
-a forked one, or all of them in the caller (:func:`fill_parts`).  The
-point and matrix reader calls the fork step, :func:`forked`, itself: a
-failed forked read falls back to ``np.loadtxt``, not to its own parse.
+passes and the density estimate run in parts, one per ``PART_ENTRIES`` of
+work up to the usable CPUs, part 0 in the caller and each other in a forked
+process (:func:`fill_parts`); the point and matrix reader forks by :func:`forked`.
 """
 
 from __future__ import annotations
@@ -37,6 +35,18 @@ BLOCK_ENTRIES = 1 << 15
 # entries (the serial passes' size), 0.78-0.79 s at 2^17, 0.82-0.84 s at
 # 2^18 and 0.78-0.80 s at 2^19, peaking at 155 MiB, and 159 MiB at 2^19.
 WORKER_ENTRIES = 1 << 17
+
+# Fewest entries of work per forked part (:func:`fill_parts`), so a pass
+# forks from twice this, 1,048,576, on.  Every pass forked on 2 CPUs against
+# one, in ms (median of 15 interleaved calls; entries read by each pass):
+# 2-D kd kNN 11.3 against 0.9 at 5k + 10k, 20.4 against 10.8 at 187k + 301k,
+# 34.8 against 31.5 at 626k + 1.0M and 63.9 against 73.9 at 2.1M + 2.0M; 20-D
+# kd kNN 27.0 against 24.9 at 90k + 360k, 46.0 against 54.0 at 63k + 1.0M;
+# matrices 13.2 against 7.8 at 640k, 18.5 against 13.9 at 1.2M, 28.9 against
+# 30.1 at 2.3M, 81.7 against 98.8 at 9M; density 47 against 42 at 562k, 53
+# against 55 at 1.0M, 97 against 139 at 1.5M.  Given up knowingly: the 20-D
+# gain at 1.0M, and 4-5 ms forked on matrices of 1,024 to about 1,400 points.
+PART_ENTRIES = 1 << 19
 
 
 def row_blocks(n_rows: int, row_width: int, budget: int | None = None) -> list[tuple[int, int]]:
@@ -169,22 +179,20 @@ def forked(parts: int, layout, fill) -> tuple[np.ndarray, ...] | None:
     return None if any(codes) else arrays
 
 
-def fill_parts(most: int, layout, fill) -> tuple[np.ndarray, ...]:
-    """Arrays of ``layout``, a list of ``(shape, dtype)``, filled on every
-    usable CPU by ``fill(part, parts, *arrays)``.
-
-    Each call fills one part of a pass of per-row work, and writes only the
-    entries of that part.  The pass is cut into ``most`` parts, or into
-    :func:`fork_cpus` if fewer; part 0 runs in the caller and each other
-    part in a forked process (:func:`forked`).  With one part, or if any
-    part raises or its process fails, ``fill(0, 1, *arrays)`` runs the
-    whole pass in the caller, into arrays of its own: the result, and any
-    error, are those of a one-CPU run.
+def fill_parts(work: int, items: int, layout, fill) -> tuple[np.ndarray, ...]:
+    """Arrays of ``layout``, a list of ``(shape, dtype)``, filled by ``fill(part,
+    parts, *arrays)``, each call one part of a pass over ``items`` independent items
+    (kd leaves, row blocks, points) writing only that part's entries.  ``work``
+    counts the entries the pass reads: the distances a kNN pass computes or copies,
+    rows x candidates, and the n x cap table entries of the density.  The pass is
+    cut into ``work // PART_ENTRIES`` parts, but no more than :func:`fork_cpus` or
+    ``items``: part 0 runs in the caller and each other in a forked process
+    (:func:`forked`).  With one part, or if any part raises or its process fails,
+    ``fill(0, 1, *arrays)`` runs the whole pass in the caller, into arrays of its
+    own: the result, and any error, are a one-CPU run's.
     """
-    parts = min(most, fork_cpus())
-    arrays = None
-    if parts > 1:
-        arrays = forked(parts, layout, lambda part, *out: fill(part, parts, *out))
+    parts = min(work // PART_ENTRIES, fork_cpus(), items)
+    arrays = forked(parts, layout, lambda p, *out: fill(p, parts, *out)) if parts > 1 else None
     if arrays is None:
         arrays = tuple(np.empty(shape, dtype) for shape, dtype in layout)
         fill(0, 1, *arrays)

@@ -383,19 +383,6 @@ def _estimate_rows(graph: NeighborGraph, ids: np.ndarray, d: float, omega: float
         lo = hi
 
 
-# Fewest points per forked shard of the estimate: one process per usable
-# CPU estimates every workers-th point, but no more processes than the
-# points hold shards of this size, so a graph below twice this size is
-# estimated in the calling process.  On 2 CPUs (uniform 2-D points at
-# k_max 512, first call in a fresh process, median of 5) two shards took
-# 0.044 against 0.045 s serial at 1,000 points, 0.066 against 0.077 s at
-# 1,500, 0.079 against 0.097 s at 2,000 and 0.111 against 0.156 s at
-# 3,000.  Below 2,048 points the gain is inside the serial runs' spread,
-# so smaller graphs, such as the 2,000-point matrix2k benchmark, keep one
-# process.
-_SHARD_ROWS = 1024
-
-
 def estimate_density(graph: NeighborGraph, d: float) -> DensityEstimate:
     """Adaptive density estimate for every point of the graph.
 
@@ -407,15 +394,11 @@ def estimate_density(graph: NeighborGraph, d: float) -> DensityEstimate:
     retried at the smallest k with positive volume, given log(k/V) and
     flagged; if no such k exists the data is degenerate.
 
-    Each point's estimate reads only its own row of the graph, so a graph
-    of at least twice ``_SHARD_ROWS`` points is estimated on every usable
-    CPU: the caller and one forked process per other CPU each take an
-    interleaved shard of the points, no smaller than ``_SHARD_ROWS``.  It
-    runs in the caller alone when one CPU is usable, a second Python
-    thread runs, ``os.fork`` is missing, or Python is 3.12 or later; and
-    it runs there again, from the start, if any shard raises or its
-    process fails, so an error is the one a one-CPU run raises.  The
-    bytes of the estimate are the same either way.
+    Each point's estimate reads only its own row of the graph, so the
+    points are cut into interleaved shards, one per CPU as the n x cap
+    entries of work allow, cap being the largest neighborhood the scan may
+    select (:func:`_blocks.fill_parts`); the bytes, and any error, are
+    those of a one-CPU run.
 
     Args:
         d: intrinsic dimension used for shell volumes (> 0, may be fractional).
@@ -425,7 +408,7 @@ def estimate_density(graph: NeighborGraph, d: float) -> DensityEstimate:
     cap = _effective_cap(graph)
 
     k_hat, log_rho, r_khat, fallback = fill_parts(
-        n // _SHARD_ROWS, [((n,), np.int64), ((n,), np.float64), ((n,), np.float64), ((n,), bool)],
+        n * cap, n, [((n,), np.int64), ((n,), np.float64), ((n,), np.float64), ((n,), bool)],
         lambda part, parts, *out: _estimate_rows(graph, np.arange(part, n, parts), d, omega,
                                                  cap, *out))
 

@@ -221,19 +221,16 @@ def _knn_among(rows: np.ndarray, cand: np.ndarray, distance_rows,
         del d, col
 
 
-def _knn_parts(n: int, k_max: int, items, select) -> tuple[np.ndarray, np.ndarray]:
-    """The ids and distances of an n-point graph from ``select(item, ids,
-    dists, scratch)`` per item (a kd leaf, a row block), each writing only
-    its own rows.  Part p of the items, p, p + parts, ..., runs with one
-    :class:`Scratch` on a CPU of its own (:func:`_blocks.fill_parts`).
-    """
-    def fill(part: int, parts: int, ids: np.ndarray, dists: np.ndarray) -> None:
+def _knn_parts(work: int, items, layout, select) -> tuple[np.ndarray, ...]:
+    """Arrays of ``layout`` from ``select(item, *arrays, scratch)`` per item, each
+    writing only its own entries: part p runs items p, p + parts, ... with one
+    :class:`Scratch`, as many parts as ``work`` (distances read) allows (:func:`fill_parts`)."""
+    def fill(part: int, parts: int, *out: np.ndarray) -> None:
         scratch = Scratch()
         for item in items[part::parts]:
-            select(item, ids, dists, scratch)
+            select(item, *out, scratch)
 
-    return fill_parts(len(items), [((n, k_max), _id_dtype(n)), ((n, k_max), np.float64)],
-                      fill)
+    return fill_parts(work, len(items), layout, fill)
 
 
 # Points per kd leaf: of 16 to 128, 64 was fastest on 10k 2-D, 20k 3-D and
@@ -280,7 +277,8 @@ def _tree_knn(coords: np.ndarray, k_max: int,
     cdist's arithmetic.  A row whose k_max-th distance does not clear the
     radius by ``_TREE_RTOL`` (a radius of 0: k_max + 1 coincident points)
     is selected again over all points, by the same step in the same worker.
-    The leaves run on every usable CPU (:func:`_knn_parts`).
+    The bounds, then the selections, run in forked parts, each pass cut by
+    the distances it reads, which the bounds count for the selection (:func:`_knn_parts`).
 
     The bounding leaves hold 2 (k_max + 1) points.  On a 50k 3-D mixture,
     bounding leaves holding k_max + 1 points gave radii 1.67 times the
@@ -295,39 +293,50 @@ def _tree_knn(coords: np.ndarray, k_max: int,
     columns = np.ascontiguousarray(coords.T)
     everyone = np.arange(n)
 
+    def near(leaf: int) -> np.ndarray:  # box distances from leaf ``leaf`` to each leaf
+        gap = np.maximum(np.maximum(lo - hi[leaf], lo[leaf] - hi), 0.0)
+        return np.sqrt((gap * gap).sum(axis=1)) if metric == "euclidean" else gap.sum(axis=1)
+
     def candidates(chosen: np.ndarray) -> np.ndarray:
         return np.sort(np.concatenate([leaves[m] for m in chosen]))
 
     def distance_rows(part: np.ndarray, cand: np.ndarray, scratch: Scratch) -> np.ndarray:
         return _distances(coords[part], np.take(columns, cand, axis=1).T, metric, scratch)
 
-    def kth_distances(part: np.ndarray, cand: np.ndarray, scratch: Scratch) -> np.ndarray:
-        """The (k_max + 1)-th distance of each of ``part`` among ``cand``."""
-        block = distance_rows(part, cand, scratch)
-        block.partition(k_max, axis=1)
-        return block[:, k_max]
-
-    def leaf_block(leaf: int, ids: np.ndarray, dists: np.ndarray, scratch: Scratch) -> None:
-        rows = leaves[leaf]
-        gap = np.maximum(np.maximum(lo - hi[leaf], lo[leaf] - hi), 0.0)
-        near = np.sqrt((gap * gap).sum(axis=1)) if metric == "euclidean" else gap.sum(axis=1)
-        # self may or may not be among the bounding leaves: either way each
-        # row's (k_max + 1)-th distance there is at least its k_max-th
-        by_near = np.argsort(near)
+    # the bounding leaves, None if every leaf: with or without self among
+    # them, a row's (k_max + 1)-th distance there bounds its k_max-th
+    firsts = []
+    for leaf in range(len(leaves)):
+        by_near = np.argsort(near(leaf))
         first = by_near[:np.searchsorted(np.cumsum(sizes[by_near]), 2 * (k_max + 1)) + 1]
+        firsts.append(first if first.size < len(leaves) else None)
+
+    def bound_leaf(leaf: int, radii: np.ndarray, reads: np.ndarray, scratch: Scratch) -> None:
+        rows, first = leaves[leaf], firsts[leaf]
         bound = np.full(rows.size, np.inf)
-        if first.size < len(leaves):
+        if first is not None:
             cand = candidates(first)
             for s, e in row_blocks(rows.size, cand.size, _blocks.WORKER_ENTRIES):
-                bound[s:e] = kth_distances(rows[s:e], cand, scratch)
-        radius = bound.max() * (1.0 + 2.0 * _TREE_RTOL)
-        cand = candidates(np.flatnonzero(near <= radius))
+                block = distance_rows(rows[s:e], cand, scratch)
+                block.partition(k_max, axis=1)  # each row's (k_max + 1)-th distance
+                bound[s:e] = block[:, k_max]
+        radii[leaf] = bound.max() * (1.0 + 2.0 * _TREE_RTOL)
+        reads[leaf] = rows.size * sizes[near(leaf) <= radii[leaf]].sum()
+
+    def leaf_block(leaf: int, ids: np.ndarray, dists: np.ndarray, scratch: Scratch) -> None:
+        rows, radius = leaves[leaf], radii[leaf]
+        cand = candidates(np.flatnonzero(near(leaf) <= radius))
         _knn_among(rows, cand, distance_rows, ids, dists, scratch)
         if cand.size < n:
             redo = rows[~(dists[rows, -1] < radius * (1.0 - _TREE_RTOL))]
             _knn_among(redo, everyone, distance_rows, ids, dists, scratch)
 
-    return _knn_parts(n, k_max, range(len(leaves)), leaf_block)
+    n_leaves = len(leaves)
+    radii, reads = _knn_parts(
+        sum(leaves[i].size * sizes[f].sum() for i, f in enumerate(firsts) if f is not None),
+        range(n_leaves), [((n_leaves,), np.float64), ((n_leaves,), np.int64)], bound_leaf)
+    return _knn_parts(int(reads.sum()), range(n_leaves), [((n, k_max), _id_dtype(n)),
+                                                         ((n, k_max), np.float64)], leaf_block)
 
 
 def _checked_k_max(k_max: int | None, n: int) -> int:
@@ -417,4 +426,5 @@ def ingest_distance_matrix(matrix: np.ndarray, k_max: int | None = None) -> Neig
 
     blocks = [everyone[s:e] for s, e in row_blocks(n, n, _blocks.WORKER_ENTRIES)]
     return NeighborGraph(*_knn_parts(
-        n, k_max, blocks, lambda rows, *out: _knn_among(rows, everyone, matrix_rows, *out)))
+        n * n, blocks, [((n, k_max), _id_dtype(n)), ((n, k_max), np.float64)],
+        lambda rows, *out: _knn_among(rows, everyone, matrix_rows, *out)))

@@ -146,13 +146,12 @@ def _reject_repeats(path, lines, keys: np.ndarray, why) -> None:
 # ---------------------------------------------------------------------------
 # point and distance-matrix files
 
-# Fewest bytes of a point or matrix file per forked part: a file is parsed
-# by one process per usable CPU, but by no more than it holds parts of this
-# size (see _forked_rows), so a file below twice this size is read by one
-# np.loadtxt call.  On 2 CPUs (median of 21 reads each) a fork costs
-# 5-10 ms: a 2 MB distance matrix took 33 ms forked against 30 ms serial,
-# 4 MB 46 against 55 ms, 8 MB 84 against 110 ms, and a 74 MB one 0.62
-# against 1.0 s.
+# Fewest bytes of a point or matrix file per forked part (see _forked_rows),
+# not the entries the kNN and density passes fork by: a declined read falls
+# back to np.loadtxt, not to a one-part fill, and a part needs about four
+# times as many bytes as a pass needs entries.  On 2 CPUs (median of 21
+# reads) a 2 MB distance matrix took 33 ms forked against 30 ms serial, 4 MB
+# 46 against 55 ms, 8 MB 84 against 110 ms and 74 MB 0.62 against 1.0 s.
 _PART_BYTES = 1 << 21
 # Bytes per read while counting lines, and per np.loadtxt call of a forked
 # parse: 64 KiB chunks took 0.69-1.09 s on that 74 MB file, 256 KiB and

@@ -1,5 +1,6 @@
 """The block engine's forked parts: the one fork, reap and kill path of
-the kNN, matrix, reader and density passes' workers."""
+the kNN, matrix, reader and density passes' workers, and the one rule for
+how many parts a pass forks."""
 
 import os
 import time
@@ -7,7 +8,9 @@ import time
 import numpy as np
 import pytest
 
-from densitopo._blocks import forked
+from densitopo import _blocks
+from densitopo._blocks import PART_ENTRIES, fill_parts, forked
+from test_neighbors import FORKS, _count_forks
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -62,3 +65,20 @@ def test_forked_caller_error_kills_the_workers_and_gives_none():
     assert time.monotonic() - start < 30  # the sleeping workers were killed, then reaped
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 5])
+@pytest.mark.parametrize("work,parts", [(2 * PART_ENTRIES - 1, 1), (2 * PART_ENTRIES, 2),
+                                        (5 * PART_ENTRIES, 5)],
+                         ids=["below_two_parts", "two_parts", "five_parts"])
+def test_fill_parts_forks_one_part_per_part_entries_of_work(work, parts, cpus, monkeypatch):
+    monkeypatch.setattr(_blocks, "usable_cpus", lambda: cpus)
+    forks = _count_forks(monkeypatch)
+
+    def fill(part, of, owner):
+        owner[part::of] = part
+
+    owner, = fill_parts(work, 10, [((10,), np.int64)], fill)
+    used = min(parts, cpus) if FORKS else 1
+    assert len(forks) == used - 1
+    assert owner.tolist() == [row % used for row in range(10)]

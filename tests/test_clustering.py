@@ -22,6 +22,7 @@ from densitopo import (
     estimate_density,
     synth_gmm,
     synth_uniform,
+    twonn_estimate,
 )
 from densitopo import _blocks
 from densitopo.clustering import (assign_points, compute_delta_parent, compute_g,
@@ -29,6 +30,7 @@ from densitopo.clustering import (assign_points, compute_delta_parent, compute_g
                                   flag_halo, merge_clusters)
 from oracles import (loop_borders_saddles, naive_delta_parent, naive_putative_centers,
                      naive_saddles, sorting_merge_clusters)
+from test_neighbors import FORKS, _count_forks
 
 
 def _toy_estimate(log_rho, err=None, r_khat=None, k_hat=None) -> DensityEstimate:
@@ -303,6 +305,54 @@ def test_mirrored_data_same_saddle_density():
         out.append(result.saddles.entries[(0, 1)].log_rho)
     # mirroring is an isometry: identical distances, identical saddle
     assert out[0] == out[1]
+
+
+# ---------------------------------------------------------------------------
+# the whole pipeline is permutation-equivariant, on one CPU and in forked
+# parts: a permutation hands each part other rows
+
+_PERMUTATION_CASES = {
+    "gmm_1500_2d": lambda: (synth_gmm(k=5, n=1500, dim=2, separation=10, seed=0)[0], 64),
+    "gmm_3000_2d": lambda: (synth_gmm(k=5, n=3000, dim=2, separation=10, seed=7)[0], None),
+    "uniform_2000_2d": lambda: (synth_uniform(n=2000, dim=2, seed=0), 128),
+    "gmm_600_20d": lambda: (synth_gmm(k=5, n=600, dim=20, separation=10, seed=0)[0], 64),
+}
+
+
+def _pipeline(coords, k_max):
+    """The two-NN dimension, the density estimate and the clusters."""
+    _, graph, pairwise = _setup(coords, k_max)
+    d_hat = twonn_estimate(graph).d_hat
+    estimate = estimate_density(graph, d_hat)
+    return d_hat, estimate, cluster_points(graph, estimate, pairwise).assignment
+
+
+def _first_member_labels(labels):
+    """Each point's label renamed to the first point that carries it."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return first[inverse]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("case", sorted(_PERMUTATION_CASES))
+def test_pipeline_is_permutation_equivariant(case, cpus, monkeypatch):
+    coords, k_max = _PERMUTATION_CASES[case]()
+    perm = np.random.default_rng(3).permutation(coords.shape[0])  # row i is point perm[i]
+    monkeypatch.setattr(_blocks, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_blocks, "PART_ENTRIES", 1)
+    forks = _count_forks(monkeypatch)
+    d_hat, est, asg = _pipeline(coords, k_max)
+    d_perm, est_perm, asg_perm = _pipeline(coords[perm], k_max)
+    # each run forks its kd bounds, its kNN and its density once per CPU
+    # after the first
+    assert len(forks) == (6 * (cpus - 1) if FORKS else 0)
+    assert d_perm.hex() == d_hat.hex()
+    for name in ("k_hat", "log_rho", "err"):
+        assert getattr(est_perm, name).tobytes() == getattr(est, name)[perm].tobytes()
+    labels = _first_member_labels(asg.labels[perm])
+    assert (_first_member_labels(asg_perm.labels) == labels).all()
+    assert set(perm[asg_perm.centers].tolist()) == set(asg.centers)
+    assert (asg_perm.is_halo == asg.is_halo[perm]).all()
 
 
 def _blobs(seed):

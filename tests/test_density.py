@@ -777,8 +777,8 @@ FORKS = hasattr(os, "fork") and sys.version_info < (3, 12)
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Two usable CPUs and shards of any size; return the fork log."""
-    monkeypatch.setattr(density_module, "_SHARD_ROWS", 1)
+    """Two usable CPUs and parts of any work; return the fork log."""
+    monkeypatch.setattr(_blocks, "PART_ENTRIES", 1)
     monkeypatch.setattr(_blocks, "usable_cpus", lambda: 2)
     log = []
     if hasattr(os, "fork"):
@@ -887,8 +887,9 @@ def test_serial_unless_every_condition_holds(case, forked_cases, forks, monkeypa
     want = _one_cpu_outcome(monkeypatch, graph, d)
     if case == "one-cpu":
         monkeypatch.setattr(_blocks, "usable_cpus", lambda: 1)
-    elif case == "few-points":  # one shard of _SHARD_ROWS points or more
-        monkeypatch.setattr(density_module, "_SHARD_ROWS", graph.n_points // 2 + 1)
+    elif case == "few-points":  # work for one part of PART_ENTRIES, not two
+        work = graph.n_points * _effective_cap(graph)
+        monkeypatch.setattr(_blocks, "PART_ENTRIES", work // 2 + 1)
     elif case == "python-3.12":
         monkeypatch.setattr(_blocks, "sys", types.SimpleNamespace(version_info=(3, 12, 0)))
     elif case == "no-fork" and hasattr(os, "fork"):

@@ -199,7 +199,9 @@ def test_forked_matrix_read_peak_follows_its_chunks(tmp_path, monkeypatch):
 
 
 def _pretend_cpus(monkeypatch, cpus):
+    """``cpus`` usable CPUs, and a forked part of any work."""
     monkeypatch.setattr(_blocks, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_blocks, "PART_ENTRIES", 1)
 
 
 def _count_forks(monkeypatch) -> list[int]:
@@ -320,7 +322,9 @@ def test_scratch_follows_workers_not_blocks(cpus, monkeypatch):
     allocations = _record_allocations(monkeypatch)
     blocks = _count_calls(monkeypatch, neighbors, "_distances")
     graph = build_neighbor_graph(points, k_max=100)
-    _assert_per_worker(allocations, next(blocks), cpus)
+    # one workspace for the kd bounds, freed before the selection makes its;
+    # a forked part's are made in its own process
+    _assert_per_worker(allocations, next(blocks), 2)
 
     allocations.clear()
     blocks = _count_calls(monkeypatch, density, "_fit_rows")

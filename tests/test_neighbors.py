@@ -167,10 +167,12 @@ _LEAF = 8  # kd leaves of at most 8 points: most leaves see only part of the clo
 
 
 def _small_blocks(monkeypatch, cpus, coords, k_max):
-    """Pretend to have ``cpus`` CPUs; cut full-row passes into 7-row blocks
-    and the kd-leaf pass into leaves of at most 8 points."""
+    """Pretend to have ``cpus`` CPUs and a forked part of any work; cut
+    full-row passes into 7-row blocks and the kd-leaf pass into leaves of
+    at most 8 points."""
     n = coords.shape[0]
     monkeypatch.setattr(_blocks, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_blocks, "PART_ENTRIES", 1)
     monkeypatch.setattr(_blocks, "WORKER_ENTRIES", _BLOCK_ROWS * n)
     monkeypatch.setattr(neighbors, "_LEAF_SIZE", _LEAF)
 
@@ -208,6 +210,7 @@ def test_row_blocks_match_oracle(cpus, metric, case, monkeypatch):
     # the redo is counted on one CPU: a forked part's selections are not seen here
     counted = cpus == 1
     tree_knn = _recording_redo(monkeypatch) if counted else lambda *a: (*_tree_knn(*a), None)
+    forks = _count_forks(monkeypatch)
     got_ids, got_dists, redone = tree_knn(coords, k_max, metric)
     np.testing.assert_array_equal(got_ids, ids)
     assert got_dists.tobytes() == dists.tobytes()
@@ -217,6 +220,10 @@ def test_row_blocks_match_oracle(cpus, metric, case, monkeypatch):
     got_ids, got_dists, redone = tree_knn(coords, k_max, metric)
     np.testing.assert_array_equal(got_ids, ids)
     assert got_dists.tobytes() == dists.tobytes()
+    # each of the two builds forks one process per CPU after the first, in
+    # each of its passes
+    assert len(forks) == 2 * _kd_passes(coords, k_max) * _forks_per_pass(
+        cpus, len(neighbors._kd_leaves(coords)))
     if counted:
         assert redone.max() <= 1  # each row is redone at most once
     if counted and case in ("horizon_ties", "duplicates", "padded_lattice"):
@@ -235,9 +242,14 @@ def test_matrix_rows_match_kd_leaves(cpus, metric, case, monkeypatch):
 
     coords, k_max = KNN_CASES[case]()
     _small_blocks(monkeypatch, cpus, coords, k_max)
+    forks = _count_forks(monkeypatch)
     by_matrix = ingest_distance_matrix(cdist(coords, coords, _CDIST_METRIC[metric]),
                                        k_max=k_max)
     by_coords = build_neighbor_graph(PointSet(coords), k_max=k_max, metric=metric)
+    n = coords.shape[0]
+    assert len(forks) == (
+        _forks_per_pass(cpus, len(_blocks.row_blocks(n, n, _blocks.WORKER_ENTRIES)))
+        + _kd_passes(coords, k_max) * _forks_per_pass(cpus, len(neighbors._kd_leaves(coords))))
     assert by_matrix.neighbor_ids.tobytes() == by_coords.neighbor_ids.tobytes()
     assert by_matrix.neighbor_dists.tobytes() == by_coords.neighbor_dists.tobytes()
 
@@ -252,6 +264,21 @@ FORKS = hasattr(os, "fork") and sys.version_info < (3, 12)
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _forks_per_pass(cpus, items):
+    """Processes a kNN pass over ``items`` leaves or blocks forks when any
+    work makes a part: one per CPU after the first, up to one per item."""
+    assert cpus == 1 or items >= cpus  # every case here runs on all its CPUs
+    return min(cpus, items) - 1 if FORKS else 0
+
+
+def _kd_passes(coords, k_max):
+    """The kd passes that fork when any work makes a part: the selection,
+    and the bounds unless the bounding leaves are every leaf."""
+    n = coords.shape[0]
+    assert 2 * (k_max + 1) >= n or 2 * (k_max + 1) <= n - _LEAF  # either way for every leaf
+    return 1 if 2 * (k_max + 1) >= n else 2
 
 
 def _knn_stage(stage, monkeypatch, cpus):
@@ -274,6 +301,10 @@ def _knn_stage(stage, monkeypatch, cpus):
     return build, items
 
 
+# forked passes per stage: the kd leaves' bounds and selection, the matrix's rows
+_STAGE_PASSES = {"kd_leaves": 2, "matrix_rows": 1}
+
+
 def _knn_outcome(build):
     """The bytes of the graph, or the error's text."""
     try:
@@ -292,13 +323,17 @@ def _count_forks(monkeypatch) -> list[int]:
     return log
 
 
-@pytest.mark.parametrize("cpus,n", [(1, 300), (2, 60)], ids=["one_cpu", "one_block"])
-def test_lone_knn_part_runs_in_the_caller(cpus, n, monkeypatch):
-    # one CPU, or a single kd leaf or matrix block: no process is forked
+@pytest.mark.parametrize("cpus,n,any_work", [(1, 300, True), (2, 60, True), (2, 300, False)],
+                         ids=["one_cpu", "one_block", "little_work"])
+def test_lone_knn_part_runs_in_the_caller(cpus, n, any_work, monkeypatch):
+    # one CPU, a single kd leaf or matrix block, or too little work for two
+    # parts (at most 300 x 300 distances a pass): no process is forked
     from scipy.spatial.distance import cdist
 
     coords = np.random.default_rng(26).random((n, 3))
     monkeypatch.setattr(_blocks, "usable_cpus", lambda: cpus)
+    if any_work:
+        monkeypatch.setattr(_blocks, "PART_ENTRIES", 1)
     forks = _count_forks(monkeypatch)
     by_coords = build_neighbor_graph(PointSet(coords), k_max=5)
     by_matrix = ingest_distance_matrix(cdist(coords, coords), k_max=5)
@@ -307,6 +342,27 @@ def test_lone_knn_part_runs_in_the_caller(cpus, n, monkeypatch):
     for graph in (by_coords, by_matrix):
         np.testing.assert_array_equal(graph.neighbor_ids, ids)
         assert graph.neighbor_dists.tobytes() == dists.tobytes()
+
+
+@pytest.mark.skipif(not FORKS, reason="the kNN passes fork only before Python 3.12")
+@pytest.mark.parametrize("stage", ["kd_leaves", "matrix_rows"])
+def test_knn_pass_forks_by_the_distances_it_reads(stage, monkeypatch):
+    # 300 20-D points at k_max 5 make a table of 1,500 entries, but a matrix
+    # row block copies whole rows and 20-D kd leaves prune no candidate: each
+    # selection reads 300 x 300 distances, enough for two parts of n^2 / 4.
+    # The kd bounds read a few leaves per row, too few to fork.
+    from scipy.spatial.distance import cdist
+
+    coords = np.random.default_rng(27).standard_normal((300, 20))
+    _small_blocks(monkeypatch, 2, coords, 5)
+    monkeypatch.setattr(_blocks, "PART_ENTRIES", 300 * 300 // 4)
+    forks = _count_forks(monkeypatch)
+    graph = (build_neighbor_graph(PointSet(coords), k_max=5) if stage == "kd_leaves"
+             else ingest_distance_matrix(cdist(coords, coords), k_max=5))
+    assert len(forks) == 1
+    ids, dists = brute_knn(coords, 5, "euclidean")
+    np.testing.assert_array_equal(graph.neighbor_ids, ids)
+    assert graph.neighbor_dists.tobytes() == dists.tobytes()
 
 
 @pytest.mark.skipif(not FORKS, reason="the kNN passes fork only before Python 3.12")
@@ -331,7 +387,8 @@ def test_failed_knn_part_gives_the_one_cpu_bytes(stage, cpus, how, monkeypatch):
     monkeypatch.setattr(neighbors, "_knn_among", failing)
     forks = _count_forks(monkeypatch)
     assert _knn_outcome(build) == want
-    assert len(forks) == cpus - 1
+    # the kd leaves fork their bounds, which do not fail, then their selection
+    assert len(forks) == _STAGE_PASSES[stage] * (cpus - 1)
     _no_child_left()
 
 
@@ -359,7 +416,7 @@ def test_knn_part_error_is_the_one_cpu_error(stage, cpus, where, monkeypatch):
     assert want == f"rows from point {items[faulty[0]][0]} failed"
     forks = _count_forks(monkeypatch)
     assert _knn_outcome(build) == want
-    assert len(forks) == (cpus - 1 if FORKS else 0)
+    assert len(forks) == (_STAGE_PASSES[stage] * (cpus - 1) if FORKS else 0)
     _no_child_left()
 
 
