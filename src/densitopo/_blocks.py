@@ -1,10 +1,10 @@
 """Row blocks, their scratch, and the CPUs they run on.
 
 Every pass over the neighbor graph or a distance matrix reads it in row
-blocks (:func:`row_blocks`), each pass with one :class:`Scratch`.  The kNN
-passes and the density estimate run in parts, one per ``PART_ENTRIES`` of
-work up to the usable CPUs, part 0 in the caller and each other in a forked
-process (:func:`fill_parts`); the point and matrix reader forks by :func:`forked`.
+blocks (:func:`row_blocks`), each pass with one :class:`Scratch`.  The point
+and matrix reader, the kNN passes and the density estimate run in parts, one
+per ``PART_ENTRIES`` of work up to the usable CPUs, part 0 in the caller and
+each other in a forked process (:func:`fill_parts`).
 """
 
 from __future__ import annotations
@@ -182,9 +182,10 @@ def forked(parts: int, layout, fill) -> tuple[np.ndarray, ...] | None:
 def fill_parts(work: int, items: int, layout, fill) -> tuple[np.ndarray, ...]:
     """Arrays of ``layout``, a list of ``(shape, dtype)``, filled by ``fill(part,
     parts, *arrays)``, each call one part of a pass over ``items`` independent items
-    (kd leaves, row blocks, points) writing only that part's entries.  ``work``
-    counts the entries the pass reads: the distances a kNN pass computes or copies,
-    rows x candidates, and the n x cap table entries of the density.  The pass is
+    (chunks of a file, kd leaves, row blocks, points) writing only that part's
+    entries.  ``work`` counts the entries the pass reads: a quarter of the bytes of
+    a points or matrix file, the distances a kNN pass computes or copies, rows x
+    candidates, and the n x cap table entries of the density.  The pass is
     cut into ``work // PART_ENTRIES`` parts, but no more than :func:`fork_cpus` or
     ``items``: part 0 runs in the caller and each other in a forked process
     (:func:`forked`).  With one part, or if any part raises or its process fails,

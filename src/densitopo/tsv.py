@@ -12,14 +12,13 @@ when a row is at fault, ``path:line`` and the column.
 from __future__ import annotations
 
 import io
-import os
 import warnings
 from array import array
 from pathlib import Path
 
 import numpy as np
 
-from ._blocks import fork_cpus, forked
+from ._blocks import fill_parts
 from .clustering import PeakAssignment, SaddleInfo, SaddleTable
 from .density import DensityEstimate
 from .errors import DataError
@@ -76,10 +75,13 @@ def table_text(spec: tuple, columns) -> str:
     return "\n".join([header] + ["\t".join(row) for row in zip(*cells)]) + "\n"
 
 
-def read_table(path: str | Path, spec: tuple,
-               allow_empty: bool = False) -> tuple[np.ndarray, list[np.ndarray]]:
+def read_table(path: str | Path, spec: tuple, allow_empty: bool = False,
+               sep: str | None = "\t") -> tuple[np.ndarray, list[np.ndarray]]:
     """Return the line number of every data row and one array per column.
 
+    Text from a ``#`` to the end of its line is skipped, as ``np.loadtxt``
+    skips it, and so is a line left blank.  Fields are split at ``sep``,
+    or at any run of whitespace when it is None, as numpy splits them.
     Rows are cast field by field into one typed buffer per column, so a
     row costs the bytes of its values, not a list of Python objects.  The
     arrays returned are views of those buffers, not copies.
@@ -93,13 +95,13 @@ def read_table(path: str | Path, spec: tuple,
     with fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8").rstrip("\r\n")
+                line = raw.decode("utf-8").rstrip("\r\n").partition("#")[0]
             except UnicodeDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: byte {exc.start + 1} is not "
                                 f"UTF-8 text") from None
-            if not line.strip() or line.startswith("#"):
+            if not line.strip():
                 continue
-            fields = line.split("\t")
+            fields = line.split(sep)
             if len(fields) != len(spec):
                 raise DataError(f"{path}:{lineno}: expected {len(spec)} fields, "
                                 f"got {len(fields)}")
@@ -146,16 +148,11 @@ def _reject_repeats(path, lines, keys: np.ndarray, why) -> None:
 # ---------------------------------------------------------------------------
 # point and distance-matrix files
 
-# Fewest bytes of a point or matrix file per forked part (see _forked_rows),
-# not the entries the kNN and density passes fork by: a declined read falls
-# back to np.loadtxt, not to a one-part fill, and a part needs about four
-# times as many bytes as a pass needs entries.  On 2 CPUs (median of 21
-# reads) a 2 MB distance matrix took 33 ms forked against 30 ms serial, 4 MB
-# 46 against 55 ms, 8 MB 84 against 110 ms and 74 MB 0.62 against 1.0 s.
-_PART_BYTES = 1 << 21
-# Bytes per read while counting lines, and per np.loadtxt call of a forked
-# parse: 64 KiB chunks took 0.69-1.09 s on that 74 MB file, 256 KiB and
-# 1 MiB 0.60-0.71 s.
+# Bytes per read while counting lines, and so about the bytes of each chunk
+# one np.loadtxt call parses: forked on 2 CPUs, 64 KiB chunks read a 74 MB
+# distance matrix in 0.69-1.09 s, 256 KiB and 1 MiB chunks in 0.60-0.71 s.
+# On one CPU (min of 3 reads) 64 KiB took 1.00-1.24 s and 256 KiB to 4 MiB
+# 0.94-1.02 s, where one np.loadtxt call of the whole file took 0.90-0.97 s.
 _CHUNK_BYTES = 1 << 18
 
 
@@ -170,129 +167,96 @@ def _loadtxt(data: bytes) -> np.ndarray:
                       dtype=np.float64)
 
 
-def _parse_range(path, lo: int, hi: int, out: np.ndarray) -> None:
-    """Parse the whole lines in bytes ``lo..hi`` of ``path`` into the rows of ``out``.
+def _width(fh) -> int:
+    """Fields on the first line of ``fh`` that holds any, split as numpy splits
+    them: at whitespace, with text from a ``#`` on skipped; 0 if no line does."""
+    return next((len(f) for f in (raw.partition(b"#")[0].split() for raw in fh) if f), 0)
 
-    Raises ValueError unless every line gives one finite row as wide as ``out``.
+
+def _parsed_rows(path) -> np.ndarray:
+    """The rows of ``path`` parsed chunk by chunk (see :func:`_float_rows`).
+
+    Raises ValueError unless every row is finite and as wide as the first.
     """
-    row, tail, pos = 0, b"", lo
     with open(path, "rb") as fh:
-        fh.seek(lo)
-        while pos < hi:
-            data = fh.read(min(_CHUNK_BYTES, hi - pos))
-            if not data:
-                raise ValueError("file shrank while read")
-            pos += len(data)
-            data = tail + data
-            end = data.rfind(b"\n") + 1 if pos < hi else len(data)
-            lines, tail = data[:end], data[end:]
-            if not lines:
-                continue
-            rows = lines.count(b"\n") + (not lines.endswith(b"\n"))
-            block = _loadtxt(lines)
-            if block.shape != (rows, out.shape[1]) or not _all_finite(block):
-                raise ValueError("not one finite row of equal width per line")
-            out[row:row + rows] = block
-            row += rows
-    if row != out.shape[0]:
-        raise ValueError("line count changed while read")
+        width = _width(fh)
+        fh.seek(0)
+        cuts, lines, at = [0], [], 0  # a chunk ends after the last newline of a read
+        for data in iter(lambda: fh.read(_CHUNK_BYTES), b""):
+            if b"\n" in data:
+                cuts.append(at + data.rfind(b"\n") + 1)
+                lines.append(data.count(b"\n"))
+            at += len(data)
+        if cuts[-1] < at:  # a last line without a newline
+            cuts.append(at)
+            lines.append(1)
+    if not width:
+        return np.empty((0, 0))
+    # a chunk holds no more rows than lines, nor than its bytes can: each
+    # value but the file's last ends in a separator or a newline
+    room = [min(n, (hi - lo + 1) // (2 * width)) for lo, hi, n in zip(cuts, cuts[1:], lines)]
+    starts = np.cumsum([0, *room]).tolist()
 
-
-def _forked_rows(path) -> np.ndarray | None:
-    """The float rows of a large file, parsed on every usable CPU; None if not.
-
-    The file is cut at line boundaries into one part per usable CPU, but
-    no more parts than it holds ``_PART_BYTES``.  The calling process
-    parses the first part and one forked process each other part, all in
-    chunks written straight into a shared anonymous mapping, which becomes
-    the array returned (see :func:`_blocks.forked`).  None, for the
-    caller to read the file serially, when :func:`_blocks.fork_cpus`
-    gives one CPU, the file is below twice ``_PART_BYTES``, its first line
-    is blank or a comment, its last line is blank, or any part faults (a
-    line that is not one finite row of the first line's width, such as a
-    bad field, a comment or blank line, or a worker exit other than 0).
-    """
-    try:
+    def fill(part: int, parts: int, table: np.ndarray, used: np.ndarray) -> None:
         with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            workers = min(fork_cpus(), size // _PART_BYTES)
-            if workers < 2:
-                return None
-            first = fh.readline()
-            fh.seek(max(size - 4, 0))
-            end = fh.read()
-            if (first.startswith(b"#") or not first.strip()
-                    or end.endswith((b"\n\n", b"\n\r\n"))):
-                return None  # a comment or blank line first, or a blank line last
-            width = _loadtxt(first).shape[1]
-            cuts = [0]
-            for i in range(1, workers):
-                fh.seek(size * i // workers)
-                fh.readline()
-                cuts.append(fh.tell())
-            cuts = sorted(set(cuts) | {size})
-            part_rows = []
-            fh.seek(0)
-            for lo, hi in zip(cuts, cuts[1:]):
-                part_rows.append(sum(fh.read(min(_CHUNK_BYTES, hi - at)).count(b"\n")
-                                     for at in range(lo, hi, _CHUNK_BYTES)))
-            part_rows[-1] += not end.endswith(b"\n")
-    except (OSError, ValueError):
-        return None
-    stops = np.cumsum(part_rows).tolist()
-    if stops[-1] * width > (size + 1) // 2:  # each value but the last ends in a separator
-        return None
-    starts = [0, *stops]
+            for c in range(part, len(room), parts):
+                fh.seek(cuts[c])
+                data = fh.read(cuts[c + 1] - cuts[c])
+                block = _loadtxt(data)
+                if (len(data) < cuts[c + 1] - cuts[c] or len(block) > room[c]
+                        or len(block) and (block.shape[1] != width or not _all_finite(block))):
+                    raise ValueError(f"not one finite row of {width} values per line")
+                table[starts[c]:starts[c] + len(block)] = block
+                used[c] = len(block)
 
-    def parse(part: int, rows: np.ndarray) -> None:
-        _parse_range(path, cuts[part], cuts[part + 1], rows[starts[part]:stops[part]])
-
-    out = forked(len(stops), [((stops[-1], width), np.float64)], parse)
-    return None if out is None else out[0]
+    table, used = fill_parts(at // 4, len(room), [((starts[-1], width), np.float64),
+                                                  ((len(room),), np.int64)], fill)
+    if used.sum() < starts[-1]:  # comment or blank lines left rows unused
+        table = np.concatenate([table[s:s + n] for s, n in zip(starts, used.tolist())])
+    return table
 
 
 def _float_rows(path: str | Path) -> np.ndarray:
     """Every field of a TSV as a finite float, one row per data line.
 
-    Large files are parsed by :func:`_forked_rows`; the rest, and any file
-    it declines or faults on, by one ``np.loadtxt`` call.  A file numpy
-    cannot read, or one holding a non-finite value, is read again as a
-    table of finite columns as wide as its first data row, so the error
-    names ``path:line`` and the column.
+    One pass cuts the file into chunks of whole lines, about
+    ``_CHUNK_BYTES`` each, and counts each chunk's lines.  The table is as
+    wide as the first data line, with a row per line of each chunk, or as
+    many as the chunk's bytes can hold at that width if fewer, and
+    :func:`_blocks.fill_parts` parses each chunk into its rows, on every
+    usable CPU once the file holds two parts of ``4 * PART_ENTRIES`` bytes,
+    4 MiB.  Comment and blank lines leave rows unused, which are dropped
+    by one copy at the end.  A file numpy cannot
+    read, or one holding a non-finite value, is read again as a table of
+    finite columns as wide as its first data line, so the error names
+    ``path:line`` and the column.
     """
     try:
         try:
             with warnings.catch_warnings():
-                # an empty file is reported by the re-read, not as a numpy warning
+                # a chunk of comment or blank lines gives no rows, not a numpy warning
                 warnings.simplefilter("ignore", UserWarning)
-                arr = _forked_rows(path)
-                if arr is not None:
-                    return arr
-                arr = np.loadtxt(path, comments="#", ndmin=2, dtype=np.float64)
-            if arr.size and _all_finite(arr):
+                arr = _parsed_rows(path)
+            if arr.size:
                 return arr
-            fault = "non-finite value"
+            fault = "no data rows"
         except ValueError as exc:
             fault = exc
         with open(path, "rb") as fh:
-            first = next((raw for raw in fh if raw.strip() and not raw.startswith(b"#")), b"")
+            width = _width(fh)
     except OSError as exc:
         raise DataError(str(exc)) from None
-    read_table(path, tuple((f"column {j + 1}", _finite, repr)
-                           for j in range(first.count(b"\t") + 1)))
+    read_table(path, tuple((f"column {j + 1}", _finite, repr) for j in range(width)), sep=None)
     raise DataError(f"{path}: {fault}")
 
 
 def read_points_tsv(path: str | Path) -> PointSet:
-    """Read a coordinate TSV (one point per row, '#' lines ignored).
+    """Read a coordinate TSV (one point per row, text from a '#' on ignored).
 
-    A file of 4 MiB or more is parsed on every usable CPU, one forked
-    process per extra CPU.  It stays on one CPU when only one is usable,
-    another Python thread runs, ``os.fork`` is missing, Python is 3.12 or
-    later, or some line is not a row of numbers as wide as the first (a
-    comment or blank line among them).  Either way the coordinates are the
-    bytes ``np.loadtxt`` gives, and a fault is reported by the serial
-    reader, naming ``path:line``.
+    The coordinates are the bytes ``np.loadtxt`` gives.  A file of 4 MiB or
+    more is parsed on every usable CPU, one forked process per extra CPU,
+    unless a fork is unsafe (see :func:`_blocks.fork_cpus`); a fault is
+    reported by the one-CPU parse, naming ``path:line`` and the column.
     """
     rows = _float_rows(path)
     try:
@@ -310,14 +274,10 @@ def write_points_tsv(points: np.ndarray, path: str | Path) -> None:
 
 
 def read_distance_matrix_tsv(path: str | Path) -> np.ndarray:
-    """Read a full pairwise distance matrix from TSV ('#' lines ignored).
+    """Read a full pairwise distance matrix from TSV (text from a '#' on ignored).
 
-    Parsed on every usable CPU, or on one, by the rule of
-    :func:`read_points_tsv`: a file of 4 MiB or more whose every line is a
-    row of numbers as wide as the first, with several CPUs usable and one
-    Python thread running on a Python before 3.12 that has ``os.fork``.
-    The matrix holds the same bytes either way: a C-contiguous, writable
-    float64 array.
+    Parsed as :func:`read_points_tsv` parses, into a C-contiguous, writable
+    float64 array holding the bytes ``np.loadtxt`` gives, on any CPU count.
     """
     return _float_rows(path)
 

@@ -549,8 +549,10 @@ def test_bad_point_or_matrix_field_names_line(dataset, tmp_path, capsys, monkeyp
     _replace_field(path, 5, 1, value)
     code = _run(["estimate-id", "--format", fmt, "--input", path])
     _assert_rejected(code, capsys, 3, f"{path}:5:")
-    # parsed on two CPUs, a fault on the last line is in the forked worker's part
-    monkeypatch.setattr(tsv, "_PART_BYTES", 1)
+    # parsed on two CPUs in 64-byte chunks, a fault on the last line fails
+    # the forked parse, and the one-CPU parse that follows names it
+    monkeypatch.setattr(_blocks, "PART_ENTRIES", 1)
+    monkeypatch.setattr(tsv, "_CHUNK_BYTES", 64)
     monkeypatch.setattr(_blocks, "usable_cpus", lambda: 2)
     forks = []
     if hasattr(os, "fork"):
@@ -561,6 +563,33 @@ def test_bad_point_or_matrix_field_names_line(dataset, tmp_path, capsys, monkeyp
     code = _run(["estimate-id", "--format", fmt, "--input", path])
     _assert_rejected(code, capsys, 3, f"{path}:30:")
     assert len(forks) == (hasattr(os, "fork") and sys.version_info < (3, 12))
+
+
+@pytest.mark.parametrize("text,where", [
+    (b"   # indented note\n1\t2\n3\t4\nx\t5\n", ":4: column 1:"),
+    (b"1\t2\t# first row\n3\t4\nx\t5\n", ":3: column 1:"),
+    (b"1\t2\n3\t4 # note\n5\tx\n", ":3: column 2:"),
+    (b"# only\n\n  # comments\n", ": empty input file"),
+], ids=["indented-comment", "comment-after-tab", "comment-after-value", "comments-only"])
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("fmt", ["coords", "matrix"])
+def test_point_or_matrix_fault_skips_comments_as_numpy_does(tmp_path, capsys, monkeypatch,
+                                                            fmt, cpus, text, where):
+    # 4-byte chunks: each file holds enough of them to fork on two CPUs
+    monkeypatch.setattr(_blocks, "PART_ENTRIES", 1)
+    monkeypatch.setattr(tsv, "_CHUNK_BYTES", 4)
+    monkeypatch.setattr(_blocks, "usable_cpus", lambda: cpus)
+    forks = []
+    if hasattr(os, "fork"):
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    path = tmp_path / f"{fmt}.tsv"
+    path.write_bytes(text)
+    code = _run(["estimate-id", "--format", fmt, "--input", path])
+    _assert_rejected(code, capsys, 3, f"{path}{where}")
+    # a file without a data line is not parsed
+    parsed = "empty" not in where and hasattr(os, "fork") and sys.version_info < (3, 12)
+    assert len(forks) == (cpus - 1) * parsed
 
 
 @pytest.mark.parametrize("fmt,rows", [

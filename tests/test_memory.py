@@ -186,12 +186,25 @@ def test_forked_matrix_read_peak_follows_its_chunks(tmp_path, monkeypatch):
     matrix = _matrix_600()
     path = tmp_path / "m.tsv"
     write_points_tsv(matrix, path)
-    monkeypatch.setattr(tsv, "_PART_BYTES", 1)
     monkeypatch.setattr(tsv, "_CHUNK_BYTES", 1 << 16)
     _pretend_cpus(monkeypatch, 2)
     peak, read = _traced_peak(tsv.read_distance_matrix_tsv, path)
     assert read.tobytes() == np.loadtxt(path, ndmin=2).tobytes()
     assert peak < 8 * tsv._CHUNK_BYTES < matrix.nbytes / 4
+
+
+def test_one_cpu_matrix_read_peaks_at_the_table_and_a_few_chunks(tmp_path, monkeypatch):
+    # on one CPU the table is an array of the caller's, filled chunk by
+    # chunk: 3.9 chunks above it here, where one np.loadtxt call of the
+    # whole file peaked 13.7 chunks above it
+    matrix = _matrix_600()
+    path = tmp_path / "m.tsv"
+    write_points_tsv(matrix, path)
+    monkeypatch.setattr(tsv, "_CHUNK_BYTES", 1 << 16)
+    _pretend_cpus(monkeypatch, 1)
+    peak, read = _traced_peak(tsv.read_distance_matrix_tsv, path)
+    assert read.tobytes() == np.loadtxt(path, ndmin=2).tobytes()
+    assert peak < matrix.nbytes + 8 * tsv._CHUNK_BYTES
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import sys
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,14 @@ def test_reader_names_path_line_and_column(tmp_path, body, where):
         tsv.read_table(path, tsv.TRUTH)
 
 
+def test_reader_skips_text_from_a_hash_as_numpy_does(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_bytes(b"# point_id\tlabel\n  # indented\n0\t5 # note\n \t\n1\t6#x\n")
+    lines, (point_id, label) = tsv.read_table(path, tsv.TRUTH)
+    assert lines.tolist() == [3, 5]
+    assert point_id.tolist() == [0, 1] and label.tolist() == [5, 6]
+
+
 @pytest.mark.parametrize("make", [lambda p: p / "missing.tsv", lambda p: p])
 def test_reader_maps_unopenable_paths_to_data_error(tmp_path, make):
     path = make(tmp_path)
@@ -116,7 +125,7 @@ FORKS = hasattr(os, "fork") and sys.version_info < (3, 12)
 @pytest.fixture
 def forks(monkeypatch):
     """Parse every file as a large one, in 64-byte chunks; return the fork log."""
-    monkeypatch.setattr(tsv, "_PART_BYTES", 1)
+    monkeypatch.setattr(_blocks, "PART_ENTRIES", 1)
     monkeypatch.setattr(tsv, "_CHUNK_BYTES", 64)
     log = []
     if hasattr(os, "fork"):
@@ -149,17 +158,30 @@ def _assert_same_as_loadtxt(path):
         assert arr.tobytes() == want.tobytes()
 
 
+def _comments_at_a_cut():
+    """Rows with a comment line ending the first 64-byte read, so the first
+    chunk ends in a comment line and the second starts with one."""
+    rows = _tsv_bytes(np.arange(400.0).reshape(200, 2))
+    head = rows[:rows.index(b"\n", 20) + 1]
+    note = b"# " + b"c" * (63 - len(head) - 2) + b"\n"
+    text = head + note + b"# after the cut\n" + rows[len(head):]
+    assert text[63:64] == b"\n" and text[64:65] == b"#" and b"\n#" in text[:64]
+    return text
+
+
 PARALLEL_FILES = {
     "plain": _tsv_bytes(_matrix()),
     "crlf": _tsv_bytes(_matrix(), b"\r\n"),
     "no-final-newline": _tsv_bytes(_matrix())[:-1],
     "inline-comment": _tsv_bytes(_matrix()).replace(b"\n", b"\t# row\n", 7),
-}
-SERIAL_FILES = {
     "leading-comment": b"# distances\n" + _tsv_bytes(_matrix()),
     "leading-blank": b"\n" + _tsv_bytes(_matrix()),
     "trailing-blank": _tsv_bytes(_matrix()) + b"\n",
     "trailing-blank-crlf": _tsv_bytes(_matrix(), b"\r\n") + b"\r\n",
+    "whitespace-line": _tsv_bytes(_matrix()).replace(b"\n", b"\n \t \n", 3),
+    "comments-at-a-cut": _comments_at_a_cut(),
+    # one-character values: a row takes no more bytes than its values need
+    "short-values-and-blank-lines": b"0\t1\n\n1\t0\n\n" * 60,
 }
 
 
@@ -169,26 +191,13 @@ def test_forked_parse_equals_loadtxt(tmp_path, monkeypatch, forks, name, cpus):
     monkeypatch.setattr(_blocks, "usable_cpus", lambda: cpus)
     path = tmp_path / "m.tsv"
     path.write_bytes(PARALLEL_FILES[name])
-    size = path.stat().st_size
-    assert all(path.read_bytes()[size * i // cpus - 1] != ord("\n")
-               for i in range(1, cpus))  # every cut falls mid-line
     _assert_same_as_loadtxt(path)
     assert len(forks) == (2 * (cpus - 1) if FORKS else 0)
     _no_child_left()
 
 
-@pytest.mark.parametrize("name", sorted(SERIAL_FILES))
-def test_blank_or_comment_first_line_or_blank_last_line_stays_serial(tmp_path, monkeypatch,
-                                                                      forks, name):
-    monkeypatch.setattr(_blocks, "usable_cpus", lambda: 2)
-    path = tmp_path / "m.tsv"
-    path.write_bytes(SERIAL_FILES[name])
-    _assert_same_as_loadtxt(path)
-    assert forks == []
-
-
-def test_comment_or_blank_line_further_down_falls_back_to_serial(tmp_path, monkeypatch,
-                                                                 forks):
+def test_comment_or_blank_line_further_down_forks_and_equals_loadtxt(tmp_path,
+                                                                      monkeypatch, forks):
     monkeypatch.setattr(_blocks, "usable_cpus", lambda: 2)
     lines = _tsv_bytes(_matrix()).splitlines(keepends=True)
     path = tmp_path / "m.tsv"
@@ -212,7 +221,7 @@ def test_no_more_workers_than_parts_of_part_bytes(tmp_path, monkeypatch, forks):
     monkeypatch.setattr(_blocks, "usable_cpus", lambda: 5)
     path = tmp_path / "m.tsv"
     path.write_bytes(PARALLEL_FILES["plain"])
-    monkeypatch.setattr(tsv, "_PART_BYTES", path.stat().st_size // 3)
+    monkeypatch.setattr(_blocks, "PART_ENTRIES", path.stat().st_size // 12)
     _assert_same_as_loadtxt(path)
     assert len(forks) == (2 * 2 if FORKS else 0)  # three parts per read
 
@@ -223,7 +232,7 @@ def test_serial_unless_every_condition_holds(tmp_path, monkeypatch, forks, case)
     path = tmp_path / "m.tsv"
     path.write_bytes(PARALLEL_FILES["plain"])
     if case == "small-file":
-        monkeypatch.setattr(tsv, "_PART_BYTES", path.stat().st_size // 2 + 1)
+        monkeypatch.setattr(_blocks, "PART_ENTRIES", path.stat().st_size // 8 + 1)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     if case == "second-thread":
@@ -238,7 +247,9 @@ def test_serial_unless_every_condition_holds(tmp_path, monkeypatch, forks, case)
     assert forks == []
 
 
-@pytest.mark.parametrize("line", [2, 23], ids=["caller-part", "worker-part"])
+# in 64-byte reads each of these rows is a chunk of its own, and part p of
+# two takes chunks p, p + 2, ...: line 23 is chunk 22, line 2 chunk 1
+@pytest.mark.parametrize("line", [23, 2], ids=["caller-part", "worker-part"])
 @pytest.mark.parametrize("value", [b"x", b"nan", b"1.0\t2.0"])
 def test_forked_fault_reads_again_serially_and_reaps(tmp_path, monkeypatch, forks,
                                                      line, value):
@@ -256,6 +267,28 @@ def test_forked_fault_reads_again_serially_and_reaps(tmp_path, monkeypatch, fork
     assert len(forks) == (1 if FORKS else 0)
     assert str(forked.value) == str(serial.value)
     assert f"{path}:{line}:" in str(forked.value)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_wide_first_line_is_a_data_error_before_a_table_is_sized(tmp_path, monkeypatch,
+                                                                 cpus):
+    # a table of one row per line as wide as the first would hold 10^5 x 10^5
+    # values, 80 GB; each chunk holds no more rows of that width than its
+    # bytes can, here one
+    monkeypatch.setattr(_blocks, "PART_ENTRIES", 1)
+    monkeypatch.setattr(_blocks, "usable_cpus", lambda: cpus)
+    path = tmp_path / "wide.tsv"
+    path.write_bytes(b"\t".join([b"0"] * 10**5) + b"\n" + b"1\t2\n" * 10**5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=f"{path}:2: expected 100000 fields, got 2"):
+            tsv.read_points_tsv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the re-read that names the line holds a buffer per column, near 28 MB
+    assert peak < 64 * path.stat().st_size
     _no_child_left()
 
 
