@@ -3,8 +3,9 @@
 Every pass over the neighbor graph or a distance matrix reads it in row
 blocks (:func:`row_blocks`), each pass with one :class:`Scratch`.  The point
 and matrix reader, the kNN passes and the density estimate run in parts, one
-per ``PART_ENTRIES`` of work up to the usable CPUs, part 0 in the caller and
-each other in a forked process (:func:`fill_parts`).
+per ``PART_ENTRIES`` of work up to the usable CPUs: part i of p takes the
+pass's items i, i + p, ..., part 0 in the caller and each other in a forked
+process (:func:`fill_parts`).
 """
 
 from __future__ import annotations
@@ -131,70 +132,63 @@ def fork_cpus() -> int:
     return usable_cpus()
 
 
-def forked(parts: int, layout, fill) -> tuple[np.ndarray, ...] | None:
-    """Run ``fill(part, *arrays)`` for each of ``parts`` parts, part 0 in the
-    calling process and each other in a forked one; return the arrays.
-
-    ``layout`` lists the ``(shape, dtype)`` of each array, and the arrays
-    are zeros in one anonymous mapping that the forked processes share,
-    the one way their results come back.  The result is None if any part
-    raised an ``Exception`` or its process failed; a part that raises in a
-    forked process exits with code 1, silently.  Every worker is reaped
-    before this returns, and killed first if the caller's own part did not
-    finish; an exception that is not an ``Exception``, such as
-    ``KeyboardInterrupt``, then propagates.
-    """
-    # imported here: only a forked pass needs mmap and signal, and they add
-    # 1-2 ms to the import of the package
-    import mmap
-    import signal
-
-    nbytes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layout]
-    # each array starts at a multiple of 8 bytes, so every dtype is aligned
-    starts = np.cumsum([0, *(-(-size // 8) * 8 for size in nbytes)]).tolist()
-    pids = []
-    try:
-        buf = np.frombuffer(mmap.mmap(-1, starts[-1]), dtype=np.uint8)
-        arrays = tuple(buf[at:at + size].view(dtype).reshape(shape)
-                       for (shape, dtype), at, size in zip(layout, starts, nbytes))
-        for part in range(1, parts):
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    fill(part, *arrays)
-                    code = 0
-                finally:
-                    os._exit(code)
-            pids.append(pid)
-        fill(0, *arrays)
-    except BaseException as exc:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        if not isinstance(exc, Exception):
-            raise
-        arrays = None
-    finally:
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    return None if any(codes) else arrays
-
-
 def fill_parts(work: int, items: int, layout, fill) -> tuple[np.ndarray, ...]:
-    """Arrays of ``layout``, a list of ``(shape, dtype)``, filled by ``fill(part,
-    parts, *arrays)``, each call one part of a pass over ``items`` independent items
-    (chunks of a file, kd leaves, row blocks, points) writing only that part's
-    entries.  ``work`` counts the entries the pass reads: a quarter of the bytes of
-    a points or matrix file, the distances a kNN pass computes or copies, rows x
-    candidates, and the n x cap table entries of the density.  The pass is
-    cut into ``work // PART_ENTRIES`` parts, but no more than :func:`fork_cpus` or
-    ``items``: part 0 runs in the caller and each other in a forked process
-    (:func:`forked`).  With one part, or if any part raises or its process fails,
-    ``fill(0, 1, *arrays)`` runs the whole pass in the caller, into arrays of its
-    own: the result, and any error, are a one-CPU run's.
+    """Arrays of ``layout``, a list of ``(shape, dtype)``, filled by ``fill(mine,
+    *arrays)``, each call one part of a pass over ``items`` independent items
+    (chunks of a file, kd leaves, matrix row blocks, points) writing only the
+    entries of ``mine``, the int array of its items.  ``work`` counts the entries
+    the pass reads: a quarter of the bytes of a points or matrix file, the
+    distances a kNN pass computes or copies, rows x candidates, and the n x cap
+    table entries of the density.
+
+    The pass is cut into ``work // PART_ENTRIES`` parts, but no more than
+    :func:`fork_cpus` or ``items``; part i takes items i, i + parts, i + 2
+    parts, and so on.  Part 0 runs in the caller and each other in a forked
+    process, which exits with code 1, silently, if it raises; the arrays are
+    zeros in one anonymous mapping they share, the one way their results come
+    back.  Every worker is reaped before this returns, and killed first if the
+    caller's own part did not finish; an exception that is not an
+    ``Exception``, such as ``KeyboardInterrupt``, then propagates.  With one
+    part, or if any part raised or its process failed, ``fill(np.arange(items),
+    *arrays)`` runs the whole pass in the caller, into arrays of its own: the
+    result, and any error, are a one-CPU run's.
     """
     parts = min(work // PART_ENTRIES, fork_cpus(), items)
-    arrays = forked(parts, layout, lambda p, *out: fill(p, parts, *out)) if parts > 1 else None
-    if arrays is None:
-        arrays = tuple(np.empty(shape, dtype) for shape, dtype in layout)
-        fill(0, 1, *arrays)
+    if parts > 1:
+        # imported here: only a forked pass needs mmap and signal, and they add
+        # 1-2 ms to the import of the package
+        import mmap
+        import signal
+
+        nbytes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layout]
+        # each array starts at a multiple of 8 bytes, so every dtype is aligned
+        starts = np.cumsum([0, *(-(-size // 8) * 8 for size in nbytes)]).tolist()
+        pids = []
+        try:
+            buf = np.frombuffer(mmap.mmap(-1, starts[-1]), dtype=np.uint8)
+            arrays = tuple(buf[at:at + size].view(dtype).reshape(shape)
+                           for (shape, dtype), at, size in zip(layout, starts, nbytes))
+            for part in range(1, parts):
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        fill(np.arange(part, items, parts), *arrays)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                pids.append(pid)
+            fill(np.arange(0, items, parts), *arrays)
+        except BaseException as exc:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            if not isinstance(exc, Exception):
+                raise
+            arrays = None
+        finally:
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        if arrays is not None and not any(codes):
+            return arrays
+    arrays = tuple(np.empty(shape, dtype) for shape, dtype in layout)
+    fill(np.arange(items), *arrays)
     return arrays

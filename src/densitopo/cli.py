@@ -24,7 +24,7 @@ import numpy as np
 
 from . import synth
 from .clustering import PeakAssignment, SaddleTable, check_z, cluster_points
-from .density import DensityEstimate, estimate_density
+from .density import DensityEstimate, estimate_density, unit_ball_volume
 from .errors import (EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, ConfigError,
                      DataError, InternalInvariantError)
 from .intrinsic_dim import twonn_estimate
@@ -37,7 +37,8 @@ from .topography import (build_topography, dendrogram_newick, mds_layout,
 from .tsv import (PURITY, TRUTH, assignment_tsv_text, confusion_spec, density_tsv_text,
                   ingest_knn_file, read_assignment_tsv, read_density_tsv,
                   read_distance_matrix_tsv, read_points_tsv, read_saddles_tsv,
-                  read_truth_tsv, saddles_tsv_text, table_text, write_points_tsv)
+                  read_truth_tsv, saddles_tsv_text, table_text, text_lines,
+                  write_points_tsv)
 
 _FORMATS = ("coords", "matrix", "knn")
 
@@ -69,6 +70,11 @@ class RunConfig:
     d: float | None = None
     truth: str | None = None
 
+    def __post_init__(self):  # settings that need no data, checked before any stage
+        check_z(self.z)
+        if self.d is not None:
+            unit_ball_volume(self.d)
+
     def echo_text(self) -> str:
         """The set fields as sorted ``key = value`` lines a config file accepts."""
         lines = []
@@ -82,32 +88,23 @@ class RunConfig:
 
 
 def read_config_file(path: str | Path) -> dict:
-    """Parse a flat ``key = value`` config file with '#' comments."""
+    """Parse a flat ``key = value`` config file with whole-line '#' comments."""
     out = {}
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise ConfigError(str(exc)) from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise ConfigError(f"{path}:{lineno}: byte {exc.start + 1} is not "
-                                  f"UTF-8 text") from None
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _CONFIG_CASTS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                out[key] = _CONFIG_CASTS[key](value)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in text_lines(path, ConfigError):
+        line = line.strip()
+        if not line or line.startswith("#"):  # a value may hold a '#'
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _CONFIG_CASTS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            out[key] = _CONFIG_CASTS[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
@@ -161,7 +158,7 @@ def _load_graph(cfg: RunConfig, need_pairwise: bool):
 
 
 def _dimension(cfg: RunConfig, graph: NeighborGraph) -> float:
-    """cfg.d when set, else the two-NN estimate; estimate_density validates it."""
+    """cfg.d when set (RunConfig checked it), else the two-NN estimate."""
     if cfg.d is not None:
         return float(cfg.d)
     return twonn_estimate(graph).d_hat
@@ -268,7 +265,6 @@ def run_pipeline(config: RunConfig) -> dict:
     when every stage succeeds; on failure the error names the failing
     stage and the output directory keeps what it held before.
     """
-    check_z(config.z)
     with _staged(config.outdir) as out:
         stage = "ingest"
         try:
@@ -391,9 +387,9 @@ def _cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(p: argparse.ArgumentParser, formats=_FORMATS) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", help="input data file (TSV)")
-    p.add_argument("--format", choices=list(formats), default=None,
+    p.add_argument("--format", choices=list(_FORMATS), default=None,
                    help="input layout (default coords)")
     p.add_argument("--metric", choices=list(METRICS), default=None)
     p.add_argument("--k-max", dest="k_max", type=int, default=None,
@@ -433,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_density)
 
     p = sub.add_parser("cluster", help="density-peak clustering of a density TSV")
-    _add_common(p, formats=("coords", "matrix"))
+    _add_common(p)
     _add_cluster_opt(p)
     p.add_argument("--density", required=True, help="density TSV written by density")
     p.add_argument("--out", default=None, help="assignment TSV (default stdout)")
@@ -467,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_synth)
 
     p = sub.add_parser("run", help="fused pipeline into an output directory")
-    _add_common(p, formats=("coords", "matrix"))
+    _add_common(p)
     _add_dimension_opt(p)
     _add_cluster_opt(p)
     p.add_argument("--truth", default=None)

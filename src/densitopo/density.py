@@ -395,10 +395,10 @@ def estimate_density(graph: NeighborGraph, d: float) -> DensityEstimate:
     flagged; if no such k exists the data is degenerate.
 
     Each point's estimate reads only its own row of the graph, so the
-    points are cut into interleaved shards, one per CPU as the n x cap
-    entries of work allow, cap being the largest neighborhood the scan may
-    select (:func:`_blocks.fill_parts`); the bytes, and any error, are
-    those of a one-CPU run.
+    points are the items of :func:`_blocks.fill_parts`, in as many parts as
+    the n x cap entries of work allow, cap being the largest neighborhood
+    the scan may select; the bytes, and any error, are those of a one-CPU
+    run.
 
     Args:
         d: intrinsic dimension used for shell volumes (> 0, may be fractional).
@@ -409,8 +409,7 @@ def estimate_density(graph: NeighborGraph, d: float) -> DensityEstimate:
 
     k_hat, log_rho, r_khat, fallback = fill_parts(
         n * cap, n, [((n,), np.int64), ((n,), np.float64), ((n,), np.float64), ((n,), bool)],
-        lambda part, parts, *out: _estimate_rows(graph, np.arange(part, n, parts), d, omega,
-                                                 cap, *out))
+        lambda mine, *out: _estimate_rows(graph, mine, d, omega, cap, *out))
 
     err = log_density_error(k_hat.astype(np.float64))
     if not np.isfinite(log_rho).all():

@@ -222,13 +222,13 @@ def _knn_among(rows: np.ndarray, cand: np.ndarray, distance_rows,
 
 
 def _knn_parts(work: int, items, layout, select) -> tuple[np.ndarray, ...]:
-    """Arrays of ``layout`` from ``select(item, *arrays, scratch)`` per item, each
-    writing only its own entries: part p runs items p, p + parts, ... with one
-    :class:`Scratch`, as many parts as ``work`` (distances read) allows (:func:`fill_parts`)."""
-    def fill(part: int, parts: int, *out: np.ndarray) -> None:
+    """Arrays of ``layout`` from ``select(items[i], *arrays, scratch)`` per item, each
+    writing only its own entries: a part runs its items with one :class:`Scratch`,
+    as many parts as ``work`` (distances read) allows (:func:`fill_parts`)."""
+    def fill(mine: np.ndarray, *out: np.ndarray) -> None:
         scratch = Scratch()
-        for item in items[part::parts]:
-            select(item, *out, scratch)
+        for i in mine.tolist():
+            select(items[i], *out, scratch)
 
     return fill_parts(work, len(items), layout, fill)
 

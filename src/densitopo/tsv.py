@@ -75,6 +75,23 @@ def table_text(spec: tuple, columns) -> str:
     return "\n".join([header] + ["\t".join(row) for row in zip(*cells)]) + "\n"
 
 
+def text_lines(path: str | Path, error: type[Exception]):
+    """``(line number, text)`` of each line of ``path`` as UTF-8, its line end
+    dropped; a file that cannot be opened, or a byte that is not UTF-8, raises
+    ``error`` naming it."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise error(str(exc)) from None
+    with fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}:{lineno}: byte {exc.start + 1} is not UTF-8 text") from None
+            yield lineno, text.rstrip("\r\n")
+
+
 def read_table(path: str | Path, spec: tuple, allow_empty: bool = False,
                sep: str | None = "\t") -> tuple[np.ndarray, list[np.ndarray]]:
     """Return the line number of every data row and one array per column.
@@ -88,29 +105,20 @@ def read_table(path: str | Path, spec: tuple, allow_empty: bool = False,
     """
     lines = array("q")
     columns = [array(_TYPECODES.get(cast, "d")) for _, cast, _ in spec]
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise DataError(str(exc)) from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
+    for lineno, line in text_lines(path, DataError):
+        line = line.partition("#")[0]
+        if not line.strip():
+            continue
+        fields = line.split(sep)
+        if len(fields) != len(spec):
+            raise DataError(f"{path}:{lineno}: expected {len(spec)} fields, "
+                            f"got {len(fields)}")
+        for (name, cast, _), text, column in zip(spec, fields, columns):
             try:
-                line = raw.decode("utf-8").rstrip("\r\n").partition("#")[0]
-            except UnicodeDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: byte {exc.start + 1} is not "
-                                f"UTF-8 text") from None
-            if not line.strip():
-                continue
-            fields = line.split(sep)
-            if len(fields) != len(spec):
-                raise DataError(f"{path}:{lineno}: expected {len(spec)} fields, "
-                                f"got {len(fields)}")
-            for (name, cast, _), text, column in zip(spec, fields, columns):
-                try:
-                    column.append(cast(text))
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: {name}: {exc}") from None
-            lines.append(lineno)
+                column.append(cast(text))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {name}: {exc}") from None
+        lines.append(lineno)
     if not lines and not allow_empty:
         raise DataError(f"{path}: empty input file")
     return np.frombuffer(lines, dtype=np.int64), [
@@ -197,9 +205,9 @@ def _parsed_rows(path) -> np.ndarray:
     room = [min(n, (hi - lo + 1) // (2 * width)) for lo, hi, n in zip(cuts, cuts[1:], lines)]
     starts = np.cumsum([0, *room]).tolist()
 
-    def fill(part: int, parts: int, table: np.ndarray, used: np.ndarray) -> None:
+    def fill(mine: np.ndarray, table: np.ndarray, used: np.ndarray) -> None:
         with open(path, "rb") as fh:
-            for c in range(part, len(room), parts):
+            for c in mine.tolist():
                 fh.seek(cuts[c])
                 data = fh.read(cuts[c + 1] - cuts[c])
                 block = _loadtxt(data)
@@ -222,11 +230,11 @@ def _float_rows(path: str | Path) -> np.ndarray:
     One pass cuts the file into chunks of whole lines, about
     ``_CHUNK_BYTES`` each, and counts each chunk's lines.  The table is as
     wide as the first data line, with a row per line of each chunk, or as
-    many as the chunk's bytes can hold at that width if fewer, and
-    :func:`_blocks.fill_parts` parses each chunk into its rows, on every
-    usable CPU once the file holds two parts of ``4 * PART_ENTRIES`` bytes,
-    4 MiB.  Comment and blank lines leave rows unused, which are dropped
-    by one copy at the end.  A file numpy cannot
+    many as the chunk's bytes can hold at that width if fewer.  The chunks
+    are the items of :func:`_blocks.fill_parts`, which parses each into its
+    rows, on every usable CPU once the file holds two parts of
+    ``4 * PART_ENTRIES`` bytes, 4 MiB.  Comment and blank lines leave rows
+    unused, which are dropped by one copy at the end.  A file numpy cannot
     read, or one holding a non-finite value, is read again as a table of
     finite columns as wide as its first data line, so the error names
     ``path:line`` and the column.

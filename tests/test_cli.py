@@ -15,8 +15,9 @@ from densitopo import (
     synth_gmm,
     write_points_tsv,
 )
-from densitopo import _blocks, cli, tsv
+from densitopo import cli, tsv
 from densitopo.cli import main, read_config_file
+from forking import FORKS, count_forks, pretend_cpus
 from oracles import export_knn_file
 
 PIPELINE_FILES = ("density.tsv", "assignment.tsv", "topography.json",
@@ -144,6 +145,29 @@ def test_run_negative_z_is_config_error(dataset, tmp_path, monkeypatch):
     cfg.write_text("z = -1\n", encoding="utf-8")
     assert _run(["run", "--config", cfg, "--input", dataset["points"],
                  "--outdir", tmp_path / "out", "--k-max", "32"]) == 2
+
+
+# settings that need no data are checked before any stage, in every command
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("argv,key,why", [
+    (["run", "--outdir", "out"], "d", "intrinsic dimension must be positive, got -1.0"),
+    (["density", "--out", "density.tsv"], "d", "intrinsic dimension must be positive, got -1.0"),
+    (["cluster", "--density", "density.tsv", "--out", "assignment.tsv"], "z",
+     "z must be >= 0, got -1.0"),
+], ids=["run-d", "density-d", "cluster-z"])
+def test_bad_setting_is_config_error_before_any_stage(dataset, tmp_path, capsys, monkeypatch,
+                                                      argv, key, why, route):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("kNN graph built before the settings were checked")
+
+    monkeypatch.setattr(cli, "build_neighbor_graph", no_graph)
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = -1\n", encoding="utf-8")
+    setting = [f"--{key}", "-1"] if route == "flag" else ["--config", cfg]
+    code = _run(argv + ["--input", dataset["points"], "--k-max", "32"] + setting)
+    _assert_rejected(code, capsys, 2, f"config error: {why}")
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
 
 
 def test_run_bad_format_in_config_names_format(dataset, tmp_path, capsys):
@@ -426,6 +450,12 @@ def test_cluster_rejects_knn_format_via_config(dataset, tmp_path, capsys):
     code = _run(["cluster", "--config", cfg, "--density", tmp_path / "density.tsv"])
     assert code == 2
     assert "cannot provide" in capsys.readouterr().err
+    # the same rule for the flag, and for run: one check, before the input is read
+    for route in (["--format", "knn", "--input", knn_path], ["--config", cfg]):
+        for argv in (["cluster", "--density", tmp_path / "density.tsv"],
+                     ["run", "--outdir", tmp_path / "out"]):
+            code = _run(argv + route)
+            _assert_rejected(code, capsys, 2, "cannot provide")
 
 
 def test_cluster_density_point_count_mismatch(dataset, tmp_path, capsys):
@@ -551,18 +581,14 @@ def test_bad_point_or_matrix_field_names_line(dataset, tmp_path, capsys, monkeyp
     _assert_rejected(code, capsys, 3, f"{path}:5:")
     # parsed on two CPUs in 64-byte chunks, a fault on the last line fails
     # the forked parse, and the one-CPU parse that follows names it
-    monkeypatch.setattr(_blocks, "PART_ENTRIES", 1)
+    pretend_cpus(monkeypatch, 2)
     monkeypatch.setattr(tsv, "_CHUNK_BYTES", 64)
-    monkeypatch.setattr(_blocks, "usable_cpus", lambda: 2)
-    forks = []
-    if hasattr(os, "fork"):
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    forks = count_forks(monkeypatch)
     path.write_bytes(rows)
     _replace_field(path, 30, 1, value)
     code = _run(["estimate-id", "--format", fmt, "--input", path])
     _assert_rejected(code, capsys, 3, f"{path}:30:")
-    assert len(forks) == (hasattr(os, "fork") and sys.version_info < (3, 12))
+    assert len(forks) == FORKS
 
 
 @pytest.mark.parametrize("text,where", [
@@ -576,19 +602,15 @@ def test_bad_point_or_matrix_field_names_line(dataset, tmp_path, capsys, monkeyp
 def test_point_or_matrix_fault_skips_comments_as_numpy_does(tmp_path, capsys, monkeypatch,
                                                             fmt, cpus, text, where):
     # 4-byte chunks: each file holds enough of them to fork on two CPUs
-    monkeypatch.setattr(_blocks, "PART_ENTRIES", 1)
+    pretend_cpus(monkeypatch, cpus)
     monkeypatch.setattr(tsv, "_CHUNK_BYTES", 4)
-    monkeypatch.setattr(_blocks, "usable_cpus", lambda: cpus)
-    forks = []
-    if hasattr(os, "fork"):
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    forks = count_forks(monkeypatch)
     path = tmp_path / f"{fmt}.tsv"
     path.write_bytes(text)
     code = _run(["estimate-id", "--format", fmt, "--input", path])
     _assert_rejected(code, capsys, 3, f"{path}{where}")
     # a file without a data line is not parsed
-    parsed = "empty" not in where and hasattr(os, "fork") and sys.version_info < (3, 12)
+    parsed = "empty" not in where and FORKS
     assert len(forks) == (cpus - 1) * parsed
 
 

@@ -28,9 +28,9 @@ from densitopo import _blocks
 from densitopo.clustering import (assign_points, compute_delta_parent, compute_g,
                                   detect_putative_centers, find_borders_saddles,
                                   flag_halo, merge_clusters)
+from forking import FORKS, count_forks, pretend_cpus
 from oracles import (loop_borders_saddles, naive_delta_parent, naive_putative_centers,
                      naive_saddles, sorting_merge_clusters)
-from test_neighbors import FORKS, _count_forks
 
 
 def _toy_estimate(log_rho, err=None, r_khat=None, k_hat=None) -> DensityEstimate:
@@ -338,9 +338,8 @@ def _first_member_labels(labels):
 def test_pipeline_is_permutation_equivariant(case, cpus, monkeypatch):
     coords, k_max = _PERMUTATION_CASES[case]()
     perm = np.random.default_rng(3).permutation(coords.shape[0])  # row i is point perm[i]
-    monkeypatch.setattr(_blocks, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(_blocks, "PART_ENTRIES", 1)
-    forks = _count_forks(monkeypatch)
+    pretend_cpus(monkeypatch, cpus)
+    forks = count_forks(monkeypatch)
     d_hat, est, asg = _pipeline(coords, k_max)
     d_perm, est_perm, asg_perm = _pipeline(coords[perm], k_max)
     # each run forks its kd bounds, its kNN and its density once per CPU

@@ -4,7 +4,6 @@ import math
 import os
 import re
 import signal
-import sys
 import threading
 import types
 import warnings
@@ -29,6 +28,7 @@ from densitopo import (
 )
 from densitopo.density import (DEFAULT_K_MIN, LRT_THRESHOLD, _effective_cap, log_density_error,
                                unit_ball_volume)
+from forking import FORKS, count_forks, no_child_left, pretend_cpus
 from oracles import (
     adaptive_k,
     compass_max2d,
@@ -772,24 +772,11 @@ def test_estimate_density_validates_d():
 # ---------------------------------------------------------------------------
 # the estimate on every usable CPU: forked shards, the same bytes and errors
 
-FORKS = hasattr(os, "fork") and sys.version_info < (3, 12)
-
-
 @pytest.fixture
 def forks(monkeypatch):
     """Two usable CPUs and parts of any work; return the fork log."""
-    monkeypatch.setattr(_blocks, "PART_ENTRIES", 1)
-    monkeypatch.setattr(_blocks, "usable_cpus", lambda: 2)
-    log = []
-    if hasattr(os, "fork"):
-        real = os.fork
-        monkeypatch.setattr(os, "fork", lambda: log.append(os.getpid()) or real())
-    return log
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    pretend_cpus(monkeypatch, 2)
+    return count_forks(monkeypatch)
 
 
 def _estimate_outcome(graph, d):
@@ -826,7 +813,7 @@ def test_forked_estimate_equals_the_one_cpu_bytes(case, cpus, forked_cases, fork
     monkeypatch.setattr(_blocks, "usable_cpus", lambda: cpus)
     assert _estimate_outcome(graph, d) == want
     assert len(forks) == (cpus - 1 if FORKS else 0)
-    _no_child_left()
+    no_child_left()
 
 
 def _faulty_graph(fault: str, points: tuple[int, ...]):
@@ -855,7 +842,7 @@ def test_shard_error_is_the_one_cpu_error(fault, points, forks, monkeypatch):
                            f"intrinsic dimension 20.0 is too large for point {points[0]}")
     assert _estimate_outcome(graph, d) == want
     assert len(forks) == (1 if FORKS else 0)
-    _no_child_left()
+    no_child_left()
 
 
 @pytest.mark.skipif(not FORKS, reason="the density estimate forks only before Python 3.12")
@@ -877,7 +864,7 @@ def test_failed_worker_gives_the_one_cpu_bytes(how, forked_cases, forks, monkeyp
     monkeypatch.setattr(density_module, "_estimate_rows", failing)
     assert _estimate_outcome(graph, d) == want
     assert len(forks) == 1
-    _no_child_left()
+    no_child_left()
 
 
 @pytest.mark.parametrize("case", ["one-cpu", "few-points", "second-thread", "python-3.12",

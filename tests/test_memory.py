@@ -13,8 +13,6 @@ them reaches a result.
 import itertools
 import math
 import mmap
-import os
-import sys
 import tracemalloc
 
 import numpy as np
@@ -25,6 +23,7 @@ from densitopo import (PairwiseDistances, PointSet, build_neighbor_graph, cluste
                        estimate_density, ingest_distance_matrix, ingest_knn_file,
                        synth_gmm, write_points_tsv)
 from densitopo import DegenerateDataError, _blocks, clustering, density, neighbors, tsv
+from forking import FORKS, count_forks, pretend_cpus
 from oracles import export_knn_file, graph_from_radii, radii_constant_density
 from test_neighbors import KNN_CASES
 
@@ -41,13 +40,10 @@ def _traced_peak(fn, *args, **kwargs):
     return peak - start, result
 
 
-FORKS = hasattr(os, "fork") and sys.version_info < (3, 12)
-
-
 def _peak_above_graph(monkeypatch, cpus, build):
     """The traced peak of ``build()`` on ``cpus`` pretend CPUs, above the
     bytes of its graph that tracemalloc sees."""
-    _pretend_cpus(monkeypatch, cpus)
+    pretend_cpus(monkeypatch, cpus)
     peak, graph = _traced_peak(build)
     return peak - _arrays_bytes(graph.neighbor_ids, graph.neighbor_dists), graph
 
@@ -122,8 +118,8 @@ def _density_peak(monkeypatch, graph):
 def test_density_peak_follows_its_blocks_not_the_table(monkeypatch):
     # one usable CPU: every point is estimated in this process, where
     # tracemalloc sees all the work
-    _pretend_cpus(monkeypatch, 1)
-    forks = _count_forks(monkeypatch)
+    pretend_cpus(monkeypatch, 1)
+    forks = count_forks(monkeypatch)
     _density_peak(monkeypatch, _density_graph())
     assert forks == []
 
@@ -134,8 +130,8 @@ def test_forked_density_peak_of_the_caller_follows_its_blocks(monkeypatch):
     # which tracemalloc does not see, the other half into a shared mapping.
     # The graph is built first, since its kNN forks too.
     graph = _density_graph()
-    _pretend_cpus(monkeypatch, 2)
-    forks = _count_forks(monkeypatch)
+    pretend_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
     _density_peak(monkeypatch, graph)
     assert len(forks) == 1
 
@@ -187,7 +183,7 @@ def test_forked_matrix_read_peak_follows_its_chunks(tmp_path, monkeypatch):
     path = tmp_path / "m.tsv"
     write_points_tsv(matrix, path)
     monkeypatch.setattr(tsv, "_CHUNK_BYTES", 1 << 16)
-    _pretend_cpus(monkeypatch, 2)
+    pretend_cpus(monkeypatch, 2)
     peak, read = _traced_peak(tsv.read_distance_matrix_tsv, path)
     assert read.tobytes() == np.loadtxt(path, ndmin=2).tobytes()
     assert peak < 8 * tsv._CHUNK_BYTES < matrix.nbytes / 4
@@ -201,7 +197,7 @@ def test_one_cpu_matrix_read_peaks_at_the_table_and_a_few_chunks(tmp_path, monke
     path = tmp_path / "m.tsv"
     write_points_tsv(matrix, path)
     monkeypatch.setattr(tsv, "_CHUNK_BYTES", 1 << 16)
-    _pretend_cpus(monkeypatch, 1)
+    pretend_cpus(monkeypatch, 1)
     peak, read = _traced_peak(tsv.read_distance_matrix_tsv, path)
     assert read.tobytes() == np.loadtxt(path, ndmin=2).tobytes()
     assert peak < matrix.nbytes + 8 * tsv._CHUNK_BYTES
@@ -209,21 +205,6 @@ def test_one_cpu_matrix_read_peaks_at_the_table_and_a_few_chunks(tmp_path, monke
 
 # ---------------------------------------------------------------------------
 # block scratch: one set of buffers per worker and call
-
-
-def _pretend_cpus(monkeypatch, cpus):
-    """``cpus`` usable CPUs, and a forked part of any work."""
-    monkeypatch.setattr(_blocks, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(_blocks, "PART_ENTRIES", 1)
-
-
-def _count_forks(monkeypatch) -> list[int]:
-    """Log every ``os.fork`` call from now on."""
-    log = []
-    if hasattr(os, "fork"):
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: log.append(1) or fork())
-    return log
 
 
 def _arrays_bytes(*arrays) -> int:
@@ -260,7 +241,7 @@ _SLACK = 64 << 10
 def test_no_scratch_outlives_its_stage(cpus, monkeypatch):
     # with one CPU the kNN blocks run in the calling thread, so a buffer kept
     # there (a module global, a thread-local) would still be held here
-    _pretend_cpus(monkeypatch, cpus)
+    pretend_cpus(monkeypatch, cpus)
     coords, _ = synth_gmm(k=3, n=3000, dim=2, separation=8, seed=1)
     points = PointSet(coords)
     pairwise = PairwiseDistances(coords=points.coords)
@@ -326,7 +307,7 @@ def _assert_per_worker(allocations, blocks: int, scratches: int) -> None:
 def test_scratch_follows_workers_not_blocks(cpus, monkeypatch):
     coords, _ = synth_gmm(k=3, n=2000, dim=2, separation=8, seed=1)
     points = PointSet(coords)
-    _pretend_cpus(monkeypatch, cpus)
+    pretend_cpus(monkeypatch, cpus)
     # kNN blocks of 40 rows of every point: full-row blocks are cut, and
     # leaves of varying candidate counts make the buffers grow
     monkeypatch.setattr(_blocks, "WORKER_ENTRIES", 40 * coords.shape[0])
@@ -377,7 +358,7 @@ def _tiny_blocks(monkeypatch, n: int, k_max: int) -> None:
     # two CPUs, kNN blocks of three rows of every point, kd leaves of at
     # most 8 points, and serial blocks of 3 rows at k_max: graph checks and
     # clustering passes of 3 rows, fit blocks of 3 * k_max padded entries
-    _pretend_cpus(monkeypatch, 2)
+    pretend_cpus(monkeypatch, 2)
     monkeypatch.setattr(_blocks, "WORKER_ENTRIES", 3 * n)
     monkeypatch.setattr(neighbors, "_LEAF_SIZE", 8)
     monkeypatch.setattr(_blocks, "BLOCK_ENTRIES", 3 * k_max)

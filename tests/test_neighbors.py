@@ -2,7 +2,6 @@
 
 import os
 import signal
-import sys
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from densitopo import (ConfigError, DataError, NeighborGraph, PairwiseDistances,
 from densitopo import _blocks, neighbors
 from densitopo._blocks import Scratch
 from densitopo.neighbors import _distances, _exact_knn_rows, _knn_among, _tree_knn
+from forking import FORKS, count_forks, no_child_left, pretend_cpus
 from oracles import argsort_matrix_knn, brute_knn, export_knn_file
 
 # public metric name -> scipy metric name, for the tests that call cdist
@@ -171,8 +171,7 @@ def _small_blocks(monkeypatch, cpus, coords, k_max):
     full-row passes into 7-row blocks and the kd-leaf pass into leaves of
     at most 8 points."""
     n = coords.shape[0]
-    monkeypatch.setattr(_blocks, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(_blocks, "PART_ENTRIES", 1)
+    pretend_cpus(monkeypatch, cpus)
     monkeypatch.setattr(_blocks, "WORKER_ENTRIES", _BLOCK_ROWS * n)
     monkeypatch.setattr(neighbors, "_LEAF_SIZE", _LEAF)
 
@@ -210,7 +209,7 @@ def test_row_blocks_match_oracle(cpus, metric, case, monkeypatch):
     # the redo is counted on one CPU: a forked part's selections are not seen here
     counted = cpus == 1
     tree_knn = _recording_redo(monkeypatch) if counted else lambda *a: (*_tree_knn(*a), None)
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     got_ids, got_dists, redone = tree_knn(coords, k_max, metric)
     np.testing.assert_array_equal(got_ids, ids)
     assert got_dists.tobytes() == dists.tobytes()
@@ -242,7 +241,7 @@ def test_matrix_rows_match_kd_leaves(cpus, metric, case, monkeypatch):
 
     coords, k_max = KNN_CASES[case]()
     _small_blocks(monkeypatch, cpus, coords, k_max)
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     by_matrix = ingest_distance_matrix(cdist(coords, coords, _CDIST_METRIC[metric]),
                                        k_max=k_max)
     by_coords = build_neighbor_graph(PointSet(coords), k_max=k_max, metric=metric)
@@ -257,14 +256,6 @@ def test_matrix_rows_match_kd_leaves(cpus, metric, case, monkeypatch):
 # ---------------------------------------------------------------------------
 # the kNN passes on several CPUs: a part that fails gives the one-CPU bytes,
 # and a part that raises gives the one-CPU error
-
-FORKS = hasattr(os, "fork") and sys.version_info < (3, 12)
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
 
 def _forks_per_pass(cpus, items):
     """Processes a kNN pass over ``items`` leaves or blocks forks when any
@@ -314,15 +305,6 @@ def _knn_outcome(build):
     return graph.neighbor_ids.tobytes(), graph.neighbor_dists.tobytes()
 
 
-def _count_forks(monkeypatch) -> list[int]:
-    """Log every ``os.fork`` call from now on."""
-    log = []
-    if hasattr(os, "fork"):
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: log.append(1) or fork())
-    return log
-
-
 @pytest.mark.parametrize("cpus,n,any_work", [(1, 300, True), (2, 60, True), (2, 300, False)],
                          ids=["one_cpu", "one_block", "little_work"])
 def test_lone_knn_part_runs_in_the_caller(cpus, n, any_work, monkeypatch):
@@ -334,7 +316,7 @@ def test_lone_knn_part_runs_in_the_caller(cpus, n, any_work, monkeypatch):
     monkeypatch.setattr(_blocks, "usable_cpus", lambda: cpus)
     if any_work:
         monkeypatch.setattr(_blocks, "PART_ENTRIES", 1)
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     by_coords = build_neighbor_graph(PointSet(coords), k_max=5)
     by_matrix = ingest_distance_matrix(cdist(coords, coords), k_max=5)
     assert forks == []
@@ -356,7 +338,7 @@ def test_knn_pass_forks_by_the_distances_it_reads(stage, monkeypatch):
     coords = np.random.default_rng(27).standard_normal((300, 20))
     _small_blocks(monkeypatch, 2, coords, 5)
     monkeypatch.setattr(_blocks, "PART_ENTRIES", 300 * 300 // 4)
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     graph = (build_neighbor_graph(PointSet(coords), k_max=5) if stage == "kd_leaves"
              else ingest_distance_matrix(cdist(coords, coords), k_max=5))
     assert len(forks) == 1
@@ -385,11 +367,11 @@ def test_failed_knn_part_gives_the_one_cpu_bytes(stage, cpus, how, monkeypatch):
         return knn_among(*args)
 
     monkeypatch.setattr(neighbors, "_knn_among", failing)
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     assert _knn_outcome(build) == want
     # the kd leaves fork their bounds, which do not fail, then their selection
     assert len(forks) == _STAGE_PASSES[stage] * (cpus - 1)
-    _no_child_left()
+    no_child_left()
 
 
 @pytest.mark.parametrize("where", ["caller-part", "worker-part", "every-part"])
@@ -414,10 +396,10 @@ def test_knn_part_error_is_the_one_cpu_error(stage, cpus, where, monkeypatch):
         m.setattr(_blocks, "usable_cpus", lambda: 1)
         want = _knn_outcome(build)
     assert want == f"rows from point {items[faulty[0]][0]} failed"
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     assert _knn_outcome(build) == want
     assert len(forks) == (_STAGE_PASSES[stage] * (cpus - 1) if FORKS else 0)
-    _no_child_left()
+    no_child_left()
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])

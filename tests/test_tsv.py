@@ -1,8 +1,6 @@
 """Table files: every column spec round-trips bit for bit through one writer and reader."""
 
 import importlib.util
-import os
-import sys
 import tempfile
 import threading
 import tracemalloc
@@ -15,6 +13,7 @@ from hypothesis import strategies as st
 
 from densitopo import DataError, _blocks, cli, clustering
 from densitopo import tsv
+from forking import FORKS, count_forks, no_child_left, pretend_cpus
 
 SPECS = {"density": tsv.DENSITY, "assignment": tsv.ASSIGNMENT, "saddles": tsv.SADDLES,
          "truth": tsv.TRUTH, "purity": tsv.PURITY, "knn": tsv.KNN,
@@ -119,24 +118,12 @@ def test_traced_names_resolve():
 # ---------------------------------------------------------------------------
 # point and matrix files parsed on every usable CPU
 
-FORKS = hasattr(os, "fork") and sys.version_info < (3, 12)
-
-
 @pytest.fixture
 def forks(monkeypatch):
     """Parse every file as a large one, in 64-byte chunks; return the fork log."""
     monkeypatch.setattr(_blocks, "PART_ENTRIES", 1)
     monkeypatch.setattr(tsv, "_CHUNK_BYTES", 64)
-    log = []
-    if hasattr(os, "fork"):
-        real = os.fork
-        monkeypatch.setattr(os, "fork", lambda: log.append(os.getpid()) or real())
-    return log
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    return count_forks(monkeypatch)
 
 
 def _matrix(n=23, seed=3):
@@ -193,7 +180,7 @@ def test_forked_parse_equals_loadtxt(tmp_path, monkeypatch, forks, name, cpus):
     path.write_bytes(PARALLEL_FILES[name])
     _assert_same_as_loadtxt(path)
     assert len(forks) == (2 * (cpus - 1) if FORKS else 0)
-    _no_child_left()
+    no_child_left()
 
 
 def test_comment_or_blank_line_further_down_forks_and_equals_loadtxt(tmp_path,
@@ -204,7 +191,7 @@ def test_comment_or_blank_line_further_down_forks_and_equals_loadtxt(tmp_path,
     for extra in (b"# late comment\n", b"\n", b"  \n"):
         path.write_bytes(b"".join(lines[:3] + [extra] + lines[3:17] + [extra] + lines[17:]))
         _assert_same_as_loadtxt(path)
-        _no_child_left()
+        no_child_left()
     assert len(forks) == (6 if FORKS else 0)
 
 
@@ -267,7 +254,7 @@ def test_forked_fault_reads_again_serially_and_reaps(tmp_path, monkeypatch, fork
     assert len(forks) == (1 if FORKS else 0)
     assert str(forked.value) == str(serial.value)
     assert f"{path}:{line}:" in str(forked.value)
-    _no_child_left()
+    no_child_left()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -276,8 +263,7 @@ def test_wide_first_line_is_a_data_error_before_a_table_is_sized(tmp_path, monke
     # a table of one row per line as wide as the first would hold 10^5 x 10^5
     # values, 80 GB; each chunk holds no more rows of that width than its
     # bytes can, here one
-    monkeypatch.setattr(_blocks, "PART_ENTRIES", 1)
-    monkeypatch.setattr(_blocks, "usable_cpus", lambda: cpus)
+    pretend_cpus(monkeypatch, cpus)
     path = tmp_path / "wide.tsv"
     path.write_bytes(b"\t".join([b"0"] * 10**5) + b"\n" + b"1\t2\n" * 10**5)
     tracemalloc.start()
@@ -289,7 +275,7 @@ def test_wide_first_line_is_a_data_error_before_a_table_is_sized(tmp_path, monke
         tracemalloc.stop()
     # the re-read that names the line holds a buffer per column, near 28 MB
     assert peak < 64 * path.stat().st_size
-    _no_child_left()
+    no_child_left()
 
 
 def test_finiteness_check_finds_nan_and_infinities():
